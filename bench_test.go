@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"staticpipe/internal/balance"
@@ -670,6 +671,43 @@ func BenchmarkCompile(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(u.Compiled.Graph.NumNodes()), "cells")
+		})
+	}
+}
+
+// forallChain is a chain of k forall blocks over m = 64 elements: a 3-point
+// stencil, then elementwise blocks that each reconverge on the block two
+// back, so every block needs buffering. It compiles to 8k+5 cells.
+func forallChain(k int) string {
+	var b strings.Builder
+	b.WriteString("param m = 64;\ninput A : array[real] [0, m+1];\n")
+	b.WriteString("B0 : array[real] :=\n  forall i in [1, m]\n  construct 0.25*(A[i-1] + 2.*A[i] + A[i+1])\n  endall;\n")
+	back := "A"
+	for j := 1; j < k; j++ {
+		fmt.Fprintf(&b, "B%d : array[real] :=\n  forall i in [1, m]\n  construct 0.5*B%d[i] + 0.25*%s[i]\n  endall;\n", j, j-1, back)
+		back = fmt.Sprintf("B%d", j-1)
+	}
+	fmt.Fprintf(&b, "output B%d;\n", k-1)
+	return b.String()
+}
+
+// BenchmarkCompileScaling tracks how compile time grows with program size
+// (§8: balancing is polynomial; its min-cost-flow solve dominates a
+// compile) on forall chains of about 512, 2048 and 8192 cells.
+func BenchmarkCompileScaling(b *testing.B) {
+	for _, k := range []int{64, 256, 1024} {
+		src := forallChain(k)
+		b.Run(fmt.Sprintf("blocks=%d", k), func(b *testing.B) {
+			var u *Unit
+			var err error
+			for i := 0; i < b.N; i++ {
+				u, err = Compile(src, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(u.Compiled.Graph.ComputeStats().Cells), "cells")
+			b.ReportMetric(float64(u.Compiled.Plan.Total), "buffer-stages")
 		})
 	}
 }

@@ -560,18 +560,18 @@ func median(xs []float64) float64 {
 }
 
 // run compiles and runs a program, returning the result. Run-time knobs
-// (tracer, workers) travel in a Binding, never in the compile options:
-// compile options feed the artifact-cache key, and a cached artifact must
-// not carry one run's tracer into another run.
+// (tracer, workers, lane width) travel in a Binding, never in the compile
+// options: compile options feed the artifact-cache key, and a cached
+// artifact must not carry one run's tracer into another run.
 func run(p progs.Program, opts core.Options) (*core.Unit, *core.RunResult) {
 	tr, finish := runTracer(p.Name)
-	bind := core.Binding{Tracer: tr, Workers: opts.Workers}
-	opts.Tracer, opts.Workers = nil, 0
+	bind := core.Binding{Tracer: tr, Workers: opts.Workers, Batch: opts.Batch}
+	opts.Tracer, opts.Workers, opts.Batch = nil, 0, 0
 	if bind.Workers == 0 {
 		bind.Workers = *workersF
 	}
-	if opts.Batch == 0 {
-		opts.Batch = *batchF
+	if bind.Batch == 0 {
+		bind.Batch = *batchF
 	}
 	u, err := compileUnit(p.Source, opts)
 	if err != nil {

@@ -193,14 +193,14 @@ func main() {
 		fatal(err)
 	}
 	// Compile options carry only what shapes the artifact; the run-time
-	// attachments (tracer, progress, workers) bind per run below, so a
-	// cached artifact is shareable between the traced main run and the
-	// tracer-free verify run.
-	opts := core.Options{NoBalance: *noBal, Batch: *batch}
+	// attachments (tracer, progress, workers, lane width) bind per run
+	// below, so a cached artifact is shareable between the traced main run
+	// and the tracer-free scalar verify run.
+	opts := core.Options{NoBalance: *noBal}
 	if *todd {
 		opts.ForIterScheme = foriter.Todd
 	}
-	bind := core.Binding{Tracer: tracer, Progress: prog, Workers: *workers}
+	bind := core.Binding{Tracer: tracer, Progress: prog, Workers: *workers, Batch: *batch}
 
 	var cache *artifact.Cache
 	if *useCache {
@@ -242,11 +242,9 @@ func main() {
 
 	if *verify {
 		// Validate runs the graph too, with no tracer bound, so the traced
-		// run below stays the only one in the event stream. Under -cache a
-		// scalar main run makes this second compile a hit.
-		vopts := opts
-		vopts.Batch = 0
-		vu, err := compile(vopts)
+		// run below stays the only one in the event stream. Under -cache
+		// this second compile is a hit.
+		vu, err := compile(opts)
 		if err != nil {
 			fatal(err)
 		}

@@ -1,10 +1,10 @@
 // Package artifact is a content-addressed, bounded, concurrency-safe cache
 // of compiled execution artifacts. Entries are keyed by a canonical hash of
 // everything that determines what a compilation produces — the program
-// source and the compile-relevant options (pass list, loop schemes, batch
-// width, placement inputs) — so two submissions of the same program under
-// the same strategy share one compiled artifact, and any difference that
-// could change the compiled graph changes the key.
+// source and the compile-relevant options (pass list, loop schemes,
+// placement inputs) — so two submissions of the same program under the
+// same strategy share one compiled artifact, and any difference that could
+// change the compiled graph changes the key.
 //
 // The cache is built for a service admission path with three properties:
 //
@@ -34,10 +34,10 @@ import (
 
 // Key identifies one compilation's content: the program source plus every
 // Option field that can change the compiled artifact. Run-time attachments
-// (context, tracer, progress, workers, cycle bounds) are deliberately
-// excluded — they bind per run, not per artifact. Batch is included
-// because it selects the compiled graph's batched execution shape at the
-// service layer; Place/PEs are included because the memoized placement
+// (context, tracer, progress, workers, cycle bounds, batch width) are
+// deliberately excluded — they bind per run, not per artifact, so callers
+// sharing a cache set them in core.Binding and leave them zero in the
+// compile options. Place/PEs are included because the memoized placement
 // plans hang off the artifact.
 type Key struct {
 	Source         string
@@ -49,7 +49,6 @@ type Key struct {
 	Dedup          bool
 	ArmSlack       int
 	Passes         string
-	Batch          int
 	Place          string
 	PEs            int
 }
@@ -68,7 +67,6 @@ func KeyFor(src string, opts core.Options, place string, pes int) Key {
 		Dedup:          opts.Dedup,
 		ArmSlack:       opts.ArmSlack,
 		Passes:         opts.Passes,
-		Batch:          opts.Batch,
 		Place:          place,
 		PEs:            pes,
 	}
@@ -107,7 +105,6 @@ func (k Key) Hash() string {
 	writeBool(k.Dedup)
 	writeInt(k.ArmSlack)
 	writeStr(k.Passes)
-	writeInt(k.Batch)
 	writeStr(k.Place)
 	writeInt(k.PEs)
 	return hex.EncodeToString(h.Sum(nil))

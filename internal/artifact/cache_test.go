@@ -38,23 +38,22 @@ func compileN(t *testing.T, n int) *core.Artifact {
 // every field is load-bearing, and the length-prefixed encoding is
 // injective across field boundaries.
 func TestKeyHashCanonical(t *testing.T) {
-	base := Key{Source: "src", Passes: "a,b", Batch: 4, Place: "mincost", PEs: 8}
+	base := Key{Source: "src", Passes: "a,b", Place: "mincost", PEs: 8}
 	if base.Hash() != base.Hash() {
 		t.Fatal("hash is not deterministic")
 	}
 	variants := []Key{
-		{Source: "src2", Passes: "a,b", Batch: 4, Place: "mincost", PEs: 8},
-		{Source: "src", ForallScheme: 1, Passes: "a,b", Batch: 4, Place: "mincost", PEs: 8},
-		{Source: "src", ForIterScheme: 1, Passes: "a,b", Batch: 4, Place: "mincost", PEs: 8},
-		{Source: "src", LiteralControl: true, Passes: "a,b", Batch: 4, Place: "mincost", PEs: 8},
-		{Source: "src", NoBalance: true, Passes: "a,b", Batch: 4, Place: "mincost", PEs: 8},
-		{Source: "src", NaiveBalance: true, Passes: "a,b", Batch: 4, Place: "mincost", PEs: 8},
-		{Source: "src", Dedup: true, Passes: "a,b", Batch: 4, Place: "mincost", PEs: 8},
-		{Source: "src", ArmSlack: 2, Passes: "a,b", Batch: 4, Place: "mincost", PEs: 8},
-		{Source: "src", Passes: "a,c", Batch: 4, Place: "mincost", PEs: 8},
-		{Source: "src", Passes: "a,b", Batch: 8, Place: "mincost", PEs: 8},
-		{Source: "src", Passes: "a,b", Batch: 4, Place: "bystage", PEs: 8},
-		{Source: "src", Passes: "a,b", Batch: 4, Place: "mincost", PEs: 4},
+		{Source: "src2", Passes: "a,b", Place: "mincost", PEs: 8},
+		{Source: "src", ForallScheme: 1, Passes: "a,b", Place: "mincost", PEs: 8},
+		{Source: "src", ForIterScheme: 1, Passes: "a,b", Place: "mincost", PEs: 8},
+		{Source: "src", LiteralControl: true, Passes: "a,b", Place: "mincost", PEs: 8},
+		{Source: "src", NoBalance: true, Passes: "a,b", Place: "mincost", PEs: 8},
+		{Source: "src", NaiveBalance: true, Passes: "a,b", Place: "mincost", PEs: 8},
+		{Source: "src", Dedup: true, Passes: "a,b", Place: "mincost", PEs: 8},
+		{Source: "src", ArmSlack: 2, Passes: "a,b", Place: "mincost", PEs: 8},
+		{Source: "src", Passes: "a,c", Place: "mincost", PEs: 8},
+		{Source: "src", Passes: "a,b", Place: "bystage", PEs: 8},
+		{Source: "src", Passes: "a,b", Place: "mincost", PEs: 4},
 	}
 	seen := map[string]Key{base.Hash(): base}
 	for _, v := range variants {
@@ -63,6 +62,10 @@ func TestKeyHashCanonical(t *testing.T) {
 			t.Fatalf("hash collision between %+v and %+v", prev, v)
 		}
 		seen[h] = v
+	}
+	// The lane width binds per run, so it is not part of the address.
+	if KeyFor("src", core.Options{Batch: 8}, "", 0) != KeyFor("src", core.Options{}, "", 0) {
+		t.Error("batch width changes the key")
 	}
 	// Injectivity across adjacent string fields: without length prefixes
 	// these two would encode the same bytes.

@@ -87,50 +87,32 @@ func Solve(n int, cons []Constraint) ([]int64, error) {
 	// a(w) = indeg(w) − outdeg(w) counted over non-rigid constraints. The
 	// dual asks for a flow y ≥ 0 (free on rigid constraints) with node
 	// divergence  inflow − outflow = a(w),  maximizing Σ W·y. We realize it
-	// as min-cost max-flow: constraint edges carry cost −W; rigid
-	// constraints contribute a reverse edge of cost +W so their dual
-	// variable is sign-free; supplies are routed from a super-source to a
-	// super-sink.
-	a := make([]int64, n)
+	// as a min-cost flow with node supplies −a(w): uncapacitated constraint
+	// edges carry cost −W, and rigid constraints contribute a reverse edge
+	// of cost +W so their dual variable is sign-free. One unit along every
+	// non-rigid constraint routes the supplies, so the flow is always
+	// feasible; it is unbounded exactly when no levels satisfy the
+	// constraints.
+	supply := make([]int64, n)
+	net := mincost.New(n)
 	for _, c := range cons {
-		if !c.Rigid {
-			a[c.V]++
-			a[c.U]--
-		}
-	}
-	var totalSupply int64
-	for _, v := range a {
-		if v < 0 {
-			totalSupply += -v
-		}
-	}
-	big := totalSupply + 1
-
-	net := mincost.New(n + 2)
-	s, t := n, n+1
-	for _, c := range cons {
-		net.AddEdge(c.U, c.V, big, -c.W)
+		net.AddEdge(c.U, c.V, mincost.Inf, -c.W)
 		if c.Rigid {
-			net.AddEdge(c.V, c.U, big, c.W)
+			net.AddEdge(c.V, c.U, mincost.Inf, c.W)
+		} else {
+			supply[c.U]++
+			supply[c.V]--
 		}
 	}
-	for w, av := range a {
-		if av < 0 {
-			net.AddEdge(s, w, -av, 0)
-		} else if av > 0 {
-			net.AddEdge(w, t, av, 0)
+	if _, err := net.MinCostFlow(supply); err != nil {
+		if errors.Is(err, mincost.ErrNegativeCycle) {
+			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 		}
-	}
-	flow, _, err := net.MinCostMaxFlow(s, t)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
-	}
-	if flow != totalSupply {
-		return nil, fmt.Errorf("balance: internal error: flow %d < supply %d", flow, totalSupply)
+		return nil, fmt.Errorf("balance: internal error: %v", err)
 	}
 	h, err := net.Potentials()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
+		return nil, fmt.Errorf("balance: internal error: %v", err)
 	}
 	// Reduced-cost optimality of the flow makes π = −h feasible for the
 	// primal, and complementary slackness makes it optimal.

@@ -1,6 +1,7 @@
 package balance
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -87,11 +88,32 @@ func TestSolveRigid(t *testing.T) {
 
 func TestInfeasibleCycle(t *testing.T) {
 	cons := []Constraint{{U: 0, V: 1, W: 1}, {U: 1, V: 0, W: 1}}
-	if _, err := Naive(2, cons); err == nil {
-		t.Error("Naive accepted a positive cycle")
+	if _, err := Naive(2, cons); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("Naive on a positive cycle: err=%v, want ErrInfeasible", err)
 	}
-	if _, err := Solve(2, cons); err == nil {
-		t.Error("Solve accepted a positive cycle")
+	if _, err := Solve(2, cons); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("Solve on a positive cycle: err=%v, want ErrInfeasible", err)
+	}
+}
+
+// TestInfeasibleRigidSpans: two rigid paths of different span between the
+// same cells (0→1→2 spans 3, 0→3→2 spans 2) admit no levels, with or
+// without non-rigid constraints around them.
+func TestInfeasibleRigidSpans(t *testing.T) {
+	rigid := []Constraint{
+		{U: 0, V: 1, W: 2, Rigid: true},
+		{U: 1, V: 2, W: 1, Rigid: true},
+		{U: 0, V: 3, W: 1, Rigid: true},
+		{U: 3, V: 2, W: 1, Rigid: true},
+	}
+	mixed := append([]Constraint{{U: 4, V: 0, W: 1}, {U: 2, V: 5, W: 1}, {U: 4, V: 5, W: 1}}, rigid...)
+	for _, tc := range []struct {
+		n    int
+		cons []Constraint
+	}{{4, rigid}, {6, mixed}} {
+		if _, err := Solve(tc.n, tc.cons); !errors.Is(err, ErrInfeasible) {
+			t.Errorf("Solve on %d constraints: err=%v, want ErrInfeasible", len(tc.cons), err)
+		}
 	}
 }
 

@@ -76,8 +76,9 @@ type Binding struct {
 	Workers int
 	// MaxCycles bounds this run.
 	MaxCycles int
-	// Batch widens this run to B lanes (Run only; RunBatch requires the
-	// artifact's or binding's Batch > 1).
+	// Batch widens this run to B lanes. RunBatch without one (here or in
+	// the artifact's compile-time Options) runs one lane per lane-input
+	// set.
 	Batch int
 }
 
@@ -285,13 +286,18 @@ func (a *Artifact) Run(b Binding, inputs map[string][]value.Value) (*RunResult, 
 }
 
 // RunBatch simulates Batch independent input sets through the compiled
-// graph in a single batched run (see Unit.RunBatch). Like Run it is safe
-// for concurrent use on one shared Artifact.
+// graph in a single batched run (see Unit.RunBatch). The width is the
+// binding's Batch, else the artifact's compile-time one, else
+// len(laneInputs). Like Run it is safe for concurrent use on one shared
+// Artifact.
 func (a *Artifact) RunBatch(bd Binding, inputs map[string][]value.Value, laneInputs []map[string][]value.Value) (*BatchRunResult, error) {
 	o := a.bindOpts(bd)
 	b := o.Batch
 	if b < 2 {
-		return nil, fmt.Errorf("core: RunBatch requires Options.Batch > 1, have %d", b)
+		b = len(laneInputs)
+	}
+	if b < 2 {
+		return nil, fmt.Errorf("core: RunBatch requires a batch width > 1, have %d", b)
 	}
 	for l, li := range laneInputs {
 		for name, vals := range li {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"staticpipe/internal/exec"
@@ -166,9 +167,22 @@ func TestRunBatchFacade(t *testing.T) {
 		t.Errorf("lane 0 II %.3f, scalar run %.3f", got, want)
 	}
 
-	// RunBatch without Batch configured is a usage error.
+	// RunBatch with no width anywhere and no lane inputs is a usage error;
+	// with lane inputs it runs one lane per set, as if the width were set.
 	if _, err := useq.RunBatch(base, nil); err == nil {
 		t.Error("RunBatch on a scalar unit succeeded")
+	}
+	implied, err := useq.Artifact().RunBatch(Binding{Workers: 2}, base, laneIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(implied.Lanes) != b {
+		t.Fatalf("RunBatch on a scalar artifact ran %d lanes for %d lane-input sets", len(implied.Lanes), b)
+	}
+	for l := range implied.Lanes {
+		if !reflect.DeepEqual(implied.Lanes[l].Outputs, res.Lanes[l].Outputs) || implied.Lanes[l].Exec.Cycles != res.Lanes[l].Exec.Cycles {
+			t.Errorf("lane %d: width from lane inputs diverges from compile-time width", l)
+		}
 	}
 	// A lane stream of the wrong declared length is rejected up front.
 	short := []map[string][]value.Value{nil, {"B": base["B"][:3]}}

@@ -66,9 +66,9 @@ func (g *Graph) Marshal() ([]byte, error) {
 			Buffer: n.Buffer,
 		}
 		if n.Op == OpCtlGen {
-			jn.Pattern = &jsonPattern{
-				Prefix: n.Pattern.Prefix, Body: n.Pattern.Body,
-				Repeat: n.Pattern.Repeat, Suffix: n.Pattern.Suffix,
+			jn.Pattern = &jsonPattern{}
+			if p := n.Pattern; p != nil {
+				*jn.Pattern = jsonPattern{Prefix: p.Prefix, Body: p.Body, Repeat: p.Repeat, Suffix: p.Suffix}
 			}
 		}
 		for p, in := range n.In {
@@ -123,7 +123,7 @@ func Unmarshal(data []byte) (*Graph, error) {
 		}
 		n.Buffer = jn.Buffer
 		if jn.Pattern != nil {
-			n.Pattern = Pattern{
+			n.Pattern = &Pattern{
 				Prefix: jn.Pattern.Prefix, Body: jn.Pattern.Body,
 				Repeat: jn.Pattern.Repeat, Suffix: jn.Pattern.Suffix,
 			}

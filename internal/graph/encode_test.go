@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -101,5 +102,34 @@ func TestMarshalContainsFormat(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "staticpipe-graph/1") {
 		t.Error("format marker missing")
+	}
+}
+
+// TestCtlGenWithoutPattern: a control generator decoded without a pattern
+// carries the empty pattern, and re-encodes exactly like one built from
+// Pattern{}.
+func TestCtlGenWithoutPattern(t *testing.T) {
+	want := New()
+	want.Connect(want.AddCtl("c", Pattern{}), want.AddSink("x"), 0)
+	data := fmt.Sprintf(`{"format":%q,"nodes":[{"op":%d,"label":"c","ports":0},{"op":%d,"label":"x","ports":1}],"arcs":[{"from":0,"to":1,"port":0}]}`,
+		fileFormat, OpCtlGen, OpSink)
+	g, err := Unmarshal([]byte(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := g.Node(0).Pattern
+	if p.Len() != 0 || len(p.Values()) != 0 || p.String() != "<>" {
+		t.Errorf("decoded pattern %s has length %d, want the empty pattern", p, p.Len())
+	}
+	got, err := g.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := want.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(ref) {
+		t.Errorf("re-encoded as\n%s\nwant\n%s", got, ref)
 	}
 }

@@ -290,9 +290,10 @@ func seed(nc int, adj [][]edge, cap, pes int) []int {
 
 // assign solves one round of the (cell, PE) min-cost assignment: source →
 // each cell (capacity 1), cell → every PE at the cut cost implied by the
-// neighbors' current placement, PE → sink at the load cap. The flow is
-// integral and saturates every cell, so reading the cell→PE edge flows
-// yields a complete assignment.
+// neighbors' current placement, PE → sink at the load cap, with one unit
+// of supply per cell at the source. The flow is integral and saturates
+// every cell, so reading the cell→PE edge flows yields a complete
+// assignment.
 func assign(nc int, adj [][]edge, incident []int64, cur []int, cap, pes int) ([]int, error) {
 	net := mincost.New(2 + nc + pes)
 	s, t := 0, 1
@@ -317,12 +318,10 @@ func assign(nc int, adj [][]edge, incident []int64, cur []int, cap, pes int) ([]
 	for p := 0; p < pes; p++ {
 		net.AddEdge(peNode(p), t, int64(cap), 0)
 	}
-	flow, _, err := net.MinCostMaxFlow(s, t)
-	if err != nil {
+	supply := make([]int64, 2+nc+pes)
+	supply[s], supply[t] = int64(nc), -int64(nc)
+	if _, err := net.MinCostFlow(supply); err != nil {
 		return nil, fmt.Errorf("place: assignment solve: %w", err)
-	}
-	if flow != int64(nc) {
-		return nil, fmt.Errorf("place: assignment flow %d, want %d", flow, nc)
 	}
 	out := make([]int, nc)
 	for i := range out {

@@ -165,11 +165,7 @@ func (s *Service) resolveSpec(spec *Spec, adm *obs.Span) (*core.Artifact, *Rejec
 			Err: fmt.Errorf("%d lane input sets for %d lanes", len(spec.LaneInputs), spec.Batch),
 		}
 	}
-	// MaxCycles is a run-time bound, not a compile input; it stays out of
-	// both the compile options and the cache key so cycle-bound variants of
-	// one program share an artifact.
-	copts := core.Options{Batch: spec.Batch}
-	art, rej := s.compileSpec(spec.Source, copts, adm)
+	art, rej := s.compileSpec(spec.Source, adm)
 	if rej != nil {
 		return nil, rej
 	}
@@ -196,11 +192,15 @@ func (s *Service) resolveSpec(spec *Spec, adm *obs.Span) (*core.Artifact, *Rejec
 	return art, nil
 }
 
-// compileSpec resolves source + options to an artifact, through the
+// compileSpec resolves source to an artifact, through the
 // content-addressed cache when one is configured. A hit (or a coalesced
 // wait on another submission's in-flight compile) skips parse, check, the
-// pass pipeline, and simulator preparation entirely.
-func (s *Service) compileSpec(src string, copts core.Options, adm *obs.Span) (*core.Artifact, *Rejection) {
+// pass pipeline, and simulator preparation entirely. MaxCycles and Batch
+// bind per run, not per compile: they stay out of both the compile options
+// and the cache key so cycle-bound and lane-width variants of one program
+// share an artifact.
+func (s *Service) compileSpec(src string, adm *obs.Span) (*core.Artifact, *Rejection) {
+	var copts core.Options
 	compile := func() (*core.Artifact, error) { return core.CompileArtifact(src, copts) }
 	var (
 		art *core.Artifact

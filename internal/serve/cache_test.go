@@ -9,10 +9,12 @@ import (
 	"time"
 
 	"staticpipe/internal/artifact"
+	"staticpipe/internal/core"
 	"staticpipe/internal/obs"
 	"staticpipe/internal/progs"
 	"staticpipe/internal/telemetry"
 	"staticpipe/internal/val"
+	"staticpipe/internal/value"
 )
 
 // TestThrottledNeverCompiles pins the admission order: a submission the
@@ -100,6 +102,71 @@ func TestCacheHitSkipsCompileAndMatches(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("cache-hit result diverged from fresh compile:\nfresh: %+v\nhit:   %+v", r1, r2)
+	}
+}
+
+// TestBatchWidthsShareOneCompile: the lane width binds per run, not per
+// compile, so one program submitted at batch 1 and then at batch 8
+// compiles once (one miss, one hit), and each result equals that of a run
+// whose width came from the compile options, as the service ran jobs
+// before the width left the artifact key.
+func TestBatchWidthsShareOneCompile(t *testing.T) {
+	cache := artifact.New(artifact.Config{})
+	s := newService(t, Config{Cache: cache, OffloadThreshold: 1 << 40})
+	p := progs.Fig2(64)
+	one := spec(p)
+	one.Batch = 1
+	for _, sp := range []Spec{one, batchSpec(p, 8)} {
+		j, rej := s.Submit(nil, sp)
+		if rej != nil {
+			t.Fatalf("batch %d rejected: %v", sp.Batch, rej)
+		}
+		await(t, j, 30*time.Second)
+		got := j.Result()
+		if got == nil {
+			t.Fatalf("batch %d: no result (%s)", sp.Batch, j.View(false).Error)
+		}
+		legacy, err := core.CompileArtifact(sp.Source, core.Options{Batch: sp.Batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lanes []*core.RunResult
+		if sp.Batch > 1 {
+			br, err := legacy.RunBatch(core.Binding{}, streamInputs(sp.Inputs), laneStreamInputs(sp.LaneInputs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lanes = br.Lanes
+			if got.Batch != sp.Batch || len(got.Lanes) != sp.Batch {
+				t.Fatalf("batch %d: result has batch %d and %d lanes", sp.Batch, got.Batch, len(got.Lanes))
+			}
+		} else {
+			rr, err := legacy.Run(core.Binding{}, streamInputs(sp.Inputs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lanes = []*core.RunResult{rr}
+			got.Lanes = []LaneView{{Cycles: got.Cycles, Clean: got.Clean, Outputs: got.Outputs}}
+		}
+		for l, want := range lanes {
+			lv := got.Lanes[l]
+			if lv.Cycles != want.Exec.Cycles || lv.Clean != want.Exec.Clean {
+				t.Errorf("batch %d lane %d: cycles %d clean %v, want %d %v", sp.Batch, l, lv.Cycles, lv.Clean, want.Exec.Cycles, want.Exec.Clean)
+			}
+			for name, av := range want.Outputs {
+				if !reflect.DeepEqual([]value.Value(lv.Outputs[name].Values), av.Elems) {
+					t.Errorf("batch %d lane %d: output %s diverges from the compile-time-width run", sp.Batch, l, name)
+				}
+			}
+		}
+		for name, ii := range got.II {
+			if want := lanes[0].Exec.II(name); ii != want {
+				t.Errorf("batch %d: II(%s) = %v, want %v", sp.Batch, name, ii, want)
+			}
+		}
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("cache stats = %+v, want 1 miss / 1 hit", st)
 	}
 }
 

@@ -394,7 +394,7 @@ func (s *Service) simulate(j *Job, ctx context.Context) (*JobResult, error) {
 		// The per-run attachments travel in a Binding; the shared artifact
 		// is never written, so concurrent jobs on one cached artifact are
 		// race-free by construction.
-		bind := core.Binding{Ctx: ctx, Progress: prog, Workers: j.workers, MaxCycles: j.maxCyc}
+		bind := core.Binding{Ctx: ctx, Progress: prog, Workers: j.workers, MaxCycles: j.maxCyc, Batch: j.spec.Batch}
 		if j.spec.Batch > 1 {
 			br, err := j.art.RunBatch(bind, inputs, laneIn)
 			if br == nil {

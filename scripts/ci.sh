@@ -22,6 +22,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== benchmark checker and tiny workloads =="
+# perfbench is a module of its own, so ./... above does not reach it: run
+# its checker tests and one tiny round of every workload, traced and
+# untraced.
+(cd perfbench && go test ./...)
+
 echo "== live-telemetry race pin =="
 # The concurrent-snapshot path (readers scraping trace.Live while parallel
 # simulator goroutines emit) gets a dedicated high-iteration race pass: the
