@@ -18,6 +18,7 @@ import (
 	"staticpipe/internal/foriter"
 	"staticpipe/internal/graph"
 	"staticpipe/internal/machine"
+	"staticpipe/internal/place"
 	"staticpipe/internal/recurrence"
 	"staticpipe/internal/value"
 )
@@ -693,7 +694,10 @@ func forallChain(k int) string {
 
 // BenchmarkCompileScaling tracks how compile time grows with program size
 // (§8: balancing is polynomial; its min-cost-flow solve dominates a
-// compile) on forall chains of about 512, 2048 and 8192 cells.
+// compile) on forall chains of about 512, 2048 and 8192 cells, and how the
+// machine placement of the compiled graph on 8 PEs grows with it
+// (place/blocks=k: the critical-cycle search plus the min-cost assignment
+// rounds).
 func BenchmarkCompileScaling(b *testing.B) {
 	for _, k := range []int{64, 256, 1024} {
 		src := forallChain(k)
@@ -708,6 +712,22 @@ func BenchmarkCompileScaling(b *testing.B) {
 			}
 			b.ReportMetric(float64(u.Compiled.Graph.ComputeStats().Cells), "cells")
 			b.ReportMetric(float64(u.Compiled.Plan.Total), "buffer-stages")
+		})
+		b.Run(fmt.Sprintf("place/blocks=%d", k), func(b *testing.B) {
+			u, err := Compile(src, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var pl *place.Placement
+			for i := 0; i < b.N; i++ {
+				pl, err = place.Plan(u.Compiled.Graph, place.Options{PEs: 8})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(u.Compiled.Graph.ComputeStats().Cells), "cells")
+			b.ReportMetric(float64(pl.Cost), "cut-cost")
 		})
 	}
 }

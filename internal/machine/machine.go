@@ -15,8 +15,11 @@
 // The inner loop is event-driven: network transit and function-unit
 // completion are tracked on time wheels indexed by due cycle (no per-cycle
 // scans of in-flight lists), operand tokens live in flat per-cell slices,
-// packets are recycled through a free list, and sink buffers are
-// preallocated, so steady-state simulation allocates nothing.
+// a cell that cannot fire is not planned again until a packet reaches it,
+// packets are recycled through a free list together with their operation
+// payload buffers, and sink buffers are preallocated. A run's allocations
+// therefore do not grow with stream length
+// (TestSteadyStateAllocationsFlat).
 package machine
 
 import (
@@ -305,22 +308,28 @@ type cell struct {
 	// stream is the source cell's bound stream — the graph's, unless a
 	// batched lane rebound it via Config.LaneInputs. Nil for non-sources.
 	stream []value.Value
+	// stale marks a cell the sequential engine planned without success and
+	// no packet has reached since. Its plan reads only its own operand
+	// slots, pending acknowledges and source position, which change only
+	// when a result or acknowledge packet arrives (deliver clears the mark)
+	// or when it fires (which it cannot), so the retirement scan skips it.
+	stale bool
 }
 
 // fu is one pipelined function unit. In-flight operations sit on a time
-// wheel bucketed by completion cycle; the initiation queue is a FIFO with a
-// popped-prefix head index.
+// wheel bucketed by completion cycle; the initiation queue is a FIFO.
 type fu struct {
-	queue    []*packet // operation packets awaiting initiation
-	qhead    int
+	queue    fifo      // operation packets awaiting initiation
 	wheel    [][]fuJob // wheel[doneAt % wheelSlots], initiation order within a bucket
 	inflight int
 }
 
+// fuJob is one initiated operation. It keeps its operation packet, whose
+// destination list the completion reads, until the result packets are
+// sent; the packet is recycled then.
 type fuJob struct {
-	result  value.Value
-	targets []target
-	srcCell int
+	result value.Value
+	pkt    *packet
 }
 
 // machine is the full simulator state.
@@ -349,20 +358,11 @@ type machine struct {
 	canceled  bool                // Config.Ctx fired mid-run (set by the cycle loops)
 	arena     *runArena           // pooled run state on the Prepared path; nil otherwise
 
-	// plan scratch, reused across planCell calls (copied out when a plan's
-	// slices must outlive the call — operation packets ship them to FUs).
-	// The sharded engine gives each worker its own planScratch.
-	sc planScratch
+	// plan is the sequential engine's planCell result, reused across calls;
+	// the sharded engine gives each worker its own.
+	plan cellPlan
 
 	pktFree []*packet // recycled packets
-}
-
-// planScratch holds the reusable buffers one planCell caller owns; the
-// sequential engine has one, each shard worker has its own.
-type planScratch struct {
-	consumeBuf []int
-	valsBuf    []value.Value
-	targetBuf  []target
 }
 
 // endpoint layout: [0, PEs) compute PEs, [PEs, PEs+FUs) function units,
@@ -373,12 +373,15 @@ func (m *machine) numEndpoints() int    { return m.cfg.PEs + m.cfg.FUs + m.cfg.A
 func (m *machine) isAM(e int) bool      { return e >= m.cfg.PEs+m.cfg.FUs }
 
 // newPacket returns a zeroed packet, recycled from the free list when
-// possible.
+// possible. A recycled packet keeps its operation payload's backing arrays
+// (emptied), so shipping an operation reuses them instead of allocating.
 func (m *machine) newPacket() *packet {
 	if n := len(m.pktFree); n > 0 {
 		p := m.pktFree[n-1]
 		m.pktFree = m.pktFree[:n-1]
+		vals, targets := p.op.vals[:0], p.op.targets[:0]
 		*p = packet{}
+		p.op.vals, p.op.targets = vals, targets
 		return p
 	}
 	return &packet{}
@@ -720,34 +723,29 @@ func (m *machine) step(now int) bool {
 			if m.tr != nil {
 				m.tr.Emit(trace.Event{
 					Cycle: int64(now), Kind: trace.KindFUDone,
-					Cell: int32(job.srcCell), Port: -1, Unit: int32(m.fuEndpoint(fi)), Src: -1, Dst: -1,
+					Cell: int32(job.pkt.op.srcCell), Port: -1, Unit: int32(m.fuEndpoint(fi)), Src: -1, Dst: -1,
 				})
 			}
-			for _, tgt := range job.targets {
+			for _, tgt := range job.pkt.op.targets {
 				p := m.newPacket()
 				p.kind, p.src, p.dst = pktResult, m.fuEndpoint(fi), tgt.endpoint
 				p.cell, p.port, p.val = tgt.cell, tgt.port, job.result
 				m.emit(p, now)
 			}
+			m.freePacket(job.pkt)
 		}
 		f.inflight -= len(done)
 		f.wheel[slot] = done[:0]
 		if f.inflight > 0 {
 			active = true
 		}
-		if f.qhead < len(f.queue) {
-			p := f.queue[f.qhead]
-			f.qhead++
-			if f.qhead == len(f.queue) {
-				f.queue = f.queue[:0]
-				f.qhead = 0
-			}
+		if f.queue.len() > 0 {
+			p := f.queue.pop()
 			lat := m.latencyOf(graph.Op(p.op.opcode))
 			dslot := (now + lat) % m.fuSlots
 			f.wheel[dslot] = append(f.wheel[dslot], fuJob{
-				result:  exec.ApplyOp(graph.Op(p.op.opcode), p.op.vals),
-				targets: p.op.targets,
-				srcCell: p.op.srcCell,
+				result: exec.ApplyOp(graph.Op(p.op.opcode), p.op.vals),
+				pkt:    p,
 			})
 			f.inflight++
 			m.res.FUBusy[fi]++
@@ -758,25 +756,26 @@ func (m *machine) step(now int) bool {
 					Aux: int64(lat),
 				})
 			}
-			m.freePacket(p)
 			active = true
 		}
 	}
 
-	// 3. PEs and AMs each retire one enabled instruction.
+	// 3. PEs and AMs each retire one enabled instruction: the first, in
+	// round-robin order from rrNext, whose plan succeeds. Stale cells would
+	// fail to plan, so skipping them retires the same cell.
 	if m.tr != nil {
 		clear(m.fired)
 	}
 	for e := 0; e < m.numEndpoints(); e++ {
 		ids := m.residents[e]
-		if len(ids) == 0 {
-			continue
-		}
-		start := m.rrNext[e]
-		for k := 0; k < len(ids); k++ {
-			id := ids[(start+k)%len(ids)]
-			if m.fire(&m.cells[id], now) {
-				m.rrNext[e] = (start + k + 1) % len(ids)
+		i := m.rrNext[e]
+		for range ids {
+			c := &m.cells[ids[i]]
+			if i++; i == len(ids) {
+				i = 0
+			}
+			if !c.stale && m.fire(c, now) {
+				m.rrNext[e] = i
 				if e < m.cfg.PEs {
 					m.res.PEBusy[e]++
 				}
@@ -809,7 +808,7 @@ func (m *machine) emitStalls(now int) {
 			continue
 		}
 		c := &m.cells[id]
-		_, why := m.planCell(c, &m.sc)
+		why := m.planCell(c, &m.plan)
 		switch why {
 		case trace.ReasonNone:
 			why = trace.ReasonUnitBusy
@@ -875,7 +874,9 @@ func (m *machine) deliver(p *packet, now int) {
 	}
 	switch p.kind {
 	case pktAck:
-		m.cells[p.cell].pendingAcks--
+		c := &m.cells[p.cell]
+		c.pendingAcks--
+		c.stale = false
 		m.freePacket(p)
 	case pktResult:
 		c := &m.cells[p.cell]
@@ -884,10 +885,10 @@ func (m *machine) deliver(p *packet, now int) {
 		}
 		c.inTok[p.port] = p.val
 		c.inHas[p.port] = true
+		c.stale = false
 		m.freePacket(p)
 	case pktOp:
-		fi := p.dst - m.cfg.PEs
-		m.fus[fi].queue = append(m.fus[fi].queue, p)
+		m.fus[p.dst-m.cfg.PEs].queue.push(p)
 	}
 }
 
@@ -903,12 +904,12 @@ func (c *cell) operand(p int) (value.Value, bool) {
 	return c.inTok[p], true
 }
 
-// cellPlan is a cell's planned retirement effect, computed read-only by
-// planCell and applied by fire. Arithmetic cells (arith) ship an operation
-// packet carrying vals instead of producing out locally. The consume,
-// vals, and targets slices alias the machine's plan scratch buffers and
-// are only valid until the next planCell call; fire copies the ones that
-// must outlive the plan.
+// cellPlan is a cell's planned retirement effect, filled in by planCell and
+// applied by fire. Arithmetic cells (arith) ship an operation packet
+// carrying vals instead of producing out locally. Each planCell caller owns
+// one cellPlan and passes it to every call, so the consume, vals and
+// targets buffers are reused: a plan is valid until the caller's next
+// planCell call, and fire copies what must outlive it.
 type cellPlan struct {
 	consume  []int // ports whose tokens are consumed
 	out      value.Value
@@ -920,24 +921,25 @@ type cellPlan struct {
 	targets  []target
 }
 
-// planCell decides whether cell c can retire now and, if so, what its
-// effects are. The returned reason is trace.ReasonNone when the cell is
-// enabled and otherwise classifies the stall; planCell has no side
-// effects beyond the caller's scratch buffers either way, and reads only
-// c's own state plus immutable placement, so shard workers may plan
-// different cells concurrently as long as each passes its own scratch.
-func (m *machine) planCell(c *cell, sc *planScratch) (cellPlan, trace.Reason) {
-	var pl cellPlan
+// planCell decides whether cell c can retire now and, if so, fills pl with
+// its effects. The returned reason is trace.ReasonNone when the cell is
+// enabled and otherwise classifies the stall; planCell has no side effects
+// beyond pl either way, and reads only c's own state plus immutable
+// placement, so shard workers may plan different cells concurrently as
+// long as each passes its own plan.
+func (m *machine) planCell(c *cell, pl *cellPlan) trace.Reason {
 	if c.pendingAcks > 0 {
-		return pl, trace.ReasonAckWait
+		return trace.ReasonAckWait
 	}
 	n := c.node
-	sc.consumeBuf = sc.consumeBuf[:0]
+	pl.consume = pl.consume[:0]
+	pl.targets = pl.targets[:0]
+	pl.produced, pl.advance, pl.sink, pl.arith = false, false, false, false
 
 	switch n.Op {
 	case graph.OpSource:
 		if c.srcPos >= len(c.stream) {
-			return pl, trace.ReasonDone
+			return trace.ReasonDone
 		}
 		pl.out = c.stream[c.srcPos]
 		pl.produced = true
@@ -945,7 +947,7 @@ func (m *machine) planCell(c *cell, sc *planScratch) (cellPlan, trace.Reason) {
 	case graph.OpCtlGen:
 		total := n.Pattern.Len()
 		if total >= 0 && c.srcPos >= total {
-			return pl, trace.ReasonDone
+			return trace.ReasonDone
 		}
 		pl.out = value.B(n.Pattern.At(c.srcPos))
 		pl.produced = true
@@ -953,15 +955,15 @@ func (m *machine) planCell(c *cell, sc *planScratch) (cellPlan, trace.Reason) {
 	case graph.OpSink:
 		v, ok := c.operand(0)
 		if !ok {
-			return pl, trace.ReasonOperandWait
+			return trace.ReasonOperandWait
 		}
 		pl.out = v
 		pl.sink = true
-		sc.consumeBuf = append(sc.consumeBuf, 0)
+		pl.consume = append(pl.consume, 0)
 	case graph.OpMerge:
 		ctl, ok := c.operand(0)
 		if !ok {
-			return pl, trace.ReasonOperandWait
+			return trace.ReasonOperandWait
 		}
 		sel := 2
 		if ctl.AsBool() {
@@ -969,28 +971,28 @@ func (m *machine) planCell(c *cell, sc *planScratch) (cellPlan, trace.Reason) {
 		}
 		v, ok := c.operand(sel)
 		if !ok {
-			return pl, trace.ReasonOperandWait
+			return trace.ReasonOperandWait
 		}
 		for p := 3; p < len(n.In); p++ {
 			if _, ok := c.operand(p); !ok {
-				return pl, trace.ReasonOperandWait
+				return trace.ReasonOperandWait
 			}
 		}
 		pl.out = v
 		pl.produced = true
-		sc.consumeBuf = append(sc.consumeBuf, 0, sel)
+		pl.consume = append(pl.consume, 0, sel)
 		for p := 3; p < len(n.In); p++ {
-			sc.consumeBuf = append(sc.consumeBuf, p)
+			pl.consume = append(pl.consume, p)
 		}
 	case graph.OpTGate, graph.OpFGate:
 		ctl, okc := c.operand(0)
 		data, okd := c.operand(1)
 		if !okc || !okd {
-			return pl, trace.ReasonOperandWait
+			return trace.ReasonOperandWait
 		}
 		for p := 2; p < len(n.In); p++ {
 			if _, ok := c.operand(p); !ok {
-				return pl, trace.ReasonOperandWait
+				return trace.ReasonOperandWait
 			}
 		}
 		pass := ctl.AsBool()
@@ -1000,64 +1002,58 @@ func (m *machine) planCell(c *cell, sc *planScratch) (cellPlan, trace.Reason) {
 		pl.out = data
 		pl.produced = pass
 		for p := 0; p < len(n.In); p++ {
-			sc.consumeBuf = append(sc.consumeBuf, p)
+			pl.consume = append(pl.consume, p)
 		}
 	default:
-		if cap(sc.valsBuf) < len(n.In) {
-			sc.valsBuf = make([]value.Value, len(n.In))
-		}
-		vals := sc.valsBuf[:len(n.In)]
+		pl.vals = pl.vals[:0]
 		for p := range n.In {
 			v, ok := c.operand(p)
 			if !ok {
-				return pl, trace.ReasonOperandWait
+				return trace.ReasonOperandWait
 			}
-			vals[p] = v
+			pl.vals = append(pl.vals, v)
 		}
 		for p := range n.In {
-			sc.consumeBuf = append(sc.consumeBuf, p)
+			pl.consume = append(pl.consume, p)
 		}
 		if n.Op.IsArith() {
 			pl.arith = true
-			pl.vals = vals
 		} else {
-			pl.out = exec.ApplyOp(n.Op, vals)
+			pl.out = exec.ApplyOp(n.Op, pl.vals)
 			pl.produced = true
 		}
 	}
-	pl.consume = sc.consumeBuf
 
 	// Destination list (gates evaluated against held operands). Arithmetic
 	// cells always ship their destinations with the operation packet.
 	if pl.produced || pl.arith {
-		sc.targetBuf = sc.targetBuf[:0]
 		for _, a := range n.Out {
 			write := true
 			if a.Gate != graph.NoGate {
 				gv, ok := c.operand(a.Gate)
 				if !ok {
-					return pl, trace.ReasonOperandWait
+					return trace.ReasonOperandWait
 				}
 				write = gv.AsBool()
 			}
 			if write {
-				sc.targetBuf = append(sc.targetBuf, target{
+				pl.targets = append(pl.targets, target{
 					endpoint: m.cells[a.To].endpoint, cell: int(a.To), port: a.ToPort,
 				})
 			}
 		}
-		pl.targets = sc.targetBuf
 	}
-	return pl, trace.ReasonNone
+	return trace.ReasonNone
 }
 
-// fire attempts to retire cell c; it reports whether it fired. Arithmetic
-// cells ship an operation packet to a function unit (which sends the result
-// packets); either way the cell owes acknowledgments for every destination
-// targeted.
+// fire attempts to retire cell c; it reports whether it fired, and marks c
+// stale when it could not. Arithmetic cells ship an operation packet to a
+// function unit (which sends the result packets); either way the cell owes
+// acknowledgments for every destination targeted.
 func (m *machine) fire(c *cell, now int) bool {
-	pl, why := m.planCell(c, &m.sc)
-	if why != trace.ReasonNone {
+	pl := &m.plan
+	if m.planCell(c, pl) != trace.ReasonNone {
+		c.stale = true
 		return false
 	}
 	n := c.node
@@ -1089,12 +1085,10 @@ func (m *machine) fire(c *cell, now int) bool {
 		m.fuSeq++
 		p := m.newPacket()
 		p.kind, p.src, p.dst = pktOp, c.endpoint, m.fuEndpoint(fi)
-		p.op = opPayload{
-			opcode:  uint8(n.Op),
-			vals:    append([]value.Value(nil), pl.vals...),
-			targets: append([]target(nil), pl.targets...),
-			srcCell: int(n.ID),
-		}
+		p.op.opcode = uint8(n.Op)
+		p.op.vals = append(p.op.vals, pl.vals...)
+		p.op.targets = append(p.op.targets, pl.targets...)
+		p.op.srcCell = int(n.ID)
 		m.emit(p, now)
 		return true
 	}

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"sort"
-
 	"staticpipe/internal/trace"
 	"staticpipe/internal/value"
 )
@@ -95,6 +93,37 @@ type network interface {
 	pending() int
 }
 
+// fifo is a packet queue held in a power-of-two ring indexed from its head,
+// so steady push/pop traffic reuses one buffer; it grows (doubling) only
+// when more packets are queued at once than ever before.
+type fifo struct {
+	ring []*packet
+	head int
+	n    int
+}
+
+func (f *fifo) len() int { return f.n }
+
+func (f *fifo) push(p *packet) {
+	if f.n == len(f.ring) {
+		grown := make([]*packet, max(4, 2*len(f.ring)))
+		for i := 0; i < f.n; i++ {
+			grown[i] = f.ring[(f.head+i)&(len(f.ring)-1)]
+		}
+		f.ring, f.head = grown, 0
+	}
+	f.ring[(f.head+f.n)&(len(f.ring)-1)] = p
+	f.n++
+}
+
+// pop removes and returns the oldest packet; the queue must be non-empty.
+func (f *fifo) pop() *packet {
+	p := f.ring[f.head]
+	f.head = (f.head + 1) & (len(f.ring) - 1)
+	f.n--
+	return p
+}
+
 // crossbar is the simple RN model: fixed transit delay plus one-packet-
 // per-cycle serialization at each destination endpoint. It is organized as
 // a time wheel: a packet sent at cycle t lands in the wheel slot for cycle
@@ -108,8 +137,7 @@ type crossbar struct {
 	now    int
 	seq    int         // send counter, stamped onto packets
 	wheel  [][]*packet // wheel[readyAt % (delay+1)], send order within a slot
-	queues [][]*packet // per-destination arrived-but-blocked FIFOs
-	heads  []int       // queue head indexes (popped prefix, compacted lazily)
+	queues []fifo      // per-destination arrived-but-blocked FIFOs
 	npend  int
 	out    []*packet // delivered-this-cycle buffer, reused across cycles
 }
@@ -118,13 +146,11 @@ func newCrossbar(endpoints, delay int) *crossbar {
 	if delay < 1 {
 		delay = 1 // delay 0 and 1 behave identically (delivery is next cycle at best)
 	}
-	c := &crossbar{
+	return &crossbar{
 		delay:  delay,
 		wheel:  make([][]*packet, delay+1),
-		queues: make([][]*packet, endpoints),
-		heads:  make([]int, endpoints),
+		queues: make([]fifo, endpoints),
 	}
-	return c
 }
 
 func (c *crossbar) send(p *packet) {
@@ -147,31 +173,26 @@ func (c *crossbar) step() []*packet {
 	arrived := c.wheel[slot]
 	c.wheel[slot] = arrived[:0]
 	for _, p := range arrived {
-		c.queues[p.dst] = append(c.queues[p.dst], p)
+		c.queues[p.dst].push(p)
 	}
 	out := c.out[:0]
 	for dst := range c.queues {
-		h := c.heads[dst]
-		if h >= len(c.queues[dst]) {
-			continue
+		if q := &c.queues[dst]; q.len() > 0 {
+			out = append(out, q.pop())
+			c.npend--
 		}
-		out = append(out, c.queues[dst][h])
-		h++
-		if h == len(c.queues[dst]) {
-			c.queues[dst] = c.queues[dst][:0]
-			h = 0
-		} else if h > 64 {
-			// bound the popped prefix under sustained contention
-			n := copy(c.queues[dst], c.queues[dst][h:])
-			c.queues[dst] = c.queues[dst][:n]
-			h = 0
-		}
-		c.heads[dst] = h
-		c.npend--
 	}
-	// Restore global send order across destinations (at most one packet per
-	// destination, so this list is tiny).
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	// Restore global send order across destinations. There is at most one
+	// packet per destination, so the list is tiny and an in-place
+	// insertion sort is cheapest (sort.Slice would allocate every cycle).
+	for i := 1; i < len(out); i++ {
+		p := out[i]
+		j := i
+		for ; j > 0 && out[j-1].seq > p.seq; j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = p
+	}
 	c.out = out
 	return out
 }
@@ -187,8 +208,9 @@ func (c *crossbar) pending() int { return c.npend }
 type butterfly struct {
 	n      int // endpoints padded to a power of two
 	stages int
-	queues [][][]*packet // [stage][row] FIFO
+	queues [][]fifo // [stage][row]
 	count  int
+	out    []*packet // delivered-this-cycle buffer, reused across cycles
 }
 
 func newButterfly(endpoints int) *butterfly {
@@ -202,15 +224,15 @@ func newButterfly(endpoints int) *butterfly {
 		stages = 1
 	}
 	b := &butterfly{n: n, stages: stages}
-	b.queues = make([][][]*packet, stages+1)
+	b.queues = make([][]fifo, stages+1)
 	for s := range b.queues {
-		b.queues[s] = make([][]*packet, n)
+		b.queues[s] = make([]fifo, n)
 	}
 	return b
 }
 
 func (b *butterfly) send(p *packet) {
-	b.queues[0][p.src%b.n] = append(b.queues[0][p.src%b.n], p)
+	b.queues[0][p.src%b.n].push(p)
 	b.count++
 }
 
@@ -220,27 +242,27 @@ func (b *butterfly) send(p *packet) {
 // after all stages the row equals the destination. Later stages move first
 // so a packet traverses exactly one stage per cycle.
 func (b *butterfly) step() []*packet {
-	var delivered []*packet
+	out := b.out[:0]
 	for s := b.stages - 1; s >= 0; s-- {
 		bit := b.stages - 1 - s
 		mask := 1 << bit
 		for row := 0; row < b.n; row++ {
-			q := b.queues[s][row]
-			if len(q) == 0 {
+			q := &b.queues[s][row]
+			if q.len() == 0 {
 				continue
 			}
-			p := q[0]
-			b.queues[s][row] = q[1:]
+			p := q.pop()
 			next := (row &^ mask) | (p.dst % b.n & mask)
 			if s+1 == b.stages {
-				delivered = append(delivered, p)
+				out = append(out, p)
 				b.count--
 			} else {
-				b.queues[s+1][next] = append(b.queues[s+1][next], p)
+				b.queues[s+1][next].push(p)
 			}
 		}
 	}
-	return delivered
+	b.out = out
+	return out
 }
 
 func (b *butterfly) pending() int { return b.count }

@@ -101,7 +101,7 @@ type machWorker struct {
 	m         *machine
 	endpoints []int // owned endpoints, ascending
 	fuIdx     []int // owned FU indices, ascending
-	sc        planScratch
+	plan      cellPlan
 	active    bool
 
 	// per-cycle emission buffers, replayed then reset at merge
@@ -281,8 +281,7 @@ func (w *machWorker) deliverOwned() {
 			c.inHas[p.port] = true
 			w.freed = append(w.freed, p)
 		case pktOp:
-			fi := p.dst - m.cfg.PEs
-			m.fus[fi].queue = append(m.fus[fi].queue, p)
+			m.fus[p.dst-m.cfg.PEs].queue.push(p)
 		}
 	}
 	if got > 0 {
@@ -296,7 +295,8 @@ func (w *machWorker) deliverOwned() {
 
 // runFUs completes and initiates this worker's function units. Result
 // sends are deferred to the merge; state mutations (wheel, queue, inflight,
-// busy counters) are all owned by this worker.
+// busy counters) are all owned by this worker. A completed job's operation
+// packet is recycled only after the merge has read its destinations.
 func (w *machWorker) runFUs(now int) {
 	m := w.m
 	slot := now % m.fuSlots
@@ -306,8 +306,9 @@ func (w *machWorker) runFUs(now int) {
 		act := fuAct{fi: fi, d0: len(w.dones)}
 		for ji := range done {
 			job := &done[ji]
-			w.dones = append(w.dones, fuDone{srcCell: job.srcCell, result: job.result, targets: job.targets})
-			w.stat.RingSends += int64(len(job.targets))
+			w.dones = append(w.dones, fuDone{srcCell: job.pkt.op.srcCell, result: job.result, targets: job.pkt.op.targets})
+			w.stat.RingSends += int64(len(job.pkt.op.targets))
+			w.freed = append(w.freed, job.pkt)
 		}
 		act.d1 = len(w.dones)
 		f.inflight -= len(done)
@@ -315,26 +316,19 @@ func (w *machWorker) runFUs(now int) {
 		if f.inflight > 0 {
 			w.active = true
 		}
-		if f.qhead < len(f.queue) {
-			p := f.queue[f.qhead]
-			f.qhead++
-			if f.qhead == len(f.queue) {
-				f.queue = f.queue[:0]
-				f.qhead = 0
-			}
+		if f.queue.len() > 0 {
+			p := f.queue.pop()
 			lat := m.latencyOf(graph.Op(p.op.opcode))
 			dslot := (now + lat) % m.fuSlots
 			f.wheel[dslot] = append(f.wheel[dslot], fuJob{
-				result:  exec.ApplyOp(graph.Op(p.op.opcode), p.op.vals),
-				targets: p.op.targets,
-				srcCell: p.op.srcCell,
+				result: exec.ApplyOp(graph.Op(p.op.opcode), p.op.vals),
+				pkt:    p,
 			})
 			f.inflight++
 			m.res.FUBusy[fi]++
 			act.initiated = true
 			act.initCell = p.op.srcCell
 			act.initLat = lat
-			w.freed = append(w.freed, p)
 			w.active = true
 		}
 		if act.d1 > act.d0 || act.initiated {
@@ -382,8 +376,8 @@ func (w *machWorker) retire(now int) {
 // sent: local cell effects happen here, packets and trace events at merge.
 func (w *machWorker) fireBuffered(c *cell, now int) bool {
 	m := w.m
-	pl, why := m.planCell(c, &w.sc)
-	if why != trace.ReasonNone {
+	pl := &w.plan
+	if m.planCell(c, pl) != trace.ReasonNone {
 		return false
 	}
 	n := c.node
@@ -441,7 +435,7 @@ func (w *machWorker) classifyStalls() {
 			if m.fired[id] {
 				continue
 			}
-			_, why := m.planCell(&m.cells[id], &w.sc)
+			why := m.planCell(&m.cells[id], &w.plan)
 			if why == trace.ReasonNone {
 				why = trace.ReasonUnitBusy
 			}
@@ -508,12 +502,10 @@ func (pm *parMachine) serial() {
 				m.fuSeq++
 				p := m.newPacket()
 				p.kind, p.src, p.dst = pktOp, fp.endpoint, m.fuEndpoint(fu)
-				p.op = opPayload{
-					opcode:  fp.opcode,
-					vals:    append([]value.Value(nil), w.valArena[fp.v0:fp.v1]...),
-					targets: append([]target(nil), w.targetArena[fp.t0:fp.t1]...),
-					srcCell: fp.cellID,
-				}
+				p.op.opcode = fp.opcode
+				p.op.vals = append(p.op.vals, w.valArena[fp.v0:fp.v1]...)
+				p.op.targets = append(p.op.targets, w.targetArena[fp.t0:fp.t1]...)
+				p.op.srcCell = fp.cellID
 				m.emit(p, now)
 			} else {
 				for _, tgt := range w.targetArena[fp.t0:fp.t1] {
@@ -592,7 +584,7 @@ func (pm *parMachine) diagnose() []string {
 	for _, w := range pm.workers {
 		inflight, awaitingAcks, held := 0, 0, 0
 		for _, fi := range w.fuIdx {
-			inflight += m.fus[fi].inflight + (len(m.fus[fi].queue) - m.fus[fi].qhead)
+			inflight += m.fus[fi].inflight + m.fus[fi].queue.len()
 		}
 		for _, e := range w.endpoints {
 			for _, id := range m.residents[e] {

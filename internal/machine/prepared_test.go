@@ -157,3 +157,29 @@ func TestPreparedBatchInputsMerge(t *testing.T) {
 		t.Fatal("lane 2 override was ignored")
 	}
 }
+
+// TestSteadyStateAllocationsFlat pins that a warm Prepared run's
+// allocations are set-up only: running 32 times as many elements through
+// the same graph may grow a few buffers a few more times, but nothing the
+// cycle loop does allocates per cycle, per packet or per firing.
+func TestSteadyStateAllocationsFlat(t *testing.T) {
+	for _, net := range []NetworkKind{Crossbar, Butterfly} {
+		allocs := func(n int) float64 {
+			p, err := Prepare(wideGraph(8, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{PEs: 8, FUs: 4, AMs: 4, Network: net}
+			return testing.AllocsPerRun(2, func() {
+				if _, err := p.Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(128), allocs(4096)
+		t.Logf("%v: %.0f allocs per run at n=128, %.0f at n=4096", net, small, large)
+		if large > small+16 {
+			t.Errorf("%v: %.0f allocs per run at n=4096 against %.0f at n=128: the cycle loop allocates", net, large, small)
+		}
+	}
+}

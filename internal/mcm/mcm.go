@@ -17,9 +17,10 @@
 // cells and two circulating values (II = 2, maximum). A cycle with zero
 // tokens can never fire — a structural deadlock.
 //
-// The ratio is found by binary search on λ with Bellman-Ford positive-cycle
-// detection, then snapped to the exact rational (denominators are bounded
-// by the total token count) and verified with integer arithmetic.
+// The ratio is found by Howard's policy iteration on each strongly
+// connected component, in exact integer arithmetic, and the best policy
+// cycle's reduced fraction is verified by an integer Bellman-Ford check
+// that no cycle exceeds it (see MaxRatio).
 package mcm
 
 import (
@@ -72,7 +73,17 @@ func (r Result) String() string {
 var ErrDeadlock = errors.New("mcm: zero-token cycle (structural deadlock)")
 
 // MaxRatio computes the maximum cycle ratio of the given constraint graph
-// on nodes 0..n-1. It returns ErrDeadlock if a zero-token cycle exists.
+// on nodes 0..n-1. It returns ErrDeadlock if a zero-token cycle exists. A
+// graph whose every cycle has non-positive latency reports 0/1.
+//
+// The ratio is found by Howard's policy iteration on the strongly
+// connected components, in exact integer arithmetic: every node keeps one
+// successor edge inside its component (the policy), every cycle of the
+// policy graph has a ratio, and the policy is improved — first toward a
+// successor whose cycle has a higher ratio, then, among equal ratios,
+// toward a longer path to the cycle — until no improvement remains. The
+// best policy cycle's ratio is then checked by integer Bellman-Ford: no
+// cycle of the component may exceed it.
 func MaxRatio(n int, edges []Edge) (Result, error) {
 	for _, e := range edges {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
@@ -82,172 +93,321 @@ func MaxRatio(n int, edges []Edge) (Result, error) {
 			return Result{}, fmt.Errorf("mcm: negative tokens on edge %d->%d", e.From, e.To)
 		}
 	}
-	if !hasCycle(n, edges, func(Edge) bool { return true }) {
+	h := newHoward(n, edges)
+	if len(h.nodes) == 0 {
 		return Result{}, nil
 	}
-	if hasCycle(n, edges, func(e Edge) bool { return e.Tokens == 0 }) {
+	var tokenless []Edge
+	for _, e := range edges {
+		if e.Tokens == 0 {
+			tokenless = append(tokenless, e)
+		}
+	}
+	if hasCycle(n, tokenless) {
 		return Result{}, ErrDeadlock
 	}
+	h.solve()
+	if !h.verify() {
+		return Result{}, errors.New("mcm: ratio verification failed (policy iteration ended below a cycle's ratio)")
+	}
+	best := Result{HasCycle: true, Num: 0, Den: 1}
+	for _, v := range h.nodes {
+		if h.num[v]*best.Den > best.Num*h.den[v] {
+			best.Num, best.Den = h.num[v], h.den[v]
+		}
+	}
+	return best, nil
+}
 
-	var totalLat, totalTok int64 = 0, 0
+// howard is the policy-iteration state over the edges that lie inside a
+// strongly connected component (only those can be on a cycle).
+type howard struct {
+	edges []Edge
+	nodes []int // nodes with an intra-component out-edge, ascending
+	off   []int // intra-component out-edges of v: out[off[v]:off[v+1]]
+	out   []int // edge indexes
+	pol   []int // policy: the chosen out-edge index per node
+	// The ratio num/den (reduced, den > 0) of the policy cycle each node
+	// reaches, and its potential: den times the length, at that ratio, of
+	// its policy path to the cycle's root.
+	num, den, x []int64
+	mark        []uint8 // value determination: 0 unseen, 1 on the walk, 2 done
+}
+
+func newHoward(n int, edges []Edge) *howard {
+	comp := sccs(n, edges)
+	h := &howard{
+		edges: edges,
+		off:   make([]int, n+1),
+		pol:   make([]int, n),
+		num:   make([]int64, n),
+		den:   make([]int64, n),
+		x:     make([]int64, n),
+		mark:  make([]uint8, n),
+	}
 	for _, e := range edges {
-		if e.Latency > 0 {
-			totalLat += e.Latency
-		}
-		totalTok += e.Tokens
-	}
-	if totalTok == 0 {
-		totalTok = 1
-	}
-	// positiveCycle(p, q) reports whether some cycle C has
-	// latency(C)/tokens(C) > p/q, i.e. Σ(q·lat − p·tok) > 0 over C.
-	positiveCycle := func(p, q int64) bool {
-		w := make([]int64, len(edges))
-		for i, e := range edges {
-			w[i] = q*e.Latency - p*e.Tokens
-		}
-		return hasPositiveCycle(n, edges, w)
-	}
-
-	// Binary search λ = lo..hi on reals until the interval is narrower than
-	// 1/(2·totalTok²); then exactly one rational with denominator ≤
-	// totalTok lies in it — the answer.
-	lo, hi := 0.0, float64(totalLat)
-	for i := 0; i < 80 && hi-lo > 0.5/float64(totalTok*totalTok+1); i++ {
-		mid := (lo + hi) / 2
-		if positiveCycleFloat(n, edges, mid) {
-			lo = mid
-		} else {
-			hi = mid
+		if comp[e.From] == comp[e.To] {
+			h.off[e.From+1]++
 		}
 	}
-	num, den := bestRational(lo, hi, totalTok)
-	// Verify: no cycle exceeds num/den, and tightening by 1/den² finds one.
-	if positiveCycle(num, den) {
-		return Result{}, fmt.Errorf("mcm: ratio verification failed (snapped too low: %d/%d)", num, den)
+	for v := 0; v < n; v++ {
+		if h.off[v+1] > 0 {
+			h.nodes = append(h.nodes, v)
+		}
+		h.off[v+1] += h.off[v]
 	}
-	if num > 0 && !positiveCycle(num*den-1, den*den) {
-		return Result{}, fmt.Errorf("mcm: ratio verification failed (snapped too high: %d/%d)", num, den)
-	}
-	g := gcd(num, den)
-	return Result{HasCycle: true, Num: num / g, Den: den / g}, nil
-}
-
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a == 0 {
-		return 1
-	}
-	return a
-}
-
-// hasCycle detects a directed cycle over the subgraph of edges accepted by
-// keep, using iterative three-color DFS.
-func hasCycle(n int, edges []Edge, keep func(Edge) bool) bool {
-	adj := make([][]int, n)
+	h.out = make([]int, h.off[n])
+	next := append([]int(nil), h.off[:n]...)
 	for i, e := range edges {
-		if keep(e) {
-			adj[e.From] = append(adj[e.From], i)
+		if comp[e.From] == comp[e.To] {
+			h.out[next[e.From]] = i
+			next[e.From]++
 		}
 	}
-	color := make([]uint8, n) // 0 white, 1 gray, 2 black
-	type frame struct{ node, next int }
-	for s := 0; s < n; s++ {
-		if color[s] != 0 {
+	// Initial policy: each node's longest out-edge (the first on ties).
+	for _, v := range h.nodes {
+		h.pol[v] = h.out[h.off[v]]
+		for _, i := range h.out[h.off[v]:h.off[v+1]] {
+			if edges[i].Latency > edges[h.pol[v]].Latency {
+				h.pol[v] = i
+			}
+		}
+	}
+	return h
+}
+
+// solve improves the policy until it is optimal. Policy iteration with
+// strict improvements and exact arithmetic terminates; on return every
+// node of a component carries the component's maximum ratio.
+func (h *howard) solve() {
+	for {
+		h.evaluate()
+		if !h.improve() {
+			return
+		}
+	}
+}
+
+// evaluate computes each node's policy-cycle ratio and potential. Every
+// node has one policy successor, so walking successors from any node ends
+// on a cycle. Each cycle's root is its smallest node, with potential 0: a
+// cycle that survives an improvement keeps its potentials, which is what
+// makes the improvements monotone.
+func (h *howard) evaluate() {
+	clear(h.mark)
+	var path []int
+	for _, s := range h.nodes {
+		if h.mark[s] != 0 {
 			continue
 		}
-		stack := []frame{{s, 0}}
-		color[s] = 1
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(adj[f.node]) {
-				e := edges[adj[f.node][f.next]]
-				f.next++
-				switch color[e.To] {
-				case 0:
-					color[e.To] = 1
-					stack = append(stack, frame{e.To, 0})
-				case 1:
-					return true
-				}
-			} else {
-				color[f.node] = 2
-				stack = stack[:len(stack)-1]
+		path = path[:0]
+		v := s
+		for h.mark[v] == 0 {
+			h.mark[v] = 1
+			path = append(path, v)
+			v = h.edges[h.pol[v]].To
+		}
+		if h.mark[v] == 1 {
+			// A new cycle: path from v's position on.
+			i := len(path) - 1
+			for path[i] != v {
+				i--
 			}
+			cyc := path[i:]
+			var lat, tok int64
+			root := 0
+			for j, u := range cyc {
+				e := h.edges[h.pol[u]]
+				lat += e.Latency
+				tok += e.Tokens
+				if u < cyc[root] {
+					root = j
+				}
+			}
+			num, den := reduce(lat, tok)
+			r := cyc[root]
+			h.num[r], h.den[r], h.x[r], h.mark[r] = num, den, 0, 2
+			for k := 1; k < len(cyc); k++ {
+				h.settle(cyc[(root-k+len(cyc))%len(cyc)])
+			}
+			path = path[:i]
+		}
+		for j := len(path) - 1; j >= 0; j-- {
+			h.settle(path[j])
+		}
+	}
+}
+
+// settle derives u's ratio and potential from its policy successor's.
+func (h *howard) settle(u int) {
+	e := h.edges[h.pol[u]]
+	w := e.To
+	h.num[u], h.den[u] = h.num[w], h.den[w]
+	h.x[u] = h.den[w]*e.Latency - h.num[w]*e.Tokens + h.x[w]
+	h.mark[u] = 2
+}
+
+// improve switches each node whose successors offer a higher cycle ratio
+// to the best of them; if no node can, it switches nodes to an equal-ratio
+// successor that gives a strictly longer path. It reports whether the
+// policy changed.
+func (h *howard) improve() bool {
+	changed := false
+	for _, u := range h.nodes {
+		best, bn, bd := -1, h.num[u], h.den[u]
+		for _, i := range h.out[h.off[u]:h.off[u+1]] {
+			if w := h.edges[i].To; h.num[w]*bd > bn*h.den[w] {
+				best, bn, bd = i, h.num[w], h.den[w]
+			}
+		}
+		if best >= 0 {
+			h.pol[u] = best
+			changed = true
+		}
+	}
+	if changed {
+		return true
+	}
+	for _, u := range h.nodes {
+		best, bx := -1, h.x[u]
+		for _, i := range h.out[h.off[u]:h.off[u+1]] {
+			e := h.edges[i]
+			if h.num[e.To] != h.num[u] || h.den[e.To] != h.den[u] {
+				continue
+			}
+			if x := h.den[u]*e.Latency - h.num[u]*e.Tokens + h.x[e.To]; x > bx {
+				best, bx = i, x
+			}
+		}
+		if best >= 0 {
+			h.pol[u] = best
+			changed = true
+		}
+	}
+	return changed
+}
+
+// verify checks the final ratios exactly: with weights den·latency −
+// num·tokens, no cycle inside a component may have positive weight, which
+// longest-path relaxation (seeded with the negated potentials, which are
+// already feasible when the policy is optimal) confirms by converging.
+func (h *howard) verify() bool {
+	dist := make([]int64, len(h.x))
+	for _, v := range h.nodes {
+		dist[v] = -h.x[v]
+	}
+	for iter := 0; iter <= len(h.nodes); iter++ {
+		changed := false
+		for _, u := range h.nodes {
+			for _, i := range h.out[h.off[u]:h.off[u+1]] {
+				e := h.edges[i]
+				if d := dist[u] + h.den[u]*e.Latency - h.num[u]*e.Tokens; d > dist[e.To] {
+					dist[e.To] = d
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			return true
 		}
 	}
 	return false
 }
 
-// hasPositiveCycle runs Bellman-Ford longest-path relaxation from a virtual
-// source connected to every node; a relaxation surviving n rounds implies a
-// positive-weight cycle.
-func hasPositiveCycle(n int, edges []Edge, w []int64) bool {
-	dist := make([]int64, n) // virtual source: dist 0 to every node
-	for iter := 0; iter <= n; iter++ {
-		changed := false
-		for i, e := range edges {
-			if nd := dist[e.From] + w[i]; nd > dist[e.To] {
-				dist[e.To] = nd
-				changed = true
-			}
-		}
-		if !changed {
-			return false
-		}
+// reduce returns lat/tok in lowest terms with a positive denominator
+// (tok > 0).
+func reduce(lat, tok int64) (int64, int64) {
+	a, b := lat, tok
+	if a < 0 {
+		a = -a
 	}
-	return true
+	for b != 0 {
+		a, b = b, a%b
+	}
+	if a == 0 {
+		return 0, 1
+	}
+	return lat / a, tok / a
 }
 
-// positiveCycleFloat is the float-weight variant used during the search.
-func positiveCycleFloat(n int, edges []Edge, lambda float64) bool {
-	dist := make([]float64, n)
-	for iter := 0; iter <= n; iter++ {
-		changed := false
-		for _, e := range edges {
-			w := float64(e.Latency) - lambda*float64(e.Tokens)
-			if nd := dist[e.From] + w; nd > dist[e.To]+1e-12 {
-				dist[e.To] = nd
-				changed = true
+// sccs labels each node with its strongly connected component (Tarjan's
+// algorithm, iterative).
+func sccs(n int, edges []Edge) []int {
+	adj := make([][]int, n)
+	for _, e := range edges {
+		adj[e.From] = append(adj[e.From], e.To)
+	}
+	const unseen = -1
+	index := make([]int, n)
+	low := make([]int, n)
+	comp := make([]int, n)
+	onStack := make([]bool, n)
+	for v := range index {
+		index[v], comp[v] = unseen, unseen
+	}
+	var stack []int
+	type frame struct{ node, next int }
+	var call []frame
+	counter, ncomp := 0, 0
+	for s := 0; s < n; s++ {
+		if index[s] != unseen {
+			continue
+		}
+		call = append(call[:0], frame{s, 0})
+		index[s], low[s] = counter, counter
+		counter++
+		stack = append(stack, s)
+		onStack[s] = true
+		for len(call) > 0 {
+			f := &call[len(call)-1]
+			v := f.node
+			if f.next < len(adj[v]) {
+				w := adj[v][f.next]
+				f.next++
+				switch {
+				case index[w] == unseen:
+					index[w], low[w] = counter, counter
+					counter++
+					stack = append(stack, w)
+					onStack[w] = true
+					call = append(call, frame{w, 0})
+				case onStack[w]:
+					low[v] = min(low[v], index[w])
+				}
+				continue
+			}
+			call = call[:len(call)-1]
+			if len(call) > 0 {
+				p := call[len(call)-1].node
+				low[p] = min(low[p], low[v])
+			}
+			if low[v] == index[v] {
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					onStack[w] = false
+					comp[w] = ncomp
+					if w == v {
+						break
+					}
+				}
+				ncomp++
 			}
 		}
-		if !changed {
-			return false
-		}
 	}
-	return true
+	return comp
 }
 
-// bestRational returns the rational p/q with the smallest q ≤ maxDen lying
-// in [lo, hi], found by walking the Stern–Brocot tree.
-func bestRational(lo, hi float64, maxDen int64) (int64, int64) {
-	// Handle integer-valued intervals directly.
-	for k := int64(lo); float64(k) <= hi+1e-15; k++ {
-		if float64(k) >= lo-1e-15 {
-			return k, 1
+// hasCycle reports whether the edges form a directed cycle: some edge
+// joins two nodes of one strongly connected component.
+func hasCycle(n int, edges []Edge) bool {
+	comp := sccs(n, edges)
+	for _, e := range edges {
+		if comp[e.From] == comp[e.To] {
+			return true
 		}
 	}
-	var pl, ql, pr, qr int64 = 0, 1, 1, 0 // 0/1 .. 1/0
-	for i := 0; i < 1024; i++ {
-		pm, qm := pl+pr, ql+qr
-		if qm > maxDen {
-			break
-		}
-		m := float64(pm) / float64(qm)
-		switch {
-		case m < lo:
-			pl, ql = pm, qm
-		case m > hi:
-			pr, qr = pm, qm
-		default:
-			return pm, qm
-		}
-	}
-	// Fall back to the closest bound with denominator maxDen.
-	p := int64((lo+hi)/2*float64(maxDen) + 0.5)
-	return p, maxDen
+	return false
 }
 
 // PredictII builds the marked timing graph of a machine-level instruction

@@ -166,6 +166,25 @@ for prog in testdata/fig3.val testdata/example1.val; do
     echo "outputs byte-identical across all placements: $prog"
 done
 
+echo "== placed machine smoke =="
+# The sequential engine skips a cell it found disabled until a packet
+# reaches it; the sharded engine plans every resident every cycle. Under
+# the min-cost placement on 8 PEs both must print the same stdout and
+# write the same Chrome trace, on both routing networks.
+for prog in testdata/*.val; do
+    for net in "" -butterfly; do
+        /tmp/dfsim-ci -machine -pes 8 -place mincost $net -trace /tmp/dfsim-ci.json "$prog" >/tmp/dfsim-seq.out
+        mv /tmp/dfsim-ci.json /tmp/dfsim-seq.json
+        /tmp/dfsim-ci -machine -pes 8 -place mincost $net -workers 4 -trace /tmp/dfsim-ci.json "$prog" >/tmp/dfsim-par.out
+        cmp /tmp/dfsim-seq.out /tmp/dfsim-par.out && cmp /tmp/dfsim-seq.json /tmp/dfsim-ci.json || {
+            echo "placed machine smoke: output or trace diverges at P=4 ${net:+with $net }on $prog" >&2
+            exit 1
+        }
+    done
+    echo "placed machine stdout and trace byte-identical at P=4, both networks: $prog"
+done
+rm -f /tmp/dfsim-ci.json /tmp/dfsim-seq.json
+
 echo "== placement contention gate =="
 # The tentpole claim in one command: re-placing the hotspot demo with the
 # min-cost mapping must grade as a contention improvement in dftrace's
