@@ -64,7 +64,7 @@ var (
 	compareF = flag.String("compare", "", "compare cycles/sec against a baseline JSON; exit nonzero on >20% regression")
 	parallel = flag.Int("parallel", 0, "run N independent benchmark instances across goroutines and report throughput")
 	samples  = flag.Int("samples", 1, "repeat the suite N times and record the median TOTAL cycles/sec (variance-aware bench guard)")
-	workersF = flag.Int("workers", 0, "drive simulations with the sharded parallel engine using N workers (results are byte-identical)")
+	workersF = flag.Int("workers", 0, "shards a -batch run's lanes across N goroutines (exec core only; results are byte-identical)")
 	batchF   = flag.Int("batch", 0, "advance B independent input streams per simulator run through the batched engine (lane 0 is byte-identical)")
 	tolF     = flag.Float64("tolerance", 0.20, "fractional cycles/sec drop -compare fails the build on (0.20 = 20%)")
 	metricsF = flag.Bool("metrics", false, "print a per-cell metrics digest after each simulated run")
@@ -214,7 +214,6 @@ func main() {
 		{"E15", "§9 extension: two-dimensional arrays", e15, 24, 12},
 		{"E16", "ablations: control realization, network, placement", e16, 64, 24},
 		{"E17", "ablation: common-cell elimination", e17, 256, 64},
-		{"E18", "sharded parallel engine: P=1..8 scaling on both cores", e18, 96, 32},
 		{"E19", "service layer: jobs/sec through admission + worker pool", e19, 1024, 256},
 		{"E20", "batched multi-stream execution: B-lane amortization", e20, 512, 512},
 		{"E21", "contention-aware placement: min-cost mapping vs bystage/hotspot", e21, 256, 96},
@@ -651,9 +650,6 @@ func execRun(g *graph.Graph, opts exec.Options) *exec.Result {
 func machineRun(label string, g *graph.Graph, cfg machine.Config) *machine.Result {
 	tr, finish := runTracer(label)
 	cfg.Tracer = tr
-	if cfg.Workers == 0 {
-		cfg.Workers = *workersF
-	}
 	if cfg.Batch == 0 {
 		cfg.Batch = *batchF
 	}
@@ -1025,10 +1021,8 @@ func e14(m int) {
 	}
 }
 
-// e18Graph builds w independent arithmetic lanes of d stages each: a graph
-// wide enough that every shard of the partitioned engine carries real work
-// per instruction time, so the scaling measurement reflects the engine and
-// not the barrier.
+// e18Graph builds w independent arithmetic lanes of d stages each: a wide,
+// compute-bound elementwise graph (E20's "scale" workload).
 func e18Graph(w, d, n int) *graph.Graph {
 	g := graph.New()
 	for k := 0; k < w; k++ {
@@ -1050,47 +1044,6 @@ func e18Graph(w, d, n int) *graph.Graph {
 		g.Connect(prev, g.AddSink(fmt.Sprintf("out%d", k)), 0)
 	}
 	return g
-}
-
-func e18(n int) {
-	const lanes, depth = 16, 16
-	fmt.Printf("  sharded parallel engine on %d lanes x %d stages, %d elements/lane\n",
-		lanes, depth, n)
-	fmt.Printf("  host runs %d-way (GOMAXPROCS); wall-clock speedup needs real cores,\n",
-		runtime.GOMAXPROCS(0))
-	fmt.Printf("  so the scaling figure is the aggregate shard rate P*cycles/wall —\n")
-	fmt.Printf("  it rises with P exactly when the parallel overhead stays sublinear\n")
-	fmt.Printf("  firing-rule simulator:\n")
-	fmt.Printf("  %4s  %14s  %16s\n", "P", "wall cyc/s", "aggregate cyc/s")
-	agg := map[int]float64{}
-	for _, p := range []int{1, 2, 4, 8} {
-		g := e18Graph(lanes, depth, n)
-		start := time.Now()
-		res, err := exec.Run(g, exec.Options{Workers: p})
-		if err != nil {
-			fatal(err)
-		}
-		wall := time.Since(start)
-		addSim(res.Cycles, wall)
-		wallRate := float64(res.Cycles) / wall.Seconds()
-		agg[p] = float64(p*res.Cycles) / wall.Seconds()
-		fmt.Printf("  %4d  %14.0f  %16.0f\n", p, wallRate, agg[p])
-		record(fmt.Sprintf("wall_cps_p%d", p), wallRate)
-		record(fmt.Sprintf("agg_cps_p%d", p), agg[p])
-	}
-	record("agg_speedup_p4", agg[4]/agg[1])
-	fmt.Printf("  aggregate speedup P=4 vs P=1: %.2fx\n", agg[4]/agg[1])
-	fmt.Printf("  packet-level machine (8 PEs, 4 FUs, 4 AMs):\n")
-	for _, p := range []int{1, 4} {
-		g := e18Graph(lanes, depth, n)
-		start := time.Now()
-		res := machineRun(fmt.Sprintf("e18-machine-p%d", p), g,
-			machine.Config{PEs: 8, FUs: 4, AMs: 4, Workers: p})
-		wall := time.Since(start)
-		rate := float64(p*res.Cycles) / wall.Seconds()
-		fmt.Printf("  %4d  cycles=%5d  aggregate %14.0f cyc/s\n", p, res.Cycles, rate)
-		record(fmt.Sprintf("machine_agg_cps_p%d", p), rate)
-	}
 }
 
 // e19 measures the service layer itself: jobs/sec through admission
@@ -1429,9 +1382,6 @@ func e21(n int) {
 		}
 		cfg := c.cfg
 		cfg.Tracer = multi
-		if cfg.Workers == 0 {
-			cfg.Workers = *workersF
-		}
 		start := time.Now()
 		res, err := machine.Run(g, cfg)
 		if err != nil {

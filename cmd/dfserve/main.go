@@ -1,7 +1,7 @@
 // dfserve runs the simulation service: a multi-tenant HTTP API that
 // compiles and simulates pipe-structured Val programs with admission
 // control. Small jobs run inline on the request (fast path); large ones
-// queue to a bounded worker pool driving the sharded simulation engine.
+// queue to a bounded worker pool driving the simulators.
 // The job API mounts next to the telemetry surface, so one listener serves
 // /jobs, /metrics, /runs, /healthz, and /debug/pprof.
 //
@@ -15,7 +15,7 @@
 //	-pool N           worker-pool size (default GOMAXPROCS)
 //	-queue N          offload queue depth (default 256)
 //	-offload COST     fast/offload cost threshold, cells x est. cycles
-//	-sim-workers N    sharded-engine workers per offloaded job (0 = sequential)
+//	-sim-workers N    lane-sharding workers per offloaded batched exec job
 //	-rate R           per-tenant admission rate, jobs/sec (0 = unlimited)
 //	-burst N          per-tenant token-bucket burst (default 16)
 //	-keep N           terminal jobs retained per tenant (default 64)
@@ -61,7 +61,7 @@ func main() {
 		pool       = flag.Int("pool", 0, "worker-pool size (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 256, "offload queue depth")
 		offload    = flag.Int64("offload", 0, "fast/offload cost threshold (0 = default 1<<20, negative = offload everything)")
-		simWorkers = flag.Int("sim-workers", 0, "sharded-engine workers per offloaded job")
+		simWorkers = flag.Int("sim-workers", 0, "lane-sharding workers per offloaded batched exec job")
 		rate       = flag.Float64("rate", 0, "per-tenant admission rate, jobs/sec (0 = unlimited)")
 		burst      = flag.Int("burst", 16, "per-tenant token-bucket burst")
 		keep       = flag.Int("keep", 64, "terminal jobs retained per tenant")

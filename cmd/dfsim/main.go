@@ -13,6 +13,8 @@
 //	-batch n       advance n independent input streams ("lanes") in one run;
 //	               stdout stays byte-identical to a scalar run (lane 0), the
 //	               per-lane summary goes to stderr
+//	-workers n     shards a -batch run's lanes across n goroutines (exec
+//	               core only; output is byte-identical)
 //	-print n       print at most n elements per output (default 8; 0 = all)
 //	-machine       run on the packet-level machine
 //	-pes n         machine PEs (default 4)
@@ -63,7 +65,7 @@ func main() {
 		pes       = flag.Int("pes", 4, "machine processing elements")
 		fus       = flag.Int("fus", 2, "machine function units")
 		ams       = flag.Int("ams", 2, "machine array memories")
-		workers   = flag.Int("workers", 0, "simulate with the sharded parallel engine using N workers (output is byte-identical)")
+		workers   = flag.Int("workers", 0, "shards a -batch run's lanes across N goroutines (exec core only; output is byte-identical)")
 		butterfly = flag.Bool("butterfly", false, "butterfly routing network")
 		placeMode = flag.String("place", "", "machine placement: stage | random | hotspot | mincost | profile")
 		todd      = flag.Bool("todd", false, "Todd's for-iter scheme")
@@ -81,6 +83,10 @@ func main() {
 	if *version {
 		fmt.Println("dfsim " + buildinfo.String())
 		return
+	}
+	if *workers > 1 && (*useMach || *batch <= 1) {
+		fmt.Fprintln(os.Stderr, "dfsim: -workers shards a -batch run's lanes on the exec core: it needs -batch > 1 and no -machine")
+		os.Exit(2)
 	}
 
 	model := "exec"
@@ -160,7 +166,7 @@ func main() {
 			fatal(err)
 		}
 		if *useMach {
-			cfg := machine.Config{PEs: *pes, FUs: *fus, AMs: *ams, Workers: *workers, Tracer: tracer, Progress: prog, Batch: *batch}
+			cfg := machine.Config{PEs: *pes, FUs: *fus, AMs: *ams, Tracer: tracer, Progress: prog, Batch: *batch}
 			if *butterfly {
 				cfg.Network = machine.Butterfly
 			}
@@ -258,7 +264,7 @@ func main() {
 		if err := u.Compiled.SetInputs(inputs); err != nil {
 			fatal(err)
 		}
-		cfg := machine.Config{PEs: *pes, FUs: *fus, AMs: *ams, Workers: *workers, Tracer: tracer, Progress: prog,
+		cfg := machine.Config{PEs: *pes, FUs: *fus, AMs: *ams, Tracer: tracer, Progress: prog,
 			Batch: *batch, LaneInputs: laneFill(inputs, *batch)}
 		if *butterfly {
 			cfg.Network = machine.Butterfly

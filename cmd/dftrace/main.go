@@ -27,8 +27,8 @@
 //	-todd          use Todd's for-iter scheme
 //	-no-balance    skip balancing (see the unbalanced critical cycle)
 //	-trace FILE    write Chrome trace-event JSON to FILE
-//	-span FILE     write the run's span tree (job → placement.plan → run,
-//	               with per-shard children on sharded runs) as JSON
+//	-span FILE     write the run's span tree (job → placement.plan → run)
+//	               as JSON
 //	-top n         rows in the per-cell rate table (default 12; 0 = all)
 //	-events n      keep and print the last n raw events (default 0)
 //	-summary       also print the raw metrics digest

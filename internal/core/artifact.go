@@ -19,7 +19,6 @@ import (
 	"staticpipe/internal/passes"
 	"staticpipe/internal/pe"
 	"staticpipe/internal/pipestruct"
-	"staticpipe/internal/place"
 	"staticpipe/internal/trace"
 	"staticpipe/internal/val"
 	"staticpipe/internal/value"
@@ -52,11 +51,6 @@ type Artifact struct {
 	machOnce sync.Once
 	mach     *machine.Prepared
 	machErr  error
-
-	// Placement plans are deterministic per (graph, PE count), so they are
-	// memoized here: a cache-hit job skips the min-cost-flow solve too.
-	planMu sync.Mutex
-	plans  map[int]*place.Placement
 }
 
 // Binding is the per-run attachment set for an Artifact run: everything
@@ -72,7 +66,8 @@ type Binding struct {
 	Progress *trace.Progress
 	// Tracer receives the run's observability event stream.
 	Tracer trace.Tracer
-	// Workers selects the sharded engine for this run.
+	// Workers shards this run's lanes when it is batched (see
+	// exec.Options.Workers).
 	Workers int
 	// MaxCycles bounds this run.
 	MaxCycles int
@@ -165,35 +160,6 @@ func (a *Artifact) Machine() (*machine.Prepared, error) {
 		a.mach, a.machErr = machine.Prepare(a.Compiled.Graph)
 	})
 	return a.mach, a.machErr
-}
-
-// PlacementPlan returns the contention-aware cell→PE mapping for the given
-// PE count, memoized per count: placement is deterministic per (graph,
-// PEs), so repeat jobs on a cached artifact skip the min-cost solve.
-func (a *Artifact) PlacementPlan(pes int) (*place.Placement, error) {
-	a.planMu.Lock()
-	if pl, ok := a.plans[pes]; ok {
-		a.planMu.Unlock()
-		return pl, nil
-	}
-	a.planMu.Unlock()
-	// Solve outside the lock — plans for distinct PE counts can race
-	// harmlessly (both compute the same deterministic result; first store
-	// wins below and the duplicate is dropped).
-	pl, err := place.Plan(a.Compiled.Graph, place.Options{PEs: pes})
-	if err != nil {
-		return nil, err
-	}
-	a.planMu.Lock()
-	defer a.planMu.Unlock()
-	if prev, ok := a.plans[pes]; ok {
-		return prev, nil
-	}
-	if a.plans == nil {
-		a.plans = map[int]*place.Placement{}
-	}
-	a.plans[pes] = pl
-	return pl, nil
 }
 
 // bindOpts resolves one run's effective options: the binding's fields where

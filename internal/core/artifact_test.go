@@ -9,13 +9,13 @@ import (
 
 	"staticpipe/internal/exec"
 	"staticpipe/internal/machine"
+	"staticpipe/internal/place"
 	"staticpipe/internal/value"
 )
 
 // execView is the comparable slice of an exec result: everything a caller
-// can observe about what a run computed, excluding per-shard accounting
-// (which legitimately varies with the worker count) and the simulated
-// graph pointer.
+// can observe about what a run computed, excluding the simulated graph
+// pointer.
 type execView struct {
 	Cycles   int
 	Firings  []int
@@ -109,25 +109,24 @@ func TestSharedArtifactConcurrentRuns(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				w := 1 + (g+it)%4
 				if g%2 == 0 {
-					res, err := art.Run(Binding{Workers: w}, inputs)
+					res, err := art.Run(Binding{}, inputs)
 					if err != nil {
-						errs <- fmt.Errorf("goroutine %d: exec w=%d: %v", g, w, err)
+						errs <- fmt.Errorf("goroutine %d: exec: %v", g, err)
 						return
 					}
 					if !reflect.DeepEqual(viewOf(res.Exec), viewOf(ref.Exec)) {
-						errs <- fmt.Errorf("goroutine %d: exec w=%d diverged from reference", g, w)
+						errs <- fmt.Errorf("goroutine %d: exec diverged from reference", g)
 						return
 					}
 				} else {
-					res, err := mp.Run(machine.Config{PEs: 4, Workers: w, Inputs: inputs})
+					res, err := mp.Run(machine.Config{PEs: 4, Inputs: inputs})
 					if err != nil {
-						errs <- fmt.Errorf("goroutine %d: machine w=%d: %v", g, w, err)
+						errs <- fmt.Errorf("goroutine %d: machine: %v", g, err)
 						return
 					}
 					if !reflect.DeepEqual(machViewOf(res), machViewOf(mref)) {
-						errs <- fmt.Errorf("goroutine %d: machine w=%d diverged from reference", g, w)
+						errs <- fmt.Errorf("goroutine %d: machine diverged from reference", g)
 						return
 					}
 				}
@@ -147,9 +146,9 @@ func TestSharedArtifactConcurrentRuns(t *testing.T) {
 // TestCachedVsFreshDifferential is the identity contract of the artifact
 // cache: a run over a shared (cache-hit) artifact — including repeat runs
 // that reuse pooled simulator state — must be byte-identical to a fresh
-// compile-and-run of the same source, across random programs, both worker
-// counts of the sweep, scalar and batched execution, and every placement
-// strategy of the packet-level machine.
+// compile-and-run of the same source, across random programs, scalar and
+// batched execution, and every placement strategy of the packet-level
+// machine.
 func TestCachedVsFreshDifferential(t *testing.T) {
 	trials := 4
 	if testing.Short() {
@@ -161,7 +160,7 @@ func TestCachedVsFreshDifferential(t *testing.T) {
 
 		// Scalar sweep: fresh artifact vs shared artifact run repeatedly
 		// (second and later runs draw pooled state) vs the legacy Unit
-		// facade, at Workers 1 and 4.
+		// facade.
 		fresh, err := CompileArtifact(src, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v\n%s", trial, err, src)
@@ -174,29 +173,26 @@ func TestCachedVsFreshDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{1, 4} {
-			bind := Binding{Workers: w}
-			want, err := fresh.Run(bind, inputs)
+		want, err := fresh.Run(Binding{}, inputs)
+		if err != nil {
+			t.Fatalf("trial %d: fresh: %v", trial, err)
+		}
+		for rep := 0; rep < 3; rep++ {
+			got, err := shared.Run(Binding{}, inputs)
 			if err != nil {
-				t.Fatalf("trial %d w=%d: fresh: %v", trial, w, err)
+				t.Fatalf("trial %d rep %d: shared: %v", trial, rep, err)
 			}
-			for rep := 0; rep < 3; rep++ {
-				got, err := shared.Run(bind, inputs)
-				if err != nil {
-					t.Fatalf("trial %d w=%d rep %d: shared: %v", trial, w, rep, err)
-				}
-				if !reflect.DeepEqual(viewOf(got.Exec), viewOf(want.Exec)) {
-					t.Fatalf("trial %d w=%d rep %d: shared artifact diverged from fresh compile\n%s",
-						trial, w, rep, src)
-				}
+			if !reflect.DeepEqual(viewOf(got.Exec), viewOf(want.Exec)) {
+				t.Fatalf("trial %d rep %d: shared artifact diverged from fresh compile\n%s",
+					trial, rep, src)
 			}
-			lres, err := legacy.art.Run(bind, inputs)
-			if err != nil {
-				t.Fatalf("trial %d w=%d: legacy: %v", trial, w, err)
-			}
-			if !reflect.DeepEqual(viewOf(lres.Exec), viewOf(want.Exec)) {
-				t.Fatalf("trial %d w=%d: legacy unit diverged from fresh compile", trial, w)
-			}
+		}
+		lres, err := legacy.art.Run(Binding{}, inputs)
+		if err != nil {
+			t.Fatalf("trial %d: legacy: %v", trial, err)
+		}
+		if !reflect.DeepEqual(viewOf(lres.Exec), viewOf(want.Exec)) {
+			t.Fatalf("trial %d: legacy unit diverged from fresh compile", trial)
 		}
 
 		// Batched sweep: the batch width is part of the cache key, so a
@@ -228,15 +224,15 @@ func TestCachedVsFreshDifferential(t *testing.T) {
 			}
 		}
 
-		// Machine sweep: the lazily built machine preparation and the
-		// memoized placement plan must not change what a run computes —
-		// every placement strategy, fresh vs shared, byte-identical.
+		// Machine sweep: the lazily built machine preparation must not
+		// change what a run computes — every placement strategy, planned on
+		// the fresh or the shared artifact's graph, byte-identical.
 		const pes = 4
-		pl, err := fresh.PlacementPlan(pes)
+		pl, err := place.Plan(fresh.Compiled.Graph, place.Options{PEs: pes})
 		if err != nil {
 			t.Fatalf("trial %d: plan: %v", trial, err)
 		}
-		spl, err := shared.PlacementPlan(pes)
+		spl, err := place.Plan(shared.Compiled.Graph, place.Options{PEs: pes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,16 +263,12 @@ func TestCachedVsFreshDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s: fresh machine: %v", trial, v.name, err)
 			}
-			for _, w := range []int{1, 4} {
-				wcfg := cfg
-				wcfg.Workers = w
-				got, err := smp.Run(wcfg)
-				if err != nil {
-					t.Fatalf("trial %d %s w=%d: shared machine: %v", trial, v.name, w, err)
-				}
-				if !reflect.DeepEqual(machViewOf(got), machViewOf(want)) {
-					t.Fatalf("trial %d %s w=%d: shared machine diverged from fresh", trial, v.name, w)
-				}
+			got, err := smp.Run(cfg)
+			if err != nil {
+				t.Fatalf("trial %d %s: shared machine: %v", trial, v.name, err)
+			}
+			if !reflect.DeepEqual(machViewOf(got), machViewOf(want)) {
+				t.Fatalf("trial %d %s: shared machine diverged from fresh", trial, v.name)
 			}
 		}
 	}

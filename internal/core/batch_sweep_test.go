@@ -12,11 +12,13 @@ import (
 )
 
 // TestBatchSweepRandom extends the differential harness across the batched
-// engine: random compiled programs run on both simulator cores at every
-// lane count in the contract sweep (crossed with lane-sharding worker
-// counts), and lane 0's view — and at B>1 every other lane's, since all
-// lanes consume the same bound streams here — must be byte-identical to
-// the sequential run of the same core.
+// engines: random compiled programs run on both simulator cores at every
+// lane count in the contract sweep (crossed, on the exec core, with
+// lane-sharding worker counts), and lane 0's view — and at B>1 every other
+// lane's, since all lanes consume the same bound streams here — must be
+// byte-identical to the scalar run of the same core. The machine has no
+// worker axis, so its batched run is checked once per lane count, in the
+// W1 subtest.
 func TestBatchSweepRandom(t *testing.T) {
 	batches := []int{1, 4, 16}
 	n := 3
@@ -55,7 +57,7 @@ func TestBatchSweepRandom(t *testing.T) {
 					}
 					for l := 0; l < lanes; l++ {
 						lv := ebat.Lane(l)
-						checkFields(t, fmt.Sprintf("exec-lane%d", l), w, map[string][2]any{
+						checkFields(t, fmt.Sprintf("exec W=%d lane%d", w, l), map[string][2]any{
 							"cycles":   {eseq.Cycles, lv.Cycles},
 							"firings":  {eseq.Firings, lv.Firings},
 							"outputs":  {eseq.Outputs, lv.Outputs},
@@ -64,14 +66,16 @@ func TestBatchSweepRandom(t *testing.T) {
 							"stalled":  {eseq.Stalled, lv.Stalled},
 						})
 					}
+					if w != 1 {
+						return
+					}
 					bcfg := mcfg
 					bcfg.Batch = b
-					bcfg.Workers = w
 					mbat, err := machine.Run(u.Compiled.Graph, bcfg)
 					if err != nil {
-						t.Fatalf("machine B=%d W=%d: %v", b, w, err)
+						t.Fatalf("machine B=%d: %v", b, err)
 					}
-					checkFields(t, "machine-top", w, map[string][2]any{
+					checkFields(t, "machine-top", map[string][2]any{
 						"cycles":   {mseq.Cycles, mbat.Cycles},
 						"outputs":  {mseq.Outputs, mbat.Outputs},
 						"arrivals": {mseq.Arrivals, mbat.Arrivals},
@@ -83,7 +87,7 @@ func TestBatchSweepRandom(t *testing.T) {
 					})
 					for l := 1; l < b; l++ {
 						lr := mbat.Lanes[l]
-						checkFields(t, fmt.Sprintf("machine-lane%d", l), w, map[string][2]any{
+						checkFields(t, fmt.Sprintf("machine-lane%d", l), map[string][2]any{
 							"cycles":  {mseq.Cycles, lr.Cycles},
 							"outputs": {mseq.Outputs, lr.Outputs},
 							"packets": {mseq.Packets, lr.Packets},
@@ -93,6 +97,18 @@ func TestBatchSweepRandom(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// checkFields reports every named field whose scalar-run and batched-run
+// values differ.
+func checkFields(t *testing.T, engine string, fields map[string][2]any) {
+	t.Helper()
+	for name, pair := range fields {
+		if !reflect.DeepEqual(pair[0], pair[1]) {
+			t.Errorf("%s: %s diverges from the scalar run\nscalar: %v\nbatched: %v",
+				engine, name, pair[0], pair[1])
 		}
 	}
 }

@@ -67,16 +67,15 @@ type Options struct {
 	// exec.Options.Progress) so the telemetry server can report cycle
 	// progress while the simulation is in flight.
 	Progress *trace.Progress
-	// Workers selects the simulator's sharded parallel engine (see
-	// exec.Options.Workers); 0 or 1 runs sequentially. Results are
-	// byte-identical for any worker count.
+	// Workers shards a batched Run's lanes across this many goroutines
+	// (see exec.Options.Workers); a scalar Run is sequential whatever it
+	// says. Results are byte-identical for any worker count.
 	Workers int
 	// Batch widens every Run to this many independent token lanes advancing
 	// through the one compiled graph (see exec.Options.Batch). Run feeds all
 	// lanes the program's bound inputs; RunBatch rebinds per-lane inputs and
 	// returns per-lane views. Lane 0 is always byte-identical to a scalar
-	// run; 0 or 1 runs the scalar engine. With Batch > 1 Workers shards by
-	// lane ranges.
+	// run; 0 or 1 runs the scalar engine.
 	Batch int
 	// Ctx, if non-nil, cancels in-flight Runs early (see exec.Options.Ctx:
 	// polled every exec.CancelCadence cycles, zero perturbation when the

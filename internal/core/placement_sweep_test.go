@@ -11,13 +11,12 @@ import (
 )
 
 // TestPlacementSweepRandom pins the placement half of the identity
-// contract, mirroring the P∈{1,2,4,8} worker sweeps: cell → PE mapping
-// decides where cells retire and which packets cross the routing network,
-// never what a run computes. Random compiled programs run under every
-// placement strategy — including the min-cost mapping from package place —
-// and must produce byte-identical output streams; within a fixed
-// placement, every observable Result field must be byte-identical across
-// worker counts and under batching.
+// contract: cell → PE mapping decides where cells retire and which packets
+// cross the routing network, never what a run computes. Random compiled
+// programs run under every placement strategy — including the min-cost
+// mapping from package place — and must produce byte-identical output
+// streams; within a fixed placement, every observable Result field must be
+// byte-identical under batching.
 func TestPlacementSweepRandom(t *testing.T) {
 	n := 5
 	if testing.Short() {
@@ -67,30 +66,17 @@ func TestPlacementSweepRandom(t *testing.T) {
 				} else if !reflect.DeepEqual(refOutputs, seq.Outputs) {
 					t.Fatalf("outputs diverge from the first placement's")
 				}
-				// Within this placement the full result — arrivals, cycles,
-				// packet counts, busy counters — is worker-count invariant.
-				for _, w := range []int{2, 4, 8} {
-					cfg := v.cfg
-					cfg.Workers = w
-					par, err := machine.Run(u.Compiled.Graph, cfg)
-					if err != nil {
-						t.Fatalf("P=%d: %v", w, err)
-					}
-					requireSamePlacedResult(t, w, 0, seq, par)
-				}
-				// And batching must leave lane 0's view untouched,
+				// Batching must leave lane 0's full result — arrivals,
+				// cycles, packet counts, busy counters — untouched,
 				// placement included (each lane simulates one placed
 				// machine instance).
-				for _, w := range []int{1, 2} {
-					cfg := v.cfg
-					cfg.Batch = 4
-					cfg.Workers = w
-					bat, err := machine.Run(u.Compiled.Graph, cfg)
-					if err != nil {
-						t.Fatalf("B=4 W=%d: %v", w, err)
-					}
-					requireSamePlacedResult(t, w, 4, seq, bat)
+				cfg := v.cfg
+				cfg.Batch = 4
+				bat, err := machine.Run(u.Compiled.Graph, cfg)
+				if err != nil {
+					t.Fatalf("B=4: %v", err)
 				}
+				requireSamePlacedResult(t, seq, bat)
 			})
 		}
 	}
@@ -103,9 +89,9 @@ func withAssign(cfg machine.Config, a machine.Assignment, placement []int) machi
 	return cfg
 }
 
-func requireSamePlacedResult(t *testing.T, workers, batch int, seq, got *machine.Result) {
+func requireSamePlacedResult(t *testing.T, seq, got *machine.Result) {
 	t.Helper()
-	tag := fmt.Sprintf("P=%d B=%d", workers, batch)
+	const tag = "B=4"
 	if seq.Cycles != got.Cycles {
 		t.Errorf("%s: cycles %d, sequential %d", tag, got.Cycles, seq.Cycles)
 	}

@@ -35,7 +35,7 @@ func laneView(r *Result, l int) *Result {
 // byte-identical to the sequential engine, for any lane count and any
 // lane-sharding worker count.
 func TestBatchedLaneIdentity(t *testing.T) {
-	for name, build := range parallelCases() {
+	for name, build := range engineCases() {
 		seq, err := Run(build(), Options{})
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", name, err)
@@ -46,7 +46,7 @@ func TestBatchedLaneIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s B=%d W=%d: %v", name, b, w, err)
 				}
-				requireSameResult(t, fmt.Sprintf("%s B=%d W=%d top", name, b, w), w, seq, bat)
+				requireSameResult(t, fmt.Sprintf("%s B=%d W=%d top", name, b, w), seq, bat)
 				if b <= 1 {
 					if bat.Batch != 0 || bat.Lanes != nil {
 						t.Errorf("%s B=%d: scalar run reports batch fields", name, b)
@@ -57,7 +57,7 @@ func TestBatchedLaneIdentity(t *testing.T) {
 					t.Fatalf("%s B=%d W=%d: Batch=%d len(Lanes)=%d", name, b, w, bat.Batch, len(bat.Lanes))
 				}
 				for l := 0; l < b; l++ {
-					requireSameResult(t, fmt.Sprintf("%s B=%d W=%d lane %d", name, b, w, l), w, seq, laneView(bat, l))
+					requireSameResult(t, fmt.Sprintf("%s B=%d W=%d lane %d", name, b, w, l), seq, laneView(bat, l))
 				}
 			}
 		}
@@ -68,7 +68,7 @@ func TestBatchedLaneIdentity(t *testing.T) {
 // structured event stream and the debug-callback sequence of a batched run
 // must equal the sequential ones event for event, at any worker count.
 func TestBatchedTraceByteIdentical(t *testing.T) {
-	for name, build := range parallelCases() {
+	for name, build := range engineCases() {
 		var seqRec recorder
 		var seqLines []string
 		seqTrace := func(cycle int, n *graph.Node, out value.Value) {
@@ -156,7 +156,7 @@ func TestBatchedLaneInputs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lane %d sequential: %v", l, err)
 		}
-		requireSameResult(t, fmt.Sprintf("lane %d", l), 1, seq, laneView(bat, l))
+		requireSameResult(t, fmt.Sprintf("lane %d", l), seq, laneView(bat, l))
 	}
 	if bat.Lanes[2].Cycles >= bat.Lanes[1].Cycles {
 		t.Errorf("short lane 2 quiesced at cycle %d, not before lane 1's %d",
@@ -182,7 +182,7 @@ func TestBatchedLaneZeroIgnoresLaneInputs(t *testing.T) {
 // lane 0's partial view stay byte-identical to the sequential engine, and
 // every lane carries its own partial view.
 func TestBatchedPartialResult(t *testing.T) {
-	build := parallelCases()["wide"]
+	build := engineCases()["wide"]
 	seq, seqErr := Run(build(), Options{MaxCycles: 9})
 	if seqErr == nil {
 		t.Fatal("sequential run unexpectedly quiesced in 9 cycles")
@@ -195,9 +195,9 @@ func TestBatchedPartialResult(t *testing.T) {
 		if seqErr.Error() != batErr.Error() {
 			t.Errorf("W=%d: error %q, sequential %q", w, batErr, seqErr)
 		}
-		requireSameResult(t, "partial top", w, seq, bat)
+		requireSameResult(t, fmt.Sprintf("W=%d partial top", w), seq, bat)
 		for l := 0; l < 4; l++ {
-			requireSameResult(t, fmt.Sprintf("partial lane %d", l), w, seq, laneView(bat, l))
+			requireSameResult(t, fmt.Sprintf("W=%d partial lane %d", w, l), seq, laneView(bat, l))
 		}
 	}
 }
@@ -225,7 +225,7 @@ func TestBatchedValidation(t *testing.T) {
 // batched lane-sharded run (the configuration the race detector must
 // bless) and checks the per-lane blocks are populated and consistent.
 func TestBatchedLaneTelemetry(t *testing.T) {
-	build := parallelCases()["wide"]
+	build := engineCases()["wide"]
 	seq, err := Run(build(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestBatchedLaneTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "telemetry", 4, seq, bat)
+	requireSameResult(t, "telemetry", seq, bat)
 	lanes := prog.BatchLanes()
 	if len(lanes) != 8 {
 		t.Fatalf("progress exposes %d lane counter blocks, want 8", len(lanes))
@@ -261,3 +261,105 @@ func TestBatchedLaneTelemetry(t *testing.T) {
 		t.Errorf("aggregate arrival counter %d, want %d", got, want*8)
 	}
 }
+
+// engineCases are graph builders covering every structural feature the
+// engines handle: straight pipelines, reconvergence, rings with initial
+// tokens, merges, gated destinations, and wide independent lanes.
+func engineCases() map[string]func() *graph.Graph {
+	return map[string]func() *graph.Graph{
+		"fig2": func() *graph.Graph {
+			g, _ := fig2(48)
+			return g
+		},
+		"wide": func() *graph.Graph { return wideBenchGraph(6, 24) },
+		"reconvergent": func() *graph.Graph {
+			g := graph.New()
+			src := g.AddSource("in", value.Reals(ramp(40)))
+			id1 := g.Add(graph.OpID, "")
+			id2 := g.Add(graph.OpID, "")
+			add := g.Add(graph.OpAdd, "")
+			g.Connect(src, id1, 0)
+			g.Connect(id1, id2, 0)
+			g.Connect(id2, add, 0)
+			g.Connect(src, add, 1)
+			g.Connect(add, g.AddSink("out"), 0)
+			return g
+		},
+		"ring": func() *graph.Graph {
+			n := 20
+			g := graph.New()
+			gate := g.Add(graph.OpTGate, "gate")
+			ctl := g.AddCtl("ctl", graph.Pattern{Body: []bool{true}, Repeat: n, Suffix: []bool{false}})
+			g.Connect(ctl, gate, 0)
+			prev := gate
+			for i := 0; i < 3; i++ {
+				id := g.Add(graph.OpID, "")
+				g.Connect(prev, id, 0)
+				prev = id
+			}
+			back := g.Connect(prev, gate, 1)
+			g.SetInit(back, value.R(7))
+			g.Connect(gate, g.AddSink("out"), 0)
+			return g
+		},
+		"merge-gated": func() *graph.Graph {
+			g := graph.New()
+			a := g.AddSource("a", value.Ints([]int64{1, 2, 3, 4, 5}))
+			add := g.Add(graph.OpAdd, "acc")
+			merge := g.Add(graph.OpMerge, "m")
+			mctl := g.AddCtl("mctl", graph.Pattern{Prefix: []bool{false}, Body: []bool{true}, Repeat: 5})
+			sink := g.AddSink("x")
+			g.Connect(mctl, merge, 0)
+			g.Connect(add, merge, 1)
+			g.SetLiteral(merge, 2, value.I(0))
+			outGate := g.AddGate(merge)
+			g.Connect(g.AddCtl("outctl", graph.Pattern{Prefix: []bool{false}, Body: []bool{true}, Repeat: 5}), merge, outGate)
+			fbGate := g.AddGate(merge)
+			g.Connect(g.AddCtl("fbctl", graph.Pattern{Body: []bool{true}, Repeat: 5, Suffix: []bool{false}}), merge, fbGate)
+			g.Connect(a, add, 0)
+			g.ConnectGated(merge, fbGate, add, 1)
+			g.ConnectGated(merge, outGate, sink, 0)
+			return g
+		},
+		"fifo": func() *graph.Graph {
+			g := graph.New()
+			src := g.AddSource("in", value.Reals(ramp(32)))
+			f := g.AddFIFO("buf", 5)
+			g.Connect(src, f, 0)
+			g.Connect(f, g.AddSink("out"), 0)
+			return g
+		},
+	}
+}
+
+// requireSameResult compares every observable Result field of two runs.
+func requireSameResult(t *testing.T, name string, seq, par *Result) {
+	t.Helper()
+	if seq.Cycles != par.Cycles {
+		t.Errorf("%s: cycles %d, sequential %d", name, par.Cycles, seq.Cycles)
+	}
+	if !reflect.DeepEqual(seq.Firings, par.Firings) {
+		t.Errorf("%s: firing counts diverge", name)
+	}
+	if !reflect.DeepEqual(seq.Outputs, par.Outputs) {
+		t.Errorf("%s: outputs diverge\nseq: %v\npar: %v", name, seq.Outputs, par.Outputs)
+	}
+	if !reflect.DeepEqual(seq.Arrivals, par.Arrivals) {
+		t.Errorf("%s: arrival streams diverge", name)
+	}
+	if seq.Clean != par.Clean {
+		t.Errorf("%s: clean %v, sequential %v", name, par.Clean, seq.Clean)
+	}
+	if !reflect.DeepEqual(seq.Stalled, par.Stalled) {
+		t.Errorf("%s: stall diagnostics diverge\nseq: %v\npar: %v", name, seq.Stalled, par.Stalled)
+	}
+}
+
+// recorder keeps the verbatim event stream for byte-level comparison.
+type recorder struct {
+	meta   trace.Meta
+	events []trace.Event
+}
+
+func (r *recorder) Start(m trace.Meta) { r.meta = m }
+func (r *recorder) Emit(e trace.Event) { r.events = append(r.events, e) }

@@ -29,6 +29,8 @@ func cancelChain(n, d int) *graph.Graph {
 	return g
 }
 
+// TestCancelPreFiredContext checks a pre-fired context stops a scalar run
+// at its first poll; Workers does not change a scalar run.
 func TestCancelPreFiredContext(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -60,30 +62,28 @@ func TestCancelPreFiredContext(t *testing.T) {
 
 // TestCancelMidRunReturnsPartial cancels while the pipeline is in flight
 // and checks the partial result is a prefix of the full run, observed
-// within one cancellation cadence of the firing point.
+// within one cancellation cadence of the firing point. A scalar run is
+// sequential whatever Workers says, so both worker counts stop at the same
+// cycle.
 func TestCancelMidRunReturnsPartial(t *testing.T) {
 	n := 4 * CancelCadence
 	full, err := Run(cancelChain(n, 8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopped := -1
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			fired := 0
 			g := cancelChain(n, 8)
 			opt := Options{Ctx: ctx, Workers: workers}
-			if workers == 0 {
-				// The sequential engine supports the per-firing debug hook;
-				// use it to cancel deterministically mid-run.
-				opt.Trace = func(cycle int, node *graph.Node, out value.Value) {
-					fired++
-					if fired == n { // roughly the middle of the run
-						cancel()
-					}
+			// The per-firing debug hook cancels deterministically mid-run.
+			opt.Trace = func(cycle int, node *graph.Node, out value.Value) {
+				fired++
+				if fired == n { // roughly the middle of the run
+					cancel()
 				}
-			} else {
-				cancel() // sharded path: covered as pre-fired + the exec sweep tests
 			}
 			res, err := Run(g, opt)
 			if err == nil {
@@ -102,16 +102,18 @@ func TestCancelMidRunReturnsPartial(t *testing.T) {
 					t.Fatalf("partial output[%d] = %v, full run has %v", i, got[i], want[i])
 				}
 			}
-			if workers == 0 {
-				if res.Cycles >= full.Cycles {
-					t.Fatalf("mid-run cancel did not stop early: %d >= %d cycles", res.Cycles, full.Cycles)
-				}
-				// The cancel fires mid-run; the loop must notice within one
-				// cadence window.
-				if got := len(res.Outputs["out"]); got == 0 {
-					t.Fatal("mid-run cancel produced no partial output")
-				}
+			if res.Cycles >= full.Cycles {
+				t.Fatalf("mid-run cancel did not stop early: %d >= %d cycles", res.Cycles, full.Cycles)
 			}
+			// The cancel fires mid-run; the loop must notice within one
+			// cadence window.
+			if got := len(res.Outputs["out"]); got == 0 {
+				t.Fatal("mid-run cancel produced no partial output")
+			}
+			if stopped >= 0 && res.Cycles != stopped {
+				t.Fatalf("Workers=%d stopped at cycle %d, Workers=0 at %d", workers, res.Cycles, stopped)
+			}
+			stopped = res.Cycles
 		})
 	}
 }

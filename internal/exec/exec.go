@@ -23,6 +23,10 @@
 // bitset, not a per-cycle scan of all cells), token state lives in flat
 // slices indexed by arc ID, and per-cycle firing plans are carved out of
 // reusable arenas, so steady-state simulation performs no allocation.
+//
+// A run uses one of two engines: the scalar loop here, or, when
+// Options.Batch > 1, the lane-batched loop of batch.go, whose lanes
+// Options.Workers may shard across goroutines.
 package exec
 
 import (
@@ -33,7 +37,6 @@ import (
 	"strings"
 
 	"staticpipe/internal/graph"
-	"staticpipe/internal/partition"
 	"staticpipe/internal/trace"
 	"staticpipe/internal/value"
 )
@@ -59,12 +62,11 @@ type Options struct {
 	// mid-run. Like Tracer it is passive and costs one nil check when
 	// unset.
 	Progress *trace.Progress
-	// Workers selects the sharded parallel engine: the graph is
-	// partitioned into min(Workers, cells) load-balanced shards, each
-	// owned by one goroutine, synchronized once per instruction time.
-	// 0 or 1 runs the sequential engine. Every observable outcome —
-	// outputs, arrival cycles, firings, stall diagnostics, and the trace
-	// event stream — is byte-identical for any worker count.
+	// Workers shards a batched run (Batch > 1) by contiguous lane ranges
+	// across min(Workers, Batch) goroutines. Lanes never interact, so the
+	// workers need no barriers and every lane's result is byte-identical
+	// for any worker count. A scalar run is sequential whatever Workers
+	// says.
 	Workers int
 	// Ctx, if non-nil, cancels the run early: the loop polls Ctx.Done()
 	// every CancelCadence cycles (the Progress-counter cadence bounds how
@@ -83,10 +85,7 @@ type Options struct {
 	// 64-bit lane mask per cell). Lane 0 always consumes the streams bound
 	// on the graph and is byte-identical to a scalar run — outputs,
 	// arrival cycles, firings, stall diagnostics, and the lane-0 trace
-	// event stream all match. When Batch > 1, Workers shards the run by
-	// contiguous lane ranges instead of by graph partition: lanes never
-	// interact, so the workers need no barriers and determinism holds by
-	// construction.
+	// event stream all match.
 	Batch int
 	// LaneInputs supplies per-lane source streams for a batched run,
 	// keyed by source-cell label (the declared input name): LaneInputs[l]
@@ -142,14 +141,6 @@ type Result struct {
 	// Graph is the graph actually simulated (FIFO cells expanded into
 	// identity chains).
 	Graph *graph.Graph
-	// Shards holds per-shard accounting when the run used the sharded
-	// engine (Options.Workers > 1); nil for sequential runs.
-	Shards []partition.ShardStat
-	// ShardDiag lists shard/ring diagnostics captured when a sharded run
-	// halted without quiescing, naming where work was still pending. It
-	// is separate from Stalled so stall diagnostics stay byte-identical
-	// across worker counts.
-	ShardDiag []string
 	// Batch is the lane count of a batched run (0 for scalar runs).
 	Batch int
 	// Lanes holds per-lane views of a batched run (nil for scalar runs).
@@ -255,7 +246,7 @@ type firing struct {
 // Stalled diagnostics populated) is returned together with the error.
 //
 // If Options.Ctx carries an active obs.Span, Run annotates it with the
-// run's outcome and per-shard/per-lane children after the simulation loop
+// run's outcome and per-lane children after the simulation loop
 // has ended — never from inside it — so an attached span cannot perturb
 // outputs, firing order, or cycle counts (see span.go).
 func Run(g *graph.Graph, opt Options) (*Result, error) {
@@ -267,9 +258,9 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 }
 
 // Run executes the prepared graph. Safe for concurrent use: every call
-// draws its mutable run state from the free-list pool (sequential engine)
-// or builds it fresh (sharded/batched engines); the graph itself is only
-// read. See Options.Inputs for running with per-call input streams.
+// draws its mutable run state from the free-list pool (scalar engine) or
+// builds it fresh (batched engine); the graph itself is only read. See
+// Options.Inputs for running with per-call input streams.
 func (p *Prepared) Run(opt Options) (*Result, error) {
 	res, err := p.runPrepared(opt)
 	annotateSpan(opt.Ctx, res, err, opt.Workers, opt.Batch)
@@ -288,18 +279,6 @@ func (p *Prepared) runPrepared(opt Options) (*Result, error) {
 			return nil, err
 		}
 		return runBatched(g, opt, streams, maxCycles, b)
-	}
-	if w := opt.Workers; w > 1 {
-		if w > g.NumNodes() {
-			w = g.NumNodes()
-		}
-		if w > 1 {
-			streams, err := resolveStreams(g, opt.Inputs, nil)
-			if err != nil {
-				return nil, err
-			}
-			return runSharded(g, opt, streams, maxCycles, w)
-		}
 	}
 	s := p.getSim(opt)
 	defer p.putSim(s)
@@ -384,7 +363,7 @@ func (p *Prepared) runPrepared(opt Options) (*Result, error) {
 }
 
 // markCanceled stamps a partial result with the cancellation diagnostics
-// shared by the sequential and sharded engines.
+// shared by the scalar and batched engines.
 func markCanceled(res *Result, cycle int, ctx context.Context) (*Result, error) {
 	res.Canceled = true
 	res.Clean = false
@@ -793,9 +772,6 @@ func Describe(r *Result) string {
 	}
 	for _, d := range r.Stalled {
 		fmt.Fprintf(&b, "stall: %s\n", d)
-	}
-	for _, d := range r.ShardDiag {
-		fmt.Fprintf(&b, "shard-diag: %s\n", d)
 	}
 	return b.String()
 }

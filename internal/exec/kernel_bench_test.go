@@ -85,26 +85,3 @@ func BenchmarkBatchedCyclesPerSec(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkShardedCyclesPerSec measures the sharded parallel engine at the
-// contract's worker counts on the same wide workload. P=1 is the sequential
-// kernel; the per-P wall rates expose the barrier and merge overhead, and on
-// a multi-core host the wall rate itself scales.
-func BenchmarkShardedCyclesPerSec(b *testing.B) {
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
-			totalCycles := 0
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g := wideBenchGraph(8, 256)
-				b.StartTimer()
-				res, err := Run(g, Options{Workers: p})
-				if err != nil {
-					b.Fatal(err)
-				}
-				totalCycles += res.Cycles
-			}
-			b.ReportMetric(float64(totalCycles)/b.Elapsed().Seconds(), "cycles/sec")
-		})
-	}
-}

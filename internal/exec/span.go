@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"staticpipe/internal/obs"
-	"staticpipe/internal/partition"
 )
 
 // annotateSpan records a finished run onto the span carried by ctx, if
@@ -22,11 +21,11 @@ func annotateSpan(ctx context.Context, res *Result, err error, workers, batch in
 	sp.Set("cycles", int64(res.Cycles))
 	sp.Set("firings", sumFirings(res.Firings))
 	sp.Set("clean", res.Clean)
-	if workers > 1 {
-		sp.Set("workers", int64(workers))
-	}
 	if batch > 1 {
 		sp.Set("batch", int64(batch))
+		if workers > 1 {
+			sp.Set("workers", int64(workers))
+		}
 	}
 	if res.Canceled {
 		sp.Set("canceled", true)
@@ -38,7 +37,6 @@ func annotateSpan(ctx context.Context, res *Result, err error, workers, batch in
 		sp.Set("stalls", int64(len(res.Stalled)))
 	}
 	now := time.Now()
-	annotateShards(sp, res.Shards, now)
 	for i := range res.Lanes {
 		l := &res.Lanes[i]
 		ch := sp.ChildAt(obs.KindLane, laneName(i), sp.StartTime(), now)
@@ -54,23 +52,6 @@ func annotateSpan(ctx context.Context, res *Result, err error, workers, batch in
 	}
 }
 
-// annotateShards attaches one child span per shard, placed on the
-// timeline by the worker's recorded wall-clock lifetime. Shared with the
-// machine core via its own annotate path.
-func annotateShards(sp *obs.Span, shards []partition.ShardStat, now time.Time) {
-	for i := range shards {
-		st := &shards[i]
-		start := now.Add(-time.Duration(st.WallNs))
-		ch := sp.ChildAt(obs.KindShard, shardName(i), start, now)
-		ch.Set("cells", int64(st.Cells))
-		ch.Set("firings", st.Firings)
-		ch.Set("ring_sends", st.RingSends)
-		ch.Set("ring_recvs", st.RingRecvs)
-		ch.Set("ring_peak", st.RingPeak)
-		ch.Set("barrier_wait_ns", int64(st.BarrierWait.Sum))
-	}
-}
-
 func sumFirings(firings []int) int64 {
 	var n int64
 	for _, f := range firings {
@@ -79,10 +60,9 @@ func sumFirings(firings []int) int64 {
 	return n
 }
 
-func shardName(i int) string { return "shard[" + itoa(i) + "]" }
-func laneName(i int) string  { return "lane[" + itoa(i) + "]" }
+func laneName(i int) string { return "lane[" + itoa(i) + "]" }
 
-// itoa avoids pulling strconv into the hot package for two span labels.
+// itoa avoids pulling strconv into the hot package for the lane span label.
 func itoa(i int) string {
 	if i == 0 {
 		return "0"

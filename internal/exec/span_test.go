@@ -12,13 +12,11 @@ import (
 // expected children and attributes off the span carried by Options.Ctx.
 func TestSpanAnnotatedAcrossEngines(t *testing.T) {
 	cases := []struct {
-		name   string
-		opt    Options
-		shards int
-		lanes  int
+		name  string
+		opt   Options
+		lanes int
 	}{
 		{name: "sequential", opt: Options{}},
-		{name: "sharded", opt: Options{Workers: 3}, shards: 3},
 		{name: "batched", opt: Options{Batch: 3}, lanes: 3},
 	}
 	for _, tc := range cases {
@@ -42,24 +40,17 @@ func TestSpanAnnotatedAcrossEngines(t *testing.T) {
 			if got := j.Attrs["cycles"]; got != int64(res.Cycles) {
 				t.Fatalf("cycles attr = %v, result %d", got, res.Cycles)
 			}
-			var shards, lanes int
+			lanes := 0
 			for _, c := range j.Children {
-				switch c.Kind {
-				case obs.KindShard:
-					shards++
-					if c.Attrs["cells"] == nil || c.Attrs["firings"] == nil {
-						t.Fatalf("shard span missing attrs: %v", c.Attrs)
-					}
-				case obs.KindLane:
+				if c.Kind == obs.KindLane {
 					lanes++
 					if c.Attrs["clean"] != true {
 						t.Fatalf("lane span attrs = %v", c.Attrs)
 					}
 				}
 			}
-			if shards != tc.shards || lanes != tc.lanes {
-				t.Fatalf("shard/lane children = %d/%d, want %d/%d",
-					shards, lanes, tc.shards, tc.lanes)
+			if lanes != tc.lanes {
+				t.Fatalf("lane children = %d, want %d", lanes, tc.lanes)
 			}
 		})
 	}
@@ -69,7 +60,7 @@ func TestSpanAnnotatedAcrossEngines(t *testing.T) {
 // run with a span attached produces byte-identical outputs, cycle counts,
 // and firing vectors to a detached run of the same graph.
 func TestSpanAttachedIsByteIdentical(t *testing.T) {
-	for _, opt := range []Options{{}, {Workers: 4}, {Batch: 4}} {
+	for _, opt := range []Options{{}, {Batch: 4}, {Batch: 4, Workers: 2}} {
 		gDet, _ := fig2(48)
 		det, err := Run(gDet, opt)
 		if err != nil {
@@ -83,10 +74,6 @@ func TestSpanAttachedIsByteIdentical(t *testing.T) {
 		}
 		for _, res := range []*Result{det, att} {
 			res.Graph = nil // pointer identity differs; everything else must not
-			for i := range res.Shards {
-				res.Shards[i].BarrierWait = det.Shards[i].BarrierWait
-				res.Shards[i].WallNs = 0 // wall time is not part of the contract
-			}
 		}
 		db, _ := json.Marshal(det)
 		ab, _ := json.Marshal(att)

@@ -1,29 +1,24 @@
 package machine
 
-// Batched execution: B independent input streams ("lanes") advance through
-// one compiled-and-placed machine configuration in a single Run. Where the
-// exec core widens its arc state into lane-minor structure-of-arrays rows,
-// the packet-level simulator widens by instance: one placed machine per
-// lane, all sharing the same expanded graph, placement strategy, and
-// network model, advanced in lockstep by a shared cycle counter. Time
-// wheels and the FU pipeline therefore stay scalar inside each lane, so
-// per-lane cycle accounting — packet counts, busy counters, II — is exactly
-// what a scalar run of that lane's streams would report, and lane 0 (which
-// always consumes the graph-bound streams and carries the Tracer) is
-// byte-identical to a sequential run by construction.
+// Batched execution: B independent input streams ("lanes") run through one
+// prepared machine configuration in a single Run. Where the exec core
+// widens its arc state into lane-minor structure-of-arrays rows, the
+// packet-level simulator has nothing to share between lanes (each lane's
+// packets, time wheels and FU pipelines are its own), so it runs the lanes
+// one after another, in lane order, each as a scalar run over pooled run
+// state. Per-lane cycle accounting — packet counts, busy counters, II — is
+// therefore exactly what a scalar run of that lane's streams reports, and
+// lane 0 (which always consumes the base streams and carries the Tracer)
+// is byte-identical to a scalar run by construction.
 //
-// Workers > 1 shards the run by contiguous lane ranges: each worker owns
-// its lanes' machines outright and advances them without any cross-worker
-// barrier, so the lane-sharded path is deterministic per lane at any
-// worker count. Cancellation is polled per worker every
-// exec.CancelCadence cycles; lanes within one worker observe the cancel at
-// the same poll cycle, while a lane on another worker either completes
-// before the cancel lands or stops at its own poll cycle.
+// Cancellation is polled by each lane's cycle loop: lanes that finished
+// before the cancel come back complete, the lane running when it lands
+// stops at its next poll, and every later lane comes back Canceled at
+// cycle 0.
 
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"staticpipe/internal/exec"
 	"staticpipe/internal/graph"
@@ -31,9 +26,9 @@ import (
 	"staticpipe/internal/value"
 )
 
-// runBatched drives cfg.Batch lockstep machine instances over the expanded
-// graph g and assembles the per-lane views.
-func runBatched(g *graph.Graph, cfg Config) (*Result, error) {
+// runBatched runs cfg.Batch lanes over the prepared graph and assembles the
+// per-lane views, lane 0 becoming the top-level Result.
+func (p *Prepared) runBatched(cfg Config) (*Result, error) {
 	b := cfg.Batch
 	if b > exec.MaxBatch {
 		return nil, fmt.Errorf("machine: Batch %d exceeds the %d-lane limit", b, exec.MaxBatch)
@@ -42,7 +37,7 @@ func runBatched(g *graph.Graph, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("machine: %d lane input sets for %d lanes", len(cfg.LaneInputs), b)
 	}
 	srcLabels := map[string]bool{}
-	for _, n := range g.Nodes() {
+	for _, n := range p.g.Nodes() {
 		if n.Op == graph.OpSource {
 			srcLabels[n.Label] = true
 		}
@@ -59,8 +54,11 @@ func runBatched(g *graph.Graph, cfg Config) (*Result, error) {
 	if cfg.Progress != nil {
 		laneCtrs = cfg.Progress.InitLanes(b)
 	}
-	ms := make([]*machine, b)
-	for l := 0; l < b; l++ {
+	lanes := make([]LaneResult, b)
+	var top *Result
+	anyMaxed := false
+	cancelCycle := -1
+	for l := range lanes {
 		lcfg := cfg
 		streams := cfg.Inputs // the base binding every lane defaults to
 		if l > 0 {
@@ -69,112 +67,19 @@ func runBatched(g *graph.Graph, cfg Config) (*Result, error) {
 				streams = mergeStreams(cfg.Inputs, cfg.LaneInputs[l])
 			}
 		}
-		m, err := newMachine(g, lcfg, streams, nil)
-		if err != nil {
+		var ctr *trace.LaneCounters
+		if laneCtrs != nil {
+			ctr = laneCtrs[l]
+		}
+		res, err := p.runLane(lcfg, streams, ctr)
+		if res == nil {
 			return nil, err
 		}
-		if laneCtrs != nil {
-			m.laneCtr = laneCtrs[l]
-		}
-		ms[l] = m
-	}
-
-	laneCycles := make([]int, b)
-	runLanes := func(l0, l1 int) {
-		var done <-chan struct{}
-		if cfg.Ctx != nil {
-			done = cfg.Ctx.Done()
-		}
-		live := make([]bool, l1-l0)
-		for i := range live {
-			live[i] = true
-		}
-		remaining := l1 - l0
-		canceled := false
-		cycle := 0
-		for ; remaining > 0 && cycle < cfg.MaxCycles; cycle++ {
-			if done != nil && cycle&(exec.CancelCadence-1) == 0 {
-				select {
-				case <-done:
-					canceled = true
-				default:
-				}
-				if canceled {
-					break
-				}
-			}
-			if l0 == 0 && cfg.Progress != nil {
-				cfg.Progress.Cycle.Store(int64(cycle))
-			}
-			for l := l0; l < l1; l++ {
-				if !live[l-l0] {
-					continue
-				}
-				m := ms[l]
-				if !m.step(cycle) {
-					live[l-l0] = false
-					remaining--
-					laneCycles[l] = cycle
-					if m.laneCtr != nil {
-						m.laneCtr.Cycles.Store(int64(cycle))
-						m.laneCtr.Done.Store(1)
-					}
-					continue
-				}
-				if m.laneCtr != nil {
-					m.laneCtr.Cycles.Store(int64(cycle))
-				}
-			}
-		}
-		// Lanes still live stopped for an external reason: the cancel poll
-		// fired, or the shared cycle counter hit MaxCycles.
-		for l := l0; l < l1; l++ {
-			if !live[l-l0] {
-				continue
-			}
-			m := ms[l]
-			m.canceled = canceled
-			laneCycles[l] = cycle
-			if m.laneCtr != nil {
-				m.laneCtr.Cycles.Store(int64(cycle))
-				m.laneCtr.Done.Store(1)
-			}
-		}
-	}
-
-	w := cfg.Workers
-	if w > b {
-		w = b
-	}
-	if w <= 1 {
-		runLanes(0, b)
-	} else {
-		per := (b + w - 1) / w
-		var wg sync.WaitGroup
-		for l0 := 0; l0 < b; l0 += per {
-			l1 := min(l0+per, b)
-			wg.Add(1)
-			go func(a, z int) {
-				defer wg.Done()
-				runLanes(a, z)
-			}(l0, l1)
-		}
-		wg.Wait()
-	}
-
-	// Assemble: finish each lane (diagnostics, canceled decoration), lane 0
-	// becoming the top-level view.
-	lanes := make([]LaneResult, b)
-	var top *Result
-	anyMaxed := false
-	cancelCycle := -1
-	for l := 0; l < b; l++ {
-		res, _ := ms[l].finish(laneCycles[l])
 		if res.Canceled {
 			if l == 0 || res.Cycles > cancelCycle {
 				cancelCycle = res.Cycles
 			}
-		} else if laneCycles[l] >= cfg.MaxCycles {
+		} else if res.Cycles >= cfg.MaxCycles {
 			anyMaxed = true
 		}
 		lanes[l] = LaneResult{

@@ -35,36 +35,32 @@ func laneViewM(r *Result, l int) *Result {
 // identity contract: with every lane fed the graph's bound streams, every
 // lane's view — including packet counts and busy counters — and the
 // top-level fields (lane 0's) are byte-identical to a scalar run, for any
-// lane count and any lane-sharding worker count.
+// lane count.
 func TestMachineBatchedLaneIdentity(t *testing.T) {
-	for name, tc := range parallelMachineCases() {
+	for name, tc := range machineCases() {
 		seq, err := Run(tc.build(), tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", name, err)
 		}
 		for _, b := range []int{1, 4, 16} {
-			for _, w := range []int{1, 4} {
-				cfg := tc.cfg
-				cfg.Batch = b
-				cfg.Workers = w
-				bat, err := Run(tc.build(), cfg)
-				if err != nil {
-					t.Fatalf("%s B=%d W=%d: %v", name, b, w, err)
+			cfg := tc.cfg
+			cfg.Batch = b
+			bat, err := Run(tc.build(), cfg)
+			if err != nil {
+				t.Fatalf("%s B=%d: %v", name, b, err)
+			}
+			requireSameMachineResult(t, fmt.Sprintf("%s B=%d top", name, b), seq, bat)
+			if b <= 1 {
+				if bat.Batch != 0 || bat.Lanes != nil {
+					t.Errorf("%s B=%d: scalar run reports batch fields", name, b)
 				}
-				requireSameMachineResult(t, fmt.Sprintf("%s B=%d W=%d top", name, b, w), w, seq, bat)
-				if b <= 1 {
-					if bat.Batch != 0 || bat.Lanes != nil {
-						t.Errorf("%s B=%d: scalar run reports batch fields", name, b)
-					}
-					continue
-				}
-				if bat.Batch != b || len(bat.Lanes) != b {
-					t.Fatalf("%s B=%d W=%d: Batch=%d len(Lanes)=%d", name, b, w, bat.Batch, len(bat.Lanes))
-				}
-				for l := 0; l < b; l++ {
-					requireSameMachineResult(t, fmt.Sprintf("%s B=%d W=%d lane %d", name, b, w, l), w,
-						seq, laneViewM(bat, l))
-				}
+				continue
+			}
+			if bat.Batch != b || len(bat.Lanes) != b {
+				t.Fatalf("%s B=%d: Batch=%d len(Lanes)=%d", name, b, bat.Batch, len(bat.Lanes))
+			}
+			for l := 0; l < b; l++ {
+				requireSameMachineResult(t, fmt.Sprintf("%s B=%d lane %d", name, b, l), seq, laneViewM(bat, l))
 			}
 		}
 	}
@@ -74,29 +70,26 @@ func TestMachineBatchedLaneIdentity(t *testing.T) {
 // the packet-level core: firings, sends, deliveries, FU activity, and
 // stall events of a batched run equal the scalar stream event for event.
 func TestMachineBatchedTraceByteIdentical(t *testing.T) {
-	for name, tc := range parallelMachineCases() {
+	for name, tc := range machineCases() {
 		var seqRec machRecorder
 		cfg := tc.cfg
 		cfg.Tracer = &seqRec
 		if _, err := Run(tc.build(), cfg); err != nil {
 			t.Fatalf("%s: sequential: %v", name, err)
 		}
-		for _, w := range []int{1, 4} {
-			var batRec machRecorder
-			bcfg := tc.cfg
-			bcfg.Tracer = &batRec
-			bcfg.Batch = 4
-			bcfg.Workers = w
-			if _, err := Run(tc.build(), bcfg); err != nil {
-				t.Fatalf("%s B=4 W=%d: %v", name, w, err)
-			}
-			if !reflect.DeepEqual(seqRec.meta, batRec.meta) {
-				t.Errorf("%s B=4 W=%d: trace metadata diverges", name, w)
-			}
-			if !reflect.DeepEqual(seqRec.events, batRec.events) {
-				t.Errorf("%s B=4 W=%d: event streams diverge (%d vs %d events)",
-					name, w, len(seqRec.events), len(batRec.events))
-			}
+		var batRec machRecorder
+		bcfg := tc.cfg
+		bcfg.Tracer = &batRec
+		bcfg.Batch = 4
+		if _, err := Run(tc.build(), bcfg); err != nil {
+			t.Fatalf("%s B=4: %v", name, err)
+		}
+		if !reflect.DeepEqual(seqRec.meta, batRec.meta) {
+			t.Errorf("%s B=4: trace metadata diverges", name)
+		}
+		if !reflect.DeepEqual(seqRec.events, batRec.events) {
+			t.Errorf("%s B=4: event streams diverge (%d vs %d events)",
+				name, len(seqRec.events), len(batRec.events))
 		}
 	}
 }
@@ -150,7 +143,7 @@ func TestMachineBatchedLaneInputs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lane %d sequential: %v", l, err)
 		}
-		requireSameMachineResult(t, fmt.Sprintf("lane %d", l), 1, seq, laneViewM(bat, l))
+		requireSameMachineResult(t, fmt.Sprintf("lane %d", l), seq, laneViewM(bat, l))
 	}
 	if bat.Lanes[2].Cycles >= bat.Lanes[1].Cycles {
 		t.Errorf("short lane 2 quiesced at cycle %d, not before lane 1's %d",
@@ -180,36 +173,32 @@ func TestMachineBatchedValidation(t *testing.T) {
 // error and lane 0's partial view stay byte-identical to the scalar
 // engine, and every lane carries its own partial view.
 func TestMachineBatchedPartialResult(t *testing.T) {
-	tc := parallelMachineCases()["fig2-crossbar"]
+	tc := machineCases()["fig2-crossbar"]
 	cfg := tc.cfg
 	cfg.MaxCycles = 40
 	seq, seqErr := Run(tc.build(), cfg)
 	if seqErr == nil {
 		t.Fatal("sequential run unexpectedly quiesced in 40 cycles")
 	}
-	for _, w := range []int{1, 4} {
-		bcfg := cfg
-		bcfg.Batch = 4
-		bcfg.Workers = w
-		bat, batErr := Run(tc.build(), bcfg)
-		if batErr == nil {
-			t.Fatalf("W=%d: batched run unexpectedly quiesced", w)
-		}
-		if seqErr.Error() != batErr.Error() {
-			t.Errorf("W=%d: error %q, sequential %q", w, batErr, seqErr)
-		}
-		requireSameMachineResult(t, "partial top", w, seq, bat)
-		for l := 0; l < 4; l++ {
-			requireSameMachineResult(t, fmt.Sprintf("partial lane %d", l), w, seq, laneViewM(bat, l))
-		}
+	cfg.Batch = 4
+	bat, batErr := Run(tc.build(), cfg)
+	if batErr == nil {
+		t.Fatal("batched run unexpectedly quiesced")
+	}
+	if seqErr.Error() != batErr.Error() {
+		t.Errorf("error %q, sequential %q", batErr, seqErr)
+	}
+	requireSameMachineResult(t, "partial top", seq, bat)
+	for l := 0; l < 4; l++ {
+		requireSameMachineResult(t, fmt.Sprintf("partial lane %d", l), seq, laneViewM(bat, l))
 	}
 }
 
-// TestMachineBatchedLaneTelemetry attaches the live progress counters to a
-// batched lane-sharded machine run (the configuration the race detector
-// must bless) and checks the per-lane blocks are populated and consistent.
+// TestMachineBatchedLaneTelemetry attaches the live telemetry stack to a
+// batched machine run and checks the per-lane counter blocks are populated
+// and consistent.
 func TestMachineBatchedLaneTelemetry(t *testing.T) {
-	tc := parallelMachineCases()["wide-butterfly"]
+	tc := machineCases()["wide-butterfly"]
 	seq, err := Run(tc.build(), tc.cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -217,14 +206,13 @@ func TestMachineBatchedLaneTelemetry(t *testing.T) {
 	prog := &trace.Progress{}
 	cfg := tc.cfg
 	cfg.Batch = 8
-	cfg.Workers = 4
 	cfg.Tracer = trace.NewLive()
 	cfg.Progress = prog
 	bat, err := Run(tc.build(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameMachineResult(t, "telemetry", 4, seq, bat)
+	requireSameMachineResult(t, "telemetry", seq, bat)
 	lanes := prog.BatchLanes()
 	if len(lanes) != 8 {
 		t.Fatalf("progress exposes %d lane counter blocks, want 8", len(lanes))
@@ -250,3 +238,105 @@ func TestMachineBatchedLaneTelemetry(t *testing.T) {
 		t.Errorf("aggregate arrival counter %d, want %d", got, want*8)
 	}
 }
+
+type machineCase struct {
+	build func() *graph.Graph
+	cfg   Config
+}
+
+// machineCases cover every machine feature a batched lane must reproduce:
+// FU traffic, both network models, split fabrics, gated arcs, merge loops,
+// and FIFO expansion.
+func machineCases() map[string]machineCase {
+	return map[string]machineCase{
+		"fig2-crossbar": {
+			build: func() *graph.Graph { g, _ := fig2(48); return g },
+			cfg:   Config{PEs: 4, AMs: 2},
+		},
+		"wide-butterfly": {
+			build: func() *graph.Graph { return wideGraph(6, 24) },
+			cfg:   Config{PEs: 8, FUs: 4, AMs: 3, Network: Butterfly},
+		},
+		"fig2-split-nets": {
+			build: func() *graph.Graph { g, _ := fig2(32); return g },
+			cfg:   Config{PEs: 4, FUs: 2, AMs: 2, SplitNetworks: true},
+		},
+		"loop": {
+			build: func() *graph.Graph {
+				g := graph.New()
+				a := g.AddSource("a", value.Ints([]int64{1, 2, 3, 4, 5}))
+				add := g.Add(graph.OpAdd, "acc")
+				merge := g.Add(graph.OpMerge, "m")
+				g.Connect(g.AddCtl("mctl", graph.Pattern{Prefix: []bool{false}, Body: []bool{true}, Repeat: 5}), merge, 0)
+				g.Connect(a, add, 0)
+				g.Connect(add, merge, 1)
+				g.SetLiteral(merge, 2, value.I(0))
+				gp := g.AddGate(merge)
+				g.Connect(g.AddCtl("fbctl", graph.Pattern{Body: []bool{true}, Repeat: 5, Suffix: []bool{false}}), merge, gp)
+				fb := g.ConnectGated(merge, gp, add, 1)
+				fb.Feedback = true
+				g.Connect(merge, g.AddSink("x"), 0)
+				return g
+			},
+			cfg: Config{PEs: 2},
+		},
+		"gated-fifo": {
+			build: func() *graph.Graph {
+				g := graph.New()
+				n := 12
+				vals := make([]float64, n)
+				for i := range vals {
+					vals[i] = float64(i)
+				}
+				src := g.AddSource("C", value.Reals(vals))
+				ctl := g.AddCtl("sel", graph.Pattern{Prefix: []bool{false}, Body: []bool{true}, Repeat: n - 2, Suffix: []bool{false}})
+				gate := g.Add(graph.OpTGate, "sel")
+				f := g.AddFIFO("buf", 3)
+				g.Connect(ctl, gate, 0)
+				g.Connect(src, gate, 1)
+				g.Connect(gate, f, 0)
+				g.Connect(f, g.AddSink("out"), 0)
+				return g
+			},
+			cfg: Config{PEs: 3, AMs: 2},
+		},
+	}
+}
+
+// requireSameMachineResult compares every observable Result field of two
+// runs.
+func requireSameMachineResult(t *testing.T, name string, seq, par *Result) {
+	t.Helper()
+	if seq.Cycles != par.Cycles {
+		t.Errorf("%s: cycles %d, sequential %d", name, par.Cycles, seq.Cycles)
+	}
+	if !reflect.DeepEqual(seq.Outputs, par.Outputs) {
+		t.Errorf("%s: outputs diverge", name)
+	}
+	if !reflect.DeepEqual(seq.Arrivals, par.Arrivals) {
+		t.Errorf("%s: arrival streams diverge", name)
+	}
+	if !reflect.DeepEqual(seq.Packets, par.Packets) || seq.TotalPackets != par.TotalPackets || seq.AMPackets != par.AMPackets {
+		t.Errorf("%s: packet statistics diverge: %v/%d/%d vs %v/%d/%d", name,
+			par.Packets, par.TotalPackets, par.AMPackets, seq.Packets, seq.TotalPackets, seq.AMPackets)
+	}
+	if !reflect.DeepEqual(seq.PEBusy, par.PEBusy) || !reflect.DeepEqual(seq.FUBusy, par.FUBusy) {
+		t.Errorf("%s: busy counters diverge: PE %v vs %v, FU %v vs %v", name,
+			par.PEBusy, seq.PEBusy, par.FUBusy, seq.FUBusy)
+	}
+	if seq.Clean != par.Clean {
+		t.Errorf("%s: clean %v, sequential %v", name, par.Clean, seq.Clean)
+	}
+	if !reflect.DeepEqual(seq.Stalled, par.Stalled) {
+		t.Errorf("%s: stall diagnostics diverge\nseq: %v\npar: %v", name, seq.Stalled, par.Stalled)
+	}
+}
+
+// machRecorder keeps the verbatim event stream for byte-level comparison.
+type machRecorder struct {
+	meta   trace.Meta
+	events []trace.Event
+}
+
+func (r *machRecorder) Start(m trace.Meta) { r.meta = m }
+func (r *machRecorder) Emit(e trace.Event) { r.events = append(r.events, e) }

@@ -26,25 +26,3 @@ func BenchmarkKernelCyclesPerSec(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkShardedCyclesPerSec measures the sharded parallel machine engine
-// at the contract's worker counts: P=1 is the sequential kernel, higher P
-// exposes the per-cycle barrier and merge-phase overhead.
-func BenchmarkShardedCyclesPerSec(b *testing.B) {
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
-			totalCycles := 0
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g := wideGraph(8, 128)
-				b.StartTimer()
-				res, err := Run(g, Config{PEs: 8, FUs: 4, AMs: 4, Workers: p})
-				if err != nil {
-					b.Fatal(err)
-				}
-				totalCycles += res.Cycles
-			}
-			b.ReportMetric(float64(totalCycles)/b.Elapsed().Seconds(), "cycles/sec")
-		})
-	}
-}

@@ -20,6 +20,10 @@
 // payload buffers, and sink buffers are preallocated. A run's allocations
 // therefore do not grow with stream length
 // (TestSteadyStateAllocationsFlat).
+//
+// Every run is one sequential cycle loop over run state pooled on a
+// Prepared graph (Run is Prepare then Prepared.Run); a batched run
+// (Config.Batch) runs its lanes through that loop one after another.
 package machine
 
 import (
@@ -31,7 +35,6 @@ import (
 
 	"staticpipe/internal/exec"
 	"staticpipe/internal/graph"
-	"staticpipe/internal/partition"
 	"staticpipe/internal/trace"
 	"staticpipe/internal/value"
 )
@@ -140,30 +143,19 @@ type Config struct {
 	// mid-run. Like Tracer it is passive and costs one nil check when
 	// unset.
 	Progress *trace.Progress
-	// Workers selects the sharded parallel engine: machine endpoints are
-	// dealt to min(Workers, endpoints) worker goroutines that deliver,
-	// execute, and retire their own endpoints' work concurrently, with
-	// packet emission serialized once per cycle in the sequential
-	// engine's exact order. 0 or 1 runs the sequential engine. Every
-	// observable outcome — outputs, arrivals, packet counts, busy
-	// counters, stall diagnostics, and the trace event stream — is
-	// byte-identical for any worker count.
-	Workers int
 	// Ctx, if non-nil, cancels the run early: the cycle loop polls
 	// Ctx.Done() every exec.CancelCadence cycles and, when fired, returns
 	// the partial Result (Canceled set, a "canceled" stall diagnostic
 	// first) together with a wrapping error. A nil Ctx costs one nil check
 	// per cadence window; an un-canceled Ctx never alters results.
 	Ctx context.Context
-	// Batch widens the run to B independent input streams ("lanes"): one
-	// placed machine instance per lane advances through the same expanded
-	// graph in lockstep, so the packet-level cycle accounting of every
-	// lane is exactly what a scalar run of that lane's streams would
-	// report. Lane 0 always consumes the graph-bound streams and its view
-	// (the top-level Result fields, the Tracer event stream) is
-	// byte-identical to a scalar run. At most exec.MaxBatch lanes. When
-	// Batch > 1, Workers shards the run by lane ranges instead of machine
-	// endpoints.
+	// Batch widens the run to B independent input streams ("lanes"), run
+	// one after another in lane order, each as a scalar run of that lane's
+	// streams, so every lane's packet-level cycle accounting is exactly
+	// what a scalar run would report. Lane 0 always consumes the
+	// graph-bound streams and its view (the top-level Result fields, the
+	// Tracer event stream) is byte-identical to a scalar run. At most
+	// exec.MaxBatch lanes.
 	Batch int
 	// LaneInputs supplies per-lane source streams for a batched run,
 	// keyed by source-cell label: LaneInputs[l] rebinds lane l's sources;
@@ -231,13 +223,6 @@ type Result struct {
 	// Graph is the graph actually simulated (FIFO cells expanded), the
 	// one trace event cell IDs refer to.
 	Graph *graph.Graph
-	// Shards holds per-shard accounting when the run used the sharded
-	// engine (Config.Workers > 1); nil for sequential runs.
-	Shards []partition.ShardStat
-	// ShardDiag lists shard diagnostics captured when a sharded run
-	// halted without quiescing. Separate from Stalled so stall
-	// diagnostics stay byte-identical across worker counts.
-	ShardDiag []string
 	// Batch is the lane count of a batched run (0 for scalar runs); the
 	// top-level fields above are lane 0's view.
 	Batch int
@@ -247,8 +232,7 @@ type Result struct {
 
 // LaneResult is one lane's view of a batched machine run. Its fields mean
 // exactly what the same-named Result fields mean for a scalar run of that
-// lane's streams — the lockstep engine simulates one placed machine per
-// lane, so per-lane packet counts and busy counters are preserved.
+// lane's streams: each lane is one.
 type LaneResult struct {
 	Cycles       int
 	Outputs      map[string][]value.Value
@@ -308,7 +292,7 @@ type cell struct {
 	// stream is the source cell's bound stream — the graph's, unless a
 	// batched lane rebound it via Config.LaneInputs. Nil for non-sources.
 	stream []value.Value
-	// stale marks a cell the sequential engine planned without success and
+	// stale marks a cell the retirement scan planned without success and
 	// no packet has reached since. Its plan reads only its own operand
 	// slots, pending acknowledges and source position, which change only
 	// when a result or acknowledge packet arrives (deliver clears the mark)
@@ -355,11 +339,10 @@ type machine struct {
 	prog      *trace.Progress
 	laneCtr   *trace.LaneCounters // this lane's live counters in a batched run
 	fired     []bool              // per-cell fired-this-cycle scratch (tracing only)
-	canceled  bool                // Config.Ctx fired mid-run (set by the cycle loops)
-	arena     *runArena           // pooled run state on the Prepared path; nil otherwise
+	canceled  bool                // Config.Ctx fired mid-run (set by drive)
+	arena     *runArena           // pooled run state the cells are carved from
 
-	// plan is the sequential engine's planCell result, reused across calls;
-	// the sharded engine gives each worker its own.
+	// plan is planCell's result, reused across calls.
 	plan cellPlan
 
 	pktFree []*packet // recycled packets
@@ -389,51 +372,22 @@ func (m *machine) newPacket() *packet {
 
 func (m *machine) freePacket(p *packet) { m.pktFree = append(m.pktFree, p) }
 
-// Run simulates the graph on the configured machine. When MaxCycles is
-// exhausted before quiescence the partial Result (with Stalled diagnostics
-// populated) is returned together with the error.
+// Run simulates the graph on the configured machine: Prepare then
+// Prepared.Run. When MaxCycles is exhausted before quiescence the partial
+// Result (with Stalled diagnostics populated) is returned together with
+// the error.
 func Run(g *graph.Graph, cfg Config) (*Result, error) {
-	res, err := run(g, cfg)
-	annotateSpan(cfg.Ctx, res, err, cfg.Workers, cfg.Batch)
-	return res, err
-}
-
-// run is Run without span annotation; the wrapper records the outcome
-// onto any obs.Span carried by cfg.Ctx strictly after the simulation has
-// ended, so an attached span cannot perturb packet order or cycle counts.
-func run(g *graph.Graph, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	g = g.ExpandFIFOs()
-	if err := validateInputs(g, cfg.Inputs); err != nil {
-		return nil, err
-	}
-	if cfg.Batch > 1 {
-		return runBatched(g, cfg)
-	}
-	m, err := newMachine(g, cfg, cfg.Inputs, nil)
+	p, err := Prepare(g)
 	if err != nil {
 		return nil, err
 	}
-	return m.drive()
+	return p.Run(cfg)
 }
 
-// drive is the cycle loop shared by the one-shot and Prepared entry
-// points: it dispatches to the sharded engine or steps the sequential one
-// until quiescence, cancellation, or the cycle bound.
+// drive steps the machine until quiescence, cancellation, or the cycle
+// bound.
 func (m *machine) drive() (*Result, error) {
 	cfg := m.cfg
-	if w := cfg.Workers; w > 1 {
-		if n := m.numEndpoints(); w > n {
-			w = n
-		}
-		if w > 1 {
-			return m.runSharded(w)
-		}
-	}
-
 	var done <-chan struct{}
 	if cfg.Ctx != nil {
 		done = cfg.Ctx.Done()
@@ -453,9 +407,16 @@ func (m *machine) drive() (*Result, error) {
 		if m.prog != nil {
 			m.prog.Cycle.Store(int64(cycle))
 		}
+		if m.laneCtr != nil {
+			m.laneCtr.Cycles.Store(int64(cycle))
+		}
 		if !m.step(cycle) {
 			break
 		}
+	}
+	if m.laneCtr != nil {
+		m.laneCtr.Cycles.Store(int64(cycle))
+		m.laneCtr.Done.Store(1)
 	}
 	return m.finish(cycle)
 }
@@ -483,10 +444,10 @@ func validateInputs(g *graph.Graph, inputs map[string][]value.Value) error {
 }
 
 // newMachine builds and places one machine instance over the validated,
-// FIFO-expanded graph. laneStreams, when non-nil, rebinds source streams by
-// label (per-run Config.Inputs or a batched lane's inputs, already merged);
-// missing labels keep the graph's stream. arena, when non-nil, supplies
-// pooled run state (the Prepared path) instead of fresh allocations.
+// FIFO-expanded graph, carving its cells out of the pooled arena.
+// laneStreams, when non-nil, rebinds source streams by label (per-run
+// Config.Inputs or a batched lane's inputs, already merged); missing
+// labels keep the graph's stream.
 func newMachine(g *graph.Graph, cfg Config, laneStreams map[string][]value.Value, arena *runArena) (*machine, error) {
 	m := &machine{
 		cfg:       cfg,
@@ -559,8 +520,7 @@ func newMachine(g *graph.Graph, cfg Config, laneStreams map[string][]value.Value
 	return m, nil
 }
 
-// finish assembles the Result once the cycle loop (sequential or sharded)
-// has halted at endCycle.
+// finish assembles the Result once the cycle loop has halted at endCycle.
 func (m *machine) finish(endCycle int) (*Result, error) {
 	m.res.Cycles = endCycle
 	m.res.Clean, m.res.Stalled = m.drainState()
@@ -609,31 +569,21 @@ func (m *machine) meta() trace.Meta {
 // place assigns cells to endpoints: sources and sinks to AMs, everything
 // else per the configured strategy.
 func (m *machine) place() error {
-	if ar := m.arena; ar != nil {
-		// Pooled path: cells and their operand slots are carved out of the
-		// arena's flat arrays instead of allocated per run. The arena was
-		// sized for this exact graph at Prepare time.
-		m.cells = ar.cells[:m.g.NumNodes()]
-		clear(ar.toks)
-		clear(ar.has)
-		off := 0
-		for _, n := range m.g.Nodes() {
-			np := len(n.In)
-			m.cells[n.ID] = cell{
-				node:  n,
-				inTok: ar.toks[off : off+np : off+np],
-				inHas: ar.has[off : off+np : off+np],
-			}
-			off += np
+	// Cells and their operand slots are carved out of the arena's flat
+	// arrays, which Prepare sized for this exact graph.
+	ar := m.arena
+	m.cells = ar.cells[:m.g.NumNodes()]
+	clear(ar.toks)
+	clear(ar.has)
+	off := 0
+	for _, n := range m.g.Nodes() {
+		np := len(n.In)
+		m.cells[n.ID] = cell{
+			node:  n,
+			inTok: ar.toks[off : off+np : off+np],
+			inHas: ar.has[off : off+np : off+np],
 		}
-	} else {
-		m.cells = make([]cell, m.g.NumNodes())
-		for _, n := range m.g.Nodes() {
-			c := &m.cells[n.ID]
-			c.node = n
-			c.inTok = make([]value.Value, len(n.In))
-			c.inHas = make([]bool, len(n.In))
-		}
+		off += np
 	}
 	var computeIDs []int
 	amNext := 0
@@ -808,7 +758,7 @@ func (m *machine) emitStalls(now int) {
 			continue
 		}
 		c := &m.cells[id]
-		why := m.planCell(c, &m.plan)
+		why := m.planCell(c)
 		switch why {
 		case trace.ReasonNone:
 			why = trace.ReasonUnitBusy
@@ -906,10 +856,10 @@ func (c *cell) operand(p int) (value.Value, bool) {
 
 // cellPlan is a cell's planned retirement effect, filled in by planCell and
 // applied by fire. Arithmetic cells (arith) ship an operation packet
-// carrying vals instead of producing out locally. Each planCell caller owns
-// one cellPlan and passes it to every call, so the consume, vals and
-// targets buffers are reused: a plan is valid until the caller's next
-// planCell call, and fire copies what must outlive it.
+// carrying vals instead of producing out locally. planCell refills the
+// machine's one cellPlan on every call, so the consume, vals and targets
+// buffers are reused: a plan is valid until the next planCell call, and
+// fire copies what must outlive it.
 type cellPlan struct {
 	consume  []int // ports whose tokens are consumed
 	out      value.Value
@@ -921,17 +871,16 @@ type cellPlan struct {
 	targets  []target
 }
 
-// planCell decides whether cell c can retire now and, if so, fills pl with
-// its effects. The returned reason is trace.ReasonNone when the cell is
-// enabled and otherwise classifies the stall; planCell has no side effects
-// beyond pl either way, and reads only c's own state plus immutable
-// placement, so shard workers may plan different cells concurrently as
-// long as each passes its own plan.
-func (m *machine) planCell(c *cell, pl *cellPlan) trace.Reason {
+// planCell decides whether cell c can retire now and, if so, fills m.plan
+// with its effects. The returned reason is trace.ReasonNone when the cell
+// is enabled and otherwise classifies the stall; planCell has no side
+// effects beyond m.plan either way.
+func (m *machine) planCell(c *cell) trace.Reason {
 	if c.pendingAcks > 0 {
 		return trace.ReasonAckWait
 	}
 	n := c.node
+	pl := &m.plan
 	pl.consume = pl.consume[:0]
 	pl.targets = pl.targets[:0]
 	pl.produced, pl.advance, pl.sink, pl.arith = false, false, false, false
@@ -1051,11 +1000,11 @@ func (m *machine) planCell(c *cell, pl *cellPlan) trace.Reason {
 // function unit (which sends the result packets); either way the cell owes
 // acknowledgments for every destination targeted.
 func (m *machine) fire(c *cell, now int) bool {
-	pl := &m.plan
-	if m.planCell(c, pl) != trace.ReasonNone {
+	if m.planCell(c) != trace.ReasonNone {
 		c.stale = true
 		return false
 	}
+	pl := &m.plan
 	n := c.node
 	if m.tr != nil {
 		m.fired[n.ID] = true
@@ -1182,9 +1131,6 @@ func Describe(r *Result) string {
 	sort.Strings(labels)
 	for _, l := range labels {
 		fmt.Fprintf(&b, "  sink %q: %d values, II=%.3f\n", l, len(r.Outputs[l]), r.II(l))
-	}
-	for _, d := range r.ShardDiag {
-		fmt.Fprintf(&b, "shard-diag: %s\n", d)
 	}
 	return b.String()
 }

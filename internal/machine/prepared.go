@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"staticpipe/internal/graph"
+	"staticpipe/internal/trace"
 	"staticpipe/internal/value"
 )
 
@@ -60,7 +61,7 @@ func (p *Prepared) Graph() *graph.Graph { return p.g }
 // diagnostics are byte-identical to Run(g, cfg) on the unexpanded graph.
 func (p *Prepared) Run(cfg Config) (*Result, error) {
 	res, err := p.run(cfg)
-	annotateSpan(cfg.Ctx, res, err, cfg.Workers, cfg.Batch)
+	annotateSpan(cfg.Ctx, res, err, cfg.Batch)
 	return res, err
 }
 
@@ -70,20 +71,23 @@ func (p *Prepared) run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if cfg.Batch > 1 {
-		// Batched runs build one machine instance per lane; those are
-		// inherently per-run, so the lane path allocates as before (still
-		// skipping the re-validate/re-expand this Prepared already paid).
-		return runBatched(p.g, cfg)
+		return p.runBatched(cfg)
 	}
+	return p.runLane(cfg, cfg.Inputs, nil)
+}
+
+// runLane runs one machine instance over pooled run state: all of a scalar
+// run, or one lane of a batched run (ctr then receives its live counters).
+// Returning the arena in the deferred put is safe: nothing carved from it
+// escapes into the Result.
+func (p *Prepared) runLane(cfg Config, streams map[string][]value.Value, ctr *trace.LaneCounters) (*Result, error) {
 	ar := p.getArena()
 	defer p.putArena(ar)
-	m, err := newMachine(p.g, cfg, cfg.Inputs, ar)
+	m, err := newMachine(p.g, cfg, streams, ar)
 	if err != nil {
 		return nil, err
 	}
-	// Returning the arena in the deferred put is safe: drive joins any
-	// shard workers before returning, and nothing carved from the arena
-	// escapes into the Result.
+	m.laneCtr = ctr
 	return m.drive()
 }
 

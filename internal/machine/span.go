@@ -12,7 +12,7 @@ import (
 // ctx, if any. Mirrors exec's annotate path: it reads only the immutable
 // Result after the cycle loop has returned, so span-attached and detached
 // runs are byte-identical.
-func annotateSpan(ctx context.Context, res *Result, err error, workers, batch int) {
+func annotateSpan(ctx context.Context, res *Result, err error, batch int) {
 	sp := obs.SpanFrom(ctx)
 	if sp == nil || res == nil {
 		return
@@ -21,9 +21,6 @@ func annotateSpan(ctx context.Context, res *Result, err error, workers, batch in
 	sp.Set("cycles", int64(res.Cycles))
 	sp.Set("packets", int64(res.TotalPackets))
 	sp.Set("clean", res.Clean)
-	if workers > 1 {
-		sp.Set("workers", int64(workers))
-	}
 	if batch > 1 {
 		sp.Set("batch", int64(batch))
 	}
@@ -37,17 +34,6 @@ func annotateSpan(ctx context.Context, res *Result, err error, workers, batch in
 		sp.Set("stalls", int64(len(res.Stalled)))
 	}
 	now := time.Now()
-	for i := range res.Shards {
-		st := &res.Shards[i]
-		start := now.Add(-time.Duration(st.WallNs))
-		ch := sp.ChildAt(obs.KindShard, fmt.Sprintf("shard[%d]", i), start, now)
-		ch.Set("endpoints", int64(st.Cells))
-		ch.Set("firings", st.Firings)
-		ch.Set("ring_sends", st.RingSends)
-		ch.Set("ring_recvs", st.RingRecvs)
-		ch.Set("ring_peak", st.RingPeak)
-		ch.Set("barrier_wait_ns", st.BarrierWait.Sum)
-	}
 	for i := range res.Lanes {
 		l := &res.Lanes[i]
 		ch := sp.ChildAt(obs.KindLane, fmt.Sprintf("lane[%d]", i), sp.StartTime(), now)

@@ -14,8 +14,8 @@ import (
 //   - one trace process (pid 0) per tree;
 //   - the sequential phase spans (job, admission, queue.wait, run) share
 //     thread 0 — they nest in time, so the viewer renders them as a flame;
-//   - each shard and lane span gets its own thread, since they overlap in
-//     wall time;
+//   - each lane span gets its own thread, since lanes overlap in wall
+//     time;
 //   - one trace tick (ts) is one microsecond, relative to the root start.
 //
 // Span attributes become the event's args.
@@ -40,7 +40,7 @@ func WriteChrome(w io.Writer, root *SpanJSON) error {
 	base := root.Start
 	root.Walk(func(s *SpanJSON) {
 		tid := int64(0)
-		if s.Kind == KindShard || s.Kind == KindLane {
+		if s.Kind == KindLane {
 			tid = s.ID
 			emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":%d,"args":{"name":%q}}`,
 				tid, s.Name))

@@ -1,6 +1,6 @@
 // Package obs is the end-to-end job observability layer: lightweight span
 // trees tracing where a job's wall-clock went (admission → queue → run →
-// per-shard / per-lane execution), an always-on bounded flight recorder of
+// per-lane execution), an always-on bounded flight recorder of
 // recent span trees, admission decisions, and stall snapshots, and a
 // declarative SLO engine evaluating sliding-window burn rates over the
 // service's outcome stream.
@@ -11,8 +11,7 @@
 // whatever the phase learned (cycles simulated, estimate-vs-actual cost,
 // stall diagnostics). Trees propagate through context.Context — the same
 // context that already carries cancellation into both simulator hot loops —
-// so the cores can attach per-shard and per-lane children without any new
-// plumbing. All recording happens at phase boundaries, never inside a
+// so the cores can attach per-lane children without any new plumbing. All recording happens at phase boundaries, never inside a
 // simulation cycle loop: an attached span changes no simulator output and
 // stays within the progress-counter zero-perturbation bound.
 //
@@ -37,7 +36,6 @@ const (
 	KindQueueWait = "queue.wait"     // admitted to the offload queue until a worker picks it up
 	KindPlacement = "placement.plan" // contention-aware placement planning (dftrace/dfsim -place)
 	KindRun       = "run"            // one simulator execution
-	KindShard     = "shard"          // one shard of the sharded parallel engine
 	KindLane      = "lane"           // one lane of a batched run
 )
 
@@ -92,8 +90,8 @@ func (s *Span) Child(kind, name string) *Span {
 	return s.ChildAt(kind, name, time.Now(), time.Time{})
 }
 
-// ChildAt records a child span with explicit bounds — the shard/lane
-// recording path, where the interval is known only after the run: a zero
+// ChildAt records a child span with explicit bounds — the lane recording
+// path, where the interval is known only after the run: a zero
 // end leaves the span open.
 func (s *Span) ChildAt(kind, name string, start, end time.Time) *Span {
 	if s == nil {

@@ -19,8 +19,8 @@ func TestSpanTreeShape(t *testing.T) {
 	run := root.Child(KindRun, "exec")
 	run.Set("cycles", 42)
 	for i := 0; i < 2; i++ {
-		sh := run.ChildAt(KindShard, "shard[0]", run.StartTime(), time.Now())
-		sh.Set("firings", int64(7))
+		ln := run.ChildAt(KindLane, "lane[0]", run.StartTime(), time.Now())
+		ln.Set("firings", int64(7))
 	}
 	run.End()
 	root.End()
@@ -114,7 +114,7 @@ func TestSnapshotWhileRecordingIsConsistent(t *testing.T) {
 func TestWriteChrome(t *testing.T) {
 	tr := NewTree(KindJob, "j1")
 	run := tr.Root().Child(KindRun, "exec")
-	run.ChildAt(KindShard, "shard[0]", run.StartTime(), time.Now()).Set("firings", 3)
+	run.ChildAt(KindLane, "lane[0]", run.StartTime(), time.Now()).Set("firings", 3)
 	run.End()
 	tr.Root().End()
 
@@ -132,7 +132,7 @@ func TestWriteChrome(t *testing.T) {
 			complete++
 		}
 	}
-	if complete != 3 { // job, run, shard
+	if complete != 3 { // job, run, lane
 		t.Fatalf("complete events = %d, want 3\n%s", complete, buf.String())
 	}
 	if err := WriteChrome(&buf, nil); err == nil {

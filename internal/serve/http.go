@@ -98,7 +98,7 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSpan serves the job's span tree: where its wall-clock went, from
-// admission through per-shard execution. Open spans (a still-running job)
+// admission through per-lane execution. Open spans (a still-running job)
 // report their duration as of the request.
 func (s *Service) handleSpan(w http.ResponseWriter, r *http.Request) {
 	j := s.jobFromPath(w, r)

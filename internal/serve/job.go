@@ -31,10 +31,11 @@ type Spec struct {
 	// Model selects the simulator: "exec" (default, firing-rule) or
 	// "machine" (cycle-accurate packet level).
 	Model string `json:"model,omitempty"`
-	// Workers drives the job with the sharded parallel engine (results
-	// are byte-identical for any count). 0 lets the service decide:
-	// fast-path jobs run sequentially, offloaded jobs use the configured
-	// shard width.
+	// Workers shards a batched exec job's lanes across this many
+	// goroutines (results are byte-identical for any count); scalar and
+	// machine jobs run sequentially whatever it says. 0 lets the service
+	// decide: fast-path jobs run on one goroutine, offloaded jobs use the
+	// configured width.
 	Workers int `json:"workers,omitempty"`
 	// Batch advances B independent copies of the input streams through
 	// one compiled graph in a single batched run (0 or 1 = scalar). Lane

@@ -1,6 +1,6 @@
 // Package serve is the multi-tenant simulation-as-a-service layer: a job
 // model, an admission controller with a fast-path/offload split, a bounded
-// worker pool driving the sharded simulation engines, per-tenant quotas,
+// worker pool driving the simulators, per-tenant quotas,
 // and a bounded result store. cmd/dfserve mounts it over HTTP next to the
 // telemetry surface.
 package serve
@@ -48,9 +48,10 @@ type Config struct {
 	// submitting goroutine, larger ones queue (default 1<<20). Zero keeps
 	// the default; negative offloads everything.
 	OffloadThreshold int64
-	// SimWorkers drives offloaded jobs with the sharded parallel engine
-	// (core.Options.Workers); 0 runs them sequentially. Results are
-	// byte-identical either way.
+	// SimWorkers shards the lanes of offloaded batched exec jobs across
+	// this many goroutines (core.Binding.Workers); scalar and machine jobs
+	// run sequentially whatever it says. Results are byte-identical
+	// either way.
 	SimWorkers int
 	// TenantRate is the per-tenant admission rate in jobs/second; zero or
 	// negative disables throttling. TenantBurst is the token-bucket burst
@@ -324,8 +325,8 @@ func (s *Service) execute(j *Job) {
 	}
 
 	// The run span rides the same context that carries cancellation into
-	// the simulator hot loops; the cores annotate it (cycles, shard and
-	// lane children) strictly after their cycle loop ends.
+	// the simulator hot loops; the cores annotate it (cycles, lane
+	// children) strictly after their cycle loop ends.
 	j.endQueueWait()
 	if root := j.tree.Root(); root != nil {
 		sp := root.Child(obs.KindRun, j.Model)
@@ -363,7 +364,7 @@ func (s *Service) simulate(j *Job, ctx context.Context) (*JobResult, error) {
 			return nil, err
 		}
 		mres, err := mp.Run(machine.Config{
-			MaxCycles: j.maxCyc, Workers: j.workers, Progress: prog, Ctx: ctx,
+			MaxCycles: j.maxCyc, Progress: prog, Ctx: ctx,
 			Batch: j.spec.Batch, LaneInputs: laneIn, Inputs: inputs,
 		})
 		if mres == nil {

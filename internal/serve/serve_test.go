@@ -82,7 +82,8 @@ func TestFastPathMatchesDirectRun(t *testing.T) {
 }
 
 // TestOffloadPathMatchesDirectRun pins the same contract through the queue
-// and worker pool, with the sharded engine driving the simulation.
+// and worker pool, with SimWorkers set (a scalar job runs sequentially
+// whatever it says).
 func TestOffloadPathMatchesDirectRun(t *testing.T) {
 	p := progs.Fig2(256)
 	want := directRun(t, p)

@@ -134,56 +134,8 @@ func WriteMetrics(w io.Writer, reg *Registry) {
 		}
 	}
 
-	// Per-shard families exist only for runs driven by the sharded
-	// parallel engine (-workers > 1); sequential runs publish no series.
-	type shardRow struct {
-		run    string
-		shards []*trace.ShardCounters
-	}
-	var sharded []shardRow
-	for i, r := range runs {
-		if s := r.prog.Shards(); len(s) > 0 {
-			sharded = append(sharded, shardRow{run: infos[i].Label, shards: s})
-		}
-	}
-	family(w, "staticpipe_shard_cycles_total", "counter", "Instruction times completed per shard of the sharded engine.")
-	for _, row := range sharded {
-		for si, sc := range row.shards {
-			fmt.Fprintf(w, "staticpipe_shard_cycles_total{%s,%s} %d\n",
-				lbl("run", row.run), lbl("shard", strconv.Itoa(si)), sc.Cycles.Load())
-		}
-	}
-	family(w, "staticpipe_shard_firings_total", "counter", "Cell firings retired per shard.")
-	for _, row := range sharded {
-		for si, sc := range row.shards {
-			fmt.Fprintf(w, "staticpipe_shard_firings_total{%s,%s} %d\n",
-				lbl("run", row.run), lbl("shard", strconv.Itoa(si)), sc.Firings.Load())
-		}
-	}
-	family(w, "staticpipe_shard_ring_msgs_total", "counter", "Cross-shard notifications (exec) or packets handled (machine) per shard.")
-	for _, row := range sharded {
-		for si, sc := range row.shards {
-			fmt.Fprintf(w, "staticpipe_shard_ring_msgs_total{%s,%s} %d\n",
-				lbl("run", row.run), lbl("shard", strconv.Itoa(si)), sc.RingMsgs.Load())
-		}
-	}
-	family(w, "staticpipe_shard_ring_peak", "gauge", "Highest inbound ring occupancy (exec) or per-cycle delivery burst (machine) observed by the shard.")
-	for _, row := range sharded {
-		for si, sc := range row.shards {
-			fmt.Fprintf(w, "staticpipe_shard_ring_peak{%s,%s} %d\n",
-				lbl("run", row.run), lbl("shard", strconv.Itoa(si)), sc.RingPeak.Load())
-		}
-	}
-	family(w, "staticpipe_shard_barrier_wait_ns_total", "counter", "Nanoseconds the shard's worker spent spinning at cycle barriers.")
-	for _, row := range sharded {
-		for si, sc := range row.shards {
-			fmt.Fprintf(w, "staticpipe_shard_barrier_wait_ns_total{%s,%s} %d\n",
-				lbl("run", row.run), lbl("shard", strconv.Itoa(si)), sc.BarrierWaitNs.Load())
-		}
-	}
-
 	// Per-lane families exist only for batched runs (-batch > 1);
-	// scalar runs publish no series, mirroring the shard families.
+	// scalar runs publish no series.
 	type laneRow struct {
 		run   string
 		lanes []*trace.LaneCounters

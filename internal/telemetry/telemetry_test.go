@@ -334,43 +334,6 @@ func TestDefaultRetentionBound(t *testing.T) {
 	}
 }
 
-// TestShardMetricFamilies scrapes a run whose Progress carries per-shard
-// counters and checks the staticpipe_shard_* families are published with
-// one series per shard; a sequential run publishes none.
-func TestShardMetricFamilies(t *testing.T) {
-	reg := NewRegistry()
-	seq := reg.NewRun("seq", "exec")
-	seq.Tracer().Start(startMeta())
-	par := reg.NewRun("par", "exec")
-	par.Tracer().Start(startMeta())
-	shards := par.Progress().InitShards(2)
-	shards[0].Cycles.Store(100)
-	shards[0].Firings.Store(40)
-	shards[0].RingMsgs.Store(7)
-	shards[0].RingPeak.Store(3)
-	shards[0].BarrierWaitNs.Store(12345)
-	shards[1].Cycles.Store(100)
-	shards[1].Firings.Store(60)
-
-	var b strings.Builder
-	WriteMetrics(&b, reg)
-	out := b.String()
-	for _, want := range []string{
-		`staticpipe_shard_cycles_total{run="par",shard="0"} 100`,
-		`staticpipe_shard_firings_total{run="par",shard="1"} 60`,
-		`staticpipe_shard_ring_msgs_total{run="par",shard="0"} 7`,
-		`staticpipe_shard_ring_peak{run="par",shard="0"} 3`,
-		`staticpipe_shard_barrier_wait_ns_total{run="par",shard="0"} 12345`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("scrape missing %q", want)
-		}
-	}
-	if strings.Contains(out, `run="seq",shard=`) {
-		t.Error("sequential run published shard series")
-	}
-}
-
 func TestBatchMetricFamilies(t *testing.T) {
 	reg := NewRegistry()
 	scalar := reg.NewRun("scalar", "exec")

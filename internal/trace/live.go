@@ -65,50 +65,10 @@ type Progress struct {
 	// Arrivals counts values received by sinks so far.
 	Arrivals atomic.Int64
 
-	// shards points at the per-shard counter blocks of a sharded run
-	// (nil for sequential runs). Published atomically so a scrape racing
-	// the engine's InitShards sees either nothing or the full set.
-	shards atomic.Pointer[[]*ShardCounters]
-
 	// lanes points at the per-lane counter blocks of a batched run (nil
-	// for scalar runs). Published atomically like shards.
+	// for scalar runs). Published atomically so a scrape racing the
+	// engine's InitLanes sees either nothing or the full set.
 	lanes atomic.Pointer[[]*LaneCounters]
-}
-
-// ShardCounters is the lock-free live progress block one shard of the
-// sharded engine updates as it runs; the telemetry exporter reads it
-// mid-run the same way it reads Cycle/Arrivals.
-type ShardCounters struct {
-	// Cycles counts instruction times this shard has completed.
-	Cycles atomic.Int64
-	// Firings counts cell firings retired by this shard.
-	Firings atomic.Int64
-	// RingMsgs counts cross-shard notifications this shard has pushed.
-	RingMsgs atomic.Int64
-	// RingPeak is the highest inbound-ring occupancy observed so far.
-	RingPeak atomic.Int64
-	// BarrierWaitNs accumulates nanoseconds spent spinning at barriers.
-	BarrierWaitNs atomic.Int64
-}
-
-// InitShards installs n fresh per-shard counter blocks and returns them;
-// the sharded engines call it once at run start.
-func (p *Progress) InitShards(n int) []*ShardCounters {
-	s := make([]*ShardCounters, n)
-	for i := range s {
-		s[i] = &ShardCounters{}
-	}
-	p.shards.Store(&s)
-	return s
-}
-
-// Shards returns the per-shard counter blocks, or nil when the run is
-// sequential (or has not initialized sharding yet).
-func (p *Progress) Shards() []*ShardCounters {
-	if v := p.shards.Load(); v != nil {
-		return *v
-	}
-	return nil
 }
 
 // LaneCounters is the lock-free live progress block one lane of a batched

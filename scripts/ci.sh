@@ -38,14 +38,6 @@ go test -race -count=3 -run 'TestLiveConcurrentSnapshot|TestConcurrentScrapeDuri
 echo "== differential pass quick-check =="
 go test -run 'TestDifferential' ./internal/core/
 
-echo "== sharded engine race pin =="
-# The sharded parallel engine's worker loops (spin barriers, cross-shard
-# rings, merge phases) get a dedicated repeated race pass over small graphs
-# at several worker counts; the full-suite -race run exercises each shape
-# only once.
-go test -race -count=3 -run 'Sharded|ShardSweep|CoreWorkersOption' \
-    ./internal/exec/ ./internal/machine/ ./internal/core/ ./internal/partition/
-
 echo "== service admission race pin =="
 # The admission controller's contended paths (queue overflow, token
 # buckets, cancel-vs-begin CAS, eviction under load) get a dedicated
@@ -105,31 +97,12 @@ grep -q 'slo: burning' /tmp/dfserve-burn.log || {
 }
 rm -f /tmp/dfserve-smoke.log /tmp/dfserve-burn.log
 
-echo "== sharded engine determinism smoke =="
-# The contract is byte-identical output for any worker count: run dfsim
-# sequentially and at P=4 on two example programs, on both simulator cores,
-# and diff the complete stdout.
-go build -o /tmp/dfsim-ci ./cmd/dfsim
-for prog in testdata/fig3.val testdata/example1.val; do
-    /tmp/dfsim-ci "$prog" >/tmp/dfsim-seq.out
-    /tmp/dfsim-ci -workers 4 "$prog" >/tmp/dfsim-par.out
-    cmp /tmp/dfsim-seq.out /tmp/dfsim-par.out || {
-        echo "determinism smoke: exec output diverges at P=4 on $prog" >&2
-        exit 1
-    }
-    /tmp/dfsim-ci -machine "$prog" >/tmp/dfsim-seq.out
-    /tmp/dfsim-ci -machine -workers 4 "$prog" >/tmp/dfsim-par.out
-    cmp /tmp/dfsim-seq.out /tmp/dfsim-par.out || {
-        echo "determinism smoke: machine output diverges at P=4 on $prog" >&2
-        exit 1
-    }
-    echo "byte-identical at P=4 on both cores: $prog"
-done
-
 echo "== batched execution differential sweep =="
 # Widening arc state to B lanes must not perturb lane 0: dfsim's stdout with
-# -batch B is byte-identical to the scalar run on both simulator cores, with
-# and without lane sharding. (The per-lane summary goes to stderr.)
+# -batch B is byte-identical to the scalar run on both simulator cores, and
+# on the exec core with and without lane sharding. (The per-lane summary
+# goes to stderr.)
+go build -o /tmp/dfsim-ci ./cmd/dfsim
 for prog in testdata/fig3.val testdata/example1.val; do
     /tmp/dfsim-ci "$prog" >/tmp/dfsim-seq.out
     /tmp/dfsim-ci -machine "$prog" >/tmp/dfsim-mseq.out
@@ -140,14 +113,14 @@ for prog in testdata/fig3.val testdata/example1.val; do
                 echo "batch sweep: exec lane 0 diverges at B=$b W=$w on $prog" >&2
                 exit 1
             }
-            /tmp/dfsim-ci -machine -batch "$b" -workers "$w" "$prog" >/tmp/dfsim-par.out 2>/dev/null
-            cmp /tmp/dfsim-mseq.out /tmp/dfsim-par.out || {
-                echo "batch sweep: machine lane 0 diverges at B=$b W=$w on $prog" >&2
-                exit 1
-            }
         done
+        /tmp/dfsim-ci -machine -batch "$b" "$prog" >/tmp/dfsim-par.out 2>/dev/null
+        cmp /tmp/dfsim-mseq.out /tmp/dfsim-par.out || {
+            echo "batch sweep: machine lane 0 diverges at B=$b on $prog" >&2
+            exit 1
+        }
     done
-    echo "lane 0 byte-identical at B in {4,16}, W in {1,4}, both cores: $prog"
+    echo "lane 0 byte-identical at B in {4,16} on both cores, W in {1,4} on exec: $prog"
 done
 echo "== placement determinism smoke =="
 # Placement decides where packets travel, never what a run computes: the
@@ -166,24 +139,11 @@ for prog in testdata/fig3.val testdata/example1.val; do
     echo "outputs byte-identical across all placements: $prog"
 done
 
-echo "== placed machine smoke =="
-# The sequential engine skips a cell it found disabled until a packet
-# reaches it; the sharded engine plans every resident every cycle. Under
-# the min-cost placement on 8 PEs both must print the same stdout and
-# write the same Chrome trace, on both routing networks.
-for prog in testdata/*.val; do
-    for net in "" -butterfly; do
-        /tmp/dfsim-ci -machine -pes 8 -place mincost $net -trace /tmp/dfsim-ci.json "$prog" >/tmp/dfsim-seq.out
-        mv /tmp/dfsim-ci.json /tmp/dfsim-seq.json
-        /tmp/dfsim-ci -machine -pes 8 -place mincost $net -workers 4 -trace /tmp/dfsim-ci.json "$prog" >/tmp/dfsim-par.out
-        cmp /tmp/dfsim-seq.out /tmp/dfsim-par.out && cmp /tmp/dfsim-seq.json /tmp/dfsim-ci.json || {
-            echo "placed machine smoke: output or trace diverges at P=4 ${net:+with $net }on $prog" >&2
-            exit 1
-        }
-    done
-    echo "placed machine stdout and trace byte-identical at P=4, both networks: $prog"
-done
-rm -f /tmp/dfsim-ci.json /tmp/dfsim-seq.json
+echo "== placed machine golden =="
+# dfsim -machine -pes 8 -place mincost on all five testdata programs, on
+# both routing networks: cycles, packet counts, busy counters, outputs and
+# the Chrome trace's SHA-256 against values pinned in the test.
+go test -count=1 -run 'TestPlacedMachineGolden' ./cmd/dfsim/
 
 echo "== placement contention gate =="
 # The tentpole claim in one command: re-placing the hotspot demo with the
@@ -200,9 +160,10 @@ rm -f /tmp/dftrace-ci /tmp/dftrace-ci.out
 rm -f /tmp/dfsim-ci /tmp/dfsim-seq.out /tmp/dfsim-mseq.out /tmp/dfsim-par.out
 
 echo "== batched engine race pin =="
-# The batched engines' lane-sharded worker loops (contiguous lane ranges,
-# absolute lane-bit masks, mid-batch cancellation) get a dedicated repeated
-# race pass; the full-suite -race run exercises each shape only once.
+# The exec batched engine's lane-sharded worker loops (contiguous lane
+# ranges, absolute lane-bit masks, mid-batch cancellation) and both cores'
+# batched cancellation get a dedicated repeated race pass; the full-suite
+# -race run exercises each shape only once.
 go test -race -count=3 -run 'Batch|CancelMidBatch' \
     ./internal/exec/ ./internal/machine/ ./internal/core/ ./internal/serve/
 
