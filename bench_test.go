@@ -173,7 +173,7 @@ func runProgram(b *testing.B, src string, inputs map[string][]Value, output stri
 	var res *RunResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = u.Run(inputs)
+		res, err = u.Run(Binding{}, inputs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -503,7 +503,7 @@ func BenchmarkE14ForallSchemes(b *testing.B) {
 			var res *RunResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err = u.Run(inputs)
+				res, err = u.Run(Binding{}, inputs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -544,7 +544,7 @@ output V;
 	var res *RunResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = u.Run(inputs)
+		res, err = u.Run(Binding{}, inputs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -575,7 +575,7 @@ func BenchmarkE16LiteralControl(b *testing.B) {
 			var res *RunResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err = u.Run(inputs)
+				res, err = u.Run(Binding{}, inputs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -645,7 +645,7 @@ func BenchmarkE16Network(b *testing.B) {
 // --- E18: compilation cost of the pass pipeline --------------------------
 
 // BenchmarkCompile tracks compile-time cost across pass pipelines (the
-// per-pass split is available from Unit.PassStats or dfc -stats).
+// per-pass split is available from Program.PassStats or dfc -stats).
 func BenchmarkCompile(b *testing.B) {
 	src, _ := fig3Program(256)
 	for _, cfg := range []struct {
@@ -663,7 +663,7 @@ func BenchmarkCompile(b *testing.B) {
 			if cfg.passes == "" {
 				opts.NoBalance = true
 			}
-			var u *Unit
+			var u *Program
 			var err error
 			for i := 0; i < b.N; i++ {
 				u, err = Compile(src, opts)
@@ -702,7 +702,7 @@ func BenchmarkCompileScaling(b *testing.B) {
 	for _, k := range []int{64, 256, 1024} {
 		src := forallChain(k)
 		b.Run(fmt.Sprintf("blocks=%d", k), func(b *testing.B) {
-			var u *Unit
+			var u *Program
 			var err error
 			for i := 0; i < b.N; i++ {
 				u, err = Compile(src, Options{})
@@ -751,7 +751,7 @@ func BenchmarkE17Dedup(b *testing.B) {
 			var res *RunResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err = u.Run(inputs)
+				res, err = u.Run(Binding{}, inputs)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -320,21 +320,20 @@ func main() {
 
 // parallelWorkload is one independent benchmark instance for -parallel:
 // compile the Fig 3 composed program and run it on both simulator kernels.
-// Units are not safe for concurrent runs, so each instance compiles its
-// own — and each instance gets its own tracer sinks (execRun, machRun),
-// never shared across goroutines. Returns the simulated cycles contributed.
+// Each instance gets its own tracer sinks (execRun, machRun), never shared
+// across goroutines. Returns the simulated cycles contributed.
 func parallelWorkload(n int, execRun, machRun *telemetry.Run) (int, error) {
 	p := progs.Fig3(n)
 	cycles := 0
-	eopts := core.Options{}
+	var bind core.Binding
 	if execRun != nil {
-		eopts.Tracer = execRun.Tracer()
-		eopts.Progress = execRun.Progress()
+		bind.Tracer = execRun.Tracer()
+		bind.Progress = execRun.Progress()
 	}
-	u, err := core.Compile(p.Source, eopts)
+	art, err := core.CompileArtifact(p.Source, core.Options{})
 	if err == nil {
 		var res *core.RunResult
-		res, err = u.Run(p.Inputs)
+		res, err = art.Run(bind, p.Inputs)
 		if err == nil {
 			cycles += res.Exec.Cycles
 		}
@@ -346,19 +345,17 @@ func parallelWorkload(n int, execRun, machRun *telemetry.Run) (int, error) {
 		return cycles, err
 	}
 
-	mu, err := core.Compile(p.Source, core.Options{})
+	mp, err := art.Machine()
 	if err == nil {
-		if err = mu.Compiled.SetInputs(p.Inputs); err == nil {
-			cfg := machine.Config{PEs: 8, FUs: 4, AMs: 4}
-			if machRun != nil {
-				cfg.Tracer = machRun.Tracer()
-				cfg.Progress = machRun.Progress()
-			}
-			var mres *machine.Result
-			mres, err = machine.Run(mu.Compiled.Graph, cfg)
-			if err == nil {
-				cycles += mres.Cycles
-			}
+		cfg := machine.Config{PEs: 8, FUs: 4, AMs: 4, Inputs: p.Inputs}
+		if machRun != nil {
+			cfg.Tracer = machRun.Tracer()
+			cfg.Progress = machRun.Progress()
+		}
+		var mres *machine.Result
+		mres, err = mp.Run(cfg)
+		if err == nil {
+			cycles += mres.Cycles
 		}
 	}
 	if machRun != nil {
@@ -562,43 +559,33 @@ func median(xs []float64) float64 {
 // (tracer, workers, lane width) travel in a Binding, never in the compile
 // options: compile options feed the artifact-cache key, and a cached
 // artifact must not carry one run's tracer into another run.
-func run(p progs.Program, opts core.Options) (*core.Unit, *core.RunResult) {
+func run(p progs.Program, opts core.Options) (*core.Artifact, *core.RunResult) {
 	tr, finish := runTracer(p.Name)
-	bind := core.Binding{Tracer: tr, Workers: opts.Workers, Batch: opts.Batch}
-	opts.Tracer, opts.Workers, opts.Batch = nil, 0, 0
-	if bind.Workers == 0 {
-		bind.Workers = *workersF
-	}
-	if bind.Batch == 0 {
-		bind.Batch = *batchF
-	}
-	u, err := compileUnit(p.Source, opts)
+	bind := core.Binding{Tracer: tr, Workers: *workersF, Batch: *batchF}
+	art, err := compileArtifact(p.Source, opts)
 	if err != nil {
 		fatal(err)
 	}
 	start := time.Now()
-	res, err := u.Artifact().Run(bind, p.Inputs)
+	res, err := art.Run(bind, p.Inputs)
 	if err != nil {
 		fatal(err)
 	}
 	addSim(execSimCycles(res.Exec), time.Since(start))
 	finish()
-	return u, res
+	return art, res
 }
 
-// compileUnit compiles src directly, or through the shared artifact cache
-// when -cache is set.
-func compileUnit(src string, opts core.Options) (*core.Unit, error) {
+// compileArtifact compiles src directly, or through the shared artifact
+// cache when -cache is set.
+func compileArtifact(src string, opts core.Options) (*core.Artifact, error) {
 	if benchCache == nil {
-		return core.Compile(src, opts)
+		return core.CompileArtifact(src, opts)
 	}
 	art, _, err := benchCache.Get(artifact.KeyFor(src, opts, "", 0), func() (*core.Artifact, error) {
 		return core.CompileArtifact(src, opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return art.Unit(), nil
+	return art, err
 }
 
 // execSimCycles is the cycle count one firing-rule run contributes to the
@@ -645,16 +632,20 @@ func execRun(g *graph.Graph, opts exec.Options) *exec.Result {
 	return res
 }
 
-// machineRun runs a graph on the packet-level machine under the bench
-// tracer.
-func machineRun(label string, g *graph.Graph, cfg machine.Config) *machine.Result {
+// machineRun runs a compiled program on the packet-level machine under the
+// bench tracer; cfg.Inputs binds its input streams for this run.
+func machineRun(label string, art *core.Artifact, cfg machine.Config) *machine.Result {
+	mp, err := art.Machine()
+	if err != nil {
+		fatal(err)
+	}
 	tr, finish := runTracer(label)
 	cfg.Tracer = tr
 	if cfg.Batch == 0 {
 		cfg.Batch = *batchF
 	}
 	start := time.Now()
-	res, err := machine.Run(g, cfg)
+	res, err := mp.Run(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -717,14 +708,14 @@ func e4(n int) {
 
 func e5(m int) {
 	p := progs.Example1(m)
-	u, res := run(p, core.Options{})
-	stats := u.Compiled.Graph.ComputeStats()
+	art, res := run(p, core.Options{})
+	stats := art.Compiled.Graph.ComputeStats()
 	fmt.Printf("  paper (Theorem 2): every primitive forall is fully pipelined\n")
 	fmt.Printf("  m=%d: II = %.3f, cells = %d (buffer stages %d)\n",
 		m, res.II(p.Output), stats.Cells, stats.BufferUnits)
 	record("ii", res.II(p.Output))
 	record("cells", float64(stats.Cells))
-	if err := u.Validate(p.Inputs, 1e-9); err != nil {
+	if err := art.Validate(p.Inputs, 1e-9); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  outputs match the reference interpreter\n")
@@ -741,7 +732,7 @@ func e6(m int) {
 func e7(m int) {
 	p := progs.Example2(m)
 	_, todd := run(p, core.Options{ForIterScheme: foriter.Todd})
-	u, comp := run(p, core.Options{ForIterScheme: foriter.Companion})
+	art, comp := run(p, core.Options{ForIterScheme: foriter.Companion})
 	fmt.Printf("  paper (Theorem 3): the companion pipeline restores the maximum rate\n")
 	fmt.Printf("  %-12s  II = %.3f\n", "todd", todd.II(p.Output))
 	fmt.Printf("  %-12s  II = %.3f\n", "companion", comp.II(p.Output))
@@ -749,7 +740,7 @@ func e7(m int) {
 	record("ii_todd", todd.II(p.Output))
 	record("ii_companion", comp.II(p.Output))
 	record("speedup", todd.II(p.Output)/comp.II(p.Output))
-	if err := u.Validate(p.Inputs, 1e-9); err != nil {
+	if err := art.Validate(p.Inputs, 1e-9); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  outputs match the reference interpreter (within FP reassociation)\n")
@@ -757,8 +748,8 @@ func e7(m int) {
 
 func e8(m int) {
 	p := progs.Fig3(m)
-	u, res := run(p, core.Options{})
-	pred, err := u.PredictII()
+	art, res := run(p, core.Options{})
+	pred, err := art.PredictII()
 	if err != nil {
 		fatal(err)
 	}
@@ -766,7 +757,7 @@ func e8(m int) {
 	fmt.Printf("  end-to-end II = %.3f, predicted %s\n", res.II(p.Output), pred)
 	record("ii", res.II(p.Output))
 	record("ii_predicted", pred.Float())
-	for _, blk := range u.Compiled.Blocks {
+	for _, blk := range art.Compiled.Blocks {
 		fmt.Printf("  block %-4s %-8s scheme=%s\n", blk.Name, blk.Form, blk.Scheme)
 	}
 }
@@ -863,7 +854,7 @@ A : array[real] :=
   endall;
 output A;
 `, m)
-	u, err := core.Compile(src, core.Options{})
+	art, err := core.CompileArtifact(src, core.Options{})
 	if err != nil {
 		fatal(err)
 	}
@@ -873,10 +864,8 @@ output A;
 		bs[i] = value.R(1)
 		cs[i] = value.R(float64(i))
 	}
-	if err := u.Compiled.SetInputs(map[string][]value.Value{"B": bs, "C": cs}); err != nil {
-		fatal(err)
-	}
-	res := machineRun("e12-am-fraction", u.Compiled.Graph, machine.Config{PEs: 8, AMs: 2})
+	res := machineRun("e12-am-fraction", art, machine.Config{PEs: 8, AMs: 2,
+		Inputs: map[string][]value.Value{"B": bs, "C": cs}})
 	fmt.Printf("  paper: \"one eighth or less of the operation packets would be sent to the array memories\"\n")
 	fmt.Printf("  measured AM fraction: %.4f of %d packets (result %d, ack %d, operation %d)\n",
 		res.AMFraction(), res.TotalPackets,
@@ -887,17 +876,14 @@ output A;
 
 func e13(m int) {
 	p := progs.Fig3(m)
-	u, err := core.Compile(p.Source, core.Options{})
+	art, err := core.CompileArtifact(p.Source, core.Options{})
 	if err != nil {
-		fatal(err)
-	}
-	if err := u.Compiled.SetInputs(p.Inputs); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  machine-level makespan of the Fig 3 program (crossbar network, 4 AMs)\n")
 	fmt.Printf("  %8s  %14s  %14s\n", "PEs", "cycles", "PE util")
 	for _, pes := range []int{1, 2, 4, 8, 16, 32} {
-		res := machineRun(fmt.Sprintf("e13-pes-%d", pes), u.Compiled.Graph, machine.Config{PEs: pes, AMs: 4})
+		res := machineRun(fmt.Sprintf("e13-pes-%d", pes), art, machine.Config{PEs: pes, AMs: 4, Inputs: p.Inputs})
 		fmt.Printf("  %8d  %14d  %13.1f%%\n", pes, res.Cycles, 100*res.Utilization())
 		record(fmt.Sprintf("cycles_pes_%d", pes), float64(res.Cycles))
 		record(fmt.Sprintf("util_pes_%d", pes), res.Utilization())
@@ -918,7 +904,7 @@ V : array2[real] :=
   endall;
 output V;
 `, m, m)
-	u, err := core.Compile(src, core.Options{})
+	art, err := core.CompileArtifact(src, core.Options{})
 	if err != nil {
 		fatal(err)
 	}
@@ -928,10 +914,10 @@ output V;
 		us[i] = value.R(float64(i%7) / 7)
 	}
 	inputs := map[string][]value.Value{"U": us}
-	if err := u.Validate(inputs, 1e-12); err != nil {
+	if err := art.Validate(inputs, 1e-12); err != nil {
 		fatal(err)
 	}
-	res, err := u.Run(inputs)
+	res, err := art.Run(core.Binding{}, inputs)
 	if err != nil {
 		fatal(err)
 	}
@@ -951,33 +937,30 @@ func e16(m int) {
 		{"idealized generators", core.Options{}},
 		{"literal counter subgraphs", core.Options{LiteralControl: true}},
 	} {
-		u, res := run(p, s.opt)
+		art, res := run(p, s.opt)
 		fmt.Printf("    %-26s cells=%4d  II=%.3f\n", s.name,
-			u.Compiled.Graph.ComputeStats().Cells, res.II(p.Output))
+			art.Compiled.Graph.ComputeStats().Cells, res.II(p.Output))
 		key := strings.ReplaceAll(s.name, " ", "_")
 		record("ii_"+key, res.II(p.Output))
-		record("cells_"+key, float64(u.Compiled.Graph.ComputeStats().Cells))
+		record("cells_"+key, float64(art.Compiled.Graph.ComputeStats().Cells))
 	}
 
 	fp := progs.Fig3(m)
-	uu, err := core.Compile(fp.Source, core.Options{})
+	fart, err := core.CompileArtifact(fp.Source, core.Options{})
 	if err != nil {
-		fatal(err)
-	}
-	if err := uu.Compiled.SetInputs(fp.Inputs); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  routing network (Fig 3, 8 PEs):\n")
 	for _, nk := range []machine.NetworkKind{machine.Crossbar, machine.Butterfly} {
-		res := machineRun(fmt.Sprintf("e16-net-%s", nk), uu.Compiled.Graph,
-			machine.Config{PEs: 8, AMs: 4, Network: nk})
+		res := machineRun(fmt.Sprintf("e16-net-%s", nk), fart,
+			machine.Config{PEs: 8, AMs: 4, Network: nk, Inputs: fp.Inputs})
 		fmt.Printf("    %-26s cycles=%5d\n", nk, res.Cycles)
 		record(fmt.Sprintf("cycles_net_%s", nk), float64(res.Cycles))
 	}
 	fmt.Printf("  cell placement (Fig 3, 8 PEs, crossbar):\n")
 	for _, as := range []machine.Assignment{machine.RoundRobin, machine.Random, machine.ByStage} {
-		res := machineRun(fmt.Sprintf("e16-assign-%s", as), uu.Compiled.Graph,
-			machine.Config{PEs: 8, AMs: 4, Assign: as, Seed: 5})
+		res := machineRun(fmt.Sprintf("e16-assign-%s", as), fart,
+			machine.Config{PEs: 8, AMs: 4, Assign: as, Seed: 5, Inputs: fp.Inputs})
 		fmt.Printf("    %-26s cycles=%5d\n", as, res.Cycles)
 		record(fmt.Sprintf("cycles_assign_%s", as), float64(res.Cycles))
 	}
@@ -993,11 +976,11 @@ func e17(m int) {
 		{"plain", core.Options{}},
 		{"dedup", core.Options{Dedup: true}},
 	} {
-		u, res := run(p, s.opt)
+		art, res := run(p, s.opt)
 		fmt.Printf("    %-8s cells=%3d (removed %d)  II=%.3f\n", s.name,
-			u.Compiled.Graph.ComputeStats().Cells, u.Compiled.Deduped, res.II(p.Output))
+			art.Compiled.Graph.ComputeStats().Cells, art.Compiled.Deduped, res.II(p.Output))
 		record("ii_"+s.name, res.II(p.Output))
-		record("cells_"+s.name, float64(u.Compiled.Graph.ComputeStats().Cells))
+		record("cells_"+s.name, float64(art.Compiled.Graph.ComputeStats().Cells))
 	}
 	fmt.Printf("  (sharing generators across the loop boundary costs rate; see EXPERIMENTS.md)\n")
 }
@@ -1013,11 +996,11 @@ func e14(m int) {
 		{"pipeline", core.Options{ForallScheme: forall.Pipeline}},
 		{"parallel", core.Options{ForallScheme: forall.Parallel}},
 	} {
-		u, res := run(p, s.opt)
+		art, res := run(p, s.opt)
 		fmt.Printf("  %-10s  %8d  %12.3f\n", s.name,
-			u.Compiled.Graph.ComputeStats().Cells, res.II(p.Output))
+			art.Compiled.Graph.ComputeStats().Cells, res.II(p.Output))
 		record("ii_"+s.name, res.II(p.Output))
-		record("cells_"+s.name, float64(u.Compiled.Graph.ComputeStats().Cells))
+		record("cells_"+s.name, float64(art.Compiled.Graph.ComputeStats().Cells))
 	}
 }
 

@@ -108,7 +108,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			dumped = true
 		}
 	}
-	u, err := core.Compile(src, opts)
+	art, err := core.CompileArtifact(src, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -116,21 +116,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	printed = dumped
 	if *stats {
 		fmt.Fprintf(stdout, "passes (wall / cells / arcs):\n")
-		for _, s := range u.PassStats() {
+		for _, s := range art.PassStats() {
 			fmt.Fprintf(stdout, "  %s\n", s)
 		}
 		printed = true
 	}
 	if *emit != "" {
 		inputs := map[string][]value.Value{}
-		for _, in := range u.Checked.Inputs {
+		for _, in := range art.Checked.Inputs {
 			inputs[in.Name] = progs.Synth(*fill, in.Len())
 		}
-		if err := u.Compiled.SetInputs(inputs); err != nil {
+		// Baking inputs into the graph is safe here: this artifact was
+		// compiled for this process alone, and the emitted file is a graph
+		// with its streams bound (dfsim -graph runs it as is).
+		if err := art.Compiled.SetInputs(inputs); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		data, err := u.Compiled.Graph.Marshal()
+		data, err := art.Compiled.Graph.Marshal()
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -140,23 +143,23 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "wrote %s (%d cells, inputs filled with %q data)\n",
-			*emit, u.Compiled.Graph.NumNodes(), *fill)
+			*emit, art.Compiled.Graph.NumNodes(), *fill)
 		printed = true
 	}
 	if *flow {
-		fmt.Fprint(stdout, pipestruct.FlowDOT(u.Checked))
+		fmt.Fprint(stdout, pipestruct.FlowDOT(art.Checked))
 		printed = true
 	}
 	if *dot {
-		fmt.Fprint(stdout, u.Compiled.Graph.DOT("program"))
+		fmt.Fprint(stdout, art.Compiled.Graph.DOT("program"))
 		printed = true
 	}
 	if *list {
-		fmt.Fprint(stdout, u.Compiled.Graph.String())
+		fmt.Fprint(stdout, art.Compiled.Graph.String())
 		printed = true
 	}
 	if *report || !printed {
-		fmt.Fprint(stdout, u.Report())
+		fmt.Fprint(stdout, art.Report())
 	}
 	return 0
 }

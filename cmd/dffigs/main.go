@@ -70,12 +70,12 @@ func main() {
 
 	// Fig 3 is the block-level flow dependency graph.
 	p := progs.Fig3(*m)
-	u, err := core.Compile(p.Source, core.Options{})
+	art, err := core.CompileArtifact(p.Source, core.Options{})
 	if err != nil {
 		fatal(err)
 	}
 	path := filepath.Join(*dir, "fig3.dot")
-	if err := os.WriteFile(path, []byte(pipestruct.FlowDOT(u.Checked)), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(pipestruct.FlowDOT(art.Checked)), 0o644); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("%-10s block-level flow dependency graph\n", "fig3.dot")

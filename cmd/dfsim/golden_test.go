@@ -69,27 +69,28 @@ func TestPlacedMachineGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			u, err := core.Compile(string(src), core.Options{})
+			art, err := core.CompileArtifact(string(src), core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mp, err := art.Machine()
 			if err != nil {
 				t.Fatal(err)
 			}
 			inputs := map[string][]value.Value{}
-			for _, in := range u.Checked.Inputs {
+			for _, in := range art.Checked.Inputs {
 				inputs[in.Name] = progs.Synth("ramp", in.Len())
-			}
-			if err := u.Compiled.SetInputs(inputs); err != nil {
-				t.Fatal(err)
 			}
 			var buf bytes.Buffer
 			chrome := trace.NewChrome(&buf)
-			cfg := machine.Config{PEs: 8, FUs: 2, AMs: 2, Tracer: chrome}
+			cfg := machine.Config{PEs: 8, FUs: 2, AMs: 2, Tracer: chrome, Inputs: inputs}
 			if want.butterfly {
 				cfg.Network = machine.Butterfly
 			}
-			if err := applyPlacement("mincost", u.Compiled.Graph, &cfg); err != nil {
+			if err := applyPlacement("mincost", mp, art.Compiled.Graph, &cfg); err != nil {
 				t.Fatal(err)
 			}
-			res, err := machine.Run(u.Compiled.Graph, cfg)
+			res, err := mp.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

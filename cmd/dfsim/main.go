@@ -153,6 +153,28 @@ func main() {
 		}
 	}
 
+	// runMachine runs the packet-level machine over mp, the prepared form
+	// of g, with inputs bound for this run only (nil keeps the streams
+	// bound on the graph).
+	runMachine := func(mp *machine.Prepared, g *graph.Graph, inputs map[string][]value.Value) {
+		cfg := machine.Config{PEs: *pes, FUs: *fus, AMs: *ams, Tracer: tracer, Progress: prog,
+			Batch: *batch, LaneInputs: laneFill(inputs, *batch), Inputs: inputs}
+		if *butterfly {
+			cfg.Network = machine.Butterfly
+		}
+		if err := applyPlacement(*placeMode, mp, g, &cfg); err != nil {
+			fatal(err)
+		}
+		res, err := mp.Run(cfg)
+		if err != nil {
+			fatalPartial(err, res, machine.Describe)
+		}
+		fmt.Print(machine.Describe(res))
+		printOutputs(res.Outputs, *printN)
+		machineLaneSummary(res)
+		finish()
+	}
+
 	if *graphFile {
 		if len(flag.Args()) != 1 {
 			fatal(fmt.Errorf("dfsim -graph needs exactly one graph file"))
@@ -166,21 +188,11 @@ func main() {
 			fatal(err)
 		}
 		if *useMach {
-			cfg := machine.Config{PEs: *pes, FUs: *fus, AMs: *ams, Tracer: tracer, Progress: prog, Batch: *batch}
-			if *butterfly {
-				cfg.Network = machine.Butterfly
-			}
-			if err := applyPlacement(*placeMode, g, &cfg); err != nil {
+			mp, err := machine.Prepare(g)
+			if err != nil {
 				fatal(err)
 			}
-			res, err := machine.Run(g, cfg)
-			if err != nil {
-				fatalPartial(err, res, machine.Describe)
-			}
-			fmt.Print(machine.Describe(res))
-			printOutputs(res.Outputs, *printN)
-			machineLaneSummary(res)
-			finish()
+			runMachine(mp, g, nil)
 			return
 		}
 		res, err := exec.Run(g, exec.Options{Workers: *workers, Tracer: tracer, Progress: prog, Batch: *batch})
@@ -212,9 +224,9 @@ func main() {
 	if *useCache {
 		cache = artifact.New(artifact.Config{})
 	}
-	compile := func(o core.Options) (*core.Unit, error) {
+	compile := func(o core.Options) (*core.Artifact, error) {
 		if cache == nil {
-			return core.Compile(src, o)
+			return core.CompileArtifact(src, o)
 		}
 		art, outcome, err := cache.Get(artifact.KeyFor(src, o, "", 0), func() (*core.Artifact, error) {
 			return core.CompileArtifact(src, o)
@@ -223,7 +235,7 @@ func main() {
 			return nil, err
 		}
 		fmt.Fprintf(os.Stderr, "cache: compile %s\n", outcome)
-		return art.Unit(), nil
+		return art, nil
 	}
 	defer func() {
 		if cache != nil {
@@ -233,16 +245,16 @@ func main() {
 		}
 	}()
 
-	u, err := compile(opts)
+	art, err := compile(opts)
 	if err != nil {
 		fatal(err)
 	}
 	if run != nil {
-		run.AddWarnings(u.Compiled.Warnings...)
+		run.AddWarnings(art.Compiled.Warnings...)
 	}
 
 	inputs := map[string][]value.Value{}
-	for _, in := range u.Checked.Inputs {
+	for _, in := range art.Checked.Inputs {
 		inputs[in.Name] = progs.Synth(*fill, in.Len())
 	}
 
@@ -250,44 +262,27 @@ func main() {
 		// Validate runs the graph too, with no tracer bound, so the traced
 		// run below stays the only one in the event stream. Under -cache
 		// this second compile is a hit.
-		vu, err := compile(opts)
+		va, err := compile(opts)
 		if err != nil {
 			fatal(err)
 		}
-		if err := vu.Validate(inputs, 1e-9); err != nil {
+		if err := va.Validate(inputs, 1e-9); err != nil {
 			fatal(fmt.Errorf("verification failed: %w", err))
 		}
 		fmt.Println("verified: compiled graph matches the reference interpreter")
 	}
 
 	if *useMach {
-		if err := u.Compiled.SetInputs(inputs); err != nil {
-			fatal(err)
-		}
-		cfg := machine.Config{PEs: *pes, FUs: *fus, AMs: *ams, Tracer: tracer, Progress: prog,
-			Batch: *batch, LaneInputs: laneFill(inputs, *batch)}
-		if *butterfly {
-			cfg.Network = machine.Butterfly
-		}
-		if err := applyPlacement(*placeMode, u.Compiled.Graph, &cfg); err != nil {
-			fatal(err)
-		}
-		res, err := machine.Run(u.Compiled.Graph, cfg)
+		mp, err := art.Machine()
 		if err != nil {
-			fatalPartial(err, res, machine.Describe)
+			fatal(err)
 		}
-		fmt.Print(machine.Describe(res))
-		printOutputs(res.Outputs, *printN)
-		machineLaneSummary(res)
-		finish()
+		runMachine(mp, art.Compiled.Graph, inputs)
 		return
 	}
 
 	if *waterfall {
-		if err := u.Compiled.SetInputs(inputs); err != nil {
-			fatal(err)
-		}
-		chart, err := exec.Waterfall(u.Compiled.Graph, exec.Options{}, 0)
+		chart, err := exec.Waterfall(art.Compiled.Graph, exec.Options{Inputs: inputs}, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -296,7 +291,7 @@ func main() {
 	}
 
 	if *batch > 1 {
-		res, err := u.Artifact().RunBatch(bind, inputs, laneFill(inputs, *batch))
+		res, err := art.RunBatch(bind, inputs, laneFill(inputs, *batch))
 		if err != nil {
 			fatal(err)
 		}
@@ -313,7 +308,7 @@ func main() {
 		return
 	}
 
-	res, err := u.Artifact().Run(bind, inputs)
+	res, err := art.Run(bind, inputs)
 	if err != nil {
 		fatal(err)
 	}
@@ -327,11 +322,11 @@ func main() {
 }
 
 // applyPlacement resolves the -place flag into cfg's assignment strategy.
-// mincost plans from the static graph; profile first runs the machine once,
-// silently, under the baseline assignment to observe real traffic, then
-// plans from those metrics. Placement never changes what a run computes, so
-// the profile pre-run is safe to discard.
-func applyPlacement(mode string, g *graph.Graph, cfg *machine.Config) error {
+// mincost plans from the static graph g; profile first runs mp, the
+// prepared form of g, once, silently, under the baseline assignment to
+// observe real traffic, then plans from those metrics. Placement never
+// changes what a run computes, so the profile pre-run is safe to discard.
+func applyPlacement(mode string, mp *machine.Prepared, g *graph.Graph, cfg *machine.Config) error {
 	switch mode {
 	case "":
 		return nil
@@ -350,7 +345,7 @@ func applyPlacement(mode string, g *graph.Graph, cfg *machine.Config) error {
 			pre.Progress = nil
 			pre.Batch = 0
 			pre.LaneInputs = nil
-			if _, err := machine.Run(g, pre); err != nil {
+			if _, err := mp.Run(pre); err != nil {
 				return fmt.Errorf("placement profile pre-run: %w", err)
 			}
 			opts.Metrics = m

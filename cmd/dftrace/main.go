@@ -31,7 +31,8 @@
 //	               as JSON
 //	-top n         rows in the per-cell rate table (default 12; 0 = all)
 //	-events n      keep and print the last n raw events (default 0)
-//	-summary       also print the raw metrics digest
+//	-summary       also print the per-pass compile table and the raw
+//	               metrics digest
 //	-http ADDR     serve live telemetry (/metrics, /runs, /healthz, pprof)
 //	-version       print version and build info, then exit
 package main
@@ -74,7 +75,7 @@ func main() {
 		spanOut   = flag.String("span", "", "write the run's span tree as JSON to this file")
 		top       = flag.Int("top", 12, "rows in the per-cell rate table (0 = all)")
 		events    = flag.Int("events", 0, "keep and print the last n raw events")
-		summary   = flag.Bool("summary", false, "print the raw metrics digest too")
+		summary   = flag.Bool("summary", false, "print the per-pass compile table and the raw metrics digest too")
 		httpAddr  = flag.String("http", "", "serve live telemetry on this address (e.g. :9090)")
 		version   = flag.Bool("version", false, "print version and build info, then exit")
 	)
@@ -93,6 +94,7 @@ func main() {
 		opts.ForIterScheme = foriter.Todd
 	}
 
+	var bind core.Binding
 	var run *telemetry.Run
 	if *httpAddr != "" {
 		reg := telemetry.NewRegistry()
@@ -111,7 +113,7 @@ func main() {
 			model = "machine"
 		}
 		run = reg.NewRun(label, model)
-		opts.Progress = run.Progress()
+		bind.Progress = run.Progress()
 	}
 
 	metrics := trace.NewMetrics()
@@ -134,7 +136,7 @@ func main() {
 		chrome = trace.NewChrome(traceFile)
 		tracers = append(tracers, chrome)
 	}
-	opts.Tracer = tracers
+	bind.Tracer = tracers
 
 	var spanTree *obs.Tree
 	var runSpan *obs.Span
@@ -146,28 +148,26 @@ func main() {
 		spanTree = obs.NewTree(obs.KindJob, label)
 	}
 
-	u, err := core.Compile(src, opts)
+	art, err := core.CompileArtifact(src, opts)
 	if err != nil {
 		fatal(err)
 	}
 	if run != nil {
-		run.AddWarnings(u.Compiled.Warnings...)
+		run.AddWarnings(art.Compiled.Warnings...)
 	}
 	inputs := map[string][]value.Value{}
-	for _, in := range u.Checked.Inputs {
+	for _, in := range art.Checked.Inputs {
 		inputs[in.Name] = progs.Synth(*fill, in.Len())
 	}
 
 	var ran *graph.Graph
 	var baseline *analyze.Analysis
 	if *useMach {
-		if err := u.Compiled.SetInputs(inputs); err != nil {
+		mp, err := art.Machine()
+		if err != nil {
 			fatal(err)
 		}
-		cfg := machine.Config{PEs: *pes, FUs: *fus, AMs: *ams, Tracer: tracers}
-		if run != nil {
-			cfg.Progress = run.Progress()
-		}
+		cfg := machine.Config{PEs: *pes, FUs: *fus, AMs: *ams, Tracer: tracers, Progress: bind.Progress, Inputs: inputs}
 		if *butterfly {
 			cfg.Network = machine.Butterfly
 		}
@@ -182,7 +182,7 @@ func main() {
 			base := cfg
 			base.Tracer = trace.Multi{baseMetrics}
 			base.Progress = nil
-			baseRes, err := machine.Run(u.Compiled.Graph, base)
+			baseRes, err := mp.Run(base)
 			if err != nil {
 				fatal(fmt.Errorf("placement baseline run: %w", err))
 			}
@@ -191,7 +191,7 @@ func main() {
 				fatal(err)
 			}
 			plSpan := spanTree.Root().Child(obs.KindPlacement, *placeMode)
-			if err := replace(*placeMode, u.Compiled.Graph, &cfg, baseMetrics); err != nil {
+			if err := replace(*placeMode, art.Compiled.Graph, &cfg, baseMetrics); err != nil {
 				fatal(err)
 			}
 			plSpan.Set("pes", int64(cfg.PEs))
@@ -201,19 +201,18 @@ func main() {
 			runSpan = spanTree.Root().Child(obs.KindRun, "machine")
 			cfg.Ctx = obs.WithSpan(context.Background(), runSpan)
 		}
-		res, err := machine.Run(u.Compiled.Graph, cfg)
+		res, err := mp.Run(cfg)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Print(machine.Describe(res))
 		ran = res.Graph
 	} else {
-		var bind core.Binding
 		if spanTree != nil {
 			runSpan = spanTree.Root().Child(obs.KindRun, "exec")
 			bind.Ctx = obs.WithSpan(context.Background(), runSpan)
 		}
-		res, err := u.Artifact().Run(bind, inputs)
+		res, err := art.Run(bind, inputs)
 		if err != nil {
 			fatal(err)
 		}
@@ -247,6 +246,12 @@ func main() {
 		fmt.Print(analyze.RenderDelta(baseline, analysis))
 	}
 	if *summary {
+		if stats := art.PassStats(); len(stats) > 0 {
+			fmt.Printf("compile phases (wall / cells / arcs):\n")
+			for _, st := range stats {
+				fmt.Printf("  %s\n", st)
+			}
+		}
 		fmt.Print(metrics.Summary(*top))
 	}
 	if ring != nil {

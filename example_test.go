@@ -20,13 +20,13 @@ A : array[real] :=
   endall;
 output A;
 `
-	u, err := staticpipe.Compile(src, staticpipe.Options{})
+	prog, err := staticpipe.Compile(src, staticpipe.Options{})
 	if err != nil {
 		panic(err)
 	}
 	b := []float64{1, 1, 1, 1, 1, 1, 1, 1}
 	c := []float64{0, 1, 2, 3, 4, 5, 6, 7}
-	res, err := u.Run(map[string][]staticpipe.Value{
+	res, err := prog.Run(staticpipe.Binding{}, map[string][]staticpipe.Value{
 		"B": staticpipe.Reals(b),
 		"C": staticpipe.Reals(c),
 	})
@@ -72,11 +72,11 @@ output X;
 		{"todd", staticpipe.Options{ForIterScheme: staticpipe.ForIterTodd}},
 		{"companion", staticpipe.Options{ForIterScheme: staticpipe.ForIterComp}},
 	} {
-		u, err := staticpipe.Compile(src, scheme.opt)
+		prog, err := staticpipe.Compile(src, scheme.opt)
 		if err != nil {
 			panic(err)
 		}
-		res, err := u.Run(inputs)
+		res, err := prog.Run(staticpipe.Binding{}, inputs)
 		if err != nil {
 			panic(err)
 		}

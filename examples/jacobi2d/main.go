@@ -31,11 +31,11 @@ output V;
 `
 
 func main() {
-	u, err := staticpipe.Compile(src, staticpipe.Options{})
+	prog, err := staticpipe.Compile(src, staticpipe.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(u.Report())
+	fmt.Print(prog.Report())
 
 	m, n := 15, 15
 	// boundary: V = 1 on the top edge, 0 elsewhere; interior starts at 0.
@@ -49,7 +49,7 @@ func main() {
 
 	var res *staticpipe.RunResult
 	for sweep := 1; sweep <= 2000; sweep++ {
-		res, err = u.Run(pack(grid))
+		res, err = prog.Run(staticpipe.Binding{}, pack(grid))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func main() {
 	// plate: the analytic series gives ≈ 0.25 at the midpoint.
 	centre := grid[(m/2+1)*(n+2)+(n/2+1)]
 	fmt.Printf("centre potential: %.4f (analytic midpoint value 0.25)\n", centre)
-	if err := u.Validate(pack(grid), 1e-12); err != nil {
+	if err := prog.Validate(pack(grid), 1e-12); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("final sweep verified against the reference interpreter")

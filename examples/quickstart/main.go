@@ -28,12 +28,12 @@ output A;
 `
 
 func main() {
-	u, err := staticpipe.Compile(src, staticpipe.Options{})
+	prog, err := staticpipe.Compile(src, staticpipe.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("compile report:")
-	fmt.Print(u.Report())
+	fmt.Print(prog.Report())
 
 	m := 30
 	b := make([]float64, m+2)
@@ -47,7 +47,7 @@ func main() {
 		"C": staticpipe.Reals(c),
 	}
 
-	res, err := u.Run(inputs)
+	res, err := prog.Run(staticpipe.Binding{}, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func main() {
 	fmt.Printf("fully pipelined: %v\n", staticpipe.FullyPipelined(res, "A"))
 
 	// Cross-check the compiled graph against the reference interpreter.
-	if err := u.Validate(inputs, 1e-9); err != nil {
+	if err := prog.Validate(inputs, 1e-9); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("outputs verified against the reference interpreter")

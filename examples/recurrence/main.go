@@ -61,15 +61,15 @@ func main() {
 		{"Todd (Fig 7)", staticpipe.Options{ForIterScheme: staticpipe.ForIterTodd}},
 		{"companion (Fig 8)", staticpipe.Options{ForIterScheme: staticpipe.ForIterComp}},
 	} {
-		u, err := staticpipe.Compile(src, cfg.opt)
+		prog, err := staticpipe.Compile(src, cfg.opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := u.Run(inputs)
+		res, err := prog.Run(staticpipe.Binding{}, inputs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := u.Validate(inputs, 1e-9); err != nil {
+		if err := prog.Validate(inputs, 1e-9); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-18s II = %.3f cycles/element, %5d cycles, x_%d = %.6f\n",

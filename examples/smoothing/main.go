@@ -48,7 +48,7 @@ func main() {
 	cur := signal
 	for pass := 1; pass <= 3; pass++ {
 		inputs := map[string][]staticpipe.Value{"C": staticpipe.Reals(cur)}
-		res, err := balanced.Run(inputs)
+		res, err := balanced.Run(staticpipe.Binding{}, inputs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,11 +63,11 @@ func main() {
 
 	// The unbalanced graph: same values, throttled pipeline.
 	inputs := map[string][]staticpipe.Value{"C": staticpipe.Reals(signal)}
-	rb, err := balanced.Run(inputs)
+	rb, err := balanced.Run(staticpipe.Binding{}, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ru, err := unbalanced.Run(inputs)
+	ru, err := unbalanced.Run(staticpipe.Binding{}, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,12 +21,12 @@ import (
 func main() {
 	m := 120
 	p := progs.Weather(m)
-	u, err := staticpipe.Compile(p.Source, staticpipe.Options{})
+	prog, err := staticpipe.Compile(p.Source, staticpipe.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("flow dependency graph blocks:")
-	fmt.Print(u.Report())
+	fmt.Print(prog.Report())
 
 	// March the field for several time steps: each step's output V becomes
 	// the next step's U (boundary cells re-padded periodically).
@@ -41,7 +41,7 @@ func main() {
 			"U": staticpipe.Reals(field),
 			"K": staticpipe.Reals(diffusivity),
 		}
-		res, err := u.Run(inputs)
+		res, err := prog.Run(staticpipe.Binding{}, inputs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func main() {
 	}
 	fmt.Println("\npacket-level machine (butterfly network):")
 	for _, pes := range []int{2, 8, 32} {
-		res, err := staticpipe.RunMachine(u, inputs, staticpipe.MachineConfig{
+		res, err := staticpipe.RunMachine(prog, inputs, staticpipe.MachineConfig{
 			PEs: pes, AMs: 4, Network: staticpipe.NetButterfly,
 		})
 		if err != nil {

@@ -2,7 +2,7 @@
 // of compiled execution artifacts. Entries are keyed by a canonical hash of
 // everything that determines what a compilation produces — the program
 // source and the compile-relevant options (pass list, loop schemes,
-// placement inputs) — so two submissions of the same program under the
+// balancing strategy) — so two submissions of the same program under the
 // same strategy share one compiled artifact, and any difference that could
 // change the compiled graph changes the key.
 //
@@ -34,11 +34,12 @@ import (
 
 // Key identifies one compilation's content: the program source plus every
 // Option field that can change the compiled artifact. Run-time attachments
-// (context, tracer, progress, workers, cycle bounds, batch width) are
-// deliberately excluded — they bind per run, not per artifact, so callers
-// sharing a cache set them in core.Binding and leave them zero in the
-// compile options. Place/PEs are included because the memoized placement
-// plans hang off the artifact.
+// (context, tracer, progress, workers, cycle bound, lane width) bind per
+// run in core.Binding, so no key holds them; Options.Batch, the one such
+// field core.Options still carries, is excluded. Place and PEs shape
+// nothing: every caller passes "" and 0, and they remain only because the
+// benchmark harness (perfbench/workloads.go) calls KeyFor with four
+// arguments.
 type Key struct {
 	Source         string
 	ForallScheme   int
@@ -54,8 +55,8 @@ type Key struct {
 }
 
 // KeyFor builds the cache key for one submission: src plus the
-// compile-relevant fields of opts, with place/pes from the service's
-// placement request (empty/0 when unused).
+// compile-relevant fields of opts. place and pes are copied into the key
+// unread (see Key).
 func KeyFor(src string, opts core.Options, place string, pes int) Key {
 	return Key{
 		Source:         src,

@@ -68,30 +68,10 @@ func TestEndsAndInterior(t *testing.T) {
 	Ends(1)
 }
 
-func TestRepeatAndAlternating(t *testing.T) {
+func TestRepeat(t *testing.T) {
 	r := boolsOf(Repeat(true, 4))
 	if len(r) != 4 || !r[0] || !r[3] {
 		t.Errorf("Repeat = %v", r)
-	}
-	a := boolsOf(Alternating(5))
-	want := []bool{true, false, true, false, true}
-	for i := range want {
-		if a[i] != want[i] {
-			t.Errorf("Alternating[%d] = %v", i, a[i])
-		}
-	}
-	if n := len(boolsOf(Alternating(4))); n != 4 {
-		t.Errorf("Alternating(4) len = %d", n)
-	}
-}
-
-func TestFromBools(t *testing.T) {
-	src := []bool{true, false, true}
-	p := FromBools(src)
-	src[0] = false // must have been copied
-	got := boolsOf(p)
-	if !got[0] || got[1] || !got[2] {
-		t.Errorf("FromBools = %v", got)
 	}
 }
 

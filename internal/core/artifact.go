@@ -1,10 +1,10 @@
 // Compiled-artifact half of the core API: an Artifact is the immutable
 // product of one compilation — shareable across goroutines and cacheable by
 // content hash — while a Binding carries the cheap per-run attachments
-// (context, progress counters, worker count) that used to be smuggled in by
-// mutating the Unit. Splitting the two is what makes a content-addressed
-// compile cache sound: a cache hit hands out the same Artifact to N
-// concurrent jobs, and nothing on the run path writes it.
+// (context, progress counters, tracer, lane width). Splitting the two is
+// what makes a content-addressed compile cache sound: a cache hit hands out
+// the same Artifact to N concurrent jobs, and nothing on the run path
+// writes it.
 package core
 
 import (
@@ -43,7 +43,9 @@ type Artifact struct {
 	// compile-seconds-saved counter on every hit.
 	CompileWall time.Duration
 
-	opts     Options
+	// batch is the compile-time Options.Batch, the lane width a Binding
+	// with Batch 0 falls back to.
+	batch    int
 	prepared *exec.Prepared
 
 	// The machine-model preparation is lazy: exec-only traffic never pays
@@ -54,9 +56,9 @@ type Artifact struct {
 }
 
 // Binding is the per-run attachment set for an Artifact run: everything
-// that varies job to job while the compiled program stays fixed. Zero
-// values fall back to the artifact's compile-time Options, so Binding{}
-// reproduces the legacy Unit behavior exactly.
+// that varies job to job while the compiled program stays fixed. The zero
+// Binding runs untraced and uncancelable under the default cycle bound, at
+// the compile-time Options.Batch width (scalar unless that is set).
 type Binding struct {
 	// Ctx cancels the run early (see exec.Options.Ctx); it also carries the
 	// obs.Span the run annotates.
@@ -69,17 +71,16 @@ type Binding struct {
 	// Workers shards this run's lanes when it is batched (see
 	// exec.Options.Workers).
 	Workers int
-	// MaxCycles bounds this run.
+	// MaxCycles bounds this run (0 = exec.DefaultMaxCycles).
 	MaxCycles int
-	// Batch widens this run to B lanes. RunBatch without one (here or in
-	// the artifact's compile-time Options) runs one lane per lane-input
+	// Batch widens this run to B lanes; 0 falls back to the compile-time
+	// Options.Batch. RunBatch with neither runs one lane per lane-input
 	// set.
 	Batch int
 }
 
 // CompileArtifact parses, checks, and compiles a pipe-structured Val
-// program into an immutable, concurrency-safe artifact. Compile remains as
-// the legacy single-goroutine wrapper around this.
+// program into an immutable, concurrency-safe artifact.
 func CompileArtifact(src string, opts Options) (*Artifact, error) {
 	start := time.Now()
 	prog, err := val.Parse(src)
@@ -114,13 +115,6 @@ func CompileArtifact(src string, opts Options) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range compiled.PassStats {
-		recordPhase(opts.Tracer, trace.PhaseStat{
-			Name: s.Name, Wall: s.Wall,
-			CellsBefore: s.CellsBefore, CellsAfter: s.CellsAfter,
-			ArcsBefore: s.ArcsBefore, ArcsAfter: s.ArcsAfter,
-		})
-	}
 	prepared, err := exec.Prepare(compiled.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("core: compiled graph rejected by simulator: %w", err)
@@ -133,20 +127,9 @@ func CompileArtifact(src string, opts Options) (*Artifact, error) {
 		Cells:       stats.Cells,
 		Arcs:        stats.Arcs,
 		CompileWall: time.Since(start),
-		opts:        opts,
+		batch:       opts.Batch,
 		prepared:    prepared,
 	}, nil
-}
-
-// Options returns the compile-time options the artifact was built with —
-// the run-relevant fields act as defaults any Binding zero value falls
-// back to.
-func (a *Artifact) Options() Options { return a.opts }
-
-// Unit wraps the artifact in the legacy Unit facade, giving cached
-// artifacts access to the report/validate/reference helpers.
-func (a *Artifact) Unit() *Unit {
-	return &Unit{Source: a.Source, Checked: a.Checked, Compiled: a.Compiled, art: a}
 }
 
 // PassStats returns the per-pass compilation statistics in pipeline order.
@@ -162,43 +145,13 @@ func (a *Artifact) Machine() (*machine.Prepared, error) {
 	return a.mach, a.machErr
 }
 
-// bindOpts resolves one run's effective options: the binding's fields where
-// set, the artifact's compile-time options otherwise.
-func (a *Artifact) bindOpts(b Binding) Options {
-	o := a.opts
-	if b.Ctx != nil {
-		o.Ctx = b.Ctx
-	}
-	if b.Progress != nil {
-		o.Progress = b.Progress
-	}
-	if b.Tracer != nil {
-		o.Tracer = b.Tracer
-	}
-	if b.Workers > 0 {
-		o.Workers = b.Workers
-	}
-	if b.MaxCycles > 0 {
-		o.MaxCycles = b.MaxCycles
-	}
+// width resolves one run's lane width: the binding's, else the
+// compile-time Options.Batch.
+func (a *Artifact) width(b Binding) int {
 	if b.Batch > 0 {
-		o.Batch = b.Batch
+		return b.Batch
 	}
-	return o
-}
-
-// checkInputs validates the binding against the program's declared inputs
-// without touching the graph, then narrows it to exactly the declared
-// names (extra keys are ignored, matching the legacy SetInputs contract).
-func (a *Artifact) checkInputs(inputs map[string][]value.Value) (map[string][]value.Value, error) {
-	if err := a.Compiled.CheckInputs(inputs); err != nil {
-		return nil, err
-	}
-	binds := make(map[string][]value.Value, len(a.Compiled.Inputs))
-	for name := range a.Compiled.Inputs {
-		binds[name] = inputs[name]
-	}
-	return binds, nil
+	return a.batch
 }
 
 // setGraphAttrs stamps the compiled graph's static shape onto the span
@@ -211,19 +164,18 @@ func (a *Artifact) setGraphAttrs(ctx context.Context) {
 }
 
 // Run simulates the compiled graph with the given per-run binding and input
-// streams. Unlike the legacy Unit.Run it never writes the graph: inputs
-// travel via exec.Options.Inputs, so any number of goroutines may Run one
-// Artifact concurrently.
+// streams. It never writes the graph: inputs travel via
+// exec.Options.Inputs, so any number of goroutines may Run one Artifact
+// concurrently.
 func (a *Artifact) Run(b Binding, inputs map[string][]value.Value) (*RunResult, error) {
-	binds, err := a.checkInputs(inputs)
+	binds, err := a.Compiled.BindInputs(inputs)
 	if err != nil {
 		return nil, err
 	}
-	o := a.bindOpts(b)
-	a.setGraphAttrs(o.Ctx)
+	a.setGraphAttrs(b.Ctx)
 	res, err := a.prepared.Run(exec.Options{
-		MaxCycles: o.MaxCycles, Tracer: o.Tracer, Progress: o.Progress,
-		Workers: o.Workers, Ctx: o.Ctx, Batch: o.Batch, Inputs: binds,
+		MaxCycles: b.MaxCycles, Tracer: b.Tracer, Progress: b.Progress,
+		Workers: b.Workers, Ctx: b.Ctx, Batch: a.width(b), Inputs: binds,
 	})
 	if err != nil {
 		if res != nil {
@@ -251,14 +203,15 @@ func (a *Artifact) Run(b Binding, inputs map[string][]value.Value) (*RunResult, 
 	return out, nil
 }
 
-// RunBatch simulates Batch independent input sets through the compiled
-// graph in a single batched run (see Unit.RunBatch). The width is the
-// binding's Batch, else the artifact's compile-time one, else
-// len(laneInputs). Like Run it is safe for concurrent use on one shared
-// Artifact.
+// RunBatch simulates B independent input sets through the compiled graph
+// in a single batched run. inputs binds the baseline streams every lane
+// defaults to (and lane 0 always consumes); laneInputs[l], when non-nil,
+// rebinds lane l's named inputs (lane 0's entry is ignored). Every stream
+// must match the program's declared input length. B is the binding's
+// Batch, else the compile-time Options.Batch, else len(laneInputs). Like
+// Run it is safe for concurrent use on one shared Artifact.
 func (a *Artifact) RunBatch(bd Binding, inputs map[string][]value.Value, laneInputs []map[string][]value.Value) (*BatchRunResult, error) {
-	o := a.bindOpts(bd)
-	b := o.Batch
+	b := a.width(bd)
 	if b < 2 {
 		b = len(laneInputs)
 	}
@@ -275,14 +228,14 @@ func (a *Artifact) RunBatch(bd Binding, inputs map[string][]value.Value, laneInp
 			}
 		}
 	}
-	binds, err := a.checkInputs(inputs)
+	binds, err := a.Compiled.BindInputs(inputs)
 	if err != nil {
 		return nil, err
 	}
-	a.setGraphAttrs(o.Ctx)
+	a.setGraphAttrs(bd.Ctx)
 	res, err := a.prepared.Run(exec.Options{
-		MaxCycles: o.MaxCycles, Tracer: o.Tracer, Progress: o.Progress,
-		Workers: o.Workers, Ctx: o.Ctx, Batch: b, LaneInputs: laneInputs, Inputs: binds,
+		MaxCycles: bd.MaxCycles, Tracer: bd.Tracer, Progress: bd.Progress,
+		Workers: bd.Workers, Ctx: bd.Ctx, Batch: b, LaneInputs: laneInputs, Inputs: binds,
 	})
 	if err != nil && res == nil {
 		return nil, err

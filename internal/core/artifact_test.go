@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -65,13 +66,48 @@ func machViewOf(res *machine.Result) machView {
 	}
 }
 
-// TestUnitBindRemoved pins the removal of the shared-mutation hazard: a
-// Unit no longer exposes Bind (which wrote run state into the shared
-// compiled object). Per-run state travels in a core.Binding passed to
-// Artifact.Run/RunBatch; the compiled artifact itself is never written.
-func TestUnitBindRemoved(t *testing.T) {
-	if _, ok := reflect.TypeOf(&Unit{}).MethodByName("Bind"); ok {
-		t.Fatal("Unit.Bind is back: per-run state must travel in core.Binding, not mutate the shared unit")
+// TestRunsNeverWriteArtifact pins the compile/run split: a run binds its
+// input streams per run, so the compiled graph a cache shares marshals to
+// the same bytes before and after every kind of run — scalar, batched with
+// per-lane inputs, and on the packet-level machine, scalar and batched.
+func TestRunsNeverWriteArtifact(t *testing.T) {
+	art, err := CompileArtifact(fig3Src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := art.Compiled.Graph.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := fig3Inputs(16)
+	lanes := []map[string][]value.Value{nil, {"C": rotStream(inputs["C"], 3)}}
+	mp, err := art.Machine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error { _, err := art.Run(Binding{}, inputs); return err }},
+		{"RunBatch", func() error { _, err := art.RunBatch(Binding{Batch: 2}, inputs, lanes); return err }},
+		{"Machine().Run", func() error { _, err := mp.Run(machine.Config{PEs: 4, Inputs: inputs}); return err }},
+		{"Machine().Run batched", func() error {
+			_, err := mp.Run(machine.Config{PEs: 4, Inputs: inputs, Batch: 2, LaneInputs: lanes})
+			return err
+		}},
+	}
+	for _, r := range runs {
+		if err := r.run(); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		after, err := art.Compiled.Graph.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s wrote the compiled graph", r.name)
+		}
 	}
 }
 
@@ -159,17 +195,12 @@ func TestCachedVsFreshDifferential(t *testing.T) {
 		src, inputs := randomProgram(rng, 6+rng.Intn(6))
 
 		// Scalar sweep: fresh artifact vs shared artifact run repeatedly
-		// (second and later runs draw pooled state) vs the legacy Unit
-		// facade.
+		// (second and later runs draw pooled state).
 		fresh, err := CompileArtifact(src, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v\n%s", trial, err, src)
 		}
 		shared, err := CompileArtifact(src, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := Compile(src, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,16 +218,9 @@ func TestCachedVsFreshDifferential(t *testing.T) {
 					trial, rep, src)
 			}
 		}
-		lres, err := legacy.art.Run(Binding{}, inputs)
-		if err != nil {
-			t.Fatalf("trial %d: legacy: %v", trial, err)
-		}
-		if !reflect.DeepEqual(viewOf(lres.Exec), viewOf(want.Exec)) {
-			t.Fatalf("trial %d: legacy unit diverged from fresh compile", trial)
-		}
 
-		// Batched sweep: the batch width is part of the cache key, so a
-		// batched hit reuses an artifact compiled with the same width.
+		// Batched sweep: the width comes from the compile-time
+		// Options.Batch that a zero Binding.Batch falls back to.
 		bfresh, err := CompileArtifact(src, Options{Batch: 16})
 		if err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ func TestBatchSweepRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(2049))
 	for i := 0; i < n; i++ {
 		src, inputs := randomProgram(rng, 6+rng.Intn(6))
-		u, err := Compile(src, Options{})
+		u, err := CompileArtifact(src, Options{})
 		if err != nil {
 			t.Fatalf("program %d: %v\n%s", i, err, src)
 		}
@@ -126,7 +126,7 @@ func rotStream(vs []value.Value, k int) []value.Value {
 // Run of the baseline inputs.
 func TestRunBatchFacade(t *testing.T) {
 	const b = 4
-	u, err := Compile(fig3Src, Options{Batch: b, Workers: 2})
+	u, err := CompileArtifact(fig3Src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRunBatchFacade(t *testing.T) {
 			"C": rotStream(base["C"], 2*l),
 		}
 	}
-	res, err := u.RunBatch(base, laneIn)
+	res, err := u.RunBatch(Binding{Batch: b, Workers: 2}, base, laneIn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,7 @@ func TestRunBatchFacade(t *testing.T) {
 		t.Fatalf("RunBatch returned %d lanes, want %d", len(res.Lanes), b)
 	}
 
-	useq, err := Compile(fig3Src, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := useq.Run(base)
+	seq, err := u.Run(Binding{}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +181,10 @@ func TestRunBatchFacade(t *testing.T) {
 
 	// RunBatch with no width anywhere and no lane inputs is a usage error;
 	// with lane inputs it runs one lane per set, as if the width were set.
-	if _, err := useq.RunBatch(base, nil); err == nil {
-		t.Error("RunBatch on a scalar unit succeeded")
+	if _, err := u.RunBatch(Binding{}, base, nil); err == nil {
+		t.Error("RunBatch with no width succeeded")
 	}
-	implied, err := useq.Artifact().RunBatch(Binding{Workers: 2}, base, laneIn)
+	implied, err := u.RunBatch(Binding{Workers: 2}, base, laneIn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +193,12 @@ func TestRunBatchFacade(t *testing.T) {
 	}
 	for l := range implied.Lanes {
 		if !reflect.DeepEqual(implied.Lanes[l].Outputs, res.Lanes[l].Outputs) || implied.Lanes[l].Exec.Cycles != res.Lanes[l].Exec.Cycles {
-			t.Errorf("lane %d: width from lane inputs diverges from compile-time width", l)
+			t.Errorf("lane %d: width from lane inputs diverges from the binding's width", l)
 		}
 	}
 	// A lane stream of the wrong declared length is rejected up front.
 	short := []map[string][]value.Value{nil, {"B": base["B"][:3]}}
-	if _, err := u.RunBatch(base, short); err == nil {
+	if _, err := u.RunBatch(Binding{Batch: b}, base, short); err == nil {
 		t.Error("RunBatch accepted a wrong-length lane stream")
 	}
 }

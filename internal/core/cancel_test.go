@@ -16,11 +16,11 @@ func TestRunCanceledReturnsPartialResult(t *testing.T) {
 	p := progs.Fig2(4 * exec.CancelCadence)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	u, err := Compile(p.Source, Options{Ctx: ctx})
+	u, err := CompileArtifact(p.Source, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Run(p.Inputs)
+	res, err := u.Run(Binding{Ctx: ctx}, p.Inputs)
 	if err == nil {
 		t.Fatal("expected cancellation error")
 	}
@@ -49,19 +49,15 @@ func TestRunCanceledReturnsPartialResult(t *testing.T) {
 // layer: attaching a never-firing context changes nothing observable.
 func TestRunUncanceledContextIdentical(t *testing.T) {
 	p := progs.Fig2(512)
-	plain, err := Compile(p.Source, Options{})
+	plain, err := CompileArtifact(p.Source, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := plain.Run(p.Inputs)
+	pres, err := plain.Run(Binding{}, p.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := Compile(p.Source, Options{Ctx: context.Background()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := withCtx.Run(p.Inputs)
+	cres, err := plain.Run(Binding{Ctx: context.Background()}, p.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,17 @@
 // Package core assembles the paper's contribution end to end: it compiles
 // a pipe-structured Val program into a fully pipelined static dataflow
-// instruction graph (Theorems 1–4) and runs it on the firing-rule
-// simulator, with the reference interpreter available for validation.
+// instruction graph (Theorems 1–4) and runs it on either simulator, with
+// the reference interpreter available for validation.
+//
+// The API has one compile/run shape, mirroring the paper's split between a
+// program loaded into the machine and the array operands that stream
+// through it: CompileArtifact builds an immutable Artifact, and each run
+// binds its inputs and its per-run attachments (context, tracer, progress,
+// lane width, cycle bound) in a Binding. Nothing on a run path writes the
+// Artifact, so one compilation serves any number of concurrent runs.
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -15,9 +21,6 @@ import (
 	"staticpipe/internal/foriter"
 	"staticpipe/internal/graph"
 	"staticpipe/internal/mcm"
-	"staticpipe/internal/passes"
-	"staticpipe/internal/pipestruct"
-	"staticpipe/internal/trace"
 	"staticpipe/internal/val"
 	"staticpipe/internal/value"
 )
@@ -57,79 +60,13 @@ type Options struct {
 	// compilation pass. The graph is live; hooks must render what they need
 	// synchronously.
 	Snapshot func(pass string, g *graph.Graph)
-	// MaxCycles bounds simulation runs (0 = exec.DefaultMaxCycles).
-	MaxCycles int
-	// Tracer, if non-nil, receives the observability event stream of every
-	// Run (see internal/trace). Tracing is passive and does not change
-	// results or cycle counts.
-	Tracer trace.Tracer
-	// Progress, if non-nil, is updated live during every Run (see
-	// exec.Options.Progress) so the telemetry server can report cycle
-	// progress while the simulation is in flight.
-	Progress *trace.Progress
-	// Workers shards a batched Run's lanes across this many goroutines
-	// (see exec.Options.Workers); a scalar Run is sequential whatever it
-	// says. Results are byte-identical for any worker count.
-	Workers int
-	// Batch widens every Run to this many independent token lanes advancing
-	// through the one compiled graph (see exec.Options.Batch). Run feeds all
-	// lanes the program's bound inputs; RunBatch rebinds per-lane inputs and
-	// returns per-lane views. Lane 0 is always byte-identical to a scalar
-	// run; 0 or 1 runs the scalar engine.
+	// Batch is the lane width a Binding with Batch 0 falls back to (see
+	// Binding.Batch). It does not shape the compiled graph and is not part
+	// of the artifact cache key; it remains only because the benchmark
+	// harness (perfbench/workloads.go) still compiles with it. New code
+	// sets Binding.Batch.
 	Batch int
-	// Ctx, if non-nil, cancels in-flight Runs early (see exec.Options.Ctx:
-	// polled every exec.CancelCadence cycles, zero perturbation when the
-	// context never fires). A canceled Run returns the partial RunResult —
-	// whatever each output produced so far, Exec.Canceled set — together
-	// with the error.
-	Ctx context.Context
 }
-
-// Unit is a compiled pipe-structured program — the legacy single-goroutine
-// facade over an immutable Artifact. New code (and any code sharing one
-// compilation across goroutines, e.g. through the artifact cache) should
-// use Artifact and per-run Bindings directly; Unit remains for the
-// command-line tools' compile-once-run-once shape.
-type Unit struct {
-	Source   string
-	Checked  *val.Checked
-	Compiled *pipestruct.Result
-	art      *Artifact
-}
-
-// Compile parses, checks, and compiles a pipe-structured Val program.
-func Compile(src string, opts Options) (*Unit, error) {
-	art, err := CompileArtifact(src, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Unit{Source: src, Checked: art.Checked, Compiled: art.Compiled, art: art}, nil
-}
-
-// Artifact returns the immutable compiled artifact backing this unit.
-func (u *Unit) Artifact() *Artifact { return u.art }
-
-// phaseRecorder is the optional sink capability for compile-phase records:
-// trace.Metrics and trace.Live both implement it.
-type phaseRecorder interface{ RecordPhase(trace.PhaseStat) }
-
-// recordPhase forwards one compile-phase record to every phase-capable sink
-// reachable from t (unwrapping trace.Multi fan-outs).
-func recordPhase(t trace.Tracer, p trace.PhaseStat) {
-	switch s := t.(type) {
-	case nil:
-	case trace.Multi:
-		for _, sub := range s {
-			recordPhase(sub, p)
-		}
-	case phaseRecorder:
-		s.RecordPhase(p)
-	}
-}
-
-// PassStats returns the per-pass compilation statistics (name, wall time,
-// graph sizes) in pipeline order.
-func (u *Unit) PassStats() []passes.Stat { return u.Compiled.PassStats }
 
 // RunResult holds a machine-level run's outcome.
 type RunResult struct {
@@ -144,13 +81,6 @@ type RunResult struct {
 // output.
 func (r *RunResult) II(name string) float64 { return r.Exec.II(name) }
 
-// Run simulates the compiled graph on the given input streams with the
-// compile-time options as the binding (the graph itself is never written —
-// inputs travel with the run).
-func (u *Unit) Run(inputs map[string][]value.Value) (*RunResult, error) {
-	return u.art.Run(Binding{}, inputs)
-}
-
 // BatchRunResult holds every lane's view of a batched run.
 type BatchRunResult struct {
 	// Lanes holds one RunResult per lane. Lane 0 consumed the program's
@@ -161,34 +91,25 @@ type BatchRunResult struct {
 	Exec *exec.Result
 }
 
-// RunBatch simulates Options.Batch independent input sets through the one
-// compiled graph in a single batched run. inputs binds the baseline streams
-// every lane defaults to (and lane 0 always consumes); laneInputs[l], when
-// non-nil, rebinds lane l's named inputs (lane 0's entry is ignored). Every
-// stream must match the program's declared input length.
-func (u *Unit) RunBatch(inputs map[string][]value.Value, laneInputs []map[string][]value.Value) (*BatchRunResult, error) {
-	return u.art.RunBatch(Binding{}, inputs, laneInputs)
-}
-
 // Reference evaluates the program with the direct AST interpreter — the
 // semantic baseline compiled graphs are validated against.
-func (u *Unit) Reference(inputs map[string][]value.Value) (map[string]*val.ArrayVal, error) {
-	return val.Interp(u.Checked, inputs)
+func (a *Artifact) Reference(inputs map[string][]value.Value) (map[string]*val.ArrayVal, error) {
+	return val.Interp(a.Checked, inputs)
 }
 
 // PredictII returns the analytically predicted initiation interval of the
 // compiled graph (maximum cycle ratio of its timing constraints).
-func (u *Unit) PredictII() (mcm.Result, error) {
-	return mcm.PredictII(u.Compiled.Graph)
+func (a *Artifact) PredictII() (mcm.Result, error) {
+	return mcm.PredictII(a.Compiled.Graph)
 }
 
 // Report renders a compile report: block table, cell statistics, buffering
 // cost, and the predicted initiation interval.
-func (u *Unit) Report() string {
+func (a *Artifact) Report() string {
 	var b strings.Builder
-	stats := u.Compiled.Graph.ComputeStats()
+	stats := a.Compiled.Graph.ComputeStats()
 	fmt.Fprintf(&b, "blocks:\n")
-	for _, blk := range u.Compiled.Blocks {
+	for _, blk := range a.Compiled.Blocks {
 		fmt.Fprintf(&b, "  %-12s %-8s scheme=%-9s", blk.Name, blk.Form, blk.Scheme)
 		if blk.Kind != "" {
 			fmt.Fprintf(&b, " recurrence=%s", blk.Kind)
@@ -204,25 +125,25 @@ func (u *Unit) Report() string {
 	}
 	sort.Strings(ops)
 	fmt.Fprintf(&b, "by op: %s\n", strings.Join(ops, " "))
-	if n := len(u.Compiled.PassStats); n > 0 {
+	if n := len(a.Compiled.PassStats); n > 0 {
 		names := make([]string, 0, n)
-		for _, s := range u.Compiled.PassStats {
+		for _, s := range a.Compiled.PassStats {
 			names = append(names, s.Name)
 		}
 		fmt.Fprintf(&b, "passes: %s\n", strings.Join(names, " -> "))
 	}
-	for _, w := range u.Compiled.Warnings {
+	for _, w := range a.Compiled.Warnings {
 		fmt.Fprintf(&b, "warning: %s\n", w)
 	}
-	if u.Compiled.Deduped > 0 {
-		fmt.Fprintf(&b, "dedup: %d duplicate cells removed\n", u.Compiled.Deduped)
+	if a.Compiled.Deduped > 0 {
+		fmt.Fprintf(&b, "dedup: %d duplicate cells removed\n", a.Compiled.Deduped)
 	}
-	if u.Compiled.Plan != nil {
-		fmt.Fprintf(&b, "balancing: %d buffer stages inserted\n", u.Compiled.Plan.Total)
+	if a.Compiled.Plan != nil {
+		fmt.Fprintf(&b, "balancing: %d buffer stages inserted\n", a.Compiled.Plan.Total)
 	} else {
 		fmt.Fprintf(&b, "balancing: skipped\n")
 	}
-	if pred, err := u.PredictII(); err == nil {
+	if pred, err := a.PredictII(); err == nil {
 		fmt.Fprintf(&b, "predicted %s\n", pred)
 	} else {
 		fmt.Fprintf(&b, "prediction failed: %v\n", err)
@@ -233,12 +154,12 @@ func (u *Unit) Report() string {
 // Validate runs the compiled graph against the reference interpreter on
 // the given inputs and reports the first mismatch (nil if all outputs
 // agree within tol).
-func (u *Unit) Validate(inputs map[string][]value.Value, tol float64) error {
-	got, err := u.Run(inputs)
+func (a *Artifact) Validate(inputs map[string][]value.Value, tol float64) error {
+	got, err := a.Run(Binding{}, inputs)
 	if err != nil {
 		return err
 	}
-	want, err := u.Reference(inputs)
+	want, err := a.Reference(inputs)
 	if err != nil {
 		return err
 	}

@@ -50,7 +50,7 @@ func fig3Inputs(m int) map[string][]value.Value {
 // pipe-structured program runs fully pipelined and matches the reference
 // interpreter.
 func TestFig3EndToEnd(t *testing.T) {
-	u, err := Compile(fig3Src, Options{})
+	u, err := CompileArtifact(fig3Src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestFig3EndToEnd(t *testing.T) {
 	if err := u.Validate(inputs, 1e-9); err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Run(inputs)
+	res, err := u.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFig3EndToEnd(t *testing.T) {
 // TestFig3ToddThrottles forces Todd's scheme: the whole program slows to
 // the loop's 1/3 rate — the paper's motivation for the companion pipeline.
 func TestFig3ToddThrottles(t *testing.T) {
-	u, err := Compile(fig3Src, Options{ForIterScheme: foriter.Todd})
+	u, err := CompileArtifact(fig3Src, Options{ForIterScheme: foriter.Todd})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFig3ToddThrottles(t *testing.T) {
 	if err := u.Validate(inputs, 1e-9); err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Run(inputs)
+	res, err := u.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,20 +113,20 @@ func TestFig3ToddThrottles(t *testing.T) {
 
 // TestUnbalancedSlower verifies balancing matters for the composed program.
 func TestUnbalancedSlower(t *testing.T) {
-	bal, err := Compile(fig3Src, Options{})
+	bal, err := CompileArtifact(fig3Src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbal, err := Compile(fig3Src, Options{NoBalance: true})
+	unbal, err := CompileArtifact(fig3Src, Options{NoBalance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := fig3Inputs(16)
-	rb, err := bal.Run(inputs)
+	rb, err := bal.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ru, err := unbal.Run(inputs)
+	ru, err := unbal.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +144,11 @@ func TestUnbalancedSlower(t *testing.T) {
 // TestNaiveVsOptimalBalance: both are fully pipelined; optimal uses no
 // more buffer stages (§8, conclusions 1–3).
 func TestNaiveVsOptimalBalance(t *testing.T) {
-	opt, err := Compile(fig3Src, Options{})
+	opt, err := CompileArtifact(fig3Src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := Compile(fig3Src, Options{NaiveBalance: true})
+	naive, err := CompileArtifact(fig3Src, Options{NaiveBalance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestNaiveVsOptimalBalance(t *testing.T) {
 		t.Errorf("optimal buffers %d > naive %d", opt.Compiled.Plan.Total, naive.Compiled.Plan.Total)
 	}
 	inputs := fig3Inputs(16)
-	rn, err := naive.Run(inputs)
+	rn, err := naive.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ D : array[real] := forall i in [0, m] construct A[i] * 2. endall;
 output A;
 output D;
 `
-	u, err := Compile(src, Options{})
+	u, err := CompileArtifact(src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ output D;
 	if err := u.Validate(inputs, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Run(inputs)
+	res, err := u.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ B : array[real] := forall i in [1, m-1] construct A[i-1] + A[i+1] endall;
 D : array[real] := forall i in [1, m-1] construct B[i] + A[i] endall;
 output D;
 `
-	u, err := Compile(src, Options{})
+	u, err := CompileArtifact(src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ output D;
 	if err := u.Validate(inputs, 1e-12); err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Run(inputs)
+	res, err := u.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,29 +239,29 @@ input C : array[real] [0, 3];
 A : array[real] := C;
 output A;
 `
-	if _, err := Compile(src, Options{}); err == nil {
+	if _, err := CompileArtifact(src, Options{}); err == nil {
 		t.Error("non-pipe-structured program accepted")
 	}
 }
 
 func TestCompileErrors(t *testing.T) {
-	if _, err := Compile("not val at all ;;", Options{}); err == nil {
+	if _, err := CompileArtifact("not val at all ;;", Options{}); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := Compile("output Z;", Options{}); err == nil {
+	if _, err := CompileArtifact("output Z;", Options{}); err == nil {
 		t.Error("undefined output accepted")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	u, err := Compile(fig3Src, Options{})
+	u, err := CompileArtifact(fig3Src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Run(map[string][]value.Value{}); err == nil {
+	if _, err := u.Run(Binding{}, map[string][]value.Value{}); err == nil {
 		t.Error("missing inputs accepted")
 	}
-	if _, err := u.Run(map[string][]value.Value{
+	if _, err := u.Run(Binding{}, map[string][]value.Value{
 		"B": value.Reals(make([]float64, 3)),
 		"C": value.Reals(make([]float64, 18)),
 	}); err == nil {
@@ -270,7 +270,7 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestReport(t *testing.T) {
-	u, err := Compile(fig3Src, Options{})
+	u, err := CompileArtifact(fig3Src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestReport(t *testing.T) {
 }
 
 func TestFlowGraph(t *testing.T) {
-	u, err := Compile(fig3Src, Options{})
+	u, err := CompileArtifact(fig3Src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +304,12 @@ func TestFlowGraph(t *testing.T) {
 }
 
 func TestReusableRuns(t *testing.T) {
-	u, err := Compile(fig3Src, Options{})
+	u, err := CompileArtifact(fig3Src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	in1 := fig3Inputs(16)
-	r1, err := u.Run(in1)
+	r1, err := u.Run(Binding{}, in1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestReusableRuns(t *testing.T) {
 		}
 		in2[k] = vs
 	}
-	r2, err := u.Run(in2)
+	r2, err := u.Run(Binding{}, in2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestReusableRuns(t *testing.T) {
 		t.Error("different inputs produced identical outputs")
 	}
 	// and re-running in1 reproduces r1
-	r3, err := u.Run(in1)
+	r3, err := u.Run(Binding{}, in1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestReusableRuns(t *testing.T) {
 // graph (the dfc -emit / dfsim -graph pipeline), and checks the loaded
 // graph reproduces the original run exactly.
 func TestSerializedGraphRoundTrip(t *testing.T) {
-	u, err := Compile(fig3Src, Options{})
+	u, err := CompileArtifact(fig3Src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,11 +392,11 @@ func TestSerializedGraphRoundTrip(t *testing.T) {
 // TestDedupOption checks common-cell elimination end to end: fewer cells,
 // identical results, still fully pipelined.
 func TestDedupOption(t *testing.T) {
-	plain, err := Compile(fig3Src, Options{})
+	plain, err := CompileArtifact(fig3Src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ded, err := Compile(fig3Src, Options{Dedup: true})
+	ded, err := CompileArtifact(fig3Src, Options{Dedup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestDedupOption(t *testing.T) {
 	if err := ded.Validate(inputs, 1e-9); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ded.Run(inputs)
+	res, err := ded.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestQuickRandomProgramsDeduped(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	for trial := 0; trial < 20; trial++ {
 		src, inputs := randomProgram(rng, 10+rng.Intn(8))
-		u, err := Compile(src, Options{Dedup: true})
+		u, err := CompileArtifact(src, Options{Dedup: true})
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v\n%s", trial, err, src)
 		}
@@ -447,12 +447,12 @@ func TestLargeScale(t *testing.T) {
 		t.Skip("large-scale soak")
 	}
 	m := 32768
-	u, err := Compile(strings.Replace(fig3Src, "param m = 16;", "param m = 32768;", 1), Options{})
+	u, err := CompileArtifact(strings.Replace(fig3Src, "param m = 16;", "param m = 32768;", 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := fig3Inputs(m)
-	res, err := u.Run(inputs)
+	res, err := u.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,11 @@ func TestCrossSimulatorRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1983)) // the paper's publication year
 	for i := 0; i < n; i++ {
 		src, inputs := randomProgram(rng, 6+rng.Intn(6))
-		u, err := Compile(src, Options{})
+		u, err := CompileArtifact(src, Options{})
 		if err != nil {
 			t.Fatalf("program %d: %v\n%s", i, err, src)
 		}
-		eres, err := u.Run(inputs)
+		eres, err := u.Run(Binding{}, inputs)
 		if err != nil {
 			t.Fatalf("program %d exec: %v\n%s", i, err, src)
 		}
@@ -90,7 +90,7 @@ func TestCrossSimulatorRandom(t *testing.T) {
 // results with stall diagnostics when MaxCycles is exhausted mid-stream.
 func TestCrossSimulatorPartialResult(t *testing.T) {
 	src, inputs := randomProgram(rand.New(rand.NewSource(7)), 8)
-	u, err := Compile(src, Options{})
+	u, err := CompileArtifact(src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func dedupStallInputs() map[string][]value.Value {
 func TestDedupWithoutBalanceNoLongerStalls(t *testing.T) {
 	inputs := dedupStallInputs()
 	for _, passList := range []string{"dedup", "balance,dedup"} {
-		u, err := Compile(dedupStallSrc, Options{Passes: passList})
+		u, err := CompileArtifact(dedupStallSrc, Options{Passes: passList})
 		if err != nil {
 			t.Fatalf("passes=%q: %v", passList, err)
 		}
@@ -85,7 +85,7 @@ func TestDedupWithoutBalanceNoLongerStalls(t *testing.T) {
 		if err := u.Validate(inputs, 1e-9); err != nil {
 			t.Errorf("passes=%q: %v", passList, err)
 		}
-		res, err := u.Run(inputs)
+		res, err := u.Run(Binding{}, inputs)
 		if err != nil {
 			t.Fatalf("passes=%q: %v", passList, err)
 		}
@@ -95,7 +95,7 @@ func TestDedupWithoutBalanceNoLongerStalls(t *testing.T) {
 	}
 
 	// The legacy boolean interface gets the same protection.
-	u, err := Compile(dedupStallSrc, Options{Dedup: true, NoBalance: true})
+	u, err := CompileArtifact(dedupStallSrc, Options{Dedup: true, NoBalance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDedupWithoutBalanceNoLongerStalls(t *testing.T) {
 // TestDedupBalancedPipelineHasNoWarning checks the auto-append does not
 // fire when the user's pipeline already balances after dedup.
 func TestDedupBalancedPipelineHasNoWarning(t *testing.T) {
-	u, err := Compile(dedupStallSrc, Options{Passes: "dedup,balance"})
+	u, err := CompileArtifact(dedupStallSrc, Options{Passes: "dedup,balance"})
 	if err != nil {
 		t.Fatal(err)
 	}

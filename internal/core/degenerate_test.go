@@ -15,7 +15,7 @@ input B : array[real] [0, 4];
 A : array[real] := forall i in [5, 4] construct B[i-5] endall;
 output A;
 `
-	_, err := Compile(src, Options{})
+	_, err := CompileArtifact(src, Options{})
 	if err == nil {
 		t.Fatal("empty forall range compiled")
 	}
@@ -32,7 +32,7 @@ input B : array[real] [1, 0];
 A : array[real] := forall i in [1, 8] construct 1. endall;
 output A;
 `
-	_, err := Compile(src, Options{})
+	_, err := CompileArtifact(src, Options{})
 	if err == nil {
 		t.Fatal("empty input range compiled")
 	}
@@ -44,11 +44,11 @@ output A;
 // TestEmptyRunInputs checks that binding zero-length input streams to a
 // program expecting data is a clean length error, not a hang.
 func TestEmptyRunInputs(t *testing.T) {
-	u, err := Compile(fig3Src, Options{})
+	u, err := CompileArtifact(fig3Src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = u.Run(map[string][]value.Value{"B": {}, "C": {}})
+	_, err = u.Run(Binding{}, map[string][]value.Value{"B": {}, "C": {}})
 	if err == nil {
 		t.Fatal("zero-length input streams accepted")
 	}

@@ -67,7 +67,7 @@ func checkAfterEachPass(t *testing.T, src, passList string, inputs map[string][]
 			}
 		}
 	}
-	u, err := Compile(src, Options{Passes: passList, VerifyEach: true, Snapshot: snapshot})
+	u, err := CompileArtifact(src, Options{Passes: passList, VerifyEach: true, Snapshot: snapshot})
 	if err != nil {
 		t.Fatalf("passes=%q: %v", passList, err)
 	}
@@ -146,7 +146,7 @@ func TestDifferentialRandom(t *testing.T) {
 // referenceOutputs evaluates the program with the AST interpreter and
 // flattens each output array to its element stream.
 func referenceOutputs(src string, inputs map[string][]value.Value) (map[string][]value.Value, error) {
-	u, err := Compile(src, Options{})
+	u, err := CompileArtifact(src, Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func TestVerifyTier1Options(t *testing.T) {
 		{NoBalance: true},
 		{ArmSlack: 2},
 	} {
-		u, err := Compile(fig3Src, o)
+		u, err := CompileArtifact(fig3Src, o)
 		if err != nil {
 			t.Fatalf("%+v: %v", o, err)
 		}
@@ -203,7 +203,7 @@ func TestLegacyOptionsMatchPassLists(t *testing.T) {
 		{Options{Dedup: true, NoBalance: true}, "dedup"},
 	}
 	for _, tc := range cases {
-		lu, err := Compile(fig3Src, tc.legacy)
+		lu, err := CompileArtifact(fig3Src, tc.legacy)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc.legacy, err)
 		}
@@ -213,7 +213,7 @@ func TestLegacyOptionsMatchPassLists(t *testing.T) {
 		if po.Passes == "" {
 			po.NoBalance = true // empty Passes string falls back to legacy; keep it empty
 		}
-		pu, err := Compile(fig3Src, po)
+		pu, err := CompileArtifact(fig3Src, po)
 		if err != nil {
 			t.Fatalf("passes=%q: %v", tc.passes, err)
 		}

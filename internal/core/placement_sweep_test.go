@@ -27,7 +27,7 @@ func TestPlacementSweepRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1983))
 	for i := 0; i < n; i++ {
 		src, inputs := randomProgram(rng, 6+rng.Intn(6))
-		u, err := Compile(src, Options{})
+		u, err := CompileArtifact(src, Options{})
 		if err != nil {
 			t.Fatalf("program %d: %v\n%s", i, err, src)
 		}

@@ -19,7 +19,7 @@ func TestQuickRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260705))
 	for trial := 0; trial < 30; trial++ {
 		src, inputs := randomProgram(rng, 12+rng.Intn(8))
-		u, err := Compile(src, Options{})
+		u, err := CompileArtifact(src, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v\n%s", trial, err, src)
 		}

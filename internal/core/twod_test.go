@@ -34,7 +34,7 @@ func grid(m, n int, f func(i, j int) float64) []value.Value {
 }
 
 func TestTwoDStencil(t *testing.T) {
-	u, err := Compile(laplaceSrc, Options{})
+	u, err := CompileArtifact(laplaceSrc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestTwoDStencil(t *testing.T) {
 	if err := u.Validate(inputs, 1e-12); err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Run(inputs)
+	res, err := u.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ V : array2[real] :=
   endall;
 output V;
 `
-	u, err := Compile(src, Options{})
+	u, err := CompileArtifact(src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ output V;
 	if err := u.Validate(inputs, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Run(inputs)
+	res, err := u.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ A : array2[real] :=
   endall;
 output A;
 `
-	u, err := Compile(src, Options{})
+	u, err := CompileArtifact(src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ output A;
 	if err := u.Validate(inputs, 1e-12); err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Run(inputs)
+	res, err := u.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ V : array2[real] :=
   endall;
 output V;
 `
-	u, err := Compile(src, Options{})
+	u, err := CompileArtifact(src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ A : array2[real] :=
   endall;
 output A;
 `
-	u, err := Compile(src, Options{})
+	u, err := CompileArtifact(src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ output A;
 
 // TestTwoDParallelScheme checks the parallel scheme in two dimensions.
 func TestTwoDParallelScheme(t *testing.T) {
-	u, err := Compile(laplaceSrc, Options{ForallScheme: forall.Parallel})
+	u, err := CompileArtifact(laplaceSrc, Options{ForallScheme: forall.Parallel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ A : array2[real] := forall i in [0, 3], j in [0, 3] construct U[i, j] endall;
 output A;`, "empty"},
 	}
 	for _, c := range cases {
-		_, err := Compile(c.src, Options{})
+		_, err := CompileArtifact(c.src, Options{})
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 			continue

@@ -374,6 +374,10 @@ func markCanceled(res *Result, cycle int, ctx context.Context) (*Result, error) 
 
 // collect examines candidate cells against the current snapshot and returns
 // the firing plans of all enabled cells in deterministic (NodeID) order.
+// Each candidate is planned straight into the next plans slot, kept only
+// if the cell is enabled. Returning the plan by value put a stack copy on
+// every candidate's path, and the loop's speed then varied with the
+// caller's stack depth.
 func (s *sim) collect() []firing {
 	s.plans = s.plans[:0]
 	s.arcIDs = s.arcIDs[:0]
@@ -382,8 +386,9 @@ func (s *sim) collect() []firing {
 			id := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
 			n := s.g.Node(graph.NodeID(id))
-			if f, why := s.plan(n); why == trace.ReasonNone {
-				s.plans = append(s.plans, f)
+			s.plans = append(s.plans, firing{})
+			if s.plan(n, &s.plans[len(s.plans)-1]) != trace.ReasonNone {
+				s.plans = s.plans[:len(s.plans)-1]
 			}
 		}
 	}
@@ -394,15 +399,16 @@ func (s *sim) collect() []firing {
 // one stall event per waiting cell (tracing only; plan is semantically
 // side-effect free, so this pass cannot perturb the run).
 func (s *sim) emitStalls(cycle int, plans []firing) {
-	firing := make(map[graph.NodeID]bool, len(plans))
+	fires := make(map[graph.NodeID]bool, len(plans))
 	for _, f := range plans {
-		firing[f.node.ID] = true
+		fires[f.node.ID] = true
 	}
+	var f firing
 	for _, n := range s.g.Nodes() {
-		if firing[n.ID] {
+		if fires[n.ID] {
 			continue
 		}
-		if _, why := s.plan(n); why == trace.ReasonOperandWait || why == trace.ReasonAckWait {
+		if why := s.plan(n, &f); why == trace.ReasonOperandWait || why == trace.ReasonAckWait {
 			s.tr.Emit(trace.Event{
 				Cycle: int64(cycle), Kind: trace.KindStall,
 				Cell: int32(n.ID), Port: -1, Unit: -1, Src: -1, Dst: -1, Reason: why,
@@ -433,12 +439,12 @@ func (s *sim) consumeArc(n *graph.Node, p int) {
 	}
 }
 
-// plan decides whether cell n can fire now and, if so, what its effects
-// are. The returned reason is trace.ReasonNone when the cell is enabled and
-// otherwise classifies the stall (used by the observability layer; plan
-// touches only scratch arenas either way, never machine state).
-func (s *sim) plan(n *graph.Node) (firing, trace.Reason) {
-	f := firing{node: n}
+// plan decides whether cell n can fire now and, if so, writes its effects
+// into *f. The returned reason is trace.ReasonNone when the cell is enabled
+// and otherwise classifies the stall (used by the observability layer; plan
+// touches only *f and scratch arenas either way, never machine state).
+func (s *sim) plan(n *graph.Node, f *firing) trace.Reason {
+	*f = firing{node: n}
 	f.c0 = int32(len(s.arcIDs))
 
 	// Phase 1: operand availability and result computation.
@@ -446,7 +452,7 @@ func (s *sim) plan(n *graph.Node) (firing, trace.Reason) {
 	case graph.OpSource:
 		stream := s.streams[n.ID]
 		if s.srcPos[n.ID] >= len(stream) {
-			return f, trace.ReasonDone
+			return trace.ReasonDone
 		}
 		f.out = stream[s.srcPos[n.ID]]
 		f.advance = true
@@ -455,7 +461,7 @@ func (s *sim) plan(n *graph.Node) (firing, trace.Reason) {
 	case graph.OpCtlGen:
 		total := n.Pattern.Len()
 		if total >= 0 && s.srcPos[n.ID] >= total {
-			return f, trace.ReasonDone
+			return trace.ReasonDone
 		}
 		f.out = value.B(n.Pattern.At(s.srcPos[n.ID]))
 		f.advance = true
@@ -464,7 +470,7 @@ func (s *sim) plan(n *graph.Node) (firing, trace.Reason) {
 	case graph.OpSink:
 		v, ok := s.operand(n, 0)
 		if !ok {
-			return f, trace.ReasonOperandWait
+			return trace.ReasonOperandWait
 		}
 		f.out = v
 		f.sink = true
@@ -473,7 +479,7 @@ func (s *sim) plan(n *graph.Node) (firing, trace.Reason) {
 	case graph.OpMerge:
 		ctl, ok := s.operand(n, 0)
 		if !ok {
-			return f, trace.ReasonOperandWait
+			return trace.ReasonOperandWait
 		}
 		sel := 2
 		if ctl.AsBool() {
@@ -481,12 +487,12 @@ func (s *sim) plan(n *graph.Node) (firing, trace.Reason) {
 		}
 		v, ok := s.operand(n, sel)
 		if !ok {
-			return f, trace.ReasonOperandWait
+			return trace.ReasonOperandWait
 		}
 		// extra control ports (gates) must also be present
 		for p := 3; p < len(n.In); p++ {
 			if _, ok := s.operand(n, p); !ok {
-				return f, trace.ReasonOperandWait
+				return trace.ReasonOperandWait
 			}
 		}
 		f.out = v
@@ -501,11 +507,11 @@ func (s *sim) plan(n *graph.Node) (firing, trace.Reason) {
 		ctl, okc := s.operand(n, 0)
 		data, okd := s.operand(n, 1)
 		if !okc || !okd {
-			return f, trace.ReasonOperandWait
+			return trace.ReasonOperandWait
 		}
 		for p := 2; p < len(n.In); p++ {
 			if _, ok := s.operand(n, p); !ok {
-				return f, trace.ReasonOperandWait
+				return trace.ReasonOperandWait
 			}
 		}
 		pass := ctl.AsBool()
@@ -526,7 +532,7 @@ func (s *sim) plan(n *graph.Node) (firing, trace.Reason) {
 		for p := range n.In {
 			v, ok := s.operand(n, p)
 			if !ok {
-				return f, trace.ReasonOperandWait
+				return trace.ReasonOperandWait
 			}
 			vals[p] = v
 		}
@@ -548,20 +554,20 @@ func (s *sim) plan(n *graph.Node) (firing, trace.Reason) {
 			if a.Gate != graph.NoGate {
 				gv, ok := s.operand(n, a.Gate)
 				if !ok {
-					return f, trace.ReasonOperandWait // gate operand itself not ready
+					return trace.ReasonOperandWait // gate operand itself not ready
 				}
 				write = gv.AsBool()
 			}
 			if write {
 				if s.arcHas[a.ID] {
-					return f, trace.ReasonAckWait
+					return trace.ReasonAckWait
 				}
 				s.arcIDs = append(s.arcIDs, a.ID)
 			}
 		}
 	}
 	f.p1 = int32(len(s.arcIDs))
-	return f, trace.ReasonNone
+	return trace.ReasonNone
 }
 
 // ApplyOp evaluates an ordinary (non-gate, non-merge) operator cell; it is

@@ -118,18 +118,6 @@ func (s *Span) End() {
 	}
 }
 
-// EndAt closes the span at an explicit instant (first close wins).
-func (s *Span) EndAt(at time.Time) {
-	if s == nil {
-		return
-	}
-	s.tree.mu.Lock()
-	defer s.tree.mu.Unlock()
-	if s.end.IsZero() {
-		s.end = at
-	}
-}
-
 // Set appends one annotation. Repeated keys append rather than overwrite;
 // the export shows the last value.
 func (s *Span) Set(key string, v any) {

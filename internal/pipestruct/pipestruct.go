@@ -248,7 +248,11 @@ func schemeName(s forall.Scheme) string {
 	return "pipeline"
 }
 
-// SetInput binds an input array's element stream before a run.
+// SetInput binds an input array's element stream by writing it into the
+// graph's source cell. Runs never do this — they pass inputs through
+// exec.Options.Inputs or machine.Config.Inputs (see CheckInputs), so a
+// compiled graph can be shared; SetInput is for a graph that is about to
+// be serialized with its streams bound, as dfc -emit does.
 func (r *Result) SetInput(name string, vals []value.Value) error {
 	src, ok := r.Inputs[name]
 	if !ok {
@@ -267,10 +271,10 @@ func (r *Result) SetInput(name string, vals []value.Value) error {
 func (r *Result) InputLen(name string) int { return r.inputLen[name] }
 
 // CheckInputs validates a full input binding — every declared input present
-// with its declared length — without writing the graph. This is the
-// admission-time check for shared compiled artifacts: SetInput/SetInputs
-// mutate source cells, so a cached Result must never see them; runs instead
-// pass the checked map through exec.Options.Inputs or machine.Config.Inputs.
+// with its declared length — without writing the graph. Every run path
+// checks its inputs with it: SetInput/SetInputs mutate source cells, so a
+// shared Result must never see them; runs instead pass the checked map
+// through exec.Options.Inputs or machine.Config.Inputs.
 // Keys naming no declared input are ignored, matching SetInputs.
 func (r *Result) CheckInputs(inputs map[string][]value.Value) error {
 	for name := range r.Inputs {
@@ -285,7 +289,23 @@ func (r *Result) CheckInputs(inputs map[string][]value.Value) error {
 	return nil
 }
 
-// SetInputs binds all input streams.
+// BindInputs validates a full input binding (see CheckInputs) and returns
+// it narrowed to the declared inputs: the per-run form exec.Options.Inputs
+// and machine.Config.Inputs take, which reject names that match no source
+// cell. Keys naming no declared input are ignored, matching SetInputs.
+func (r *Result) BindInputs(inputs map[string][]value.Value) (map[string][]value.Value, error) {
+	if err := r.CheckInputs(inputs); err != nil {
+		return nil, err
+	}
+	binds := make(map[string][]value.Value, len(r.Inputs))
+	for name := range r.Inputs {
+		binds[name] = inputs[name]
+	}
+	return binds, nil
+}
+
+// SetInputs binds all input streams into the graph (see SetInput: for
+// serializing a graph with its streams, not for running it).
 func (r *Result) SetInputs(inputs map[string][]value.Value) error {
 	for name := range r.Inputs {
 		vals, ok := inputs[name]

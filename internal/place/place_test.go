@@ -220,7 +220,7 @@ func TestProfileGuidedPlan(t *testing.T) {
 // one PE whenever they fit under the load cap.
 func TestCriticalCycleCoLocated(t *testing.T) {
 	p := progs.Example2(32)
-	u, err := core.Compile(p.Source, core.Options{})
+	u, err := core.CompileArtifact(p.Source, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

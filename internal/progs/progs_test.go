@@ -14,14 +14,14 @@ func TestAllProgramsCompileAndValidate(t *testing.T) {
 		Fig2(64), Fig4(48), Fig5(64), Example1(32), Example2(32), Fig3(32), Weather(40),
 	} {
 		t.Run(p.Name, func(t *testing.T) {
-			u, err := core.Compile(p.Source, core.Options{})
+			u, err := core.CompileArtifact(p.Source, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := u.Validate(p.Inputs, 1e-9); err != nil {
 				t.Fatal(err)
 			}
-			res, err := u.Run(p.Inputs)
+			res, err := u.Run(core.Binding{}, p.Inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func TestAllProgramsCompileAndValidate(t *testing.T) {
 
 func TestInputsMatchDeclaredRanges(t *testing.T) {
 	for _, p := range []Program{Fig2(16), Fig4(16), Fig5(16), Example1(16), Example2(16), Fig3(16), Weather(16)} {
-		u, err := core.Compile(p.Source, core.Options{})
+		u, err := core.CompileArtifact(p.Source, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

@@ -316,7 +316,9 @@ func (s *Service) Submit(reqCtx context.Context, spec Spec) (*Job, *Rejection) {
 	}
 
 	j.Path = PathOffload
-	j.workers = s.cfg.SimWorkers
+	if j.workers == 0 {
+		j.workers = s.cfg.SimWorkers
+	}
 	adm.Set("path", j.Path)
 	adm.End()
 	j.queueSpan = tree.Root().Child(obs.KindQueueWait, "")

@@ -17,7 +17,7 @@ import (
 // to the inline fast path instead of the offload queue.
 func TestEstimateCostCountsLaneInputs(t *testing.T) {
 	p := progs.Fig2(8)
-	u, err := core.Compile(p.Source, core.Options{})
+	u, err := core.CompileArtifact(p.Source, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +29,12 @@ func TestEstimateCostCountsLaneInputs(t *testing.T) {
 
 	base := spec(p)
 	base.Batch = 2
-	short, cells := estimateCost(u.Artifact(), base)
+	short, cells := estimateCost(u, base)
 
 	const laneLen = 4096
 	long := base
 	long.LaneInputs = []map[string]Stream{nil, {name: value.Reals(make([]float64, laneLen))}}
-	got, _ := estimateCost(u.Artifact(), long)
+	got, _ := estimateCost(u, long)
 
 	want := cells * (2*laneLen + 2*cells + 16) * (2 + 3) / 4
 	if got != want {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"staticpipe/internal/core"
 	"staticpipe/internal/exec"
+	"staticpipe/internal/obs"
 	"staticpipe/internal/progs"
 	"staticpipe/internal/value"
 )
@@ -39,7 +41,7 @@ func batchSpec(p progs.Program, b int) Spec {
 // laneReference computes the interpreter ground truth for lane l of sp.
 func laneReference(t *testing.T, sp Spec, l int) map[string][]value.Value {
 	t.Helper()
-	u, err := core.Compile(sp.Source, core.Options{})
+	u, err := core.CompileArtifact(sp.Source, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,5 +215,78 @@ func TestCostRatioMetric(t *testing.T) {
 	s.mu.Unlock()
 	if count != 2 || sum <= 0 {
 		t.Fatalf("histogram sum %g count %d after two jobs", sum, count)
+	}
+}
+
+// TestCostRatioBatchInvariant pins the cost ratio's units: a batched job's
+// actual work is expressed the way its bill is (cells × mean lane cycles ×
+// (B+3)/4), so one program reads the same ratio at every width and a
+// batched job scores as a good cost_model observation.
+func TestCostRatioBatchInvariant(t *testing.T) {
+	slo := DefaultSLOs()
+	s := newService(t, Config{OffloadThreshold: 1 << 40, SLO: slo})
+	ratios := map[int]float64{}
+	for _, b := range []int{0, 4, 16} {
+		sp := spec(progs.Fig2(64))
+		sp.Batch = b
+		j, rej := s.Submit(nil, sp)
+		if rej != nil {
+			t.Fatalf("batch=%d rejected: %v", b, rej)
+		}
+		await(t, j, 30*time.Second)
+		run := treeOf(t, j).Find(obs.KindRun)
+		if run == nil {
+			t.Fatalf("batch=%d: no run span", b)
+		}
+		r, ok := run.Attrs["cost_ratio"].(float64)
+		if !ok || r <= 0 {
+			t.Fatalf("batch=%d: cost_ratio = %v", b, run.Attrs["cost_ratio"])
+		}
+		ratios[b] = r
+	}
+	for _, b := range []int{4, 16} {
+		if d := math.Abs(ratios[b]/ratios[0] - 1); d > 0.01 {
+			t.Errorf("batch=%d cost_ratio %.4f vs scalar %.4f (%.1f%% apart)", b, ratios[b], ratios[0], 100*d)
+		}
+	}
+	for _, st := range slo.Evaluate() {
+		if st.Name == SLOCostModel && (st.GoodTotal != 3 || st.BadTotal != 0) {
+			t.Fatalf("cost_model totals = %d good / %d bad, want 3 / 0 (ratios %v)", st.GoodTotal, st.BadTotal, ratios)
+		}
+	}
+}
+
+// TestOffloadKeepsClientWorkers pins Spec.Workers' contract on the offload
+// path: the service's SimWorkers applies only when the client sent 0.
+func TestOffloadKeepsClientWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		client, simWork int
+		want            int64
+	}{
+		{"client-4-survives", 4, 0, 4},
+		{"client-0-takes-service-2", 0, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newService(t, Config{OffloadThreshold: -1, SimWorkers: tc.simWork})
+			sp := spec(progs.Fig2(64))
+			sp.Batch = 4
+			sp.Workers = tc.client
+			j, rej := s.Submit(nil, sp)
+			if rej != nil {
+				t.Fatalf("rejected: %v", rej)
+			}
+			if j.Path != PathOffload {
+				t.Fatalf("path %s, want offload", j.Path)
+			}
+			await(t, j, 30*time.Second)
+			run := treeOf(t, j).Find(obs.KindRun)
+			if run == nil {
+				t.Fatal("no run span")
+			}
+			if w := run.Attrs["workers"]; w != tc.want {
+				t.Fatalf("run span workers = %v, want %d", w, tc.want)
+			}
+		})
 	}
 }

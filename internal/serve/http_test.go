@@ -53,7 +53,7 @@ func postJob(t *testing.T, ts *httptest.Server, sp Spec) (*http.Response, JobVie
 
 // TestHTTPFastPathDifferential is the wire-level half of the differential
 // pin: a fast-path submission's JSON response must decode to values
-// byte-identical to a direct core.Unit.Run — Go's float64 JSON encoding
+// byte-identical to a direct core.Artifact.Run — Go's float64 JSON encoding
 // is shortest-round-trip, so exact equality is required, not approximate.
 func TestHTTPFastPathDifferential(t *testing.T) {
 	p := progs.Fig2(128)

@@ -68,7 +68,7 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "staticpipe_serve_offload_threshold %d\n", s.cfg.OffloadThreshold)
 
 	family(w, "staticpipe_serve_cost_ratio", "histogram",
-		"Actual simulation work (cells x cycles, lane-aggregated) over the admission estimate, per finished job.")
+		"Actual simulation work (cells x cycles, with the batch lane discount) over the admission estimate, per finished job.")
 	cum := int64(0)
 	for i, bound := range ratioBounds {
 		cum += s.costRatio.counts[i]

@@ -181,8 +181,8 @@ type Service struct {
 	running   int
 	poolBusy  int
 	// costRatio scores the admission cost model: actual simulation work
-	// (cells × simulated cycles, lane-aggregated for batched jobs) over
-	// the admission-time estimate, one observation per job that ran.
+	// (cells × simulated cycles, with a batch's amortized lane discount)
+	// over the admission-time estimate, one observation per job that ran.
 	costRatio ratioHist
 }
 
@@ -472,20 +472,22 @@ func (s *Service) complete(j *Job, state State, res *JobResult, errMsg string, e
 	if run != nil {
 		run.Finish(err)
 	}
-	// Score the admission estimate against the work the job actually did:
-	// cells × simulated cycles, summed over lanes when batched (the
-	// denominator already carries the amortized batch discount).
+	// Score the admission estimate against the work the job actually did,
+	// in the bill's units: cells × simulated cycles, and for a B-lane batch
+	// cells × mean lane cycles × (B+3)/4, the amortized discount
+	// estimateCost applies — so one program reads the same ratio at any
+	// width.
 	ratio := -1.0
 	var actual int64
 	if began && res != nil && j.Cost > 0 {
-		total := int64(res.Cycles)
-		if len(res.Lanes) > 0 {
-			total = 0
+		actual = j.cells * int64(res.Cycles)
+		if b := int64(len(res.Lanes)); b > 0 {
+			var total int64
 			for _, lv := range res.Lanes {
 				total += int64(lv.Cycles)
 			}
+			actual = j.cells * total * (b + 3) / (4 * b)
 		}
-		actual = j.cells * total
 		ratio = float64(actual) / float64(j.Cost)
 	}
 	s.mu.Lock()

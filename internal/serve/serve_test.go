@@ -49,11 +49,11 @@ func spec(p progs.Program) Spec {
 // directRun is the ground truth the service paths are pinned against.
 func directRun(t *testing.T, p progs.Program) *core.RunResult {
 	t.Helper()
-	u, err := core.Compile(p.Source, core.Options{})
+	u, err := core.CompileArtifact(p.Source, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := u.Run(p.Inputs)
+	rr, err := u.Run(core.Binding{}, p.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func directRun(t *testing.T, p progs.Program) *core.RunResult {
 }
 
 // TestFastPathMatchesDirectRun pins the differential contract on the fast
-// path: a service run is byte-identical to calling core.Unit.Run yourself
+// path: a service run is byte-identical to calling core.Artifact.Run yourself
 // — same values, same cycle count, same initiation interval.
 func TestFastPathMatchesDirectRun(t *testing.T) {
 	p := progs.Fig2(256)
@@ -415,13 +415,13 @@ func TestTelemetryRunsRegistered(t *testing.T) {
 // capped by the cycle bound.
 func TestCostEstimateOrdering(t *testing.T) {
 	mk := func(p progs.Program, maxCycles int) int64 {
-		u, err := core.Compile(p.Source, core.Options{})
+		u, err := core.CompileArtifact(p.Source, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sp := spec(p)
 		sp.MaxCycles = maxCycles
-		cost, _ := estimateCost(u.Artifact(), sp)
+		cost, _ := estimateCost(u, sp)
 		return cost
 	}
 	small := mk(progs.Fig2(16), exec.DefaultMaxCycles)

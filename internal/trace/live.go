@@ -39,13 +39,6 @@ func (l *Live) Emit(e Event) {
 	l.mu.Unlock()
 }
 
-// RecordPhase forwards a compile-phase record (see Metrics.RecordPhase).
-func (l *Live) RecordPhase(p PhaseStat) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.m.RecordPhase(p)
-}
-
 // Snapshot returns a consistent deep copy of the aggregates as of now. The
 // caller owns the copy; the simulator keeps emitting into the original.
 func (l *Live) Snapshot() *Metrics {

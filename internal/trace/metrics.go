@@ -4,18 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
-
-// PhaseStat records one compilation phase (a compiler pass or other
-// compile-time stage) for observability reports: wall time and graph size
-// around the phase. It mirrors passes.Stat without importing the compiler.
-type PhaseStat struct {
-	Name                    string
-	Wall                    time.Duration
-	CellsBefore, CellsAfter int
-	ArcsBefore, ArcsAfter   int
-}
 
 // CellMetrics aggregates one instruction cell's observed behaviour.
 type CellMetrics struct {
@@ -80,14 +69,11 @@ type UnitMetrics struct {
 // Metrics is the per-cell/per-unit aggregating sink. It holds O(cells +
 // endpoints) state regardless of run length.
 type Metrics struct {
-	meta    Meta
-	Cells   []CellMetrics
-	Units   []UnitMetrics
-	Packets [NumPacketKinds]int64 // sends by packet kind
-	Events  int64
-	// Phases records compile-time phase statistics (see RecordPhase);
-	// compilation happens before any run events arrive.
-	Phases    []PhaseStat
+	meta      Meta
+	Cells     []CellMetrics
+	Units     []UnitMetrics
+	Packets   [NumPacketKinds]int64 // sends by packet kind
+	Events    int64
 	lastCycle int64
 	// opPend tracks, per FU endpoint, the delivery cycles of operation
 	// packets that have arrived but not yet initiated. The machine's FU
@@ -125,11 +111,6 @@ func (p *pendQueue) pop() (int64, bool) {
 func (p *pendQueue) clone() pendQueue {
 	return pendQueue{q: append([]int64(nil), p.q...), head: p.head}
 }
-
-// RecordPhase appends one compile-phase record. Compilers call this once
-// per executed pass so compile-time cost shows up next to run-time
-// behaviour in the same observability sink.
-func (m *Metrics) RecordPhase(p PhaseStat) { m.Phases = append(m.Phases, p) }
 
 // NewMetrics returns an empty aggregator.
 func NewMetrics() *Metrics { return &Metrics{lastCycle: -1} }
@@ -170,9 +151,9 @@ func (m *Metrics) pend(unit int32) *pendQueue {
 }
 
 // Clone returns a deep copy of the aggregates: the per-cell and per-unit
-// slices (histograms are value types, so the copy is complete), the packet
-// counters, and the phase records. The Meta is shared — it is written once
-// at Start and read-only afterwards. Clone is the snapshot primitive the
+// slices (histograms are value types, so the copy is complete) and the
+// packet counters. The Meta is shared — it is written once at Start and
+// read-only afterwards. Clone is the snapshot primitive the
 // concurrency-safe Live wrapper builds on.
 func (m *Metrics) Clone() *Metrics {
 	c := &Metrics{
@@ -181,7 +162,6 @@ func (m *Metrics) Clone() *Metrics {
 		Units:     append([]UnitMetrics(nil), m.Units...),
 		Packets:   m.Packets,
 		Events:    m.Events,
-		Phases:    append([]PhaseStat(nil), m.Phases...),
 		lastCycle: m.lastCycle,
 	}
 	if len(m.opPend) > 0 {
@@ -309,14 +289,6 @@ func (m *Metrics) MeanTransit(unit int) float64 {
 // counts, the busiest units, and the most-stalled cells.
 func (m *Metrics) Summary(top int) string {
 	var b strings.Builder
-	if len(m.Phases) > 0 {
-		fmt.Fprintf(&b, "compile phases (wall / cells / arcs):\n")
-		for _, p := range m.Phases {
-			fmt.Fprintf(&b, "  %-15s %10v  cells %5d -> %-5d arcs %5d -> %-5d\n",
-				p.Name, p.Wall.Round(time.Microsecond),
-				p.CellsBefore, p.CellsAfter, p.ArcsBefore, p.ArcsAfter)
-		}
-	}
 	fmt.Fprintf(&b, "observed %d events over %d cycles\n", m.Events, m.Cycles())
 	if total := m.Packets[PacketResult] + m.Packets[PacketAck] + m.Packets[PacketOp]; total > 0 {
 		fmt.Fprintf(&b, "packets: %d result, %d ack, %d operation\n",

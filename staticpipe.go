@@ -10,9 +10,15 @@
 //
 // Quick start:
 //
-//	u, err := staticpipe.Compile(src, staticpipe.Options{})
-//	res, err := u.Run(map[string][]staticpipe.Value{"C": staticpipe.Reals(data)})
+//	p, err := staticpipe.Compile(src, staticpipe.Options{})
+//	res, err := p.Run(staticpipe.Binding{}, map[string][]staticpipe.Value{"C": staticpipe.Reals(data)})
 //	fmt.Println(res.Outputs["A"], res.II("A")) // II == 2: fully pipelined
+//
+// As in the paper, the program is an instruction graph loaded once and the
+// array operands stream through it at run time: Compile returns an
+// immutable Program, and every run binds its own inputs and attachments
+// (context, tracer, lane width) in a Binding, so one Program serves any
+// number of concurrent runs.
 //
 // Compilation is organized as an explicit pipeline of graph passes
 // (common-cell elimination, balancing, control-generator expansion, …);
@@ -32,7 +38,6 @@ import (
 	"staticpipe/internal/forall"
 	"staticpipe/internal/foriter"
 	"staticpipe/internal/machine"
-	"staticpipe/internal/mcm"
 	"staticpipe/internal/passes"
 	"staticpipe/internal/value"
 )
@@ -73,16 +78,22 @@ const (
 	ForIterComp    = foriter.Companion
 )
 
-// Unit is a compiled pipe-structured program.
-type Unit = core.Unit
+// Program is a compiled pipe-structured program. It is immutable: runs
+// (Run, RunBatch, RunMachine) bind their inputs per run and never write it.
+type Program = core.Artifact
+
+// Binding is one run's attachment set: cancellation context, tracer,
+// progress counters, lane width and cycle bound. The zero Binding is a
+// plain scalar run.
+type Binding = core.Binding
 
 // RunResult is the outcome of a graph-level run.
 type RunResult = core.RunResult
 
 // Compile parses, type-checks, and compiles a pipe-structured Val program
 // into a balanced, fully pipelined instruction graph.
-func Compile(src string, opts Options) (*Unit, error) {
-	return core.Compile(src, opts)
+func Compile(src string, opts Options) (*Program, error) {
+	return core.CompileArtifact(src, opts)
 }
 
 // MachineConfig describes a packet-level machine (PE/FU/AM counts, routing
@@ -98,20 +109,28 @@ const (
 // MachineResult is a packet-level run's outcome and statistics.
 type MachineResult = machine.Result
 
-// RunMachine executes a compiled unit on the cycle-accurate packet-level
-// machine simulator.
-func RunMachine(u *Unit, inputs map[string][]Value, cfg MachineConfig) (*MachineResult, error) {
-	if err := u.Compiled.SetInputs(inputs); err != nil {
+// RunMachine executes a compiled program on the cycle-accurate packet-level
+// machine simulator. Every declared input must be bound with its declared
+// length; names the program does not declare are ignored. The inputs bind
+// for this run only (cfg.Inputs is replaced with them).
+func RunMachine(p *Program, inputs map[string][]Value, cfg MachineConfig) (*MachineResult, error) {
+	binds, err := p.Compiled.BindInputs(inputs)
+	if err != nil {
 		return nil, err
 	}
-	return machine.Run(u.Compiled.Graph, cfg)
+	mp, err := p.Machine()
+	if err != nil {
+		return nil, err
+	}
+	cfg.Inputs = binds
+	return mp.Run(cfg)
 }
 
 // PredictII returns the analytical initiation-interval bound of a compiled
-// unit (maximum cycle ratio of its timing constraints; 2 = fully
+// program (maximum cycle ratio of its timing constraints; 2 = fully
 // pipelined).
-func PredictII(u *Unit) (float64, error) {
-	r, err := mcm.PredictII(u.Compiled.Graph)
+func PredictII(p *Program) (float64, error) {
+	r, err := p.PredictII()
 	if err != nil {
 		return 0, err
 	}

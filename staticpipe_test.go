@@ -1,6 +1,7 @@
 package staticpipe
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,7 +17,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Run(inputs)
+	res, err := u.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestFacadeMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := u.Run(inputs)
+	eres, err := u.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +65,35 @@ func TestFacadeMachine(t *testing.T) {
 	}
 }
 
+// TestRunMachineNeverWritesProgram pins that RunMachine binds its inputs
+// per run: the compiled graph marshals to the same bytes before and after,
+// and input names the program does not declare are ignored.
+func TestRunMachineNeverWritesProgram(t *testing.T) {
+	src, inputs := fig2Program(32)
+	p, err := Compile(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := p.Compiled.Graph.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := map[string][]Value{"undeclared": Reals([]float64{1})}
+	for name, vs := range inputs {
+		extra[name] = vs
+	}
+	if _, err := RunMachine(p, extra, MachineConfig{PEs: 4, AMs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := p.Compiled.Graph.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("RunMachine wrote the compiled graph")
+	}
+}
+
 func TestFacadeSchemeConstants(t *testing.T) {
 	src, inputs := example2Program(16)
 	todd, err := Compile(src, Options{ForIterScheme: ForIterTodd})
@@ -74,11 +104,11 @@ func TestFacadeSchemeConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := todd.Run(inputs)
+	rt, err := todd.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := comp.Run(inputs)
+	rc, err := comp.Run(Binding{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +125,7 @@ func TestFacadeEmptyInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Run(map[string][]Value{"C": {}}); err == nil {
+	if _, err := u.Run(Binding{}, map[string][]Value{"C": {}}); err == nil {
 		t.Error("zero-length input stream accepted")
 	}
 }
