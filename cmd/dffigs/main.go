@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"staticpipe/internal/balance"
 	"staticpipe/internal/buildinfo"
@@ -90,7 +91,8 @@ func exprGraph(src string, lo, hi int64, arrays map[string][2]int64) (*graph.Gra
 	}
 	g := graph.New()
 	b := pe.NewBuilder(g, "i", lo, hi, nil, pe.Options{})
-	for name, rng := range arrays {
+	for _, name := range sortedNames(arrays) {
+		rng := arrays[name]
 		n := int(rng[1] - rng[0] + 1)
 		b.BindArray(name, g.AddSource(name, value.Reals(make([]float64, n))), rng[0], rng[1])
 	}
@@ -108,6 +110,17 @@ func exprGraph(src string, lo, hi int64, arrays map[string][2]int64) (*graph.Gra
 		return nil, err
 	}
 	return g, nil
+}
+
+// sortedNames returns the array names in sorted order, so that source
+// cells get the same IDs, and the figures the same node order, every run.
+func sortedNames(arrays map[string][2]int64) []string {
+	names := make([]string, 0, len(arrays))
+	for name := range arrays {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 func fig2(m int) (*graph.Graph, error) {
@@ -135,7 +148,8 @@ func blockGraph(src string, m int, arrays map[string][2]int64, opts foriter.Opti
 	}
 	g := graph.New()
 	avail := map[string]forall.Input{}
-	for name, rng := range arrays {
+	for _, name := range sortedNames(arrays) {
+		rng := arrays[name]
 		n := int(rng[1] - rng[0] + 1)
 		avail[name] = forall.Input{
 			Node: g.AddSource(name, value.Reals(make([]float64, n))),

@@ -18,9 +18,9 @@ import (
 )
 
 // placedGolden pins `dfsim -machine -pes 8 -place mincost [-butterfly]
-// -trace FILE` on every testdata program. The values were recorded from an
-// engine that planned every resident cell every cycle and agreed with the
-// stale-cell skip byte for byte, so they check that skip independently.
+// -trace FILE` on every testdata program. An engine that planned every
+// resident cell every cycle agreed with the stale-cell skip on these values
+// byte for byte, so they check that skip independently.
 // The traces run to megabytes, so only their SHA-256 digests are kept, as
 // for the outputs (their JSON encoding, which is exact).
 var placedGolden = []struct {
@@ -31,26 +31,26 @@ var placedGolden = []struct {
 	peBusy, fuBusy       []int
 	outputsSHA, traceSHA string
 }{
-	{"example1", false, 192, 358, 358, 76, []int{56, 32, 32, 52, 52, 54, 14, 0}, []int{38, 38},
-		"42c9a1077c1446c9218b32f91c4bdc9213e52558cf87cd9df4dd6c0dafbe7b44", "c48d16107e1dc508e7094b7f747865348d44506e884997ada90b28a4a8f96f22"},
-	{"example1", true, 302, 358, 358, 76, []int{56, 32, 32, 52, 52, 54, 14, 0}, []int{38, 38},
-		"42c9a1077c1446c9218b32f91c4bdc9213e52558cf87cd9df4dd6c0dafbe7b44", "3869397d853414a0e1a63769fd77b0092e73da2535ac96dbfa59d5f5a4355beb"},
-	{"fig3", false, 401, 1598, 1598, 289, []int{232, 213, 86, 220, 195, 132, 228, 52}, []int{145, 144},
-		"f72b859f7673d65b2d3a86501c6b088bbd456ea666c0372c8494f9e4bc9afc10", "c85c8e905193ac24a759817dd336945679bf0140493e86b11054da2233a04657"},
-	{"fig3", true, 639, 1598, 1598, 289, []int{232, 213, 86, 220, 195, 132, 228, 52}, []int{145, 144},
-		"f72b859f7673d65b2d3a86501c6b088bbd456ea666c0372c8494f9e4bc9afc10", "72333ca393753fc37fbcf1516e949d992a2ffbe02ef34d7af2459af46bc62985"},
-	{"laplace2d", false, 1511, 8716, 8716, 256, []int{704, 816, 1024, 1096, 1204, 1060, 1420, 1100}, []int{128, 128},
-		"0e4bc9c60cb7163b85a326e5ee9425ec92508de0582a4716904a399ccc2b7eec", "bef5bc2b771d2e12f4ac8a7cf21d4951eb1eae5ba57597967cb08e1ba2fce819"},
-	{"laplace2d", true, 1668, 8716, 8716, 256, []int{704, 816, 1024, 1096, 1204, 1060, 1420, 1100}, []int{128, 128},
-		"0e4bc9c60cb7163b85a326e5ee9425ec92508de0582a4716904a399ccc2b7eec", "3e8340e0610b02167e5e1347464e720f860fdc6cb7db04c76713e613d3b4d545"},
-	{"recurrence", false, 108, 212, 212, 33, []int{30, 27, 23, 13, 29, 24, 28, 6}, []int{17, 16},
-		"305cd7e43471216f1638024ed0c45da5bacc65b1ac4bc29445783b86746359a2", "8213559eeee8fe0960a1d890b44c0516b8a3db33ebc5e5d414ae56d28903260a"},
-	{"recurrence", true, 180, 212, 212, 33, []int{30, 27, 23, 13, 29, 24, 28, 6}, []int{17, 16},
-		"305cd7e43471216f1638024ed0c45da5bacc65b1ac4bc29445783b86746359a2", "6c48ef41d9586a9c1c339834f805cbb24df7d6b2d551016bc50f4570185fbb01"},
-	{"weather", false, 759, 5135, 5135, 597, []int{656, 640, 652, 532, 560, 644, 568, 206}, []int{299, 298},
-		"6e893323351f927576ef3fec11706350f995a8bcbf13b8ce28015b74d1392346", "79b65f4cd47b1ab09aaf3f368d36aba5f22462b8d451cb9beb69b957e62d407a"},
-	{"weather", true, 998, 5135, 5135, 597, []int{656, 640, 652, 532, 560, 644, 568, 206}, []int{299, 298},
-		"6e893323351f927576ef3fec11706350f995a8bcbf13b8ce28015b74d1392346", "2ff57a04026b7e4c035b31a73be428bf076b179d3c162d2137e2042688339e3f"},
+	{"example1", false, 192, 356, 356, 76, []int{56, 32, 32, 52, 50, 54, 14, 0}, []int{38, 38},
+		"42c9a1077c1446c9218b32f91c4bdc9213e52558cf87cd9df4dd6c0dafbe7b44", "c3b4af9b5862ede52954a7e019cd1969f8917ffe3f8006d965fbeb87c6c73780"},
+	{"example1", true, 302, 356, 356, 76, []int{56, 32, 32, 52, 50, 54, 14, 0}, []int{38, 38},
+		"42c9a1077c1446c9218b32f91c4bdc9213e52558cf87cd9df4dd6c0dafbe7b44", "6ed52eacaf5822228852d5e6dbae04642c97949573c5a3e1b2fd12de2b9371bd"},
+	{"fig3", false, 422, 1636, 1636, 289, []int{208, 187, 130, 193, 173, 125, 178, 202}, []int{145, 144},
+		"f72b859f7673d65b2d3a86501c6b088bbd456ea666c0372c8494f9e4bc9afc10", "2a9393ff5e6f07279ef3225f94639e268962814b342822dfb4d242edf5c0ba6a"},
+	{"fig3", true, 672, 1636, 1636, 289, []int{208, 187, 130, 193, 173, 125, 178, 202}, []int{145, 144},
+		"f72b859f7673d65b2d3a86501c6b088bbd456ea666c0372c8494f9e4bc9afc10", "331c34e4c90136193078b333c3abe15f5c7451ff094868225cc94c0202675a7a"},
+	{"laplace2d", false, 1509, 8644, 8644, 256, []int{704, 816, 1024, 1096, 1168, 1060, 1384, 1100}, []int{128, 128},
+		"0e4bc9c60cb7163b85a326e5ee9425ec92508de0582a4716904a399ccc2b7eec", "cc103786458f894bef2e30d4d8e1caa058a6a65ae6b4fe58a93aacb63c39fcaa"},
+	{"laplace2d", true, 1678, 8644, 8644, 256, []int{704, 816, 1024, 1096, 1168, 1060, 1384, 1100}, []int{128, 128},
+		"0e4bc9c60cb7163b85a326e5ee9425ec92508de0582a4716904a399ccc2b7eec", "fab52bbead852d89dce33dc4163b16d3cf5c3907b96de29f08b6c2aca605b8a6"},
+	{"recurrence", false, 109, 216, 216, 33, []int{30, 25, 18, 29, 28, 25, 29, 0}, []int{17, 16},
+		"305cd7e43471216f1638024ed0c45da5bacc65b1ac4bc29445783b86746359a2", "9dbcb9e19cd9f80041c479f1df5ed0f7f6e4718684974511df89475aafcab6fa"},
+	{"recurrence", true, 176, 216, 216, 33, []int{30, 25, 18, 29, 28, 25, 29, 0}, []int{17, 16},
+		"305cd7e43471216f1638024ed0c45da5bacc65b1ac4bc29445783b86746359a2", "39fbe3dc99ac18377a3530135074c6c140e8a6a3380d4cb4f4050dc8f3e44204"},
+	{"weather", false, 748, 5048, 5048, 597, []int{616, 600, 608, 532, 487, 485, 600, 443}, []int{299, 298},
+		"6e893323351f927576ef3fec11706350f995a8bcbf13b8ce28015b74d1392346", "d526b3417664719a4972f8380983491e564e5177493d1d484ad5e7173270240d"},
+	{"weather", true, 1068, 5048, 5048, 597, []int{616, 600, 608, 532, 487, 485, 600, 443}, []int{299, 298},
+		"6e893323351f927576ef3fec11706350f995a8bcbf13b8ce28015b74d1392346", "7cf223d0749f5de46e3f4e8a59c8c4451afd48cf7ec59f25b6580dffaff3b954"},
 }
 
 // TestPlacedMachineGolden runs each placedGolden configuration the way

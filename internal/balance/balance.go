@@ -186,9 +186,13 @@ func stages(n *graph.Node) int64 {
 // producing cell's stage count plus two cycles per token position of
 // stream-grid skew (at the maximum rate of one firing per two cycles, a
 // window gate's output for wave j emerges 2·Skew cycles after the wave-j
-// baseline).
+// baseline), less two cycles per loop seed on the arc. A for-iter MERGE
+// emits its Marking seeds before it consumes the arc, so its wave k takes
+// the producer's wave k − Marking, which left the producer 2·Marking
+// cycles earlier. Each seed is counted once, on the arc that re-enters
+// the MERGE; feedback arcs carry none and are skipped here.
 func arcWeight(g *graph.Graph, a *graph.Arc) int64 {
-	return stages(g.Node(a.From)) + 2*int64(a.Skew)
+	return stages(g.Node(a.From)) + 2*int64(a.Skew) - 2*int64(a.Marking)
 }
 
 // constraintsOf builds the level constraints of an instruction graph:

@@ -10,6 +10,7 @@ import (
 	"staticpipe/internal/foriter"
 	"staticpipe/internal/graph"
 	"staticpipe/internal/pipestruct"
+	"staticpipe/internal/progs"
 	"staticpipe/internal/value"
 )
 
@@ -389,6 +390,37 @@ func TestSerializedGraphRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWindowControlSkew: every window gate's control arc carries its data
+// arc's grid skew — the for-iter's coefficient windows and the forall's
+// array references alike, with generator cells or literal control — so a
+// generator shared by gates of different shift is levelled per gate. The
+// graphs are left unbalanced: a FIFO inserted on an arc keeps the skew on
+// its input side.
+func TestWindowControlSkew(t *testing.T) {
+	for _, opts := range []Options{{NoBalance: true}, {NoBalance: true, LiteralControl: true}} {
+		a, err := CompileArtifact(fig3Src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		skewed := 0
+		for _, n := range a.Compiled.Graph.Nodes() {
+			if n.Op != graph.OpTGate || n.In[0].Arc == nil || n.In[1].Arc == nil {
+				continue
+			}
+			ctl, data := n.In[0].Arc, n.In[1].Arc
+			if ctl.Skew != data.Skew {
+				t.Errorf("literal=%v: %s: control skew %d, data skew %d", opts.LiteralControl, n.Name(), ctl.Skew, data.Skew)
+			}
+			if data.Skew != 0 {
+				skewed++
+			}
+		}
+		if skewed == 0 {
+			t.Errorf("literal=%v: no skewed window in Fig 3", opts.LiteralControl)
+		}
+	}
+}
+
 // TestDedupOption checks common-cell elimination end to end: fewer cells,
 // identical results, still fully pipelined.
 func TestDedupOption(t *testing.T) {
@@ -420,6 +452,23 @@ func TestDedupOption(t *testing.T) {
 	}
 	if !strings.Contains(ded.Report(), "dedup:") {
 		t.Error("report does not mention dedup")
+	}
+	// Past the fill transient: window gates of different grid shift share
+	// one control generator, which balancing must level at each gate's
+	// skew, or the shared generator throttles the pipeline.
+	for _, m := range []int{64, 1024} {
+		p := progs.Fig3(m)
+		ded, err := CompileArtifact(p.Source, Options{Dedup: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ded.Run(Binding{}, p.Inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ii := res.II("X"); ii != 2 {
+			t.Errorf("m=%d: deduped II = %v, want 2", m, ii)
+		}
 	}
 }
 

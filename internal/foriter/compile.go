@@ -106,13 +106,14 @@ func compileInit(g *graph.Graph, rec *Rec, params map[string]int64,
 	return r, nil
 }
 
-// connectResult wires a compile result into a port.
-func connectResult(g *graph.Graph, r pe.Result, n *graph.Node, port int) {
+// connectResult wires a compile result into a port, returning the arc it
+// made (nil for a constant, which becomes a literal operand).
+func connectResult(g *graph.Graph, r pe.Result, n *graph.Node, port int) *graph.Arc {
 	if r.IsConst() {
 		g.SetLiteral(n, port, *r.Const)
-		return
+		return nil
 	}
-	g.Connect(r.Node, n, port)
+	return g.Connect(r.Node, n, port)
 }
 
 // compileTodd emits the Fig 7 scheme: the body pipeline F with a gated
@@ -149,7 +150,11 @@ func compileTodd(g *graph.Graph, rec *Rec, params map[string]int64,
 	if err != nil {
 		return nil, fmt.Errorf("foriter: loop body: %w", err)
 	}
-	connectResult(g, valR, merge, 1)
+	// The MERGE emits the seed before its first loop value, so its output
+	// k is the body's value k−1: one circulating value (Fig 7).
+	if reentry := connectResult(g, valR, merge, 1); reentry != nil {
+		reentry.Marking = 1
+	}
 
 	// Gate the feedback arcs with the output switch control <T..TF> and
 	// mark them as loop feedback.
@@ -160,7 +165,6 @@ func compileTodd(g *graph.Graph, rec *Rec, params map[string]int64,
 	for _, a := range merge.Out[feedbackFrom:] {
 		a.Gate = gp
 		a.Feedback = true
-		a.Marking = 1 // one circulating value (Fig 7)
 	}
 	markLoopRigid(g, merge)
 	return merge, nil
@@ -259,20 +263,21 @@ func cellOp(g *graph.Graph, op graph.Op, vop val.Op, l, r pe.Result, label strin
 }
 
 // window selects stream positions posLo..posHi of an n-position stream,
-// recording the grid skew (posLo) on the data arc. Constants pass through
-// unchanged.
+// recording the grid skew (posLo) on the data and control arcs: the gate
+// consumes control position j+posLo for wave j just as it does data.
+// Constants pass through unchanged.
 func window(g *graph.Graph, r pe.Result, posLo, posHi, total int, label string) pe.Result {
 	if r.IsConst() {
 		return r
 	}
 	gate := g.Add(graph.OpTGate, label)
-	g.Connect(g.AddCtl("ctl:"+label, graph.Pattern{
+	ctl := g.Connect(g.AddCtl("ctl:"+label, graph.Pattern{
 		Prefix: make([]bool, posLo),
 		Body:   []bool{true}, Repeat: posHi - posLo + 1,
 		Suffix: make([]bool, total-posHi-1),
 	}), gate, 0)
-	data := g.Connect(r.Node, gate, 1)
-	data.Skew = posLo
+	g.Connect(r.Node, gate, 1).Skew = posLo
+	ctl.Skew = posLo
 	return pe.Result{Node: gate}
 }
 
@@ -386,7 +391,12 @@ func compileCompanion(g *graph.Graph, rec *Rec, params map[string]int64,
 		rigid = append(rigid, g.Connect(pad2, pad, 0))
 		loopHead = f
 	}
-	rigid = append(rigid, g.Connect(pad, merge, 1))
+	// The MERGE emits both seeds before its first loop value, so its
+	// output k is the padding cell's value k−2: two circulating values
+	// (Fig 8, distance-2 recurrence).
+	reentry := g.Connect(pad, merge, 1)
+	reentry.Marking = 2
+	rigid = append(rigid, reentry)
 	for _, a := range rigid {
 		a.Rigid = true
 	}
@@ -395,8 +405,6 @@ func compileCompanion(g *graph.Graph, rec *Rec, params map[string]int64,
 	g.Connect(g.AddCtl("fbctl:"+rec.X, graph.Pattern{
 		Body: []bool{true}, Repeat: n - 1, Suffix: []bool{false, false},
 	}), merge, gp)
-	fb := g.ConnectGated(merge, gp, loopHead, 1)
-	fb.Feedback = true
-	fb.Marking = 2 // two circulating values (Fig 8, distance-2 recurrence)
+	g.ConnectGated(merge, gp, loopHead, 1).Feedback = true
 	return merge, nil
 }

@@ -49,7 +49,11 @@ func InterleavedLinear(g *graph.Graph, label string, rows, n int,
 	g.Connect(aNode, mul, 0)
 	g.Connect(bNode, add, 1)
 	g.Connect(mul, add, 0).Rigid = true
-	g.Connect(add, merge, 1).Rigid = true
+	// The MERGE emits the R seeds first, so its output k is the body's
+	// value k−R: R circulating values.
+	reentry := g.Connect(add, merge, 1)
+	reentry.Rigid = true
+	reentry.Marking = rows
 
 	// Feedback through the rate-restoring FIFO: with 2R−3 buffer stages
 	// the cycle spans 2R cells and carries R values.
@@ -58,9 +62,7 @@ func InterleavedLinear(g *graph.Graph, label string, rows, n int,
 		Body: []bool{true}, Repeat: total, Suffix: falses(rows),
 	}), merge, gp)
 	fifo := g.AddFIFO("delay:"+label, 2*rows-3)
-	fb := g.ConnectGated(merge, gp, fifo, 0)
-	fb.Feedback = true
-	fb.Marking = rows
+	g.ConnectGated(merge, gp, fifo, 0).Feedback = true
 	g.Connect(fifo, mul, 1)
 	return merge, nil
 }

@@ -438,12 +438,10 @@ func TestMachineLoopGraphCompanion(t *testing.T) {
 	g.Connect(seeds, merge, 2)
 	g.Connect(a, add, 0)
 	g.Connect(add, pad, 0)
-	g.Connect(pad, merge, 1)
+	g.Connect(pad, merge, 1).Marking = 2
 	gp := g.AddGate(merge)
 	g.Connect(g.AddCtl("fbctl", graph.Pattern{Body: []bool{true}, Repeat: n, Suffix: []bool{false, false}}), merge, gp)
-	fb := g.ConnectGated(merge, gp, add, 1)
-	fb.Feedback = true
-	fb.Marking = 2
+	g.ConnectGated(merge, gp, add, 1).Feedback = true
 	g.Connect(merge, g.AddSink("x"), 0)
 
 	res, err := Run(g, Config{PEs: 3})

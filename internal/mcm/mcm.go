@@ -414,23 +414,34 @@ func hasCycle(n int, edges []Edge) bool {
 // graph (after FIFO expansion) and returns its maximum cycle ratio — the
 // analytically predicted initiation interval.
 //
-// Feedback arcs carry their scheme's steady-state marking (Arc.Marking: 1
-// for Todd loops, 2 for companion loops) and contribute no acknowledge
-// edge — their producer is a gated merge that skips the send when the loop
-// winds down, so the one-slot backpressure pair does not apply. Graphs
-// containing other data-dependent routing (gates, merges) are predicted
-// under the conservative assumption that every arc is exercised every
-// firing; for the unconditional graphs of §3 and the loop kernels of §7
-// the prediction is exact, and the test suite cross-checks it against
-// simulation.
+// A loop's circulating values are the Marking of the arc re-entering its
+// MERGE (1 for Todd loops, 2 for companion loops), counted once as that
+// arc's initial tokens; every cycle of the loop passes through it.
+// Graphs containing other data-dependent routing (gates, merges) are
+// predicted under the conservative assumption that every arc is exercised
+// every firing; for the unconditional graphs of §3 and the loop kernels
+// of §7 the prediction is exact, and the test suite cross-checks it
+// against simulation.
 func PredictII(g *graph.Graph) (Result, error) {
 	g = g.ExpandFIFOs()
 	return MaxRatio(g.NumNodes(), TimingEdges(g))
 }
 
 // TimingEdges builds the marked timing-constraint graph PredictII analyzes:
-// a forward edge per data arc and, for non-feedback arcs, the reverse
-// acknowledge edge carrying the arc's free slot.
+// a forward edge per data arc, holding the arc's Marking (plus one for an
+// Init token) as tokens, and the reverse acknowledge edge carrying the
+// arc's free slot: 1 − tokens, clamped at 0. A marked re-entry arc's
+// acknowledge edge therefore carries no token, though its true count is
+// 1 − Marking: the MERGE consumes the producer's value k at its firing
+// k + Marking, and only then may the producer fire k + 1. The clamp can
+// only lower a cycle's ratio, and it touches only arcs with Marking ≥ 2,
+// which close full-rate loops. On a balanced graph it changes no
+// prediction: there every edge, the feedback arcs of full-rate loops
+// included, spans latency − 2·tokens levels, so every cycle, counted with
+// true tokens, has ratio exactly 2. A feedback arc that carries tokens (an
+// Init token on a hand-built loop) contributes no acknowledge edge: its
+// producer is a gated merge that skips the send when the loop winds down,
+// so the one-slot backpressure pair does not apply.
 func TimingEdges(g *graph.Graph) []Edge {
 	var edges []Edge
 	for _, a := range g.Arcs() {

@@ -23,6 +23,12 @@
 // negative-cost cycle of unbounded capacity makes the problem unbounded
 // and is reported as ErrNegativeCycle; supplies that no flow can route are
 // reported as ErrInfeasible.
+//
+// A solved network can be re-costed (SetCost) and re-solved from its last
+// spanning tree (Resolve): the tree's flow does not depend on costs, so it
+// stays a strongly feasible basis, and only the pivots the new costs call
+// for are made. Package place re-solves one assignment network per
+// refinement round this way.
 package mincost
 
 import (
@@ -45,6 +51,9 @@ type Graph struct {
 	// pi holds the optimal tree potentials of the last successful solve
 	// (nil before one).
 	pi []int64
+	// last is the last solve's simplex state, kept for Resolve (nil before
+	// a solve and after AddEdge).
+	last *simplex
 }
 
 // New returns a network with n nodes numbered 0..n-1.
@@ -69,8 +78,18 @@ func (g *Graph) AddEdge(u, v int, capacity, cost int64) int {
 	g.dst = append(g.dst, v)
 	g.cap = append(g.cap, capacity)
 	g.cost = append(g.cost, cost)
-	g.pi = nil
+	g.pi, g.last = nil, nil
 	return len(g.src) - 1
+}
+
+// SetCost changes edge id's per-unit cost. The last solution's flows stay
+// readable; its potentials are dropped until the next solve.
+func (g *Graph) SetCost(id int, cost int64) {
+	g.cost[id] = cost
+	if g.last != nil {
+		g.last.cost[id] = cost
+	}
+	g.pi = nil
 }
 
 // Flow returns the flow edge id carries in the last solution.
@@ -102,7 +121,7 @@ func (g *Graph) MinCostFlow(supply []int64) (int64, error) {
 	if len(supply) != g.n {
 		panic(fmt.Sprintf("mincost: %d supplies for %d nodes", len(supply), g.n))
 	}
-	g.flow, g.pi = nil, nil
+	g.flow, g.pi, g.last = nil, nil, nil
 	var sum int64
 	for _, b := range supply {
 		sum += b
@@ -110,6 +129,37 @@ func (g *Graph) MinCostFlow(supply []int64) (int64, error) {
 	if sum != 0 {
 		return 0, fmt.Errorf("%w: supplies sum to %d", ErrInfeasible, sum)
 	}
+	bigM, err := g.bigM()
+	if err != nil {
+		return 0, err
+	}
+	g.last = newSimplex(g, supply, bigM)
+	return g.run()
+}
+
+// Resolve re-solves the last MinCostFlow's supplies under the current
+// costs, starting from the last solve's final spanning tree instead of the
+// all-artificial one. Its results — cost, flows, potentials and errors —
+// are those a fresh MinCostFlow would give, up to the choice among equal-
+// cost optima. It fails if no MinCostFlow got as far as solving since the
+// last AddEdge.
+func (g *Graph) Resolve() (int64, error) {
+	s := g.last
+	if s == nil {
+		return 0, errors.New("mincost: Resolve without a previous MinCostFlow")
+	}
+	g.flow, g.pi = nil, nil
+	bigM, err := g.bigM()
+	if err != nil {
+		return 0, err
+	}
+	s.reprice(bigM)
+	return g.run()
+}
+
+// bigM returns the artificial arcs' cost: one more than the sum of |cost|
+// over all arcs, refused past maxCostSum.
+func (g *Graph) bigM() (int64, error) {
 	var costSum int64
 	for _, c := range g.cost {
 		if c < 0 {
@@ -120,7 +170,13 @@ func (g *Graph) MinCostFlow(supply []int64) (int64, error) {
 		}
 		costSum += c
 	}
-	s := newSimplex(g, supply, costSum+1)
+	return costSum + 1, nil
+}
+
+// run pivots the last simplex state to optimality and publishes its flows
+// and potentials.
+func (g *Graph) run() (int64, error) {
+	s := g.last
 	if err := s.solve(); err != nil {
 		return 0, err
 	}
@@ -217,6 +273,37 @@ func newSimplex(g *Graph, supply []int64, bigM int64) *simplex {
 	}
 	s.block = max(10, int(math.Sqrt(float64(m))))
 	return s
+}
+
+// reprice gives the artificial arcs into demand nodes cost bigM and
+// recomputes every potential down the tree, so that each tree arc has zero
+// reduced cost under the current costs. The root keeps potential 0.
+func (s *simplex) reprice(bigM int64) {
+	root := len(s.parent) - 1
+	for v := 0; v < root; v++ {
+		if a := s.m + v; s.dst[a] == v {
+			s.cost[a] = bigM
+		}
+	}
+	for x := s.child[root]; x >= 0; {
+		if p, a := s.parent[x], s.pred[x]; s.up[x] {
+			s.pi[x] = s.pi[p] - s.cost[a]
+		} else {
+			s.pi[x] = s.pi[p] + s.cost[a]
+		}
+		// Preorder successor over the child lists.
+		if c := s.child[x]; c >= 0 {
+			x = c
+			continue
+		}
+		for x != root && s.next[x] < 0 {
+			x = s.parent[x]
+		}
+		if x == root {
+			break
+		}
+		x = s.next[x]
+	}
 }
 
 // link hangs v from p as p's first child.

@@ -525,3 +525,111 @@ func TestUnboundedRigidPair(t *testing.T) {
 		t.Errorf("err=%v, want ErrNegativeCycle", err)
 	}
 }
+
+// errClass names the error kinds a solve can end in.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrNegativeCycle):
+		return "negative cycle"
+	case errors.Is(err, ErrInfeasible):
+		return "infeasible"
+	default:
+		return err.Error()
+	}
+}
+
+// TestResolveMatchesColdSolve: on TestSimplexMatchesOracle's random
+// networks, re-costed a few times over, every warm Resolve from the last
+// solve's tree agrees with a cold MinCostFlow of the re-costed network in
+// cost, error class and potentials, and its flow is feasible and costs
+// what it reports.
+func TestResolveMatchesColdSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	classes := map[string]int{}
+	for trial := 0; trial < 2000; trial++ {
+		n, arcs, supply := randomNetwork(rng)
+		warm := New(n)
+		for _, a := range arcs {
+			warm.AddEdge(a.u, a.v, a.cap, a.cost)
+		}
+		warm.MinCostFlow(supply)
+		for round := 0; round < 3; round++ {
+			// Re-cost about a third of the arcs: mostly small moves, now
+			// and then one large enough to open a negative cycle.
+			for e := range arcs {
+				switch rng.Intn(6) {
+				case 0:
+					arcs[e].cost += int64(rng.Intn(7) - 3)
+				case 1:
+					arcs[e].cost = int64(rng.Intn(41) - 20)
+				default:
+					continue
+				}
+				warm.SetCost(e, arcs[e].cost)
+			}
+			cold := New(n)
+			for _, a := range arcs {
+				cold.AddEdge(a.u, a.v, a.cap, a.cost)
+			}
+			wantCost, wantErr := cold.MinCostFlow(supply)
+			cost, err := warm.Resolve()
+			classes[errClass(wantErr)]++
+			if errClass(err) != errClass(wantErr) {
+				t.Fatalf("trial %d round %d: warm %v, cold %v\narcs %v supply %v", trial, round, err, wantErr, arcs, supply)
+			}
+			if err != nil {
+				continue
+			}
+			if cost != wantCost {
+				t.Fatalf("trial %d round %d: warm cost %d, cold %d\narcs %v supply %v", trial, round, cost, wantCost, arcs, supply)
+			}
+			h, _ := warm.Potentials()
+			wantH, _ := cold.Potentials()
+			if !reflect.DeepEqual(h, wantH) {
+				t.Fatalf("trial %d round %d: warm potentials %v, cold %v", trial, round, h, wantH)
+			}
+			net := make([]int64, n)
+			var total int64
+			for e, a := range arcs {
+				f := warm.Flow(e)
+				if f < 0 || (a.cap != Inf && f > a.cap) {
+					t.Fatalf("trial %d round %d: edge %d carries %d of capacity %d", trial, round, e, f, a.cap)
+				}
+				net[a.u] += f
+				net[a.v] -= f
+				total += f * a.cost
+			}
+			if !reflect.DeepEqual(net, supply) || total != cost {
+				t.Fatalf("trial %d round %d: flow nets %v for supplies %v, costs %d for reported %d", trial, round, net, supply, total, cost)
+			}
+		}
+	}
+	for _, c := range []string{"ok", "negative cycle", "infeasible"} {
+		if classes[c] == 0 {
+			t.Errorf("no re-solve ended %q: that path went unchecked (%v)", c, classes)
+		}
+	}
+}
+
+// TestResolveNeedsASolve: Resolve has no tree to start from before a
+// solve, nor after an edge is added.
+func TestResolveNeedsASolve(t *testing.T) {
+	g := New(2)
+	if _, err := g.Resolve(); err == nil {
+		t.Error("Resolve before any solve succeeded")
+	}
+	g.AddEdge(0, 1, 1, 3)
+	if _, err := route(g, 0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	g.SetCost(0, 5)
+	if cost, err := g.Resolve(); err != nil || cost != 5 {
+		t.Errorf("Resolve after SetCost = %d, %v; want 5", cost, err)
+	}
+	g.AddEdge(0, 1, 1, 1)
+	if _, err := g.Resolve(); err == nil {
+		t.Error("Resolve after AddEdge succeeded")
+	}
+}

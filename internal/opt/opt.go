@@ -14,13 +14,16 @@
 // The pass runs before balancing: fewer cells also means fewer paths for
 // the balancer to equalize.
 //
-// Sharing a generator or gate across regions with different dynamic
-// behaviour — e.g. a control generator consumed both by a free-running
-// forall region and by a for-iter loop whose fill transient briefly stalls
-// its consumers — couples those regions through the shared cell's
-// acknowledge discipline (measured in experiment E17). On a balanced graph
-// results and drainage are unchanged; on an UNBALANCED graph the coupling
-// can deadlock the pipeline entirely (found by the differential pass
+// A shared cell couples the regions that consume it through its
+// acknowledge discipline, so it must be levelled where each consumer takes
+// its tokens. Window gates of different grid shift share control
+// generators; while their control arcs carried no skew, balancing levelled
+// a shared generator as if every gate took it at the same stream position,
+// and deduped Fig 3 ran below the maximum rate (experiment E17: II 2.188
+// at m = 64, 2.219 at 256, 2.223 at 1024). With the data arc's skew on the
+// control arc too it runs at II 2.000, in the same cycles as the graph
+// without dedup, at m = 64–4096. On an UNBALANCED graph the coupling can
+// deadlock the pipeline entirely (found by the differential pass
 // harness). Dedup must therefore always be followed by a balancing pass;
 // the pass manager enforces this by appending one (with a warning) to any
 // pipeline where dedup would otherwise run last, so a deduped graph that

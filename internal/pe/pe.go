@@ -537,7 +537,7 @@ func (b *Builder) compileArrayRef(x *val.Index) (Result, error) {
 		pattern[sp] = true
 	}
 	gate := b.G.Add(graph.OpTGate, label)
-	b.G.Connect(b.ctlStream(pattern, gate.Label), gate, 0)
+	ctl := b.G.Connect(b.ctlStream(pattern, gate.Label), gate, 0)
 	data := b.G.Connect(info.src, gate, 1)
 	// The gate's output for iteration wave p comes from array stream
 	// position p + shift: record the grid skew for balancing, evaluated at
@@ -545,13 +545,17 @@ func (b *Builder) compileArrayRef(x *val.Index) (Result, error) {
 	// include position 0, but the uniform shift is what balancing needs).
 	// For two-dimensional windows the shift is taken at the first
 	// position; references into equal-width arrays share the residual
-	// row-boundary jitter, so their relative skews stay exact.
+	// row-boundary jitter, so their relative skews stay exact. The control
+	// stream runs on the array's grid too, so its arc carries the same
+	// skew: a generator shared by gates of different shift (Dedup) is then
+	// levelled where each gate consumes it.
 	i0, j0 := b.ivAt(0)
 	if twoDRef {
 		data.Skew = int((i0+k-info.lo)*info.w + (j0 + l - info.lo2))
 	} else {
 		data.Skew = int(i0 + k - info.lo)
 	}
+	ctl.Skew = data.Skew
 	if dynamic {
 		return Result{Node: b.applySel(gate, 0)}, nil
 	}

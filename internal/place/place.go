@@ -99,6 +99,13 @@ type edge struct {
 // graph is FIFO-expanded first (the expansion is deterministic, so the
 // mapping lines up with the graph the machine core expands internally).
 func Plan(g *graph.Graph, opts Options) (*Placement, error) {
+	return plan(g, opts, true)
+}
+
+// plan is Plan with the choice of re-solving each refinement round's
+// assignment from the previous round's simplex tree (warm) or from
+// scratch.
+func plan(g *graph.Graph, opts Options, warm bool) (*Placement, error) {
 	opts = opts.withDefaults()
 	if opts.PEs <= 0 {
 		return nil, fmt.Errorf("place: PEs must be positive, got %d", opts.PEs)
@@ -148,8 +155,12 @@ func Plan(g *graph.Graph, opts Options) (*Placement, error) {
 	// cell's cost to a PE equal to the incident weight it would cut given
 	// the neighbors' current positions; accept only strict improvements of
 	// the exact recomputed cut, so the loop terminates.
+	var as *assigner
 	for r := 0; r < opts.Rounds && best > 0; r++ {
-		next, err := assign(nc, adj, incident, cur, cap, opts.PEs)
+		if as == nil {
+			as = newAssigner(nc, cap, opts.PEs, warm)
+		}
+		next, err := as.assign(adj, incident, cur)
 		if err != nil {
 			return nil, err
 		}
@@ -288,52 +299,74 @@ func seed(nc int, adj [][]edge, cap, pes int) []int {
 	return out
 }
 
-// assign solves one round of the (cell, PE) min-cost assignment: source →
-// each cell (capacity 1), cell → every PE at the cut cost implied by the
-// neighbors' current placement, PE → sink at the load cap, with one unit
-// of supply per cell at the source. The flow is integral and saturates
-// every cell, so reading the cell→PE edge flows yields a complete
-// assignment.
-func assign(nc int, adj [][]edge, incident []int64, cur []int, cap, pes int) ([]int, error) {
+// assigner is one plan's (cell, PE) min-cost assignment network, built
+// once: source → each cell (capacity 1), cell → every PE, PE → sink at the
+// load cap, with one unit of supply per cell at the source. The flow is
+// integral and saturates every cell, so reading the cell→PE edge flows
+// yields a complete assignment. Rounds differ only in the cell→PE costs.
+// With warm set, every round after the first re-optimizes from the
+// previous round's simplex tree rather than solving from scratch.
+type assigner struct {
+	net     *mincost.Graph
+	nc, pes int
+	supply  []int64
+	cellPE  []int // edge ID of cell c → PE p at c·pes + p
+	attract []int64
+	warm    bool
+	solved  bool
+}
+
+func newAssigner(nc, cap, pes int, warm bool) *assigner {
 	net := mincost.New(2 + nc + pes)
 	s, t := 0, 1
-	cellNode := func(c int) int { return 2 + c }
-	peNode := func(p int) int { return 2 + nc + p }
-	type cellEdge struct{ c, pe, id int }
-	ids := make([]cellEdge, 0, nc*pes)
+	a := &assigner{net: net, nc: nc, pes: pes, warm: warm,
+		cellPE: make([]int, 0, nc*pes), attract: make([]int64, pes)}
 	for c := 0; c < nc; c++ {
-		net.AddEdge(s, cellNode(c), 1, 0)
-		// attraction[p]: incident weight kept local if c lands on p
+		net.AddEdge(s, 2+c, 1, 0)
 		for p := 0; p < pes; p++ {
-			attract := int64(0)
-			for _, e := range adj[c] {
-				if cur[e.v] == p {
-					attract += e.w
-				}
-			}
-			id := net.AddEdge(cellNode(c), peNode(p), 1, incident[c]-attract)
-			ids = append(ids, cellEdge{c: c, pe: p, id: id})
+			a.cellPE = append(a.cellPE, net.AddEdge(2+c, 2+nc+p, 1, 0))
 		}
 	}
 	for p := 0; p < pes; p++ {
-		net.AddEdge(peNode(p), t, int64(cap), 0)
+		net.AddEdge(2+nc+p, t, int64(cap), 0)
 	}
-	supply := make([]int64, 2+nc+pes)
-	supply[s], supply[t] = int64(nc), -int64(nc)
-	if _, err := net.MinCostFlow(supply); err != nil {
-		return nil, fmt.Errorf("place: assignment solve: %w", err)
-	}
-	out := make([]int, nc)
-	for i := range out {
-		out[i] = -1
-	}
-	for _, ce := range ids {
-		if net.Flow(ce.id) > 0 {
-			out[ce.c] = ce.pe
+	a.supply = make([]int64, 2+nc+pes)
+	a.supply[s], a.supply[t] = int64(nc), -int64(nc)
+	return a
+}
+
+// assign solves one refinement round: each cell's cost to a PE is the
+// incident weight it would cut given the neighbors' positions in cur.
+func (a *assigner) assign(adj [][]edge, incident []int64, cur []int) ([]int, error) {
+	for c := 0; c < a.nc; c++ {
+		// attract[p]: incident weight kept local if c lands on p
+		clear(a.attract)
+		for _, e := range adj[c] {
+			a.attract[cur[e.v]] += e.w
+		}
+		for p, w := range a.attract {
+			a.net.SetCost(a.cellPE[c*a.pes+p], incident[c]-w)
 		}
 	}
-	for c, p := range out {
-		if p < 0 {
+	var err error
+	if a.warm && a.solved {
+		_, err = a.net.Resolve()
+	} else {
+		_, err = a.net.MinCostFlow(a.supply)
+		a.solved = true
+	}
+	if err != nil {
+		return nil, fmt.Errorf("place: assignment solve: %w", err)
+	}
+	out := make([]int, a.nc)
+	for c := range out {
+		out[c] = -1
+		for p := 0; p < a.pes; p++ {
+			if a.net.Flow(a.cellPE[c*a.pes+p]) > 0 {
+				out[c] = p
+			}
+		}
+		if out[c] < 0 {
 			return nil, fmt.Errorf("place: cell %d left unassigned", c)
 		}
 	}

@@ -282,3 +282,66 @@ func TestPlacedValidation(t *testing.T) {
 		t.Fatalf("valid placement rejected: %v", err)
 	}
 }
+
+// forallChain is a chain of k forall blocks over 64 elements, each
+// reconverging on the block two back (the compile-scaling benchmark's
+// program family).
+func forallChain(k int) string {
+	var b strings.Builder
+	b.WriteString("param m = 64;\ninput A : array[real] [0, m+1];\n")
+	b.WriteString("B0 : array[real] :=\n  forall i in [1, m]\n  construct 0.25*(A[i-1] + 2.*A[i] + A[i+1])\n  endall;\n")
+	back := "A"
+	for j := 1; j < k; j++ {
+		fmt.Fprintf(&b, "B%d : array[real] :=\n  forall i in [1, m]\n  construct 0.5*B%d[i] + 0.25*%s[i]\n  endall;\n", j, j-1, back)
+		back = fmt.Sprintf("B%d", j-1)
+	}
+	fmt.Fprintf(&b, "output B%d;\n", k-1)
+	return b.String()
+}
+
+// TestWarmRefinementMatchesCold: re-solving each refinement round from the
+// previous round's simplex tree gives the same plans as solving every
+// round from scratch, on the paper's programs and a forall chain at the
+// machine sizes the benchmarks place for. Each round's optimal assignment
+// cost is the same either way (the mincost re-solve tests check that); a
+// round with several optimal assignments may pick another of them, and at
+// some other PE counts (2–5 and 12 here) that sends the two refinements
+// apart, with final cuts differing either way.
+func TestWarmRefinementMatchesCold(t *testing.T) {
+	srcs := map[string]string{"chain64": forallChain(64)}
+	for _, p := range []progs.Program{progs.Fig2(32), progs.Fig4(32), progs.Fig5(32),
+		progs.Example1(32), progs.Example2(32), progs.Fig3(32), progs.Weather(32)} {
+		srcs[p.Name] = p.Source
+	}
+	refined := 0
+	for name, src := range srcs {
+		u, err := core.CompileArtifact(src, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, pes := range []int{8, 16} {
+			opts := place.Options{PEs: pes}
+			warm, err := place.Plan(u.Compiled.Graph, opts)
+			if err != nil {
+				t.Fatalf("%s on %d PEs: %v", name, pes, err)
+			}
+			cold, err := place.PlanCold(u.Compiled.Graph, opts)
+			if err != nil {
+				t.Fatalf("%s on %d PEs (cold): %v", name, pes, err)
+			}
+			if warm.Cost != cold.Cost || warm.Rounds != cold.Rounds {
+				t.Errorf("%s on %d PEs: warm cut %d after %d rounds, cold %d after %d",
+					name, pes, warm.Cost, warm.Rounds, cold.Cost, cold.Rounds)
+			}
+			if !reflect.DeepEqual(warm.PE, cold.PE) {
+				t.Errorf("%s on %d PEs: warm and cold mappings differ", name, pes)
+			}
+			if warm.Rounds > 1 {
+				refined++
+			}
+		}
+	}
+	if refined == 0 {
+		t.Error("no plan took a second refinement round: the warm re-solve went unchecked")
+	}
+}

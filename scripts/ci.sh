@@ -19,6 +19,22 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== reproducible figures =="
+# dffigs must write the same bytes every run: two runs into two fresh
+# directories, every file compared.
+figs=$(mktemp -d)
+go build -o "$figs/dffigs" ./cmd/dffigs
+"$figs/dffigs" -dir "$figs/a" >/dev/null
+"$figs/dffigs" -dir "$figs/b" >/dev/null
+for f in "$figs"/a/*; do
+    cmp "$f" "$figs/b/$(basename "$f")" || {
+        echo "dffigs: $(basename "$f") differs between two runs" >&2
+        exit 1
+    }
+done
+echo "figures byte-identical across two runs: $(ls "$figs/a" | wc -l) files"
+rm -rf "$figs"
+
 echo "== go test -race =="
 go test -race ./...
 
