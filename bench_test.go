@@ -1,5 +1,5 @@
 // Benchmarks regenerating every figure and quantitative claim of the
-// paper's evaluation (experiments E1–E14 of DESIGN.md). Each benchmark
+// paper's evaluation (experiments E1–E17 of DESIGN.md). Each benchmark
 // reports the paper's headline quantity via b.ReportMetric — II/cycles-
 // per-result (2 = fully pipelined maximum), buffer counts, packet
 // fractions — alongside the usual ns/op. cmd/dfbench prints the same
@@ -8,7 +8,6 @@ package staticpipe
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -19,167 +18,29 @@ import (
 	"staticpipe/internal/graph"
 	"staticpipe/internal/machine"
 	"staticpipe/internal/place"
+	"staticpipe/internal/progs"
 	"staticpipe/internal/recurrence"
 	"staticpipe/internal/value"
 )
 
-// --- shared program sources -------------------------------------------
-
-func fig2Program(n int) (string, map[string][]Value) {
-	src := fmt.Sprintf(`
-param n = %d;
-input A : array[real] [1, n];
-input B : array[real] [1, n];
-Y : array[real] :=
-  forall i in [1, n]
-    y : real := A[i]*B[i];
-  construct (y + 2.)*(y - 3.)
-  endall;
-output Y;
-`, n)
-	a := make([]float64, n)
-	bs := make([]float64, n)
-	for i := range a {
-		a[i] = float64(i) * 0.5
-		bs[i] = 3 - float64(i)*0.25
-	}
-	return src, map[string][]Value{"A": Reals(a), "B": Reals(bs)}
-}
-
-func fig4Program(m int) (string, map[string][]Value) {
-	src := fmt.Sprintf(`
-param m = %d;
-input C : array[real] [0, m+1];
-S : array[real] :=
-  forall i in [1, m]
-  construct 0.25 * (C[i-1] + 2.*C[i] + C[i+1])
-  endall;
-output S;
-`, m)
-	c := make([]float64, m+2)
-	for i := range c {
-		c[i] = math.Sin(float64(i) / 5)
-	}
-	return src, map[string][]Value{"C": Reals(c)}
-}
-
-func fig5Program(n int) (string, map[string][]Value) {
-	src := fmt.Sprintf(`
-param n = %d;
-input A : array[real] [1, n];
-input B : array[real] [1, n];
-input C : array[real] [1, n];
-Y : array[real] :=
-  forall i in [1, n]
-  construct if C[i] > 0. then -(A[i] + B[i]) else 5.*(A[i]*B[i] + 2.) endif
-  endall;
-output Y;
-`, n)
-	a := make([]float64, n)
-	bs := make([]float64, n)
-	c := make([]float64, n)
-	for i := range a {
-		a[i] = float64(i%11) - 5
-		bs[i] = float64(i%7) - 3
-		c[i] = math.Cos(float64(i))
-	}
-	return src, map[string][]Value{"A": Reals(a), "B": Reals(bs), "C": Reals(c)}
-}
-
-func example1Program(m int) (string, map[string][]Value) {
-	src := fmt.Sprintf(`
-param m = %d;
-input B : array[real] [0, m+1];
-input C : array[real] [0, m+1];
-A : array[real] :=
-  forall i in [0, m+1]
-    P : real := if (i = 0) | (i = m+1) then C[i]
-                else 0.25 * (C[i-1] + 2.*C[i] + C[i+1]) endif;
-  construct B[i]*(P*P)
-  endall;
-output A;
-`, m)
-	bs := make([]float64, m+2)
-	c := make([]float64, m+2)
-	for i := range bs {
-		bs[i] = 1 + float64(i%5)/5
-		c[i] = math.Sin(float64(i) / 3)
-	}
-	return src, map[string][]Value{"B": Reals(bs), "C": Reals(c)}
-}
-
-func example2Program(m int) (string, map[string][]Value) {
-	src := fmt.Sprintf(`
-param m = %d;
-input A : array[real] [1, m];
-input B : array[real] [1, m];
-X : array[real] :=
-  for i : integer := 1; T : array[real] := [0: 0.]
-  do
-    let P : real := A[i]*T[i-1] + B[i]
-    in if i < m then iter T := T[i: P]; i := i + 1 enditer
-       else T[i: P] endif
-    endlet
-  endfor;
-output X;
-`, m)
-	a := make([]float64, m)
-	bs := make([]float64, m)
-	for i := range a {
-		a[i] = 0.4 + 0.5*math.Sin(float64(i))
-		bs[i] = float64(i%6) - 2.5
-	}
-	return src, map[string][]Value{"A": Reals(a), "B": Reals(bs)}
-}
-
-func fig3Program(m int) (string, map[string][]Value) {
-	src := fmt.Sprintf(`
-param m = %d;
-input B : array[real] [0, m+1];
-input C : array[real] [0, m+1];
-A : array[real] :=
-  forall i in [0, m+1]
-    P : real := if (i = 0) | (i = m+1) then C[i]
-                else 0.25 * (C[i-1] + 2.*C[i] + C[i+1]) endif;
-  construct B[i]*(P*P)
-  endall;
-X : array[real] :=
-  for i : integer := 1; T : array[real] := [0: 0.]
-  do
-    let P : real := A[i]*T[i-1] + B[i]
-    in if i < m then iter T := T[i: P]; i := i + 1 enditer
-       else T[i: P] endif
-    endlet
-  endfor;
-output X;
-`, m)
-	bs := make([]float64, m+2)
-	c := make([]float64, m+2)
-	for i := range bs {
-		bs[i] = 0.1 + float64(i%4)/10
-		c[i] = math.Cos(float64(i) / 4)
-	}
-	return src, map[string][]Value{"B": Reals(bs), "C": Reals(c)}
-}
-
 // runProgram compiles (once) and measures repeated runs, reporting the
-// observed initiation interval at the named output.
-func runProgram(b *testing.B, src string, inputs map[string][]Value, output string, opts Options) *RunResult {
+// observed initiation interval at the program's output.
+func runProgram(b *testing.B, p progs.Program, opts Options) *RunResult {
 	b.Helper()
-	u, err := Compile(src, opts)
+	u, err := Compile(p.Source, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var res *RunResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = u.Run(Binding{}, inputs)
+		res, err = u.Run(Binding{}, p.Inputs)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(res.II(output), "cycles/result")
+	b.ReportMetric(res.II(p.Output), "cycles/result")
 	b.ReportMetric(float64(res.Exec.Cycles), "cycles/run")
 	return res
 }
@@ -187,8 +48,7 @@ func runProgram(b *testing.B, src string, inputs map[string][]Value, output stri
 // --- E1: Fig 2, the scalar pipeline -----------------------------------
 
 func BenchmarkE1Fig2ScalarPipeline(b *testing.B) {
-	src, inputs := fig2Program(1024)
-	res := runProgram(b, src, inputs, "Y", Options{})
+	res := runProgram(b, progs.Fig2(1024), Options{})
 	if !FullyPipelined(res, "Y") {
 		b.Fatalf("not fully pipelined: II=%v", res.II("Y"))
 	}
@@ -232,16 +92,14 @@ func BenchmarkE2StageSweep(b *testing.B) {
 func BenchmarkE3Fig4ArraySelection(b *testing.B) {
 	for _, m := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			src, inputs := fig4Program(m)
-			res := runProgram(b, src, inputs, "S", Options{})
+			res := runProgram(b, progs.Fig4(m), Options{})
 			if !FullyPipelined(res, "S") {
 				b.Fatalf("not fully pipelined: II=%v", res.II("S"))
 			}
 		})
 	}
 	b.Run("unbalanced", func(b *testing.B) {
-		src, inputs := fig4Program(1024)
-		res := runProgram(b, src, inputs, "S", Options{NoBalance: true})
+		res := runProgram(b, progs.Fig4(1024), Options{NoBalance: true})
 		if FullyPipelined(res, "S") {
 			b.Fatal("unbalanced graph should not reach the maximum rate")
 		}
@@ -251,15 +109,15 @@ func BenchmarkE3Fig4ArraySelection(b *testing.B) {
 // --- E4: Fig 5, the pipelined conditional -----------------------------
 
 func BenchmarkE4Fig5Conditional(b *testing.B) {
-	src, inputs := fig5Program(1024)
+	prog := progs.Fig5(1024)
 	b.Run("balanced", func(b *testing.B) {
-		res := runProgram(b, src, inputs, "Y", Options{})
+		res := runProgram(b, prog, Options{})
 		if !FullyPipelined(res, "Y") {
 			b.Fatalf("not fully pipelined: II=%v", res.II("Y"))
 		}
 	})
 	b.Run("unbalanced", func(b *testing.B) {
-		runProgram(b, src, inputs, "Y", Options{NoBalance: true})
+		runProgram(b, prog, Options{NoBalance: true})
 	})
 }
 
@@ -268,8 +126,7 @@ func BenchmarkE4Fig5Conditional(b *testing.B) {
 func BenchmarkE5Fig6Forall(b *testing.B) {
 	for _, m := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			src, inputs := example1Program(m)
-			res := runProgram(b, src, inputs, "A", Options{})
+			res := runProgram(b, progs.Example1(m), Options{})
 			if !FullyPipelined(res, "A") {
 				b.Fatalf("not fully pipelined: II=%v", res.II("A"))
 			}
@@ -280,16 +137,14 @@ func BenchmarkE5Fig6Forall(b *testing.B) {
 // --- E6/E7: Figs 7 and 8, Todd vs companion for-iter ------------------
 
 func BenchmarkE6Fig7Todd(b *testing.B) {
-	src, inputs := example2Program(1024)
-	res := runProgram(b, src, inputs, "X", Options{ForIterScheme: ForIterTodd})
+	res := runProgram(b, progs.Example2(1024), Options{ForIterScheme: ForIterTodd})
 	if ii := res.II("X"); ii != 3 {
 		b.Fatalf("Todd II=%v, want 3 (the paper's 1/3 rate)", ii)
 	}
 }
 
 func BenchmarkE7Fig8Companion(b *testing.B) {
-	src, inputs := example2Program(1024)
-	res := runProgram(b, src, inputs, "X", Options{ForIterScheme: ForIterComp})
+	res := runProgram(b, progs.Example2(1024), Options{ForIterScheme: ForIterComp})
 	if ii := res.II("X"); ii != 2 {
 		b.Fatalf("companion II=%v, want 2 (Theorem 3)", ii)
 	}
@@ -299,8 +154,7 @@ func BenchmarkE7Fig8Companion(b *testing.B) {
 // --- E8: Fig 3 / Theorem 4, the composed pipe-structured program -------
 
 func BenchmarkE8Fig3PipeStructured(b *testing.B) {
-	src, inputs := fig3Program(1024)
-	res := runProgram(b, src, inputs, "X", Options{})
+	res := runProgram(b, progs.Fig3(1024), Options{})
 	if !FullyPipelined(res, "X") {
 		b.Fatalf("composed program not fully pipelined: II=%v", res.II("X"))
 	}
@@ -461,8 +315,8 @@ output A;
 // --- E13: machine-level PE scaling -------------------------------------
 
 func BenchmarkE13PEScaling(b *testing.B) {
-	src, inputs := fig3Program(128)
-	u, err := Compile(src, Options{})
+	prog := progs.Fig3(128)
+	u, err := Compile(prog.Source, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -471,7 +325,7 @@ func BenchmarkE13PEScaling(b *testing.B) {
 			var cycles int
 			var util float64
 			for i := 0; i < b.N; i++ {
-				res, err := RunMachine(u, inputs, MachineConfig{PEs: pes, AMs: 4})
+				res, err := RunMachine(u, prog.Inputs, MachineConfig{PEs: pes, AMs: 4})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -487,7 +341,7 @@ func BenchmarkE13PEScaling(b *testing.B) {
 // --- E14: §6, forall parallel vs pipeline scheme ------------------------
 
 func BenchmarkE14ForallSchemes(b *testing.B) {
-	src, inputs := example1Program(48)
+	prog := progs.Example1(48)
 	for _, scheme := range []struct {
 		name string
 		opt  Options
@@ -496,14 +350,14 @@ func BenchmarkE14ForallSchemes(b *testing.B) {
 		{"parallel", Options{ForallScheme: ForallParallel}},
 	} {
 		b.Run(scheme.name, func(b *testing.B) {
-			u, err := Compile(src, scheme.opt)
+			u, err := Compile(prog.Source, scheme.opt)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var res *RunResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err = u.Run(Binding{}, inputs)
+				res, err = u.Run(Binding{}, prog.Inputs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -559,7 +413,7 @@ output V;
 // --- E16: ablations ------------------------------------------------------
 
 func BenchmarkE16LiteralControl(b *testing.B) {
-	src, inputs := example1Program(64)
+	prog := progs.Example1(64)
 	for _, cfg := range []struct {
 		name string
 		opt  Options
@@ -568,14 +422,14 @@ func BenchmarkE16LiteralControl(b *testing.B) {
 		{"literal", Options{LiteralControl: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			u, err := Compile(src, cfg.opt)
+			u, err := Compile(prog.Source, cfg.opt)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var res *RunResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err = u.Run(Binding{}, inputs)
+				res, err = u.Run(Binding{}, prog.Inputs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -588,8 +442,8 @@ func BenchmarkE16LiteralControl(b *testing.B) {
 }
 
 func BenchmarkE16Placement(b *testing.B) {
-	src, inputs := fig3Program(64)
-	u, err := Compile(src, Options{})
+	prog := progs.Fig3(64)
+	u, err := Compile(prog.Source, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -604,7 +458,7 @@ func BenchmarkE16Placement(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var cycles int
 			for i := 0; i < b.N; i++ {
-				res, err := RunMachine(u, inputs, MachineConfig{PEs: 8, AMs: 4, Assign: cfg.assign, Seed: 5})
+				res, err := RunMachine(u, prog.Inputs, MachineConfig{PEs: 8, AMs: 4, Assign: cfg.assign, Seed: 5})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -616,8 +470,8 @@ func BenchmarkE16Placement(b *testing.B) {
 }
 
 func BenchmarkE16Network(b *testing.B) {
-	src, inputs := fig3Program(64)
-	u, err := Compile(src, Options{})
+	prog := progs.Fig3(64)
+	u, err := Compile(prog.Source, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -631,7 +485,7 @@ func BenchmarkE16Network(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var cycles int
 			for i := 0; i < b.N; i++ {
-				res, err := RunMachine(u, inputs, MachineConfig{PEs: 8, AMs: 4, Network: cfg.net})
+				res, err := RunMachine(u, prog.Inputs, MachineConfig{PEs: 8, AMs: 4, Network: cfg.net})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -647,7 +501,7 @@ func BenchmarkE16Network(b *testing.B) {
 // BenchmarkCompile tracks compile-time cost across pass pipelines (the
 // per-pass split is available from Program.PassStats or dfc -stats).
 func BenchmarkCompile(b *testing.B) {
-	src, _ := fig3Program(256)
+	prog := progs.Fig3(256)
 	for _, cfg := range []struct {
 		name   string
 		passes string
@@ -666,7 +520,7 @@ func BenchmarkCompile(b *testing.B) {
 			var u *Program
 			var err error
 			for i := 0; i < b.N; i++ {
-				u, err = Compile(src, opts)
+				u, err = Compile(prog.Source, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -735,7 +589,7 @@ func BenchmarkCompileScaling(b *testing.B) {
 // --- E17: common-cell elimination ablation -------------------------------
 
 func BenchmarkE17Dedup(b *testing.B) {
-	src, inputs := fig3Program(256)
+	prog := progs.Fig3(256)
 	for _, cfg := range []struct {
 		name string
 		opt  Options
@@ -744,14 +598,14 @@ func BenchmarkE17Dedup(b *testing.B) {
 		{"dedup", Options{Dedup: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			u, err := Compile(src, cfg.opt)
+			u, err := Compile(prog.Source, cfg.opt)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var res *RunResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err = u.Run(Binding{}, inputs)
+				res, err = u.Run(Binding{}, prog.Inputs)
 				if err != nil {
 					b.Fatal(err)
 				}

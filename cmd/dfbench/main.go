@@ -1,25 +1,18 @@
-// dfbench regenerates every experiment of the reproduction (E1–E14 in
-// DESIGN.md): for each figure and quantitative claim of the paper it runs
-// the corresponding workload and prints a table of paper-claim versus
-// measured value. EXPERIMENTS.md is the archived output of this tool with
-// commentary.
+// dfbench regenerates the reproduction's experiments: E1–E17 of
+// DESIGN.md, one per figure and quantitative claim of the paper, and
+// E19–E22 on the service, batching, placement and the artifact cache
+// (docs/PERF.md, docs/SERVICE.md). Each runs its workload and prints a
+// table of paper-claim versus measured value; EXPERIMENTS.md is the
+// archived output of E1–E17 with commentary.
 //
 // Usage:
 //
-//	dfbench [-quick] [-only E7] [-json BENCH_run.json] [-compare BENCH_baseline.json]
-//	        [-tolerance 0.20] [-parallel N] [-batch B] [-metrics] [-trace PREFIX]
+//	dfbench [-quick] [-only E7] [-json FILE] [-metrics] [-trace PREFIX]
 //
-// -json captures every headline number as machine-readable records for the
-// perf trajectory; -compare checks this run's cycles/sec records against a
-// committed baseline and exits nonzero on a regression beyond -tolerance
-// (default 20%, skipping gracefully when the baseline file does not
-// exist); -parallel N runs N independent benchmark instances across
-// goroutines and reports aggregate simulation throughput instead of the
-// experiment table; -batch B advances B independent copies of each input
-// stream per simulator run through the batched engine (lane 0 results stay
-// byte-identical, and the suite accounts aggregate lane cycles); -metrics
-// prints a per-cell digest after each simulated run; -trace PREFIX writes
-// one Chrome trace-event JSON file per run.
+// -json writes every experiment's headline numbers as machine-readable
+// records; -metrics prints a per-cell digest after each simulated run;
+// -trace PREFIX writes one Chrome trace-event JSON file per run. The
+// program's speed is measured by perfbench (BENCHMARK.json), not here.
 package main
 
 import (
@@ -35,6 +28,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"staticpipe/internal/artifact"
@@ -46,12 +40,10 @@ import (
 	"staticpipe/internal/foriter"
 	"staticpipe/internal/graph"
 	"staticpipe/internal/machine"
-	"staticpipe/internal/obs"
 	"staticpipe/internal/place"
 	"staticpipe/internal/progs"
 	"staticpipe/internal/recurrence"
 	"staticpipe/internal/serve"
-	"staticpipe/internal/telemetry"
 	"staticpipe/internal/trace"
 	"staticpipe/internal/trace/analyze"
 	"staticpipe/internal/value"
@@ -61,27 +53,10 @@ var (
 	quick    = flag.Bool("quick", false, "smaller problem sizes")
 	only     = flag.String("only", "", "run a single experiment, e.g. E7")
 	jsonOut  = flag.String("json", "", "write results as machine-readable JSON (e.g. BENCH_run.json)")
-	compareF = flag.String("compare", "", "compare cycles/sec against a baseline JSON; exit nonzero on >20% regression")
-	parallel = flag.Int("parallel", 0, "run N independent benchmark instances across goroutines and report throughput")
-	samples  = flag.Int("samples", 1, "repeat the suite N times and record the median TOTAL cycles/sec (variance-aware bench guard)")
-	workersF = flag.Int("workers", 0, "shards a -batch run's lanes across N goroutines (exec core only; results are byte-identical)")
-	batchF   = flag.Int("batch", 0, "advance B independent input streams per simulator run through the batched engine (lane 0 is byte-identical)")
-	tolF     = flag.Float64("tolerance", 0.20, "fractional cycles/sec drop -compare fails the build on (0.20 = 20%)")
 	metricsF = flag.Bool("metrics", false, "print a per-cell metrics digest after each simulated run")
 	tracePfx = flag.String("trace", "", "write Chrome trace-event JSON per run to PREFIX-NNN-label.json")
-	httpAddr = flag.String("http", "", "serve live telemetry on this address (e.g. :9090)")
-	cacheF   = flag.Bool("cache", false, "route suite compiles through a shared content-addressed artifact cache (repeat -samples passes skip recompilation)")
 	version  = flag.Bool("version", false, "print version and build info, then exit")
 )
-
-// benchCache is non-nil when -cache is set: every run() compile goes
-// through it, so identical (source, options) pairs — notably the repeat
-// passes of -samples — reuse one immutable artifact instead of recompiling.
-var benchCache *artifact.Cache
-
-// registry is non-nil when -http is serving; -parallel registers each
-// instance's exec and machine runs under separate labels.
-var registry *telemetry.Registry
 
 // benchRecord is one headline number in -json output.
 type benchRecord struct {
@@ -93,40 +68,11 @@ type benchRecord struct {
 var (
 	records []benchRecord
 	curExp  string
-	// recording is cleared on the repeat passes of -samples so only the
-	// first pass contributes per-experiment records; repeats contribute
-	// only their TOTAL rate to the median.
-	recording = true
-	// per-experiment simulation accounting for the cycles/sec records:
-	// simulated cycles and wall time spent inside simulator Run calls.
-	simCycles int
-	simWall   time.Duration
-	// suite-wide totals, recorded under exp TOTAL; the bench guard compares
-	// this aggregate because individual quick experiments finish in well
-	// under a millisecond and their rates are dominated by timer noise.
-	grandCycles int
-	grandWall   time.Duration
-	// benchFlight records one span tree per experiment pass (timings and
-	// headline rates as attrs). When the bench guard fails, the dump is
-	// written next to the run so the regression report points at data, not
-	// just a percentage.
-	benchFlight = obs.NewFlight(0, 0, 0)
 )
 
 // record captures one headline number under the current experiment.
 func record(metric string, v float64) {
-	if !recording {
-		return
-	}
 	records = append(records, benchRecord{Exp: curExp, Metric: metric, Value: v})
-}
-
-// addSim accounts one simulator run toward the experiment's cycles/sec.
-func addSim(cycles int, wall time.Duration) {
-	simCycles += cycles
-	simWall += wall
-	grandCycles += cycles
-	grandWall += wall
 }
 
 var traceSeq int
@@ -173,128 +119,75 @@ func runTracer(label string) (tr trace.Tracer, finish func()) {
 	}
 }
 
+// experiment is one table of the suite; size is the problem size it runs
+// at, quickSize the one under -quick.
+type experiment struct {
+	id, title       string
+	run             func(size int)
+	size, quickSize int
+}
+
+var experiments = []experiment{
+	{"E1", "Fig 2: scalar pipeline at the maximum rate", e1, 1024, 128},
+	{"E2", "§3: rate independent of stage count", e2, 512, 64},
+	{"E3", "Fig 4: gated array selection", e3, 1024, 128},
+	{"E4", "Fig 5: pipelined conditional", e4, 1024, 128},
+	{"E5", "Fig 6 / Example 1: primitive forall (Theorem 2)", e5, 1024, 128},
+	{"E6", "Fig 7: Todd's for-iter scheme (rate 1/3)", e6, 1024, 128},
+	{"E7", "Fig 8: companion scheme (Theorem 3, rate 1/2)", e7, 1024, 128},
+	{"E8", "Fig 3: composed pipe-structured program (Theorem 4)", e8, 1024, 128},
+	{"E9", "§8: balancing time and optimal buffering", e9, 1000, 200},
+	{"E10", "§9: delay-for-rate interleaved recurrences", e10, 256, 64},
+	{"E11", "§7: companion tree of log₂(p) levels", e11, 0, 0},
+	{"E12", "§2: array-memory packet fraction ≤ 1/8", e12, 64, 32},
+	{"E13", "machine-level throughput vs PE count", e13, 128, 48},
+	{"E14", "§6: forall pipeline vs parallel scheme", e14, 48, 24},
+	{"E15", "§9 extension: two-dimensional arrays", e15, 24, 12},
+	{"E16", "ablations: control realization, network, placement", e16, 64, 24},
+	{"E17", "ablation: common-cell elimination", e17, 256, 64},
+	{"E19", "service layer: jobs/sec through admission + worker pool", e19, 1024, 256},
+	{"E20", "batched multi-stream execution: B-lane amortization", e20, 512, 512},
+	{"E21", "contention-aware placement: min-cost mapping vs bystage/hotspot", e21, 256, 96},
+	{"E22", "artifact cache: admission jobs/sec at 0/50/95% hit rates", e22, 24, 12},
+}
+
+// selectExperiments returns the experiment -only names (case-insensitive),
+// or every experiment when it is empty.
+func selectExperiments(only string) ([]experiment, error) {
+	if only == "" {
+		return experiments, nil
+	}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		if strings.EqualFold(only, e.id) {
+			return []experiment{e}, nil
+		}
+		ids[i] = e.id
+	}
+	return nil, fmt.Errorf("unknown experiment %q; -only takes one of %s", only, strings.Join(ids, " "))
+}
+
 func main() {
 	flag.Parse()
 	if *version {
 		fmt.Println("dfbench " + buildinfo.String())
 		return
 	}
-	if *cacheF {
-		benchCache = artifact.New(artifact.Config{})
+	sel, err := selectExperiments(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dfbench: %v\nusage: dfbench [-quick] [-only ID] [-json FILE] [-metrics] [-trace PREFIX]\n", err)
+		os.Exit(2)
 	}
-	if *httpAddr != "" {
-		registry = telemetry.NewRegistry()
-		srv, err := telemetry.Serve(*httpAddr, registry)
-		if err != nil {
-			fatal(err)
+	for _, e := range sel {
+		size := e.size
+		if *quick {
+			size = e.quickSize
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", srv.Addr())
-	}
-	experiments := []struct {
-		id, title string
-		run       func(size int)
-		size      int
-		quickSize int
-	}{
-		{"E1", "Fig 2: scalar pipeline at the maximum rate", e1, 1024, 128},
-		{"E2", "§3: rate independent of stage count", e2, 512, 64},
-		{"E3", "Fig 4: gated array selection", e3, 1024, 128},
-		{"E4", "Fig 5: pipelined conditional", e4, 1024, 128},
-		{"E5", "Fig 6 / Example 1: primitive forall (Theorem 2)", e5, 1024, 128},
-		{"E6", "Fig 7: Todd's for-iter scheme (rate 1/3)", e6, 1024, 128},
-		{"E7", "Fig 8: companion scheme (Theorem 3, rate 1/2)", e7, 1024, 128},
-		{"E8", "Fig 3: composed pipe-structured program (Theorem 4)", e8, 1024, 128},
-		{"E9", "§8: balancing time and optimal buffering", e9, 1000, 200},
-		{"E10", "§9: delay-for-rate interleaved recurrences", e10, 256, 64},
-		{"E11", "§7: companion tree of log₂(p) levels", e11, 0, 0},
-		{"E12", "§2: array-memory packet fraction ≤ 1/8", e12, 64, 32},
-		{"E13", "machine-level throughput vs PE count", e13, 128, 48},
-		{"E14", "§6: forall pipeline vs parallel scheme", e14, 48, 24},
-		{"E15", "§9 extension: two-dimensional arrays", e15, 24, 12},
-		{"E16", "ablations: control realization, network, placement", e16, 64, 24},
-		{"E17", "ablation: common-cell elimination", e17, 256, 64},
-		{"E19", "service layer: jobs/sec through admission + worker pool", e19, 1024, 256},
-		{"E20", "batched multi-stream execution: B-lane amortization", e20, 512, 512},
-		{"E21", "contention-aware placement: min-cost mapping vs bystage/hotspot", e21, 256, 96},
-		{"E22", "artifact cache: admission jobs/sec at 0/50/95% hit rates", e22, 24, 12},
-	}
-	if *parallel > 0 {
-		runParallel(*parallel)
-	} else {
-		runSuite := func() float64 {
-			grandCycles, grandWall = 0, 0
-			for _, e := range experiments {
-				if *only != "" && !strings.EqualFold(*only, e.id) {
-					continue
-				}
-				size := e.size
-				if *quick {
-					size = e.quickSize
-				}
-				curExp = e.id
-				simCycles, simWall = 0, 0
-				fmt.Printf("=== %s — %s ===\n", e.id, e.title)
-				tree := obs.NewTree(obs.KindRun, e.id)
-				start := time.Now()
-				e.run(size)
-				record("seconds", time.Since(start).Seconds())
-				if simWall > 0 {
-					record("cycles_per_sec", float64(simCycles)/simWall.Seconds())
-				}
-				root := tree.Root()
-				root.Set("title", e.title)
-				root.Set("size", size)
-				root.Set("sim_cycles", simCycles)
-				root.Set("sim_wall_ns", simWall.Nanoseconds())
-				if simWall > 0 {
-					root.Set("cycles_per_sec", float64(simCycles)/simWall.Seconds())
-				}
-				root.End()
-				benchFlight.RecordTree(tree)
-				fmt.Printf("(%.2fs)\n\n", time.Since(start).Seconds())
-			}
-			if grandWall == 0 {
-				return 0
-			}
-			return float64(grandCycles) / grandWall.Seconds()
-		}
-		rates := []float64{runSuite()}
-		// Repeat passes for -samples: per-experiment records are taken from
-		// the first pass only; the guarded TOTAL rate is the median across
-		// passes, which tames the timer noise a single quick pass carries.
-		recording = false
-		for s := 2; s <= *samples; s++ {
-			stdout := os.Stdout
-			null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-			if err != nil {
-				fatal(err)
-			}
-			os.Stdout = null
-			r := runSuite()
-			os.Stdout = stdout
-			null.Close()
-			rates = append(rates, r)
-			fmt.Printf("sample %d/%d: %.0f cycles/sec\n", s, *samples, r)
-		}
-		recording = true
-		if rates[0] > 0 {
-			curExp = "TOTAL"
-			rate := median(rates)
-			record("cycles_per_sec", rate)
-			if len(rates) > 1 {
-				record("samples", float64(len(rates)))
-				fmt.Printf("total: median of %d samples: %.0f cycles/sec\n", len(rates), rate)
-			} else {
-				fmt.Printf("total: %d simulated cycles in %.3fs of simulator time (%.0f cycles/sec)\n",
-					grandCycles, grandWall.Seconds(), rate)
-			}
-		}
-	}
-	if benchCache != nil {
-		st := benchCache.Stats()
-		fmt.Printf("cache: %d hits, %d misses, %d coalesced, %.1fms compile saved\n",
-			st.Hits, st.Misses, st.Coalesced, float64(st.CompileSaved.Microseconds())/1000)
+		curExp = e.id
+		fmt.Printf("=== %s — %s ===\n", e.id, e.title)
+		start := time.Now()
+		e.run(size)
+		fmt.Printf("(%.2fs)\n\n", time.Since(start).Seconds())
 	}
 	if *jsonOut != "" {
 		out := struct {
@@ -311,231 +204,6 @@ func main() {
 		}
 		fmt.Printf("wrote %d records to %s\n", len(records), *jsonOut)
 	}
-	if *compareF != "" {
-		if !compareBaseline(*compareF) {
-			os.Exit(1)
-		}
-	}
-}
-
-// parallelWorkload is one independent benchmark instance for -parallel:
-// compile the Fig 3 composed program and run it on both simulator kernels.
-// Each instance gets its own tracer sinks (execRun, machRun), never shared
-// across goroutines. Returns the simulated cycles contributed.
-func parallelWorkload(n int, execRun, machRun *telemetry.Run) (int, error) {
-	p := progs.Fig3(n)
-	cycles := 0
-	var bind core.Binding
-	if execRun != nil {
-		bind.Tracer = execRun.Tracer()
-		bind.Progress = execRun.Progress()
-	}
-	art, err := core.CompileArtifact(p.Source, core.Options{})
-	if err == nil {
-		var res *core.RunResult
-		res, err = art.Run(bind, p.Inputs)
-		if err == nil {
-			cycles += res.Exec.Cycles
-		}
-	}
-	if execRun != nil {
-		execRun.Finish(err)
-	}
-	if err != nil {
-		return cycles, err
-	}
-
-	mp, err := art.Machine()
-	if err == nil {
-		cfg := machine.Config{PEs: 8, FUs: 4, AMs: 4, Inputs: p.Inputs}
-		if machRun != nil {
-			cfg.Tracer = machRun.Tracer()
-			cfg.Progress = machRun.Progress()
-		}
-		var mres *machine.Result
-		mres, err = mp.Run(cfg)
-		if err == nil {
-			cycles += mres.Cycles
-		}
-	}
-	if machRun != nil {
-		machRun.Finish(err)
-	}
-	return cycles, err
-}
-
-// runParallel fans N independent benchmark instances across goroutines and
-// reports per-instance and aggregate simulation throughput. With -http each
-// instance registers two labeled telemetry runs (parI/exec, parI/machine),
-// so a live scrape shows every instance's progress separately.
-func runParallel(n int) {
-	size := 1024
-	if *quick {
-		size = 128
-	}
-	curExp = "PAR"
-	fmt.Printf("=== parallel fan-out: %d independent instances (Fig 3, n=%d, exec+machine) ===\n", n, size)
-
-	start := time.Now()
-	c1, err := parallelWorkload(size, nil, nil)
-	if err != nil {
-		fatal(err)
-	}
-	single := time.Since(start)
-	singleRate := float64(c1) / single.Seconds()
-	fmt.Printf("  single instance: %d cycles in %.3fs (%.0f cycles/sec)\n", c1, single.Seconds(), singleRate)
-
-	cycles := make([]int, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	start = time.Now()
-	for i := range cycles {
-		var execRun, machRun *telemetry.Run
-		if registry != nil {
-			execRun = registry.NewRun(fmt.Sprintf("par%d/exec", i), "exec")
-			machRun = registry.NewRun(fmt.Sprintf("par%d/machine", i), "machine")
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cycles[i], errs[i] = parallelWorkload(size, execRun, machRun)
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	for i, err := range errs {
-		if err != nil {
-			fatal(fmt.Errorf("instance %d: %w", i, err))
-		}
-	}
-	total := 0
-	for i, c := range cycles {
-		total += c
-		fmt.Printf("  instance %2d: %d cycles (%.0f cycles/sec amortized)\n", i, c, float64(c)/wall.Seconds())
-	}
-	aggRate := float64(total) / wall.Seconds()
-	fmt.Printf("  aggregate: %d cycles in %.3fs (%.0f cycles/sec, %.2fx single-instance rate)\n",
-		total, wall.Seconds(), aggRate, aggRate/singleRate)
-	record("cycles_per_sec_single", singleRate)
-	record("cycles_per_sec_aggregate", aggRate)
-	record("instances", float64(n))
-}
-
-// writeFlightDump writes the per-experiment flight recorder to a temp file
-// and returns its path ("" if nothing was recorded or the write failed) —
-// the bench guard prints it so a regression report carries the span trees
-// of the slow run, not just the headline percentage.
-func writeFlightDump() string {
-	dump := benchFlight.Dump()
-	if len(dump.Spans) == 0 {
-		return ""
-	}
-	f, err := os.CreateTemp("", "dfbench-flight-*.json")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench guard: flight dump: %v\n", err)
-		return ""
-	}
-	werr := dump.WriteTo(f)
-	cerr := f.Close()
-	if werr != nil || cerr != nil {
-		fmt.Fprintf(os.Stderr, "bench guard: flight dump: %v %v\n", werr, cerr)
-		return ""
-	}
-	return f.Name()
-}
-
-// compareBaseline checks this run's cycles/sec records against a committed
-// baseline JSON, failing on a regression beyond the tolerance. Returns true
-// when the comparison passes (or is skipped because no baseline exists).
-func compareBaseline(path string) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			fmt.Printf("no baseline at %s; skipping cycles/sec comparison\n", path)
-			return true
-		}
-		fatal(err)
-	}
-	var base struct {
-		Tool    string        `json:"tool"`
-		Quick   bool          `json:"quick"`
-		Results []benchRecord `json:"results"`
-	}
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "bad baseline %s: %v\n", path, err)
-		return false
-	}
-	if base.Quick != *quick {
-		fmt.Printf("baseline %s was recorded with quick=%v, this run uses quick=%v; skipping comparison\n",
-			path, base.Quick, *quick)
-		return true
-	}
-	baseline := make(map[string]float64)
-	for _, r := range base.Results {
-		if strings.HasPrefix(r.Metric, "cycles_per_sec") {
-			baseline[r.Exp+"/"+r.Metric] = r.Value
-		}
-	}
-	// Individual quick experiments finish in well under a millisecond, so
-	// their rates swing wildly between identical runs; only the suite-wide
-	// TOTAL aggregate is stable enough to gate on. Per-experiment records
-	// are compared informationally.
-	type regression struct {
-		name   string
-		before float64 // baseline cycles/sec
-		after  float64 // this run's cycles/sec
-	}
-	var regressed []regression
-	compared, failed := 0, 0
-	for _, r := range records {
-		if !strings.HasPrefix(r.Metric, "cycles_per_sec") {
-			continue
-		}
-		want, ok := baseline[r.Exp+"/"+r.Metric]
-		if !ok || want <= 0 {
-			continue
-		}
-		ratio := r.Value / want
-		gating := r.Exp == "TOTAL"
-		if gating {
-			compared++
-		}
-		if ratio < 1-*tolF {
-			regressed = append(regressed, regression{r.Exp + "/" + r.Metric, want, r.Value})
-			if gating {
-				failed++
-				fmt.Fprintf(os.Stderr, "REGRESSION %s/%s: %.0f cycles/sec vs baseline %.0f (%.0f%%)\n",
-					r.Exp, r.Metric, r.Value, want, 100*ratio)
-			} else {
-				fmt.Printf("  note %s/%s: %.0f cycles/sec vs baseline %.0f (%.0f%%, informational)\n",
-					r.Exp, r.Metric, r.Value, want, 100*ratio)
-			}
-		} else {
-			fmt.Printf("  ok %s/%s: %.0f cycles/sec vs baseline %.0f (%.0f%%)\n",
-				r.Exp, r.Metric, r.Value, want, 100*ratio)
-		}
-	}
-	if compared == 0 {
-		fmt.Printf("baseline %s has no comparable TOTAL cycles/sec record; skipping comparison\n", path)
-		return true
-	}
-	if failed > 0 {
-		// Name every experiment that slowed, not just the gating aggregate:
-		// the per-experiment list is what points at the culprit.
-		fmt.Fprintf(os.Stderr, "bench guard: aggregate cycles/sec regressed >%.0f%% vs %s\n",
-			100**tolF, path)
-		fmt.Fprintf(os.Stderr, "regressed experiments (before -> after cycles/sec, signed delta):\n")
-		for _, r := range regressed {
-			fmt.Fprintf(os.Stderr, "  %-28s %12.0f -> %-12.0f (%+.1f%%)\n",
-				r.name, r.before, r.after, 100*(r.after/r.before-1))
-		}
-		if dumpPath := writeFlightDump(); dumpPath != "" {
-			fmt.Fprintf(os.Stderr, "bench guard: per-experiment flight recorder dump at %s\n", dumpPath)
-		}
-		return false
-	}
-	fmt.Printf("bench guard: aggregate cycles/sec within %.0f%% of %s\n", 100**tolF, path)
-	return true
 }
 
 func fatal(err error) {
@@ -543,92 +211,28 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// median returns the middle value of the samples (mean of the two middles
-// when even), without disturbing the caller's slice.
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// run compiles and runs a program, returning the result. Run-time knobs
-// (tracer, workers, lane width) travel in a Binding, never in the compile
-// options: compile options feed the artifact-cache key, and a cached
-// artifact must not carry one run's tracer into another run.
+// run compiles and runs a program, returning the result. The tracer
+// travels in a Binding, never in the compile options.
 func run(p progs.Program, opts core.Options) (*core.Artifact, *core.RunResult) {
 	tr, finish := runTracer(p.Name)
-	bind := core.Binding{Tracer: tr, Workers: *workersF, Batch: *batchF}
-	art, err := compileArtifact(p.Source, opts)
+	art, err := core.CompileArtifact(p.Source, opts)
 	if err != nil {
 		fatal(err)
 	}
-	start := time.Now()
-	res, err := art.Run(bind, p.Inputs)
+	res, err := art.Run(core.Binding{Tracer: tr}, p.Inputs)
 	if err != nil {
 		fatal(err)
 	}
-	addSim(execSimCycles(res.Exec), time.Since(start))
 	finish()
 	return art, res
 }
 
-// compileArtifact compiles src directly, or through the shared artifact
-// cache when -cache is set.
-func compileArtifact(src string, opts core.Options) (*core.Artifact, error) {
-	if benchCache == nil {
-		return core.CompileArtifact(src, opts)
-	}
-	art, _, err := benchCache.Get(artifact.KeyFor(src, opts, "", 0), func() (*core.Artifact, error) {
-		return core.CompileArtifact(src, opts)
-	})
-	return art, err
-}
-
-// execSimCycles is the cycle count one firing-rule run contributes to the
-// suite's cycles/sec: lane-0 cycles for a scalar run, summed per-lane
-// cycles for a batched one (B lanes of simulation really happened).
-func execSimCycles(res *exec.Result) int {
-	if res.Batch <= 1 {
-		return res.Cycles
-	}
-	total := 0
-	for _, lr := range res.Lanes {
-		total += lr.Cycles
-	}
-	return total
-}
-
-// machineSimCycles is execSimCycles for the packet-level machine.
-func machineSimCycles(res *machine.Result) int {
-	if res.Batch <= 1 {
-		return res.Cycles
-	}
-	total := 0
-	for _, lr := range res.Lanes {
-		total += lr.Cycles
-	}
-	return total
-}
-
-// execRun runs a hand-built graph on the firing-rule simulator, counting
-// it toward the experiment's cycles/sec.
-func execRun(g *graph.Graph, opts exec.Options) *exec.Result {
-	if opts.Workers == 0 {
-		opts.Workers = *workersF
-	}
-	if opts.Batch == 0 {
-		opts.Batch = *batchF
-	}
-	start := time.Now()
-	res, err := exec.Run(g, opts)
+// execRun runs a hand-built graph on the firing-rule simulator.
+func execRun(g *graph.Graph) *exec.Result {
+	res, err := exec.Run(g, exec.Options{})
 	if err != nil {
 		fatal(err)
 	}
-	addSim(execSimCycles(res), time.Since(start))
 	return res
 }
 
@@ -641,15 +245,10 @@ func machineRun(label string, art *core.Artifact, cfg machine.Config) *machine.R
 	}
 	tr, finish := runTracer(label)
 	cfg.Tracer = tr
-	if cfg.Batch == 0 {
-		cfg.Batch = *batchF
-	}
-	start := time.Now()
 	res, err := mp.Run(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	addSim(machineSimCycles(res), time.Since(start))
 	finish()
 	return res
 }
@@ -678,7 +277,7 @@ func e2(n int) {
 			prev = id
 		}
 		g.Connect(prev, g.AddSink("out"), 0)
-		res := execRun(g, exec.Options{})
+		res := execRun(g)
 		fmt.Printf("  %8d  %14.3f  %10d\n", stages, res.II("out"), res.Arrivals["out"][0].Cycle)
 		record(fmt.Sprintf("ii_stages_%d", stages), res.II("out"))
 	}
@@ -809,7 +408,7 @@ func e10(n int) {
 			fatal(err)
 		}
 		g.Connect(out, g.AddSink("x"), 0)
-		res := execRun(g, exec.Options{})
+		res := execRun(g)
 		fmt.Printf("  %8d  %12d  %14.3f\n", rows, 2*rows-3, res.II("x"))
 		record(fmt.Sprintf("ii_rows_%d", rows), res.II("x"))
 	}
@@ -982,7 +581,6 @@ func e17(m int) {
 		record("ii_"+s.name, res.II(p.Output))
 		record("cells_"+s.name, float64(art.Compiled.Graph.ComputeStats().Cells))
 	}
-	fmt.Printf("  (dedup II was 2.188 at m=64 and 2.219 at m=256 before control arcs carried window skew; see EXPERIMENTS.md)\n")
 }
 
 func e14(m int) {
@@ -1004,9 +602,9 @@ func e14(m int) {
 	}
 }
 
-// e18Graph builds w independent arithmetic lanes of d stages each: a wide,
+// e20Scale builds w independent arithmetic lanes of d stages each: a wide,
 // compute-bound elementwise graph (E20's "scale" workload).
-func e18Graph(w, d, n int) *graph.Graph {
+func e20Scale(w, d, n int) *graph.Graph {
 	g := graph.New()
 	for k := 0; k < w; k++ {
 		vals := make([]float64, n)
@@ -1073,19 +671,10 @@ func e19(n int) {
 			}(s)
 		}
 		wg.Wait()
-		cycles := 0
 		for _, j := range done {
 			<-j.Done()
-			if res := j.Result(); res != nil {
-				cycles += res.Cycles
-			}
 		}
 		wall := time.Since(start)
-		// Deliberately not addSim'd: E19's wall clock is dominated by
-		// admission, queueing, and submitter back-off — folding it into the
-		// gated TOTAL cycles/sec would make the engine-regression guard
-		// noisy. The jobs/sec records below are the service-level metric.
-		_ = cycles
 		jps := float64(jobs) / wall.Seconds()
 		fmt.Printf("  %6d  %10.1f  %12d\n", depth, jps, retries)
 		record(fmt.Sprintf("jobs_per_sec_depth_%d", depth), jps)
@@ -1191,8 +780,6 @@ func e22(n int) {
 			for _, j := range done {
 				<-j.Done()
 			}
-			// Deliberately not addSim'd, like E19: the metric is service-level
-			// admission throughput, not engine cycles/sec.
 			rate := float64(jobs) / wall.Seconds()
 			admMean := time.Duration(admNanos / jobs)
 			arm, idx := "off", 0
@@ -1220,7 +807,7 @@ func e22(n int) {
 // e20Route builds w independent d-stage identity pipelines: the pure
 // array-move kernel (§2's array-memory streaming), where per-lane marginal
 // work is one token copy. It bounds the batched engine's amortization from
-// above, with e18Graph's elementwise-arithmetic lanes as the compute-bound
+// above, with e20Scale's elementwise-arithmetic lanes as the compute-bound
 // companion kernel.
 func e20Route(w, d, n int) *graph.Graph {
 	g := graph.New()
@@ -1242,24 +829,24 @@ func e20Route(w, d, n int) *graph.Graph {
 
 // e20 measures what batching buys: B independent input streams advance
 // through one compiled graph in a single run, so per-cycle planning and
-// bookkeeping amortize over B lanes. The aggregate lane-cycles/sec ratio
-// B=16 vs B=1 is the amortization factor; the issue's acceptance gate
-// wants >= 5x on at least two array kernels.
+// bookkeeping amortize over B lanes. The rate is lane-cycles per second of
+// this process's CPU time (getrusage around each run), so time a
+// hypervisor steals from the vCPUs does not count; the B=16 vs B=1 ratio is
+// the amortization factor.
 func e20(n int) {
-	fmt.Printf("  batched engine: aggregate lane-cycles/sec, %d elements/lane\n", n)
-	fmt.Printf("  %-28s %5s  %16s  %9s\n", "kernel", "B", "lane-cycles/sec", "speedup")
+	fmt.Printf("  batched engine: lane-cycles per CPU-second, %d elements/lane\n", n)
+	fmt.Printf("  %-28s %5s  %17s  %9s\n", "kernel", "B", "lane-cycles/cpu-s", "speedup")
 	kernels := []struct {
 		key, title string
 		mk         func() *graph.Graph
 	}{
 		{"route", "route 8x16 (array move)", func() *graph.Graph { return e20Route(8, 16, n) }},
-		{"scale", "scale 8x16 (elementwise)", func() *graph.Graph { return e18Graph(8, 16, n) }},
+		{"scale", "scale 8x16 (elementwise)", func() *graph.Graph { return e20Scale(8, 16, n) }},
 	}
-	// Each rep is short enough that a scheduler hiccup on a shared machine
-	// can halve (or double) a single rate, so every round runs all three
-	// lane counts back to back and the speedup is the median of per-round
-	// B/B=1 ratios — ambient contention hits both sides of a ratio, where
-	// comparing medians of separately-timed blocks does not.
+	// Every round runs all three lane counts back to back and the speedup
+	// is the median of per-round B/B=1 ratios: a neighbour's load on a
+	// shared host hits both sides of a ratio, where comparing medians of
+	// separately-timed blocks does not.
 	const reps = 9
 	batches := []int{1, 4, 16}
 	for _, k := range kernels {
@@ -1269,15 +856,20 @@ func e20(n int) {
 			roundRate := make([]float64, len(batches))
 			for bi, b := range batches {
 				g := k.mk()
-				start := time.Now()
-				res, err := exec.Run(g, exec.Options{Batch: b, Workers: *workersF})
+				start := cpuTime()
+				res, err := exec.Run(g, exec.Options{Batch: b})
 				if err != nil {
 					fatal(err)
 				}
-				wall := time.Since(start)
-				cycles := execSimCycles(res)
-				addSim(cycles, wall)
-				roundRate[bi] = float64(cycles) / wall.Seconds()
+				cpu := cpuTime() - start
+				laneCycles := res.Cycles
+				if b > 1 {
+					laneCycles = 0
+					for _, lr := range res.Lanes {
+						laneCycles += lr.Cycles
+					}
+				}
+				roundRate[bi] = float64(laneCycles) / cpu.Seconds()
 			}
 			for bi := range batches {
 				rates[bi] = append(rates[bi], roundRate[bi])
@@ -1288,13 +880,23 @@ func e20(n int) {
 			sort.Float64s(rates[bi])
 			sort.Float64s(ratios[bi])
 			rate, speedup := rates[bi][reps/2], ratios[bi][reps/2]
-			fmt.Printf("  %-28s %5d  %16.0f  %8.2fx\n", k.title, b, rate, speedup)
-			record(fmt.Sprintf("cycles_per_sec_%s_b%d", k.key, b), rate)
+			fmt.Printf("  %-28s %5d  %17.0f  %8.2fx\n", k.title, b, rate, speedup)
+			record(fmt.Sprintf("lane_cycles_per_cpu_s_%s_b%d", k.key, b), rate)
 			if b == 16 {
 				record(fmt.Sprintf("batch_speedup_%s_b16", k.key), speedup)
 			}
 		}
 	}
+}
+
+// cpuTime returns the CPU time, user plus system, that this process has
+// consumed (getrusage), as perfbench measures it.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // e21Graph builds w parallel d-cell identity chains with cell creation
@@ -1365,12 +967,10 @@ func e21(n int) {
 		}
 		cfg := c.cfg
 		cfg.Tracer = multi
-		start := time.Now()
 		res, err := machine.Run(g, cfg)
 		if err != nil {
 			fatal(err)
 		}
-		addSim(machineSimCycles(res), time.Since(start))
 		finish()
 		a, err := analyze.Analyze(res.Graph, m)
 		if err != nil {

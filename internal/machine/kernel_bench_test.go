@@ -7,7 +7,7 @@ import (
 
 // BenchmarkKernelCyclesPerSec measures the packet-level kernel's machine-
 // cycle throughput on the wide Fig 2 workload, for both routing-network
-// models; the cycles/sec metric is the number CI's bench guard tracks.
+// models, reported as a cycles/sec metric.
 func BenchmarkKernelCyclesPerSec(b *testing.B) {
 	for _, net := range []NetworkKind{Crossbar, Butterfly} {
 		b.Run(fmt.Sprint(net), func(b *testing.B) {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -155,22 +156,27 @@ func TestMetricsChangeBetweenScrapes(t *testing.T) {
 	}
 }
 
-// Scraping while a writer goroutine emits concurrently must never tear or
-// race (this test is the telemetry half of the -race pin).
+// Scraping while several runs emit concurrently must never tear or race
+// (this test is the telemetry half of the -race pin). Four runs, two per
+// model, each emit from their own goroutine, as dfserve registers one run
+// per concurrent job; every scrape must be well-formed exposition text,
+// and every run must end done with its cycles and events.
 func TestConcurrentScrapeDuringEmission(t *testing.T) {
 	reg := NewRegistry()
-	run := reg.NewRun("hot", "machine")
-	run.Tracer().Start(startMeta())
 	srv := httptest.NewServer(NewMux(reg))
 	defer srv.Close()
 
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		emitCycles(run, 1, 2000)
-		run.Finish(nil)
-	}()
+	for i, model := range []string{"exec", "machine", "exec", "machine"} {
+		run := reg.NewRun(fmt.Sprintf("job%d/%s", i, model), model)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run.Tracer().Start(startMeta())
+			emitCycles(run, 1, 2000)
+			run.Finish(nil)
+		}()
+	}
 	for i := 0; i < 20; i++ {
 		resp, err := http.Get(srv.URL + "/metrics")
 		if err != nil {
@@ -178,11 +184,31 @@ func TestConcurrentScrapeDuringEmission(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if !strings.Contains(string(body), "staticpipe_run_cycle") {
-			t.Fatalf("scrape %d missing run_cycle", i)
+		if !strings.Contains(string(body), "staticpipe_run_info") {
+			t.Fatalf("scrape %d missing run_info", i)
+		}
+		if problems := LintExposition(strings.NewReader(string(body))); len(problems) > 0 {
+			t.Fatalf("scrape %d is not well-formed: %v", i, problems)
 		}
 	}
 	wg.Wait()
+
+	runs := reg.Runs()
+	if len(runs) != 4 {
+		t.Fatalf("registry holds %d runs, want 4", len(runs))
+	}
+	for _, run := range runs {
+		in := run.Info()
+		if in.State != StateDone {
+			t.Errorf("run %s state = %s, want done", in.Label, in.State)
+		}
+		if in.Cycle == 0 {
+			t.Errorf("run %s recorded no cycle progress", in.Label)
+		}
+		if snap := run.Tracer().Snapshot(); snap.Events == 0 {
+			t.Errorf("run %s aggregated no events", in.Label)
+		}
+	}
 }
 
 func TestRunsEndpoint(t *testing.T) {

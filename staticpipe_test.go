@@ -12,19 +12,19 @@ import (
 // TestFacadeQuickstart exercises the public API end to end, as the README
 // quick start does.
 func TestFacadeQuickstart(t *testing.T) {
-	src, inputs := example1Program(12)
-	u, err := Compile(src, Options{})
+	prog := progs.Example1(12)
+	u, err := Compile(prog.Source, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Run(Binding{}, inputs)
+	res, err := u.Run(Binding{}, prog.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !FullyPipelined(res, "A") {
 		t.Errorf("II = %v", res.II("A"))
 	}
-	if err := u.Validate(inputs, 1e-9); err != nil {
+	if err := u.Validate(prog.Inputs, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 	ii, err := PredictII(u)
@@ -41,16 +41,16 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeMachine(t *testing.T) {
-	src, inputs := fig2Program(32)
-	u, err := Compile(src, Options{})
+	prog := progs.Fig2(32)
+	u, err := Compile(prog.Source, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := RunMachine(u, inputs, MachineConfig{PEs: 4, AMs: 2})
+	mres, err := RunMachine(u, prog.Inputs, MachineConfig{PEs: 4, AMs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := u.Run(Binding{}, inputs)
+	eres, err := u.Run(Binding{}, prog.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +69,8 @@ func TestFacadeMachine(t *testing.T) {
 // per run: the compiled graph marshals to the same bytes before and after,
 // and input names the program does not declare are ignored.
 func TestRunMachineNeverWritesProgram(t *testing.T) {
-	src, inputs := fig2Program(32)
-	p, err := Compile(src, Options{})
+	prog := progs.Fig2(32)
+	p, err := Compile(prog.Source, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRunMachineNeverWritesProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	extra := map[string][]Value{"undeclared": Reals([]float64{1})}
-	for name, vs := range inputs {
+	for name, vs := range prog.Inputs {
 		extra[name] = vs
 	}
 	if _, err := RunMachine(p, extra, MachineConfig{PEs: 4, AMs: 2}); err != nil {
@@ -95,20 +95,20 @@ func TestRunMachineNeverWritesProgram(t *testing.T) {
 }
 
 func TestFacadeSchemeConstants(t *testing.T) {
-	src, inputs := example2Program(16)
-	todd, err := Compile(src, Options{ForIterScheme: ForIterTodd})
+	prog := progs.Example2(16)
+	todd, err := Compile(prog.Source, Options{ForIterScheme: ForIterTodd})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Compile(src, Options{ForIterScheme: ForIterComp})
+	comp, err := Compile(prog.Source, Options{ForIterScheme: ForIterComp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := todd.Run(Binding{}, inputs)
+	rt, err := todd.Run(Binding{}, prog.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := comp.Run(Binding{}, inputs)
+	rc, err := comp.Run(Binding{}, prog.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestFacadeSchemeConstants(t *testing.T) {
 // TestFacadeEmptyInputs checks the degenerate zero-length binding through
 // the public API: a clean length error, not a hang or panic.
 func TestFacadeEmptyInputs(t *testing.T) {
-	src, _ := example1Program(12)
-	u, err := Compile(src, Options{})
+	prog := progs.Example1(12)
+	u, err := Compile(prog.Source, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +137,8 @@ func TestFacadePassOptions(t *testing.T) {
 	if len(names) < 5 {
 		t.Fatalf("pass registry too small: %v", names)
 	}
-	src, inputs := example1Program(12)
-	u, err := Compile(src, Options{Passes: "dedup,balance", VerifyEach: true})
+	prog := progs.Example1(12)
+	u, err := Compile(prog.Source, Options{Passes: "dedup,balance", VerifyEach: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestFacadePassOptions(t *testing.T) {
 	if len(stats) != 2 || stats[0].Name != "dedup" || stats[1].Name != "balance" {
 		t.Fatalf("pass stats = %v", stats)
 	}
-	if err := u.Validate(inputs, 1e-9); err != nil {
+	if err := u.Validate(prog.Inputs, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 }
