@@ -99,7 +99,7 @@ func BenchmarkE3Fig4ArraySelection(b *testing.B) {
 		})
 	}
 	b.Run("unbalanced", func(b *testing.B) {
-		res := runProgram(b, progs.Fig4(1024), Options{NoBalance: true})
+		res := runProgram(b, progs.Fig4(1024), Options{Passes: "none"})
 		if FullyPipelined(res, "S") {
 			b.Fatal("unbalanced graph should not reach the maximum rate")
 		}
@@ -117,7 +117,7 @@ func BenchmarkE4Fig5Conditional(b *testing.B) {
 		}
 	})
 	b.Run("unbalanced", func(b *testing.B) {
-		runProgram(b, prog, Options{NoBalance: true})
+		runProgram(b, prog, Options{Passes: "none"})
 	})
 }
 
@@ -506,7 +506,7 @@ func BenchmarkCompile(b *testing.B) {
 		name   string
 		passes string
 	}{
-		{"none", ""},
+		{"none", "none"},
 		{"balance", "balance"},
 		{"balance-naive", "balance-naive"},
 		{"dedup-balance", "dedup,balance"},
@@ -514,9 +514,6 @@ func BenchmarkCompile(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			opts := Options{Passes: cfg.passes}
-			if cfg.passes == "" {
-				opts.NoBalance = true
-			}
 			var u *Program
 			var err error
 			for i := 0; i < b.N; i++ {
@@ -595,7 +592,7 @@ func BenchmarkE17Dedup(b *testing.B) {
 		opt  Options
 	}{
 		{"plain", Options{}},
-		{"dedup", Options{Dedup: true}},
+		{"dedup", Options{Passes: "dedup,balance"}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			u, err := Compile(prog.Source, cfg.opt)

@@ -286,7 +286,7 @@ func e2(n int) {
 func e3(m int) {
 	p := progs.Fig4(m)
 	_, bal := run(p, core.Options{})
-	_, unbal := run(p, core.Options{NoBalance: true})
+	_, unbal := run(p, core.Options{Passes: "none"})
 	fmt.Printf("  paper: selection + FIFO skew buffers give full pipelining\n")
 	fmt.Printf("  %-12s  II = %.3f\n", "balanced", bal.II(p.Output))
 	fmt.Printf("  %-12s  II = %.3f\n", "unbalanced", unbal.II(p.Output))
@@ -297,7 +297,7 @@ func e3(m int) {
 func e4(n int) {
 	p := progs.Fig5(n)
 	_, bal := run(p, core.Options{})
-	_, unbal := run(p, core.Options{NoBalance: true})
+	_, unbal := run(p, core.Options{Passes: "none"})
 	fmt.Printf("  paper: gated arms + MERGE, \"fully pipelined ... only if all paths are of equal length\"\n")
 	fmt.Printf("  %-12s  II = %.3f\n", "balanced", bal.II(p.Output))
 	fmt.Printf("  %-12s  II = %.3f\n", "unbalanced", unbal.II(p.Output))
@@ -573,7 +573,7 @@ func e17(m int) {
 		opt  core.Options
 	}{
 		{"plain", core.Options{}},
-		{"dedup", core.Options{Dedup: true}},
+		{"dedup", core.Options{Passes: "dedup,balance"}},
 	} {
 		art, res := run(p, s.opt)
 		fmt.Printf("    %-8s cells=%3d (removed %d)  II=%.3f\n", s.name,

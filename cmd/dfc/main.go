@@ -17,12 +17,13 @@
 //	-todd          use Todd's for-iter scheme instead of the companion scheme
 //	-parallel      use the parallel forall scheme instead of the pipeline scheme
 //	-literal-ctl   generate control streams from literal instruction cells
-//	-no-balance    skip balancing
-//	-naive-balance use longest-path leveling instead of optimal balancing
-//	-passes        explicit compilation pass list (overrides the strategy flags)
+//	-passes list   compilation pass list ("" = balance, "none" = no pass)
 //	-dump-after    print the cell listing after the named pass ("all" = every pass)
 //	-verify-each   run the IR verifier after every compilation pass
 //	-stats         print per-pass compilation statistics
+//	-emit FILE     write the loadable instruction graph (run it with dfsim -graph)
+//	-fill kind     input data baked into an emitted graph
+//	-version       print version and build info, then exit
 package main
 
 import (
@@ -58,10 +59,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		todd      = fs.Bool("todd", false, "use Todd's for-iter scheme")
 		parallel  = fs.Bool("parallel", false, "use the parallel forall scheme")
 		litCtl    = fs.Bool("literal-ctl", false, "literal control-stream subgraphs")
-		noBal     = fs.Bool("no-balance", false, "skip balancing")
-		naiveBal  = fs.Bool("naive-balance", false, "longest-path leveling")
-		dedup     = fs.Bool("dedup", false, "common-cell elimination before balancing")
-		passList  = fs.String("passes", "", "comma-separated compilation pass list, e.g. \"dedup,balance\" (available: "+strings.Join(passes.Names(), ", ")+"); overrides the strategy flags")
+		passList  = fs.String("passes", "", "comma-separated compilation pass list, e.g. \"dedup,balance\" (available: "+strings.Join(passes.Names(), ", ")+"); \"\" is the default (balance), \"none\" runs no pass")
 		dumpAfter = fs.String("dump-after", "", "print the cell listing after the named pass; \"all\" dumps after every pass")
 		verify    = fs.Bool("verify-each", false, "run the IR verifier after every compilation pass")
 		stats     = fs.Bool("stats", false, "print per-pass compilation statistics")
@@ -84,9 +82,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	opts := core.Options{
 		LiteralControl: *litCtl,
-		NoBalance:      *noBal,
-		NaiveBalance:   *naiveBal,
-		Dedup:          *dedup,
 		Passes:         *passList,
 		VerifyEach:     *verify,
 	}

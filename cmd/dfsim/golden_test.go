@@ -12,6 +12,7 @@ import (
 
 	"staticpipe/internal/core"
 	"staticpipe/internal/machine"
+	"staticpipe/internal/place"
 	"staticpipe/internal/progs"
 	"staticpipe/internal/trace"
 	"staticpipe/internal/value"
@@ -55,7 +56,7 @@ var placedGolden = []struct {
 
 // TestPlacedMachineGolden runs each placedGolden configuration the way
 // dfsim does (ramp inputs, 8 PEs, dfsim's default 2 FUs and 2 AMs, a
-// place.Plan min-cost placement, a Chrome trace) and compares cycles,
+// place.Apply min-cost placement, a Chrome trace) and compares cycles,
 // packet counts by kind, PE and FU busy counters, and the output and trace
 // digests.
 func TestPlacedMachineGolden(t *testing.T) {
@@ -87,7 +88,7 @@ func TestPlacedMachineGolden(t *testing.T) {
 			if want.butterfly {
 				cfg.Network = machine.Butterfly
 			}
-			if err := applyPlacement("mincost", mp, art.Compiled.Graph, &cfg); err != nil {
+			if err := place.Apply("mincost", art.Compiled.Graph, &cfg, nil); err != nil {
 				t.Fatal(err)
 			}
 			res, err := mp.Run(cfg)

@@ -25,10 +25,8 @@
 //	               mincost | profile (profile = silent pre-run, then re-plan
 //	               from the observed traffic); outputs are placement-invariant
 //	-todd          use Todd's for-iter scheme
-//	-no-balance    skip balancing
+//	-passes list   compilation pass list ("" = balance, "none" = no pass)
 //	-verify        cross-check against the reference interpreter
-//	-cache         route compiles through a process-local artifact cache
-//	               (-verify's second compile becomes a hit); stats to stderr
 //	-trace FILE    write a Chrome trace-event JSON file (Perfetto-loadable)
 //	-metrics       print per-cell/per-unit metrics after the run
 //	-http ADDR     serve live telemetry (/metrics, /runs, /healthz, pprof)
@@ -42,7 +40,6 @@ import (
 	"os"
 	"sort"
 
-	"staticpipe/internal/artifact"
 	"staticpipe/internal/buildinfo"
 	"staticpipe/internal/core"
 	"staticpipe/internal/exec"
@@ -69,9 +66,8 @@ func main() {
 		butterfly = flag.Bool("butterfly", false, "butterfly routing network")
 		placeMode = flag.String("place", "", "machine placement: stage | random | hotspot | mincost | profile")
 		todd      = flag.Bool("todd", false, "Todd's for-iter scheme")
-		noBal     = flag.Bool("no-balance", false, "skip balancing")
+		passList  = flag.String("passes", "", "compilation pass list (\"\" = balance, \"none\" = no pass; see dfc -h)")
 		verify    = flag.Bool("verify", false, "cross-check against the interpreter")
-		useCache  = flag.Bool("cache", false, "route compiles through a process-local artifact cache; stats to stderr")
 		graphFile = flag.Bool("graph", false, "the argument is a serialized instruction graph (dfc -emit), not Val source")
 		waterfall = flag.Bool("waterfall", false, "print a cell-by-cycle firing chart (use small inputs)")
 		traceOut  = flag.String("trace", "", "write Chrome trace-event JSON to this file")
@@ -162,7 +158,18 @@ func main() {
 		if *butterfly {
 			cfg.Network = machine.Butterfly
 		}
-		if err := applyPlacement(*placeMode, mp, g, &cfg); err != nil {
+		// profile plans from a silent pre-run under the baseline
+		// assignment; placement never changes what a run computes.
+		profile := func() (*trace.Metrics, error) {
+			m := trace.NewMetrics()
+			pre := cfg
+			pre.Tracer, pre.Progress, pre.Batch, pre.LaneInputs = m, nil, 0, nil
+			if _, err := mp.Run(pre); err != nil {
+				return nil, fmt.Errorf("placement profile pre-run: %w", err)
+			}
+			return m, nil
+		}
+		if err := place.Apply(*placeMode, g, &cfg, profile); err != nil {
 			fatal(err)
 		}
 		res, err := mp.Run(cfg)
@@ -212,40 +219,15 @@ func main() {
 	}
 	// Compile options carry only what shapes the artifact; the run-time
 	// attachments (tracer, progress, workers, lane width) bind per run
-	// below, so a cached artifact is shareable between the traced main run
-	// and the tracer-free scalar verify run.
-	opts := core.Options{NoBalance: *noBal}
+	// below, so the traced main run and the tracer-free verify run share
+	// one artifact.
+	opts := core.Options{Passes: *passList}
 	if *todd {
 		opts.ForIterScheme = foriter.Todd
 	}
 	bind := core.Binding{Tracer: tracer, Progress: prog, Workers: *workers, Batch: *batch}
 
-	var cache *artifact.Cache
-	if *useCache {
-		cache = artifact.New(artifact.Config{})
-	}
-	compile := func(o core.Options) (*core.Artifact, error) {
-		if cache == nil {
-			return core.CompileArtifact(src, o)
-		}
-		art, outcome, err := cache.Get(artifact.KeyFor(src, o, "", 0), func() (*core.Artifact, error) {
-			return core.CompileArtifact(src, o)
-		})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "cache: compile %s\n", outcome)
-		return art, nil
-	}
-	defer func() {
-		if cache != nil {
-			st := cache.Stats()
-			fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d entries, %.1fms compile saved\n",
-				st.Hits, st.Misses, st.Entries, float64(st.CompileSaved.Microseconds())/1000)
-		}
-	}()
-
-	art, err := compile(opts)
+	art, err := core.CompileArtifact(src, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -260,13 +242,8 @@ func main() {
 
 	if *verify {
 		// Validate runs the graph too, with no tracer bound, so the traced
-		// run below stays the only one in the event stream. Under -cache
-		// this second compile is a hit.
-		va, err := compile(opts)
-		if err != nil {
-			fatal(err)
-		}
-		if err := va.Validate(inputs, 1e-9); err != nil {
+		// run below stays the only one in the event stream.
+		if err := art.Validate(inputs, 1e-9); err != nil {
 			fatal(fmt.Errorf("verification failed: %w", err))
 		}
 		fmt.Println("verified: compiled graph matches the reference interpreter")
@@ -319,47 +296,6 @@ func main() {
 	}
 	printOutputs(byName, *printN)
 	finish()
-}
-
-// applyPlacement resolves the -place flag into cfg's assignment strategy.
-// mincost plans from the static graph g; profile first runs mp, the
-// prepared form of g, once, silently, under the baseline assignment to
-// observe real traffic, then plans from those metrics. Placement never
-// changes what a run computes, so the profile pre-run is safe to discard.
-func applyPlacement(mode string, mp *machine.Prepared, g *graph.Graph, cfg *machine.Config) error {
-	switch mode {
-	case "":
-		return nil
-	case "stage":
-		cfg.Assign = machine.ByStage
-	case "random":
-		cfg.Assign = machine.Random
-	case "hotspot":
-		cfg.Assign = machine.HotSpot
-	case "mincost", "profile":
-		opts := place.Options{PEs: cfg.PEs}
-		if mode == "profile" {
-			m := trace.NewMetrics()
-			pre := *cfg
-			pre.Tracer = m
-			pre.Progress = nil
-			pre.Batch = 0
-			pre.LaneInputs = nil
-			if _, err := mp.Run(pre); err != nil {
-				return fmt.Errorf("placement profile pre-run: %w", err)
-			}
-			opts.Metrics = m
-		}
-		pl, err := place.Plan(g, opts)
-		if err != nil {
-			return err
-		}
-		cfg.Assign = machine.Placed
-		cfg.Placement = pl.PE
-	default:
-		return fmt.Errorf("unknown -place %q (want stage, random, hotspot, mincost or profile)", mode)
-	}
-	return nil
 }
 
 // laneFill builds per-lane input streams for -batch: lane l consumes the

@@ -25,7 +25,8 @@
 //	               grade the delta ("contention: improved | unchanged |
 //	               worse"). profile plans from the baseline run's metrics.
 //	-todd          use Todd's for-iter scheme
-//	-no-balance    skip balancing (see the unbalanced critical cycle)
+//	-passes list   compilation pass list ("" = balance; "none" skips
+//	               balancing, to see the unbalanced critical cycle)
 //	-trace FILE    write Chrome trace-event JSON to FILE
 //	-span FILE     write the run's span tree (job → placement.plan → run)
 //	               as JSON
@@ -70,7 +71,7 @@ func main() {
 		hotspot   = flag.Bool("hotspot", false, "place every compute cell on PE 0")
 		placeMode = flag.String("place", "", "re-place cells (stage | random | hotspot | mincost | profile) and report the before/after contention delta")
 		todd      = flag.Bool("todd", false, "Todd's for-iter scheme")
-		noBal     = flag.Bool("no-balance", false, "skip balancing")
+		passList  = flag.String("passes", "", "compilation pass list (\"\" = balance, \"none\" = no pass; see dfc -h)")
 		traceOut  = flag.String("trace", "", "write Chrome trace-event JSON to this file")
 		spanOut   = flag.String("span", "", "write the run's span tree as JSON to this file")
 		top       = flag.Int("top", 12, "rows in the per-cell rate table (0 = all)")
@@ -89,7 +90,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := core.Options{NoBalance: *noBal}
+	opts := core.Options{Passes: *passList}
 	if *todd {
 		opts.ForIterScheme = foriter.Todd
 	}
@@ -191,7 +192,11 @@ func main() {
 				fatal(err)
 			}
 			plSpan := spanTree.Root().Child(obs.KindPlacement, *placeMode)
-			if err := replace(*placeMode, art.Compiled.Graph, &cfg, baseMetrics); err != nil {
+			// profile plans from the baseline run's metrics: the run the
+			// verdict compares against is exactly the profile the new
+			// mapping was derived from.
+			profile := func() (*trace.Metrics, error) { return baseMetrics, nil }
+			if err := place.Apply(*placeMode, art.Compiled.Graph, &cfg, profile); err != nil {
 				fatal(err)
 			}
 			plSpan.Set("pes", int64(cfg.PEs))
@@ -269,37 +274,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s (open in https://ui.perfetto.dev or chrome://tracing)\n", *traceOut)
 	}
-}
-
-// replace resolves the -place flag into cfg's assignment. profile plans
-// from the baseline run's metrics — the run the verdict compares against is
-// exactly the profile the new mapping was derived from.
-func replace(mode string, g *graph.Graph, cfg *machine.Config, baseMetrics *trace.Metrics) error {
-	switch mode {
-	case "stage":
-		cfg.Assign = machine.ByStage
-		cfg.Placement = nil
-	case "random":
-		cfg.Assign = machine.Random
-		cfg.Placement = nil
-	case "hotspot":
-		cfg.Assign = machine.HotSpot
-		cfg.Placement = nil
-	case "mincost", "profile":
-		opts := place.Options{PEs: cfg.PEs}
-		if mode == "profile" {
-			opts.Metrics = baseMetrics
-		}
-		pl, err := place.Plan(g, opts)
-		if err != nil {
-			return err
-		}
-		cfg.Assign = machine.Placed
-		cfg.Placement = pl.PE
-	default:
-		return fmt.Errorf("unknown -place %q (want stage, random, hotspot, mincost or profile)", mode)
-	}
-	return nil
 }
 
 // writeSpanFile dumps the span tree snapshot as indented JSON.

@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	unbalanced, err := staticpipe.Compile(kernel, staticpipe.Options{NoBalance: true})
+	unbalanced, err := staticpipe.Compile(kernel, staticpipe.Options{Passes: "none"})
 	if err != nil {
 		log.Fatal(err)
 	}

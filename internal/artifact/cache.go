@@ -1,10 +1,10 @@
 // Package artifact is a content-addressed, bounded, concurrency-safe cache
 // of compiled execution artifacts. Entries are keyed by a canonical hash of
 // everything that determines what a compilation produces — the program
-// source and the compile-relevant options (pass list, loop schemes,
-// balancing strategy) — so two submissions of the same program under the
-// same strategy share one compiled artifact, and any difference that could
-// change the compiled graph changes the key.
+// source and the compile-relevant options (loop schemes, control
+// realization, pass list; see core.Options.Key) — so two submissions of
+// the same program under the same strategy share one compiled artifact,
+// and any difference that could change the compiled graph changes the key.
 //
 // The cache is built for a service admission path with three properties:
 //
@@ -32,82 +32,36 @@ import (
 	"staticpipe/internal/core"
 )
 
-// Key identifies one compilation's content: the program source plus every
-// Option field that can change the compiled artifact. Run-time attachments
-// (context, tracer, progress, workers, cycle bound, lane width) bind per
-// run in core.Binding, so no key holds them; Options.Batch, the one such
-// field core.Options still carries, is excluded. Place and PEs shape
-// nothing: every caller passes "" and 0, and they remain only because the
-// benchmark harness (perfbench/workloads.go) calls KeyFor with four
-// arguments.
+// Key identifies one compilation's content: the program source plus
+// core.Options.Key, the encoding of every option that shapes the compiled
+// artifact. Run-time attachments (context, tracer, progress, workers,
+// cycle bound, lane width) bind per run in core.Binding, so no key holds
+// them.
 type Key struct {
-	Source         string
-	ForallScheme   int
-	ForIterScheme  int
-	LiteralControl bool
-	NoBalance      bool
-	NaiveBalance   bool
-	Dedup          bool
-	ArmSlack       int
-	Passes         string
-	Place          string
-	PEs            int
+	Source  string
+	Options string
 }
 
-// KeyFor builds the cache key for one submission: src plus the
-// compile-relevant fields of opts. place and pes are copied into the key
-// unread (see Key).
+// KeyFor builds the cache key for one submission: src plus opts.Key().
+// place and pes shape nothing and are not read; they remain only because
+// the benchmark harness (perfbench/workloads.go) calls KeyFor with four
+// arguments.
 func KeyFor(src string, opts core.Options, place string, pes int) Key {
-	return Key{
-		Source:         src,
-		ForallScheme:   int(opts.ForallScheme),
-		ForIterScheme:  int(opts.ForIterScheme),
-		LiteralControl: opts.LiteralControl,
-		NoBalance:      opts.NoBalance,
-		NaiveBalance:   opts.NaiveBalance,
-		Dedup:          opts.Dedup,
-		ArmSlack:       opts.ArmSlack,
-		Passes:         opts.Passes,
-		Place:          place,
-		PEs:            pes,
-	}
+	return Key{Source: src, Options: opts.Key()}
 }
 
-// Hash returns the canonical content address: a SHA-256 over a
-// length-prefixed encoding of every field (length prefixes make the
-// encoding injective — no field concatenation can collide with another
-// field split), rendered as lowercase hex.
+// Hash returns the canonical content address: a SHA-256 over the
+// length-prefixed source and options encoding (length prefixes make the
+// encoding injective — no split of the bytes between the two fields can
+// collide with another), rendered as lowercase hex.
 func (k Key) Hash() string {
 	h := sha256.New()
-	writeStr := func(s string) {
+	for _, s := range []string{k.Source, k.Options} {
 		var n [8]byte
 		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
 		h.Write(n[:])
 		io.WriteString(h, s)
 	}
-	writeInt := func(v int) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(int64(v)))
-		h.Write(n[:])
-	}
-	writeBool := func(b bool) {
-		if b {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	writeStr(k.Source)
-	writeInt(k.ForallScheme)
-	writeInt(k.ForIterScheme)
-	writeBool(k.LiteralControl)
-	writeBool(k.NoBalance)
-	writeBool(k.NaiveBalance)
-	writeBool(k.Dedup)
-	writeInt(k.ArmSlack)
-	writeStr(k.Passes)
-	writeStr(k.Place)
-	writeInt(k.PEs)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -35,25 +35,21 @@ func compileN(t *testing.T, n int) *core.Artifact {
 }
 
 // TestKeyHashCanonical pins the content address: identical keys collide,
-// every field is load-bearing, and the length-prefixed encoding is
-// injective across field boundaries.
+// the source and every keyed option are load-bearing, and the
+// length-prefixed encoding is injective across the field boundary.
 func TestKeyHashCanonical(t *testing.T) {
-	base := Key{Source: "src", Passes: "a,b", Place: "mincost", PEs: 8}
+	base := KeyFor("src", core.Options{Passes: "dedup,balance"}, "", 0)
 	if base.Hash() != base.Hash() {
 		t.Fatal("hash is not deterministic")
 	}
 	variants := []Key{
-		{Source: "src2", Passes: "a,b", Place: "mincost", PEs: 8},
-		{Source: "src", ForallScheme: 1, Passes: "a,b", Place: "mincost", PEs: 8},
-		{Source: "src", ForIterScheme: 1, Passes: "a,b", Place: "mincost", PEs: 8},
-		{Source: "src", LiteralControl: true, Passes: "a,b", Place: "mincost", PEs: 8},
-		{Source: "src", NoBalance: true, Passes: "a,b", Place: "mincost", PEs: 8},
-		{Source: "src", NaiveBalance: true, Passes: "a,b", Place: "mincost", PEs: 8},
-		{Source: "src", Dedup: true, Passes: "a,b", Place: "mincost", PEs: 8},
-		{Source: "src", ArmSlack: 2, Passes: "a,b", Place: "mincost", PEs: 8},
-		{Source: "src", Passes: "a,c", Place: "mincost", PEs: 8},
-		{Source: "src", Passes: "a,b", Place: "bystage", PEs: 8},
-		{Source: "src", Passes: "a,b", Place: "mincost", PEs: 4},
+		KeyFor("src2", core.Options{Passes: "dedup,balance"}, "", 0),
+		KeyFor("src", core.Options{ForallScheme: 1, Passes: "dedup,balance"}, "", 0),
+		KeyFor("src", core.Options{ForIterScheme: 1, Passes: "dedup,balance"}, "", 0),
+		KeyFor("src", core.Options{LiteralControl: true, Passes: "dedup,balance"}, "", 0),
+		KeyFor("src", core.Options{Passes: "dedup"}, "", 0),
+		KeyFor("src", core.Options{Passes: "none"}, "", 0),
+		KeyFor("src", core.Options{}, "", 0),
 	}
 	seen := map[string]Key{base.Hash(): base}
 	for _, v := range variants {
@@ -63,14 +59,15 @@ func TestKeyHashCanonical(t *testing.T) {
 		}
 		seen[h] = v
 	}
-	// The lane width binds per run, so it is not part of the address.
-	if KeyFor("src", core.Options{Batch: 8}, "", 0) != KeyFor("src", core.Options{}, "", 0) {
-		t.Error("batch width changes the key")
+	// The lane width binds per run, and the placement arguments are not
+	// read, so none of them is part of the address.
+	if KeyFor("src", core.Options{Batch: 8}, "mincost", 8) != KeyFor("src", core.Options{}, "", 0) {
+		t.Error("batch width or placement changes the key")
 	}
-	// Injectivity across adjacent string fields: without length prefixes
+	// Injectivity across the two string fields: without length prefixes
 	// these two would encode the same bytes.
-	a := Key{Source: "xy", Passes: ""}
-	b := Key{Source: "x", Passes: "y"}
+	a := Key{Source: "xy", Options: ""}
+	b := Key{Source: "x", Options: "y"}
 	if a.Hash() == b.Hash() {
 		t.Fatal("field-boundary collision: encoding is not injective")
 	}

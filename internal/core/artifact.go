@@ -91,25 +91,17 @@ func CompileArtifact(src string, opts Options) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
+	pl, err := passes.Parse(opts.Passes)
+	if err != nil {
+		return nil, err
+	}
 	popts := pipestruct.Options{
 		ForallScheme:  opts.ForallScheme,
 		ForIterScheme: opts.ForIterScheme,
-		PE:            pe.Options{LiteralControl: opts.LiteralControl, ArmSlack: opts.ArmSlack},
-		NoBalance:     opts.NoBalance,
-		NaiveBalance:  opts.NaiveBalance,
-		Dedup:         opts.Dedup,
+		PE:            pe.Options{LiteralControl: opts.LiteralControl},
+		Passes:        pl,
 		VerifyEach:    opts.VerifyEach,
 		Snapshot:      opts.Snapshot,
-	}
-	if opts.Passes != "" {
-		pl, err := passes.Parse(opts.Passes)
-		if err != nil {
-			return nil, err
-		}
-		if pl == nil {
-			pl = []passes.Pass{} // explicit empty pipeline, not legacy fallback
-		}
-		popts.Passes = pl
 	}
 	compiled, err := pipestruct.Compile(checked, popts)
 	if err != nil {

@@ -12,6 +12,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -36,22 +37,15 @@ type Options struct {
 	// foriter.Companion.
 	ForIterScheme foriter.Scheme
 	// LiteralControl realizes boolean control streams as literal
-	// instruction subgraphs instead of idealized generator cells.
+	// instruction subgraphs instead of idealized generator cells. It is a
+	// construction choice, not the literal-control pass: construction
+	// keeps some generators idealized, while the pass expands every finite
+	// one (docs/COMPILER.md compares the two).
 	LiteralControl bool
-	// NoBalance skips balancing; NaiveBalance uses longest-path leveling
-	// instead of the optimal min-cost-flow balancer.
-	NoBalance    bool
-	NaiveBalance bool
-	// Dedup runs common-cell elimination before balancing.
-	Dedup bool
-	// ArmSlack pads data-dependent conditional arms with elasticity FIFOs
-	// of this many stages (see pe.Options.ArmSlack).
-	ArmSlack int
-	// Passes, when non-empty, is an explicit comma-separated compilation
-	// pass list (e.g. "dedup,balance"; see passes.Names for the registry)
-	// run over the assembled instruction graph. It overrides the
-	// NoBalance/NaiveBalance/Dedup strategy booleans above, which remain as
-	// the legacy interface and translate to the equivalent pass list.
+	// Passes is the comma-separated post-construction pass list run over
+	// the assembled instruction graph (passes.Parse; passes.Names lists
+	// the registry). "" is the paper's default, optimal balancing alone;
+	// "none" runs no pass.
 	Passes string
 	// VerifyEach runs the IR verifier (graph.Verify and, once balanced, the
 	// §3 equal-path-length check) after every compilation pass.
@@ -66,6 +60,25 @@ type Options struct {
 	// harness (perfbench/workloads.go) still compiles with it. New code
 	// sets Binding.Batch.
 	Batch int
+}
+
+// Key returns a canonical, injective encoding of every field that shapes
+// the compiled artifact: ForallScheme, ForIterScheme, LiteralControl and
+// Passes. Two Options with equal keys compile any source to the same
+// graph, so an artifact cache keys on the source plus this string. The
+// other fields stay out: Batch binds per run (Binding.Batch), and
+// VerifyEach and Snapshot only observe the compilation. A new field must
+// join one side or the other (TestOptionsKeyCoversEveryField).
+func (o Options) Key() string {
+	b := binary.AppendVarint(nil, int64(o.ForallScheme))
+	b = binary.AppendVarint(b, int64(o.ForIterScheme))
+	lit := byte(0)
+	if o.LiteralControl {
+		lit = 1
+	}
+	b = append(b, lit)
+	b = binary.AppendUvarint(b, uint64(len(o.Passes)))
+	return string(append(b, o.Passes...))
 }
 
 // RunResult holds a machine-level run's outcome.

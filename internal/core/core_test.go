@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -118,7 +119,7 @@ func TestUnbalancedSlower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbal, err := CompileArtifact(fig3Src, Options{NoBalance: true})
+	unbal, err := CompileArtifact(fig3Src, Options{Passes: "none"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestNaiveVsOptimalBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := CompileArtifact(fig3Src, Options{NaiveBalance: true})
+	naive, err := CompileArtifact(fig3Src, Options{Passes: "balance-naive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestSerializedGraphRoundTrip(t *testing.T) {
 // graphs are left unbalanced: a FIFO inserted on an arc keeps the skew on
 // its input side.
 func TestWindowControlSkew(t *testing.T) {
-	for _, opts := range []Options{{NoBalance: true}, {NoBalance: true, LiteralControl: true}} {
+	for _, opts := range []Options{{Passes: "none"}, {Passes: "none", LiteralControl: true}} {
 		a, err := CompileArtifact(fig3Src, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -428,7 +429,7 @@ func TestDedupOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ded, err := CompileArtifact(fig3Src, Options{Dedup: true})
+	ded, err := CompileArtifact(fig3Src, Options{Passes: "dedup,balance"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +459,7 @@ func TestDedupOption(t *testing.T) {
 	// skew, or the shared generator throttles the pipeline.
 	for _, m := range []int{64, 1024} {
 		p := progs.Fig3(m)
-		ded, err := CompileArtifact(p.Source, Options{Dedup: true})
+		ded, err := CompileArtifact(p.Source, Options{Passes: "dedup,balance"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,13 +473,138 @@ func TestDedupOption(t *testing.T) {
 	}
 }
 
+// TestWaterfallMarksEveryFiring checks that exec.Waterfall charts every
+// firing: on a conditional program, where a gate that discards its token
+// still fires, each cell's row carries exactly as many marks as the run's
+// Firings count for that cell.
+func TestWaterfallMarksEveryFiring(t *testing.T) {
+	for _, p := range []progs.Program{progs.Fig5(8), progs.Example2(8)} {
+		a, err := CompileArtifact(p.Source, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := exec.Options{Inputs: p.Inputs}
+		res, err := exec.Run(a.Compiled.Graph, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chart, err := exec.Waterfall(a.Compiled.Graph, opt, res.Cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := strings.Split(chart, "\n")[1:] // past the cycle ruler
+		for _, n := range res.Graph.Nodes() {
+			row := rows[n.ID]
+			marks := strings.Count(row[strings.IndexByte(row, '|'):], "#")
+			if marks != res.Firings[n.ID] {
+				t.Errorf("%s: %s charts %d firings, the run counts %d", p.Name, n.Name(), marks, res.Firings[n.ID])
+			}
+		}
+	}
+}
+
+// armSlackSrc is a one-block forall program; %s is its body expression.
+const armSlackSrc = `
+param m = 23;
+input A : array[real] [0, m];
+Y : array[real] := forall i in [0, m] construct %s endall;
+output Y;
+`
+
+// TestArmSlackPass checks the arm-slack pass: each data-dependent
+// conditional MERGE gets one k-stage FIFO on each data arm, the balanced
+// graph carries at least 2k more buffer stages, the outputs and the full
+// rate are unchanged, and a statically steered conditional is left alone.
+func TestArmSlackPass(t *testing.T) {
+	const k = 3
+	vals := make([]float64, 24)
+	for i := range vals {
+		vals[i] = float64(i) - 11.5
+	}
+	inputs := map[string][]value.Value{"A": value.Reals(vals)}
+	// compile returns the artifact, its run, and the armslack FIFO depths
+	// feeding each MERGE right after the arm-slack pass, by MERGE and port.
+	compile := func(body, passList string) (*Artifact, *RunResult, map[graph.NodeID]map[int]int) {
+		t.Helper()
+		arms := map[graph.NodeID]map[int]int{}
+		snap := func(pass string, g *graph.Graph) {
+			if pass != "arm-slack" {
+				return
+			}
+			for _, n := range g.Nodes() {
+				if n.Op != graph.OpFIFO || n.Label != "armslack" {
+					continue
+				}
+				for _, a := range n.Out {
+					if g.Node(a.To).Op != graph.OpMerge {
+						t.Errorf("armslack FIFO %s feeds %s", n.Name(), g.Node(a.To).Name())
+						continue
+					}
+					if arms[a.To] == nil {
+						arms[a.To] = map[int]int{}
+					}
+					arms[a.To][a.ToPort] = n.Cap
+				}
+			}
+		}
+		a, err := CompileArtifact(fmt.Sprintf(armSlackSrc, body), Options{Passes: passList, Snapshot: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Validate(inputs, 1e-12); err != nil {
+			t.Fatalf("passes=%q: %v", passList, err)
+		}
+		res, err := a.Run(Binding{}, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, res, arms
+	}
+	stages := func(a *Artifact) int { return a.Compiled.Graph.ComputeStats().BufferUnits }
+	padList := fmt.Sprintf("arm-slack=%d,balance", k)
+
+	dynamic := "if A[i] > 0. then A[i]*2. else -(A[i]) endif"
+	plain, pr, _ := compile(dynamic, "")
+	padded, qr, arms := compile(dynamic, padList)
+	if len(arms) == 0 {
+		t.Fatal("no conditional arm was padded")
+	}
+	for m, ports := range arms {
+		if len(ports) != 2 || ports[1] != k || ports[2] != k {
+			t.Errorf("MERGE %d arms padded %v, want %d stages on ports 1 and 2", m, ports, k)
+		}
+	}
+	if ps, qs := stages(plain), stages(padded); qs < ps+2*k {
+		t.Errorf("buffer stages %d -> %d, want at least +%d", ps, qs, 2*k)
+	}
+	pv, qv := pr.Outputs["Y"].Elems, qr.Outputs["Y"].Elems
+	if len(pv) != len(qv) {
+		t.Fatalf("output lengths %d vs %d", len(pv), len(qv))
+	}
+	for i := range pv {
+		if !value.Equal(pv[i], qv[i]) {
+			t.Errorf("Y[%d] = %v padded, %v plain", i, qv[i], pv[i])
+		}
+	}
+	if ii := qr.II("Y"); ii != 2 {
+		t.Errorf("padded II = %v, want 2", ii)
+	}
+
+	static := "if i < 12 then A[i] else -(A[i]) endif"
+	s0, _, _ := compile(static, "")
+	s1, _, sarms := compile(static, padList)
+	if len(sarms) != 0 || stages(s1) != stages(s0) {
+		t.Errorf("static conditional padded: arms %v, buffer stages %d -> %d", sarms, stages(s0), stages(s1))
+	}
+}
+
 // TestQuickRandomProgramsDeduped reruns the random-program property with
 // common-cell elimination enabled.
 func TestQuickRandomProgramsDeduped(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	for trial := 0; trial < 20; trial++ {
 		src, inputs := randomProgram(rng, 10+rng.Intn(8))
-		u, err := CompileArtifact(src, Options{Dedup: true})
+		u, err := CompileArtifact(src, Options{Passes: "dedup,balance"})
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v\n%s", trial, err, src)
 		}

@@ -94,14 +94,6 @@ func TestDedupWithoutBalanceNoLongerStalls(t *testing.T) {
 		}
 	}
 
-	// The legacy boolean interface gets the same protection.
-	u, err := CompileArtifact(dedupStallSrc, Options{Dedup: true, NoBalance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Validate(inputs, 1e-9); err != nil {
-		t.Errorf("legacy Dedup+NoBalance: %v", err)
-	}
 }
 
 // TestDedupBalancedPipelineHasNoWarning checks the auto-append does not

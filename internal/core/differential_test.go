@@ -1,20 +1,23 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"staticpipe/internal/exec"
+	"staticpipe/internal/foriter"
 	"staticpipe/internal/graph"
 	"staticpipe/internal/value"
 )
 
 // diffPassLists are the pass pipelines the differential quick-check sweeps:
 // every combination and ordering of the optional structural passes around
-// the two balancers, plus the empty pipeline.
+// the two balancers, plus the default ("") and empty ("none") pipelines.
 var diffPassLists = []string{
 	"",
+	"none",
 	"dedup",
 	"balance",
 	"balance-naive",
@@ -161,19 +164,19 @@ func referenceOutputs(src string, inputs map[string][]value.Value) (map[string][
 	return out, nil
 }
 
-// TestVerifyTier1Options runs the deep verifier over the graphs every
-// legacy option combination produces for the Fig 3 program, before and
-// after FIFO expansion.
+// TestVerifyTier1Options runs the deep verifier over the graphs the
+// construction options and the pass-list pipelines produce for the Fig 3
+// program, before and after FIFO expansion.
 func TestVerifyTier1Options(t *testing.T) {
 	for _, o := range []Options{
 		{},
 		{ForIterScheme: 1},
 		{ForIterScheme: 2},
 		{LiteralControl: true},
-		{Dedup: true},
-		{NaiveBalance: true},
-		{NoBalance: true},
-		{ArmSlack: 2},
+		{Passes: "dedup,balance"},
+		{Passes: "balance-naive"},
+		{Passes: "none"},
+		{Passes: "arm-slack=2,balance"},
 	} {
 		u, err := CompileArtifact(fig3Src, o)
 		if err != nil {
@@ -188,45 +191,41 @@ func TestVerifyTier1Options(t *testing.T) {
 	}
 }
 
-// TestLegacyOptionsMatchPassLists checks the compatibility contract: the
-// legacy strategy booleans and the equivalent explicit pass lists produce
-// graphs with identical predicted initiation intervals.
-func TestLegacyOptionsMatchPassLists(t *testing.T) {
-	cases := []struct {
-		legacy Options
-		passes string
-	}{
-		{Options{}, "balance"},
-		{Options{Dedup: true}, "dedup,balance"},
-		{Options{NaiveBalance: true}, "balance-naive"},
-		{Options{NoBalance: true}, ""},
-		{Options{Dedup: true, NoBalance: true}, "dedup"},
+// TestDefaultPassListSpellings pins the two pipelines spelled without pass
+// names: "" compiles byte for byte what "balance" does, under every
+// construction option, and "none" runs no pass at all. A list that names
+// no pass, or combines "none" with passes, fails the compile instead of
+// silently meaning either.
+func TestDefaultPassListSpellings(t *testing.T) {
+	marshal := func(o Options) []byte {
+		t.Helper()
+		u, err := CompileArtifact(fig3Src, o)
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		b, err := u.Compiled.Graph.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	for _, tc := range cases {
-		lu, err := CompileArtifact(fig3Src, tc.legacy)
-		if err != nil {
-			t.Fatalf("%+v: %v", tc.legacy, err)
+	for _, o := range []Options{{}, {ForIterScheme: foriter.Todd}, {LiteralControl: true}} {
+		bal := o
+		bal.Passes = "balance"
+		if !bytes.Equal(marshal(o), marshal(bal)) {
+			t.Errorf("%+v: Passes \"\" and \"balance\" compile different graphs", o)
 		}
-		po := tc.legacy
-		po.Dedup, po.NoBalance, po.NaiveBalance = false, false, false
-		po.Passes = tc.passes
-		if po.Passes == "" {
-			po.NoBalance = true // empty Passes string falls back to legacy; keep it empty
-		}
-		pu, err := CompileArtifact(fig3Src, po)
-		if err != nil {
-			t.Fatalf("passes=%q: %v", tc.passes, err)
-		}
-		if ln, pn := lu.Compiled.Graph.NumNodes(), pu.Compiled.Graph.NumNodes(); ln != pn {
-			t.Errorf("%+v vs passes=%q: %d vs %d cells", tc.legacy, tc.passes, ln, pn)
-		}
-		lp, lerr := lu.PredictII()
-		pp, perr := pu.PredictII()
-		if (lerr == nil) != (perr == nil) {
-			t.Fatalf("%+v vs passes=%q: PredictII errors %v vs %v", tc.legacy, tc.passes, lerr, perr)
-		}
-		if lerr == nil && lp.Float() != pp.Float() {
-			t.Errorf("%+v vs passes=%q: PredictII %v vs %v", tc.legacy, tc.passes, lp, pp)
+	}
+	none, err := CompileArtifact(fig3Src, Options{Passes: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if none.Compiled.Plan != nil || len(none.PassStats()) != 0 {
+		t.Errorf("none ran passes %v", none.PassStats())
+	}
+	for _, bad := range []string{",", "none,balance", "dedup,"} {
+		if _, err := CompileArtifact(fig3Src, Options{Passes: bad}); err == nil {
+			t.Errorf("Passes %q compiled", bad)
 		}
 	}
 }

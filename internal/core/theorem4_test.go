@@ -36,8 +36,8 @@ func TestTheorem4RandomPrograms(t *testing.T) {
 		opts Options
 	}{
 		{"default", Options{}},
-		{"dedup", Options{Dedup: true}},
-		{"naive", Options{NaiveBalance: true}},
+		{"dedup", Options{Passes: "dedup,balance"}},
+		{"naive", Options{Passes: "balance-naive"}},
 		{"todd", Options{ForIterScheme: foriter.Todd}},
 	}
 	for _, mode := range modes {

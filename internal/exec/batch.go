@@ -153,7 +153,6 @@ type bsim struct {
 	laneMaxed    []bool
 
 	tr       trace.Tracer
-	trc      func(int, *graph.Node, value.Value)
 	prog     *trace.Progress
 	laneCtrs []*trace.LaneCounters
 
@@ -227,7 +226,7 @@ func newBsim(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles, B 
 		laneCanceled: make([]bool, B),
 		laneMaxed:    make([]bool, B),
 
-		tr: opt.Tracer, trc: opt.Trace, prog: opt.Progress,
+		tr: opt.Tracer, prog: opt.Progress,
 		maxCycles: maxCycles,
 	}
 	srcLabels := map[string]bool{}
@@ -1081,16 +1080,6 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 			}
 			if s.prog != nil {
 				s.prog.Arrivals.Add(int64(bits.OnesCount64(fire)))
-			}
-		}
-		if w.traced && s.trc != nil && f.prod&1 != 0 {
-			switch {
-			case f.srcArc >= 0:
-				s.trc(cycle, s.insts[ci].node, s.val[int(f.srcArc)*B])
-			case f.inPlace:
-				s.trc(cycle, s.insts[ci].node, s.val[int(w.arcIDs[f.p0])*B])
-			default:
-				s.trc(cycle, s.insts[ci].node, w.outVals[f.v0])
 			}
 		}
 	}

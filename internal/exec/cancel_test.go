@@ -7,8 +7,27 @@ import (
 	"testing"
 
 	"staticpipe/internal/graph"
+	"staticpipe/internal/trace"
 	"staticpipe/internal/value"
 )
+
+// cancelAt is a tracer that calls cancel at the run's n-th firing event: a
+// deterministic mid-run cancellation point (a batched run traces lane 0).
+type cancelAt struct {
+	n, fired int
+	cancel   func()
+}
+
+func (c *cancelAt) Start(trace.Meta) {}
+
+func (c *cancelAt) Emit(e trace.Event) {
+	if e.Kind != trace.KindFiring {
+		return
+	}
+	if c.fired++; c.fired == c.n {
+		c.cancel()
+	}
+}
 
 // cancelChain builds a pipeline long enough (in stream length) that a run
 // crosses many CancelCadence windows: n stream values through d identity
@@ -75,17 +94,10 @@ func TestCancelMidRunReturnsPartial(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
-			fired := 0
-			g := cancelChain(n, 8)
-			opt := Options{Ctx: ctx, Workers: workers}
-			// The per-firing debug hook cancels deterministically mid-run.
-			opt.Trace = func(cycle int, node *graph.Node, out value.Value) {
-				fired++
-				if fired == n { // roughly the middle of the run
-					cancel()
-				}
-			}
-			res, err := Run(g, opt)
+			// Each of the chain's ten cells fires n times, so the n-th
+			// firing is about a tenth of the way through the run.
+			opt := Options{Ctx: ctx, Workers: workers, Tracer: &cancelAt{n: n, cancel: cancel}}
+			res, err := Run(cancelChain(n, 8), opt)
 			if err == nil {
 				t.Fatal("expected cancellation error")
 			}
@@ -118,9 +130,9 @@ func TestCancelMidRunReturnsPartial(t *testing.T) {
 	}
 }
 
-// TestCancelMidBatchPartialAllLanes cancels a B>1 run mid-flight (via the
-// lane-0 debug hook, which fires deterministically) and checks every lane
-// comes back with a deterministic partial Result: Canceled set, the
+// TestCancelMidBatchPartialAllLanes cancels a B>1 run mid-flight (via a
+// tracer on lane 0's firings, which fires deterministically) and checks
+// every lane comes back with a deterministic partial Result: Canceled set, the
 // canceled diagnostic leading Stalled, outputs a prefix of the full run,
 // and all lanes stopped at the same cancellation cycle (lanes advance in
 // lockstep within a worker).
@@ -134,14 +146,7 @@ func TestCancelMidBatchPartialAllLanes(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
-			fired := 0
-			opt := Options{Ctx: ctx, Batch: b, Workers: workers}
-			opt.Trace = func(cycle int, node *graph.Node, out value.Value) {
-				fired++
-				if fired == n { // roughly the middle of the run
-					cancel()
-				}
-			}
+			opt := Options{Ctx: ctx, Batch: b, Workers: workers, Tracer: &cancelAt{n: n, cancel: cancel}}
 			res, err := Run(cancelChain(n, 8), opt)
 			if err == nil {
 				t.Fatal("expected cancellation error")
@@ -153,7 +158,7 @@ func TestCancelMidBatchPartialAllLanes(t *testing.T) {
 				t.Fatalf("canceled result carries %d lanes, want %d", len(res.Lanes), b)
 			}
 			if !res.Lanes[0].Canceled {
-				t.Fatal("lane 0 (whose debug hook fired the cancel mid-run) not marked Canceled")
+				t.Fatal("lane 0 (whose tracer fired the cancel mid-run) not marked Canceled")
 			}
 			for l := 0; l < b; l++ {
 				lr := res.Lanes[l]

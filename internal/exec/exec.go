@@ -50,8 +50,6 @@ type Options struct {
 	// firings, outputs produced so far, and the Stalled diagnostics — is
 	// returned alongside the error.
 	MaxCycles int
-	// Trace, if non-nil, receives one line per firing (debugging aid).
-	Trace func(cycle int, node *graph.Node, out value.Value)
 	// Tracer, if non-nil, receives the structured observability event
 	// stream (firings, token/ack arrivals, stall classifications). Tracing
 	// is passive: it never alters scheduling, results, or cycle counts.
@@ -210,7 +208,6 @@ type sim struct {
 	outs    map[string][]value.Value
 	arrs    map[string][]Arrival
 	outCap  int // preallocation hint for sink streams (max source length)
-	trace   func(int, *graph.Node, value.Value)
 	tr      trace.Tracer
 	prog    *trace.Progress
 
@@ -691,9 +688,6 @@ func (s *sim) apply(cycle int, plans []firing) {
 			if s.prog != nil {
 				s.prog.Arrivals.Add(1)
 			}
-		}
-		if s.trace != nil && f.produced {
-			s.trace(cycle, n, f.out)
 		}
 	}
 	for i := range plans {

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -497,23 +496,6 @@ func TestDescribe(t *testing.T) {
 	s := Describe(res)
 	if s == "" {
 		t.Error("Describe returned empty string")
-	}
-}
-
-func TestTrace(t *testing.T) {
-	g, _ := fig2(4)
-	fired := 0
-	_, err := Run(g, Options{Trace: func(cycle int, n *graph.Node, v value.Value) {
-		fired++
-		if math.IsNaN(v.AsReal()) {
-			t.Error("NaN in trace")
-		}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fired == 0 {
-		t.Error("trace never called")
 	}
 }
 

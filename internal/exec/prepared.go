@@ -69,7 +69,7 @@ func (p *Prepared) getSim(opt Options) *sim {
 	s.outs = map[string][]value.Value{}
 	s.arrs = map[string][]Arrival{}
 	s.outCap = 0
-	s.trace, s.tr, s.prog = opt.Trace, opt.Tracer, opt.Progress
+	s.tr, s.prog = opt.Tracer, opt.Progress
 	return s
 }
 
@@ -80,7 +80,7 @@ func (p *Prepared) getSim(opt Options) *sim {
 func (p *Prepared) putSim(s *sim) {
 	clear(s.streams)
 	s.firings, s.outs, s.arrs = nil, nil, nil
-	s.trace, s.tr, s.prog = nil, nil, nil
+	s.tr, s.prog = nil, nil
 	p.pool.Put(s)
 }
 

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"staticpipe/internal/graph"
-	"staticpipe/internal/value"
+	"staticpipe/internal/trace"
 )
 
 // Waterfall simulates the graph and renders a firing chart: one row per
@@ -20,26 +20,17 @@ func Waterfall(g *graph.Graph, opt Options, maxCols int) (string, error) {
 	if maxCols <= 0 {
 		maxCols = 120
 	}
-	fired := map[graph.NodeID][]int{}
+	// Every firing, sinks and discarding gates included, is one
+	// KindFiring event; the caller's tracer still sees the whole stream.
+	fired := firingLog{}
 	inner := opt
-	prevTrace := opt.Trace
-	inner.Trace = func(cycle int, n *graph.Node, v value.Value) {
-		fired[n.ID] = append(fired[n.ID], cycle)
-		if prevTrace != nil {
-			prevTrace(cycle, n, v)
-		}
+	inner.Tracer = fired
+	if opt.Tracer != nil {
+		inner.Tracer = trace.Multi{fired, opt.Tracer}
 	}
 	res, err := Run(g, inner)
 	if err != nil {
 		return "", err
-	}
-	// The trace hook reports producing cells; sinks record arrivals.
-	for _, n := range res.Graph.Nodes() {
-		if n.Op == graph.OpSink {
-			for _, a := range res.Arrivals[n.Label] {
-				fired[n.ID] = append(fired[n.ID], a.Cycle)
-			}
-		}
 	}
 
 	cols := res.Cycles
@@ -64,7 +55,7 @@ func Waterfall(g *graph.Graph, opt Options, maxCols int) (string, error) {
 		for i := range row {
 			row[i] = '.'
 		}
-		for _, c := range fired[n.ID] {
+		for _, c := range fired[int32(n.ID)] {
 			if c < cols {
 				row[c] = '#'
 			}
@@ -82,4 +73,18 @@ func Waterfall(g *graph.Graph, opt Options, maxCols int) (string, error) {
 	}
 	b.WriteByte('\n')
 	return b.String(), nil
+}
+
+// firingLog records each cell's firing cycles from a run's KindFiring
+// events, keyed by cell ID.
+type firingLog map[int32][]int
+
+// Start implements trace.Tracer.
+func (firingLog) Start(trace.Meta) {}
+
+// Emit implements trace.Tracer.
+func (f firingLog) Emit(e trace.Event) {
+	if e.Kind == trace.KindFiring {
+		f[e.Cell] = append(f[e.Cell], int(e.Cycle))
+	}
 }

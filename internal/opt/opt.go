@@ -27,8 +27,9 @@
 // harness). Dedup must therefore always be followed by a balancing pass;
 // the pass manager enforces this by appending one (with a warning) to any
 // pipeline where dedup would otherwise run last, so a deduped graph that
-// leaves compilation is always balanced and live. The pass is opt-in
-// (Options.Dedup), matching the paper's default of one generator per gate.
+// leaves compilation is always balanced and live. The pass is opt-in (the
+// dedup entry of a pass list), matching the paper's default of one
+// generator per gate.
 package opt
 
 import (

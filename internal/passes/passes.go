@@ -10,8 +10,9 @@
 // (graph.Verify plus, once a balancing pass has run, the equal-path-length
 // property of §3 via balance.CheckBalanced).
 //
-// The five transformations the compiler previously hard-wired behind
-// boolean options are registered passes here:
+// The registered passes, the only way to choose a post-construction
+// transformation (Parse spells a list of them; "" is balance alone and
+// "none" is the empty list):
 //
 //	literal-control  expand idealized control generators into literal cells
 //	arm-slack[=k]    pad data-dependent conditional arms with FIFO slack

@@ -200,25 +200,40 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
-func TestFromLegacy(t *testing.T) {
-	cases := []struct {
-		dedup, noBal, naive bool
-		want                []string
-	}{
-		{false, false, false, []string{"balance"}},
-		{true, false, false, []string{"dedup", "balance"}},
-		{false, false, true, []string{"balance-naive"}},
-		{false, true, false, nil},
-		{true, true, true, []string{"dedup"}},
+// TestParseEmptyAndDefaultPipelines pins the two pipelines that name no
+// pass: "" is the paper's default (nil, which pipestruct runs as balance)
+// and "none" is the empty pipeline (empty but non-nil). It also pins the
+// pass lists that replaced the historical strategy booleans, and rejects
+// lists that name no pass or combine "none" with passes.
+func TestParseEmptyAndDefaultPipelines(t *testing.T) {
+	if ps, err := Parse(""); err != nil || ps != nil {
+		t.Errorf("Parse(\"\") = %#v, %v; want nil (the default pipeline)", ps, err)
 	}
-	for _, tc := range cases {
-		ps := FromLegacy(tc.dedup, tc.noBal, tc.naive)
+	for _, none := range []string{"none", " none "} {
+		if ps, err := Parse(none); err != nil || ps == nil || len(ps) != 0 {
+			t.Errorf("Parse(%q) = %#v, %v; want an empty non-nil pipeline", none, ps, err)
+		}
+	}
+	for list, want := range map[string][]string{
+		"balance-naive": {"balance-naive"},
+		"dedup,balance": {"dedup", "balance"},
+		"dedup":         {"dedup"},
+	} {
+		ps, err := Parse(list)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", list, err)
+		}
 		got := make([]string, len(ps))
 		for i, p := range ps {
 			got[i] = p.Name()
 		}
-		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Errorf("FromLegacy(%v, %v, %v) = %v, want %v", tc.dedup, tc.noBal, tc.naive, got, tc.want)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("Parse(%q) = %v, want %v", list, got, want)
+		}
+	}
+	for _, bad := range []string{",", " ", "dedup,", "dedup,,balance", "none,balance", "balance,none"} {
+		if ps, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) = %v, want an error", bad, ps)
 		}
 	}
 }

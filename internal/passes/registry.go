@@ -97,13 +97,25 @@ func Lookup(spec string) (Pass, error) {
 }
 
 // Parse resolves a comma-separated pass list ("dedup,balance"). The empty
-// string (and lists of empty elements) parse to an empty pipeline.
+// string is the paper's default pipeline and parses to nil, which
+// pipestruct runs as a single balance pass. "none" is the empty pipeline:
+// it parses to an empty, non-nil list and must stand alone. Every element
+// of a list must name a pass, so "," is an error, not the empty pipeline.
 func Parse(list string) ([]Pass, error) {
-	var ps []Pass
-	for _, spec := range strings.Split(list, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
+	if list == "" {
+		return nil, nil
+	}
+	if strings.TrimSpace(list) == "none" {
+		return []Pass{}, nil
+	}
+	specs := strings.Split(list, ",")
+	ps := make([]Pass, 0, len(specs))
+	for _, spec := range specs {
+		switch spec = strings.TrimSpace(spec); spec {
+		case "":
+			return nil, fmt.Errorf("passes: empty pass name in %q", list)
+		case "none":
+			return nil, fmt.Errorf("passes: none is the empty pipeline and cannot be combined with other passes (%q)", list)
 		}
 		p, err := Lookup(spec)
 		if err != nil {
@@ -112,20 +124,4 @@ func Parse(list string) ([]Pass, error) {
 		ps = append(ps, p)
 	}
 	return ps, nil
-}
-
-// FromLegacy translates the historical strategy booleans of core.Options /
-// pipestruct.Options into the equivalent pass list: optional common-cell
-// elimination, then balancing (optimal unless naive, omitted when
-// disabled). It exists so the legacy flags keep producing byte-identical
-// graphs while running through the pass manager.
-func FromLegacy(dedup, noBalance, naiveBalance bool) []Pass {
-	var ps []Pass
-	if dedup {
-		ps = append(ps, Dedup{})
-	}
-	if !noBalance {
-		ps = append(ps, Balance{Naive: naiveBalance})
-	}
-	return ps
 }

@@ -63,13 +63,6 @@ type Options struct {
 	// constructions) instead of idealized generator cells. The literal
 	// subgraphs leave residual tokens at quiescence (see control.Alternator).
 	LiteralControl bool
-	// ArmSlack pads both arms of each data-dependent conditional with a
-	// FIFO of this many stages. The one-token-per-arc discipline gives a
-	// conditional arm no room to queue a run of same-branch tokens; when a
-	// conditional block feeds a deep consumer, such runs briefly
-	// backpressure the shared input streams. Equal-length arm FIFOs add
-	// that elasticity without disturbing balance.
-	ArmSlack int
 }
 
 // binding is a named stream or constant visible to the expression being
@@ -664,25 +657,6 @@ func (b *Builder) compileIf(x *val.If) (Result, error) {
 	elseR, err := compileArm(x.Else, false, elseIdxs)
 	if err != nil {
 		return Result{}, err
-	}
-
-	// Arm elasticity: pad both data-dependent arms with equal FIFOs so a
-	// run of same-branch tokens can queue without backpressuring the
-	// shared input streams. Equal padding preserves balance (the balancer
-	// extends the control path to match); static conditions need none —
-	// their token placement is known at compile time and the balancer's
-	// wave schedule is exact.
-	if b.opts.ArmSlack > 0 && thenIdxs == nil {
-		pad := func(r Result) Result {
-			if r.IsConst() {
-				return r
-			}
-			f := b.G.AddFIFO("armslack", b.opts.ArmSlack)
-			b.G.Connect(r.Node, f, 0)
-			return Result{Node: f}
-		}
-		thenR = pad(thenR)
-		elseR = pad(elseR)
 	}
 
 	merge := b.G.Add(graph.OpMerge, "if")

@@ -544,37 +544,3 @@ func randomPE(rng *rand.Rand, depth int) string {
 		return "let v : real := " + randomPE(rng, depth+1) + " in (v + " + randomPE(rng, depth+1) + ") endlet"
 	}
 }
-
-// TestArmSlackOption verifies the arm-elasticity padding: both arms gain
-// equal-length FIFOs, balance is preserved, and results are unchanged.
-func TestArmSlackOption(t *testing.T) {
-	src := "if A[i] > 0. then A[i]*2. else -(A[i]) endif"
-	arrays := map[string]arrayIn{"A": ramp(0, 24, 1.0)}
-	plain := compileRun(t, src, 0, 23, nil, arrays, Options{}, true)
-	padded := compileRun(t, src, 0, 23, nil, arrays, Options{ArmSlack: 3}, true)
-	pv, qv := plain.Output("out"), padded.Output("out")
-	if len(pv) != len(qv) {
-		t.Fatalf("lengths %d vs %d", len(pv), len(qv))
-	}
-	for i := range pv {
-		if !value.Equal(pv[i], qv[i]) {
-			t.Errorf("out[%d] differs with arm slack", i)
-		}
-	}
-	if ii := padded.II("out"); ii != 2 {
-		t.Errorf("padded II = %v, want 2", ii)
-	}
-	// The padded graph carries at least 2×ArmSlack extra buffer stages.
-	ps := plain.Graph.ComputeStats().BufferUnits
-	qs := padded.Graph.ComputeStats().BufferUnits
-	if qs < ps+6 {
-		t.Errorf("buffer stages %d -> %d, expected +6 or more", ps, qs)
-	}
-	// Static conditions are exempt from padding.
-	static := "if i < 12 then A[i] else -(A[i]) endif"
-	s0 := compileRun(t, static, 0, 23, nil, arrays, Options{}, true)
-	s1 := compileRun(t, static, 0, 23, nil, arrays, Options{ArmSlack: 3}, true)
-	if s1.Graph.ComputeStats().BufferUnits != s0.Graph.ComputeStats().BufferUnits {
-		t.Error("static condition received arm padding")
-	}
-}

@@ -35,10 +35,9 @@ type Options struct {
 	// PE configures primitive-expression compilation (control stream
 	// realization).
 	PE pe.Options
-	// Passes, when non-nil, is the explicit post-construction pass
-	// pipeline run over the assembled instruction graph (package passes).
-	// When nil, the pipeline is derived from the legacy strategy booleans
-	// below via passes.FromLegacy.
+	// Passes is the post-construction pass pipeline run over the
+	// assembled instruction graph (package passes). Nil is the paper's
+	// default, optimal balancing alone; an empty non-nil list runs no pass.
 	Passes []passes.Pass
 	// VerifyEach runs graph.Verify (and, once balanced, the §3
 	// equal-path-length check) after every pass.
@@ -46,14 +45,6 @@ type Options struct {
 	// Snapshot, if non-nil, receives the IR after every pass. The graph is
 	// live; hooks must render what they need synchronously.
 	Snapshot func(pass string, g *graph.Graph)
-
-	// NoBalance skips the balancing pass (for ablation experiments).
-	NoBalance bool
-	// NaiveBalance uses longest-path leveling instead of the optimal
-	// min-cost-flow balancer.
-	NaiveBalance bool
-	// Dedup runs common-cell elimination (package opt) before balancing.
-	Dedup bool
 }
 
 // BlockMeta records how one block compiled.
@@ -206,11 +197,10 @@ func Compile(c *val.Checked, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("pipestruct: %w", err)
 	}
 
-	// Post-construction compilation runs as an explicit pass pipeline; the
-	// legacy strategy booleans translate to the equivalent pass list.
+	// Post-construction compilation runs as an explicit pass pipeline.
 	pl := opts.Passes
 	if pl == nil {
-		pl = passes.FromLegacy(opts.Dedup, opts.NoBalance, opts.NaiveBalance)
+		pl = []passes.Pass{passes.Balance{}}
 	}
 	ctx := &passes.Context{VerifyEach: opts.VerifyEach, Snapshot: opts.Snapshot}
 	g, err := passes.NewManager(pl...).Run(g, ctx)

@@ -6,6 +6,7 @@ import (
 
 	"staticpipe/internal/exec"
 	"staticpipe/internal/forall"
+	"staticpipe/internal/passes"
 	"staticpipe/internal/val"
 	"staticpipe/internal/value"
 )
@@ -81,10 +82,16 @@ func TestSetInputErrors(t *testing.T) {
 	}
 }
 
-func TestNoBalanceOption(t *testing.T) {
-	_, r := compileSrc(t, chainSrc, Options{NoBalance: true})
-	if r.Plan != nil {
-		t.Error("plan should be nil with NoBalance")
+// TestEmptyPipelineOption checks that an empty non-nil pass list runs no
+// pass, while a nil one runs the default balance pass.
+func TestEmptyPipelineOption(t *testing.T) {
+	_, r := compileSrc(t, chainSrc, Options{Passes: []passes.Pass{}})
+	if r.Plan != nil || len(r.PassStats) != 0 {
+		t.Errorf("empty pipeline ran passes %v (plan %v)", r.PassStats, r.Plan)
+	}
+	_, d := compileSrc(t, chainSrc, Options{})
+	if d.Plan == nil || len(d.PassStats) != 1 || d.PassStats[0].Name != "balance" {
+		t.Errorf("nil pipeline ran %v, want balance", d.PassStats)
 	}
 }
 
@@ -165,7 +172,7 @@ A : array[real] := forall i in [0, m] construct C[i] * C[i] + C[i] endall;
 output A;
 `
 	c, plain := compileSrc(t, src, Options{})
-	_, ded := compileSrc(t, src, Options{Dedup: true})
+	_, ded := compileSrc(t, src, Options{Passes: []passes.Pass{passes.Dedup{}, passes.Balance{}}})
 	if ded.Deduped == 0 {
 		t.Fatal("nothing deduped")
 	}

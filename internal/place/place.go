@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"staticpipe/internal/graph"
+	"staticpipe/internal/machine"
 	"staticpipe/internal/mcm"
 	"staticpipe/internal/mincost"
 	"staticpipe/internal/trace"
@@ -100,6 +101,42 @@ type edge struct {
 // mapping lines up with the graph the machine core expands internally).
 func Plan(g *graph.Graph, opts Options) (*Placement, error) {
 	return plan(g, opts, true)
+}
+
+// Apply resolves a placement strategy, as the CLIs' -place flag names it,
+// into cfg's assignment: stage, random and hotspot select the machine's
+// built-in assignments, mincost plans from the static graph g, and profile
+// plans from the metrics profile returns, a run of g under another
+// assignment (firing counts do not depend on placement); only profile
+// calls it. "" leaves cfg as it is.
+func Apply(mode string, g *graph.Graph, cfg *machine.Config, profile func() (*trace.Metrics, error)) error {
+	switch mode {
+	case "":
+		return nil
+	case "stage":
+		cfg.Assign, cfg.Placement = machine.ByStage, nil
+	case "random":
+		cfg.Assign, cfg.Placement = machine.Random, nil
+	case "hotspot":
+		cfg.Assign, cfg.Placement = machine.HotSpot, nil
+	case "mincost", "profile":
+		opts := Options{PEs: cfg.PEs}
+		if mode == "profile" {
+			m, err := profile()
+			if err != nil {
+				return err
+			}
+			opts.Metrics = m
+		}
+		pl, err := Plan(g, opts)
+		if err != nil {
+			return err
+		}
+		cfg.Assign, cfg.Placement = machine.Placed, pl.PE
+	default:
+		return fmt.Errorf("unknown -place %q (want stage, random, hotspot, mincost or profile)", mode)
+	}
+	return nil
 }
 
 // plan is Plan with the choice of re-solving each refinement round's

@@ -5,7 +5,8 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
+
+	"staticpipe/internal/telemetry"
 )
 
 // WriteMetrics renders the staticpipe_serve_* Prometheus families in text
@@ -16,58 +17,58 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	family(w, "staticpipe_serve_submitted_total", "counter",
+	telemetry.Family(w, "staticpipe_serve_submitted_total", "counter",
 		"Job submissions received, before any admission decision.")
 	for _, t := range sortedKeys(s.submitted) {
-		fmt.Fprintf(w, "staticpipe_serve_submitted_total{%s} %d\n", lbl("tenant", t), s.submitted[t])
+		fmt.Fprintf(w, "staticpipe_serve_submitted_total{%s} %d\n", telemetry.Label("tenant", t), s.submitted[t])
 	}
 
-	family(w, "staticpipe_serve_admitted_total", "counter",
+	telemetry.Family(w, "staticpipe_serve_admitted_total", "counter",
 		"Jobs admitted, by admission path (fast=inline, offload=queued).")
 	for _, k := range sortedPairKeys(s.admitted) {
 		fmt.Fprintf(w, "staticpipe_serve_admitted_total{%s,%s} %d\n",
-			lbl("tenant", k[0]), lbl("path", k[1]), s.admitted[k])
+			telemetry.Label("tenant", k[0]), telemetry.Label("path", k[1]), s.admitted[k])
 	}
 
-	family(w, "staticpipe_serve_rejected_total", "counter",
+	telemetry.Family(w, "staticpipe_serve_rejected_total", "counter",
 		"Submissions rejected, by reason (invalid, throttled, queue_full, shutdown).")
 	for _, k := range sortedPairKeys(s.rejected) {
 		fmt.Fprintf(w, "staticpipe_serve_rejected_total{%s,%s} %d\n",
-			lbl("tenant", k[0]), lbl("reason", k[1]), s.rejected[k])
+			telemetry.Label("tenant", k[0]), telemetry.Label("reason", k[1]), s.rejected[k])
 	}
 
-	family(w, "staticpipe_serve_jobs_completed_total", "counter",
+	telemetry.Family(w, "staticpipe_serve_jobs_completed_total", "counter",
 		"Jobs reaching a terminal state, by state (done, failed, canceled).")
 	for _, k := range sortedPairKeys(s.completed) {
 		fmt.Fprintf(w, "staticpipe_serve_jobs_completed_total{%s,%s} %d\n",
-			lbl("tenant", k[0]), lbl("state", k[1]), s.completed[k])
+			telemetry.Label("tenant", k[0]), telemetry.Label("state", k[1]), s.completed[k])
 	}
 
-	family(w, "staticpipe_serve_evicted_total", "counter",
+	telemetry.Family(w, "staticpipe_serve_evicted_total", "counter",
 		"Terminal jobs evicted from the bounded per-tenant result store.")
 	for _, t := range sortedKeys(s.evicted) {
-		fmt.Fprintf(w, "staticpipe_serve_evicted_total{%s} %d\n", lbl("tenant", t), s.evicted[t])
+		fmt.Fprintf(w, "staticpipe_serve_evicted_total{%s} %d\n", telemetry.Label("tenant", t), s.evicted[t])
 	}
 
-	family(w, "staticpipe_serve_queue_depth", "gauge", "Jobs waiting in the offload queue.")
+	telemetry.Family(w, "staticpipe_serve_queue_depth", "gauge", "Jobs waiting in the offload queue.")
 	fmt.Fprintf(w, "staticpipe_serve_queue_depth %d\n", len(s.queue))
-	family(w, "staticpipe_serve_queue_capacity", "gauge", "Offload queue capacity.")
+	telemetry.Family(w, "staticpipe_serve_queue_capacity", "gauge", "Offload queue capacity.")
 	fmt.Fprintf(w, "staticpipe_serve_queue_capacity %d\n", s.cfg.QueueDepth)
-	family(w, "staticpipe_serve_workers", "gauge", "Worker-pool size.")
+	telemetry.Family(w, "staticpipe_serve_workers", "gauge", "Worker-pool size.")
 	fmt.Fprintf(w, "staticpipe_serve_workers %d\n", s.cfg.PoolWorkers)
-	family(w, "staticpipe_serve_workers_busy", "gauge", "Pool workers executing a job.")
+	telemetry.Family(w, "staticpipe_serve_workers_busy", "gauge", "Pool workers executing a job.")
 	fmt.Fprintf(w, "staticpipe_serve_workers_busy %d\n", s.poolBusy)
-	family(w, "staticpipe_serve_jobs_running", "gauge",
+	telemetry.Family(w, "staticpipe_serve_jobs_running", "gauge",
 		"Jobs executing now (pool workers plus inline fast-path runs).")
 	fmt.Fprintf(w, "staticpipe_serve_jobs_running %d\n", s.running)
-	family(w, "staticpipe_serve_jobs_tracked", "gauge",
+	telemetry.Family(w, "staticpipe_serve_jobs_tracked", "gauge",
 		"Jobs in the result store (queued, running, and retained terminal).")
 	fmt.Fprintf(w, "staticpipe_serve_jobs_tracked %d\n", len(s.jobs))
-	family(w, "staticpipe_serve_offload_threshold", "gauge",
+	telemetry.Family(w, "staticpipe_serve_offload_threshold", "gauge",
 		"Admission cost threshold above which jobs are queued.")
 	fmt.Fprintf(w, "staticpipe_serve_offload_threshold %d\n", s.cfg.OffloadThreshold)
 
-	family(w, "staticpipe_serve_cost_ratio", "histogram",
+	telemetry.Family(w, "staticpipe_serve_cost_ratio", "histogram",
 		"Actual simulation work (cells x cycles, with the batch lane discount) over the admission estimate, per finished job.")
 	cum := int64(0)
 	for i, bound := range ratioBounds {
@@ -83,24 +84,24 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	// s.mu costs nothing and keeps the exposition point-in-time coherent.
 	if c := s.cfg.Cache; c != nil {
 		st := c.Stats()
-		family(w, "staticpipe_cache_hits_total", "counter",
+		telemetry.Family(w, "staticpipe_cache_hits_total", "counter",
 			"Artifact-cache lookups served from a resident compiled artifact.")
 		fmt.Fprintf(w, "staticpipe_cache_hits_total %d\n", st.Hits)
-		family(w, "staticpipe_cache_misses_total", "counter",
+		telemetry.Family(w, "staticpipe_cache_misses_total", "counter",
 			"Artifact-cache lookups that compiled (one per singleflight group).")
 		fmt.Fprintf(w, "staticpipe_cache_misses_total %d\n", st.Misses)
-		family(w, "staticpipe_cache_coalesced_total", "counter",
+		telemetry.Family(w, "staticpipe_cache_coalesced_total", "counter",
 			"Artifact-cache lookups that waited on another submission's in-flight compile.")
 		fmt.Fprintf(w, "staticpipe_cache_coalesced_total %d\n", st.Coalesced)
-		family(w, "staticpipe_cache_evictions_total", "counter",
+		telemetry.Family(w, "staticpipe_cache_evictions_total", "counter",
 			"Artifacts evicted under the entry or byte budget.")
 		fmt.Fprintf(w, "staticpipe_cache_evictions_total %d\n", st.Evictions)
-		family(w, "staticpipe_cache_entries", "gauge", "Resident compiled artifacts.")
+		telemetry.Family(w, "staticpipe_cache_entries", "gauge", "Resident compiled artifacts.")
 		fmt.Fprintf(w, "staticpipe_cache_entries %d\n", st.Entries)
-		family(w, "staticpipe_cache_bytes", "gauge",
+		telemetry.Family(w, "staticpipe_cache_bytes", "gauge",
 			"Estimated resident footprint of cached artifacts.")
 		fmt.Fprintf(w, "staticpipe_cache_bytes %d\n", st.Bytes)
-		family(w, "staticpipe_cache_compile_seconds_saved_total", "counter",
+		telemetry.Family(w, "staticpipe_cache_compile_seconds_saved_total", "counter",
 			"Cumulative compile wall time hits and coalesced waiters did not pay.")
 		fmt.Fprintf(w, "staticpipe_cache_compile_seconds_saved_total %g\n", st.CompileSaved.Seconds())
 	}
@@ -152,33 +153,4 @@ func sortedPairKeys(m map[[2]string]int64) [][2]string {
 		return keys[a][1] < keys[b][1]
 	})
 	return keys
-}
-
-// family and lbl mirror the unexported telemetry/prom.go helpers: the text
-// exposition format is small enough that sharing would couple the packages
-// for two one-liners.
-func family(w io.Writer, name, typ, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func lbl(key, value string) string { return key + `="` + escapeLabel(value) + `"` }
-
-func escapeLabel(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
 }

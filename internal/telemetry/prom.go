@@ -26,59 +26,59 @@ func WriteMetrics(w io.Writer, reg *Registry) {
 	bi := buildinfo.Fields()
 	var blabels []string
 	for _, k := range buildinfo.Keys(bi) {
-		blabels = append(blabels, lbl(k, bi[k]))
+		blabels = append(blabels, Label(k, bi[k]))
 	}
-	family(w, "staticpipe_build_info", "gauge", "Build metadata of the serving binary (value is always 1).")
+	Family(w, "staticpipe_build_info", "gauge", "Build metadata of the serving binary (value is always 1).")
 	fmt.Fprintf(w, "staticpipe_build_info{%s} 1\n", strings.Join(blabels, ","))
 
-	family(w, "staticpipe_run_info", "gauge", "One series per registered run; labels carry model and state (value is always 1).")
+	Family(w, "staticpipe_run_info", "gauge", "One series per registered run; labels carry model and state (value is always 1).")
 	for _, in := range infos {
 		fmt.Fprintf(w, "staticpipe_run_info{%s,%s,%s} 1\n",
-			lbl("run", in.Label), lbl("model", in.Model), lbl("state", string(in.State)))
+			Label("run", in.Label), Label("model", in.Model), Label("state", string(in.State)))
 	}
 
-	family(w, "staticpipe_run_cycle", "gauge", "Most recently simulated cycle of the run.")
+	Family(w, "staticpipe_run_cycle", "gauge", "Most recently simulated cycle of the run.")
 	for _, in := range infos {
-		fmt.Fprintf(w, "staticpipe_run_cycle{%s} %d\n", lbl("run", in.Label), in.Cycle)
+		fmt.Fprintf(w, "staticpipe_run_cycle{%s} %d\n", Label("run", in.Label), in.Cycle)
 	}
 
-	family(w, "staticpipe_run_arrivals_total", "counter", "Values received by the run's sinks so far.")
+	Family(w, "staticpipe_run_arrivals_total", "counter", "Values received by the run's sinks so far.")
 	for _, in := range infos {
-		fmt.Fprintf(w, "staticpipe_run_arrivals_total{%s} %d\n", lbl("run", in.Label), in.Arrivals)
+		fmt.Fprintf(w, "staticpipe_run_arrivals_total{%s} %d\n", Label("run", in.Label), in.Arrivals)
 	}
 
-	family(w, "staticpipe_run_cycles_per_sec", "gauge", "Simulation rate: cycles simulated per wall-clock second.")
+	Family(w, "staticpipe_run_cycles_per_sec", "gauge", "Simulation rate: cycles simulated per wall-clock second.")
 	for _, in := range infos {
-		fmt.Fprintf(w, "staticpipe_run_cycles_per_sec{%s} %s\n", lbl("run", in.Label), ftoa(in.CyclesPerSec))
+		fmt.Fprintf(w, "staticpipe_run_cycles_per_sec{%s} %s\n", Label("run", in.Label), ftoa(in.CyclesPerSec))
 	}
 
-	family(w, "staticpipe_run_events_total", "counter", "Trace events aggregated by the run's metrics sink.")
+	Family(w, "staticpipe_run_events_total", "counter", "Trace events aggregated by the run's metrics sink.")
 	for i, in := range infos {
-		fmt.Fprintf(w, "staticpipe_run_events_total{%s} %d\n", lbl("run", in.Label), snaps[i].Events)
+		fmt.Fprintf(w, "staticpipe_run_events_total{%s} %d\n", Label("run", in.Label), snaps[i].Events)
 	}
 
-	family(w, "staticpipe_packets_total", "counter", "Packets routed, by traffic class (machine model).")
+	Family(w, "staticpipe_packets_total", "counter", "Packets routed, by traffic class (machine model).")
 	for i, in := range infos {
 		for k := trace.PacketKind(0); k < trace.NumPacketKinds; k++ {
 			if n := snaps[i].Packets[k]; n > 0 {
 				fmt.Fprintf(w, "staticpipe_packets_total{%s,%s} %d\n",
-					lbl("run", in.Label), lbl("kind", k.String()), n)
+					Label("run", in.Label), Label("kind", k.String()), n)
 			}
 		}
 	}
 
-	family(w, "staticpipe_cell_firings_total", "counter", "Firings per instruction cell.")
+	Family(w, "staticpipe_cell_firings_total", "counter", "Firings per instruction cell.")
 	for i, in := range infos {
 		meta := snaps[i].Meta()
 		for id := range snaps[i].Cells {
 			if f := snaps[i].Cells[id].Firings; f > 0 {
 				fmt.Fprintf(w, "staticpipe_cell_firings_total{%s,%s} %d\n",
-					lbl("run", in.Label), lbl("cell", meta.CellName(id)), f)
+					Label("run", in.Label), Label("cell", meta.CellName(id)), f)
 			}
 		}
 	}
 
-	family(w, "staticpipe_cell_stall_cycles_total", "counter", "Observed stall cycles per cell, by reason.")
+	Family(w, "staticpipe_cell_stall_cycles_total", "counter", "Observed stall cycles per cell, by reason.")
 	for i, in := range infos {
 		meta := snaps[i].Meta()
 		for id := range snaps[i].Cells {
@@ -93,35 +93,35 @@ func WriteMetrics(w io.Writer, reg *Registry) {
 			} {
 				if s.n > 0 {
 					fmt.Fprintf(w, "staticpipe_cell_stall_cycles_total{%s,%s,%s} %d\n",
-						lbl("run", in.Label), lbl("cell", meta.CellName(id)), lbl("reason", s.reason.String()), s.n)
+						Label("run", in.Label), Label("cell", meta.CellName(id)), Label("reason", s.reason.String()), s.n)
 				}
 			}
 		}
 	}
 
-	family(w, "staticpipe_unit_firings_total", "counter", "Instructions retired per machine endpoint.")
+	Family(w, "staticpipe_unit_firings_total", "counter", "Instructions retired per machine endpoint.")
 	for i, in := range infos {
 		meta := snaps[i].Meta()
 		for u := range snaps[i].Units {
 			if n := snaps[i].Units[u].Firings; n > 0 {
 				fmt.Fprintf(w, "staticpipe_unit_firings_total{%s,%s} %d\n",
-					lbl("run", in.Label), lbl("unit", meta.UnitName(u)), n)
+					Label("run", in.Label), Label("unit", meta.UnitName(u)), n)
 			}
 		}
 	}
 
-	family(w, "staticpipe_fu_ops_total", "counter", "Operations initiated per function unit.")
+	Family(w, "staticpipe_fu_ops_total", "counter", "Operations initiated per function unit.")
 	for i, in := range infos {
 		meta := snaps[i].Meta()
 		for u := range snaps[i].Units {
 			if n := snaps[i].Units[u].FUOps; n > 0 {
 				fmt.Fprintf(w, "staticpipe_fu_ops_total{%s,%s} %d\n",
-					lbl("run", in.Label), lbl("unit", meta.UnitName(u)), n)
+					Label("run", in.Label), Label("unit", meta.UnitName(u)), n)
 			}
 		}
 	}
 
-	family(w, "staticpipe_unit_occupancy", "gauge", "Fraction of cycles the endpoint retired an instruction (1.0 = saturated).")
+	Family(w, "staticpipe_unit_occupancy", "gauge", "Fraction of cycles the endpoint retired an instruction (1.0 = saturated).")
 	for i, in := range infos {
 		meta := snaps[i].Meta()
 		for u := range snaps[i].Units {
@@ -130,7 +130,7 @@ func WriteMetrics(w io.Writer, reg *Registry) {
 				continue
 			}
 			fmt.Fprintf(w, "staticpipe_unit_occupancy{%s,%s} %s\n",
-				lbl("run", in.Label), lbl("unit", meta.UnitName(u)), ftoa(snaps[i].Occupancy(u)))
+				Label("run", in.Label), Label("unit", meta.UnitName(u)), ftoa(snaps[i].Occupancy(u)))
 		}
 	}
 
@@ -146,11 +146,11 @@ func WriteMetrics(w io.Writer, reg *Registry) {
 			batched = append(batched, laneRow{run: infos[i].Label, lanes: l})
 		}
 	}
-	family(w, "staticpipe_batch_lanes", "gauge", "Configured lane count of the batched run.")
+	Family(w, "staticpipe_batch_lanes", "gauge", "Configured lane count of the batched run.")
 	for _, row := range batched {
-		fmt.Fprintf(w, "staticpipe_batch_lanes{%s} %d\n", lbl("run", row.run), len(row.lanes))
+		fmt.Fprintf(w, "staticpipe_batch_lanes{%s} %d\n", Label("run", row.run), len(row.lanes))
 	}
-	family(w, "staticpipe_batch_lanes_active", "gauge", "Lanes still advancing (sources unexhausted or tokens in flight).")
+	Family(w, "staticpipe_batch_lanes_active", "gauge", "Lanes still advancing (sources unexhausted or tokens in flight).")
 	for _, row := range batched {
 		active := 0
 		for _, lc := range row.lanes {
@@ -158,23 +158,23 @@ func WriteMetrics(w io.Writer, reg *Registry) {
 				active++
 			}
 		}
-		fmt.Fprintf(w, "staticpipe_batch_lanes_active{%s} %d\n", lbl("run", row.run), active)
+		fmt.Fprintf(w, "staticpipe_batch_lanes_active{%s} %d\n", Label("run", row.run), active)
 	}
-	family(w, "staticpipe_batch_lane_cycles", "gauge", "Most recently simulated cycle of each lane.")
+	Family(w, "staticpipe_batch_lane_cycles", "gauge", "Most recently simulated cycle of each lane.")
 	for _, row := range batched {
 		for li, lc := range row.lanes {
 			fmt.Fprintf(w, "staticpipe_batch_lane_cycles{%s,%s} %d\n",
-				lbl("run", row.run), lbl("lane", strconv.Itoa(li)), lc.Cycles.Load())
+				Label("run", row.run), Label("lane", strconv.Itoa(li)), lc.Cycles.Load())
 		}
 	}
-	family(w, "staticpipe_batch_lane_arrivals_total", "counter", "Values received by each lane's sinks so far.")
+	Family(w, "staticpipe_batch_lane_arrivals_total", "counter", "Values received by each lane's sinks so far.")
 	for _, row := range batched {
 		for li, lc := range row.lanes {
 			fmt.Fprintf(w, "staticpipe_batch_lane_arrivals_total{%s,%s} %d\n",
-				lbl("run", row.run), lbl("lane", strconv.Itoa(li)), lc.Arrivals.Load())
+				Label("run", row.run), Label("lane", strconv.Itoa(li)), lc.Arrivals.Load())
 		}
 	}
-	family(w, "staticpipe_batch_progress_skew", "gauge", "Cycle spread between the fastest and slowest lane (0 = lockstep).")
+	Family(w, "staticpipe_batch_progress_skew", "gauge", "Cycle spread between the fastest and slowest lane (0 = lockstep).")
 	for _, row := range batched {
 		min, max := int64(-1), int64(0)
 		for _, lc := range row.lanes {
@@ -186,10 +186,10 @@ func WriteMetrics(w io.Writer, reg *Registry) {
 				max = c
 			}
 		}
-		fmt.Fprintf(w, "staticpipe_batch_progress_skew{%s} %d\n", lbl("run", row.run), max-min)
+		fmt.Fprintf(w, "staticpipe_batch_progress_skew{%s} %d\n", Label("run", row.run), max-min)
 	}
 
-	family(w, "staticpipe_cell_interfiring_cycles", "histogram", "Inter-firing interval per cell, in cycles (log2 buckets).")
+	Family(w, "staticpipe_cell_interfiring_cycles", "histogram", "Inter-firing interval per cell, in cycles (log2 buckets).")
 	for i, in := range infos {
 		meta := snaps[i].Meta()
 		for id := range snaps[i].Cells {
@@ -198,11 +198,11 @@ func WriteMetrics(w io.Writer, reg *Registry) {
 				continue
 			}
 			writeHistogram(w, "staticpipe_cell_interfiring_cycles",
-				lbl("run", in.Label)+","+lbl("cell", meta.CellName(id)), h)
+				Label("run", in.Label)+","+Label("cell", meta.CellName(id)), h)
 		}
 	}
 
-	family(w, "staticpipe_unit_transit_cycles", "histogram", "Delivered-packet transit time per endpoint, queueing included (log2 buckets).")
+	Family(w, "staticpipe_unit_transit_cycles", "histogram", "Delivered-packet transit time per endpoint, queueing included (log2 buckets).")
 	for i, in := range infos {
 		meta := snaps[i].Meta()
 		for u := range snaps[i].Units {
@@ -211,11 +211,11 @@ func WriteMetrics(w io.Writer, reg *Registry) {
 				continue
 			}
 			writeHistogram(w, "staticpipe_unit_transit_cycles",
-				lbl("run", in.Label)+","+lbl("unit", meta.UnitName(u)), h)
+				Label("run", in.Label)+","+Label("unit", meta.UnitName(u)), h)
 		}
 	}
 
-	family(w, "staticpipe_fu_service_cycles", "histogram", "Function-unit service time (queue wait + pipeline latency) per FU (log2 buckets).")
+	Family(w, "staticpipe_fu_service_cycles", "histogram", "Function-unit service time (queue wait + pipeline latency) per FU (log2 buckets).")
 	for i, in := range infos {
 		meta := snaps[i].Meta()
 		for u := range snaps[i].Units {
@@ -224,13 +224,14 @@ func WriteMetrics(w io.Writer, reg *Registry) {
 				continue
 			}
 			writeHistogram(w, "staticpipe_fu_service_cycles",
-				lbl("run", in.Label)+","+lbl("unit", meta.UnitName(u)), h)
+				Label("run", in.Label)+","+Label("unit", meta.UnitName(u)), h)
 		}
 	}
 }
 
-// family writes the HELP/TYPE header of one metric family.
-func family(w io.Writer, name, typ, help string) {
+// Family writes the HELP/TYPE header of one metric family in the text
+// exposition format.
+func Family(w io.Writer, name, typ, help string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
@@ -254,9 +255,9 @@ func writeHistogram(w io.Writer, name, labels string, h *trace.Histogram) {
 	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.Count)
 }
 
-// lbl renders one key="value" pair with the value escaped per the text
+// Label renders one key="value" pair with the value escaped per the text
 // exposition format.
-func lbl(key, value string) string { return key + `="` + escapeLabel(value) + `"` }
+func Label(key, value string) string { return key + `="` + escapeLabel(value) + `"` }
 
 // escapeLabel escapes a label value per the text exposition format.
 func escapeLabel(s string) string {

@@ -157,20 +157,9 @@ done
 
 echo "== cache path identity =="
 # A cache hit hands out one shared compiled artifact, and no run writes it:
-# dfsim's stdout under -cache (where -verify's second compile is a hit) is
-# byte-identical to the uncached run, on the exec core and on the placed
-# packet-level machine.
-for prog in testdata/*.val; do
-    for args in "-verify" "-verify -machine -pes 8 -place mincost"; do
-        /tmp/dfsim-ci $args "$prog" >/tmp/dfsim-seq.out
-        /tmp/dfsim-ci -cache $args "$prog" >/tmp/dfsim-par.out 2>/dev/null
-        cmp /tmp/dfsim-seq.out /tmp/dfsim-par.out || {
-            echo "cache identity: dfsim -cache $args diverges on $prog" >&2
-            exit 1
-        }
-    done
-    echo "cached runs byte-identical to uncached: $prog"
-done
+# on every testdata program the hit validates, runs on the exec core, and
+# runs on the placed 8-PE packet-level machine exactly as a fresh compile.
+go test -count=1 -run 'TestCacheHitMatchesFreshCompile' ./internal/artifact/
 
 echo "== placed machine golden =="
 # dfsim -machine -pes 8 -place mincost on all five testdata programs, on

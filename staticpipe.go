@@ -56,9 +56,10 @@ func Floats(vs []Value) []float64 { return value.Floats(vs) }
 
 // Options selects compilation strategies; the zero value is the paper's
 // recommended configuration (pipeline foralls, companion-scheme for-iters,
-// optimal balancing). Compilation runs as an explicit pass pipeline:
-// Options.Passes names the passes to run (see PassNames), while the legacy
-// strategy booleans translate to the equivalent pass list.
+// optimal balancing). Construction is chosen by the scheme fields and
+// LiteralControl; everything after it runs as an explicit pass pipeline
+// that Options.Passes names (see PassNames): "" is the default, optimal
+// balancing alone, and "none" runs no pass.
 type Options = core.Options
 
 // PassStat is one compilation pass's execution record (name, wall time,
