@@ -221,14 +221,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		for _, sink := range res.Exec.Graph.Sinks() {
+		for _, sink := range res.Exec.Graph().Sinks() {
 			if len(sink.Label) >= 8 && sink.Label[:8] == "discard:" {
 				continue
 			}
 			fmt.Printf("sink %q: %d values, II=%.3f over %d cycles\n",
 				sink.Label, len(res.Exec.Outputs[sink.Label]), res.Exec.II(sink.Label), res.Exec.Cycles)
 		}
-		ran = res.Exec.Graph
+		ran = res.Exec.Graph()
 	}
 
 	if run != nil {

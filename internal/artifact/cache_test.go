@@ -73,6 +73,31 @@ func TestKeyHashCanonical(t *testing.T) {
 	}
 }
 
+// TestPassListSpellingsHitOneArtifact pins that two spellings of one
+// pipeline, "" and " balance", are one cache entry: the second Get is a
+// hit on the artifact the first compiled.
+func TestPassListSpellingsHitOneArtifact(t *testing.T) {
+	c := New(Config{})
+	compiles := 0
+	get := func(passes string) (*core.Artifact, Outcome) {
+		opts := core.Options{Passes: passes}
+		art, out, err := c.Get(KeyFor(srcN(1), opts, "", 0), func() (*core.Artifact, error) {
+			compiles++
+			return core.CompileArtifact(srcN(1), opts)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art, out
+	}
+	first, out1 := get("")
+	second, out2 := get(" balance")
+	if out1 != Miss || out2 != Hit || compiles != 1 || first != second {
+		t.Fatalf("outcomes %v then %v, %d compiles, same artifact %v; want miss then hit, 1 compile, same artifact",
+			out1, out2, compiles, first == second)
+	}
+}
+
 // TestSingleflightCoalesces pins compile deduplication: N concurrent Gets
 // of one new key run the compile function exactly once; everyone shares
 // the winner's artifact, and the stats record one miss plus N-1 coalesced

@@ -25,11 +25,11 @@ import (
 )
 
 // Artifact is an immutable compiled pipe-structured program: parsed,
-// checked, compiled through the pass pipeline, and prepared (validated +
-// FIFO-expanded) for the firing-rule simulator. After CompileArtifact
-// returns, nothing mutates an Artifact — concurrent Run/RunBatch calls with
-// different Bindings and inputs are safe, which is the contract the
-// artifact cache depends on.
+// checked, compiled through the pass pipeline, and prepared (validated and
+// flattened into an instruction table) for the firing-rule simulator.
+// After CompileArtifact returns, nothing mutates an Artifact — concurrent
+// Run/RunBatch calls with different Bindings and inputs are safe, which is
+// the contract the artifact cache depends on.
 type Artifact struct {
 	Source   string
 	Checked  *val.Checked
@@ -49,7 +49,7 @@ type Artifact struct {
 	prepared *exec.Prepared
 
 	// The machine-model preparation is lazy: exec-only traffic never pays
-	// the second FIFO expansion.
+	// the machine's FIFO expansion.
 	machOnce sync.Once
 	mach     *machine.Prepared
 	machErr  error

@@ -22,6 +22,7 @@ import (
 	"staticpipe/internal/foriter"
 	"staticpipe/internal/graph"
 	"staticpipe/internal/mcm"
+	"staticpipe/internal/passes"
 	"staticpipe/internal/val"
 	"staticpipe/internal/value"
 )
@@ -64,11 +65,13 @@ type Options struct {
 
 // Key returns a canonical, injective encoding of every field that shapes
 // the compiled artifact: ForallScheme, ForIterScheme, LiteralControl and
-// Passes. Two Options with equal keys compile any source to the same
-// graph, so an artifact cache keys on the source plus this string. The
-// other fields stay out: Batch binds per run (Binding.Batch), and
-// VerifyEach and Snapshot only observe the compilation. A new field must
-// join one side or the other (TestOptionsKeyCoversEveryField).
+// Passes, the last in its canonical spelling (passes.Canonical), so ""
+// and " balance" key as "balance" does. Two Options with equal keys
+// compile any source to the same graph, so an artifact cache keys on the
+// source plus this string. The other fields stay out: Batch binds per run
+// (Binding.Batch), and VerifyEach and Snapshot only observe the
+// compilation. A new field must join one side or the other
+// (TestOptionsKeyCoversEveryField).
 func (o Options) Key() string {
 	b := binary.AppendVarint(nil, int64(o.ForallScheme))
 	b = binary.AppendVarint(b, int64(o.ForIterScheme))
@@ -77,8 +80,9 @@ func (o Options) Key() string {
 		lit = 1
 	}
 	b = append(b, lit)
-	b = binary.AppendUvarint(b, uint64(len(o.Passes)))
-	return string(append(b, o.Passes...))
+	list := passes.Canonical(o.Passes)
+	b = binary.AppendUvarint(b, uint64(len(list)))
+	return string(append(b, list...))
 }
 
 // RunResult holds a machine-level run's outcome.

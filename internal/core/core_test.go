@@ -493,7 +493,7 @@ func TestWaterfallMarksEveryFiring(t *testing.T) {
 			t.Fatal(err)
 		}
 		rows := strings.Split(chart, "\n")[1:] // past the cycle ruler
-		for _, n := range res.Graph.Nodes() {
+		for _, n := range res.Graph().Nodes() {
 			row := rows[n.ID]
 			marks := strings.Count(row[strings.IndexByte(row, '|'):], "#")
 			if marks != res.Firings[n.ID] {

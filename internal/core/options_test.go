@@ -27,7 +27,9 @@ func TestOptionsKeyCoversEveryField(t *testing.T) {
 		case reflect.Int:
 			v.SetInt(1)
 		case reflect.String:
-			v.SetString("balance")
+			// not "balance": that is the default pipeline's canonical
+			// spelling, and so keys as the zero Options does
+			v.SetString("none")
 		case reflect.Func:
 			v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value {
 				out := make([]reflect.Value, v.Type().NumOut())
@@ -51,5 +53,34 @@ func TestOptionsKeyCoversEveryField(t *testing.T) {
 		if _, ok := typ.FieldByName(name); !ok {
 			t.Errorf("unkeyedOptions lists %s, which Options no longer has", name)
 		}
+	}
+}
+
+// TestPassListSpellingsShareAKey pins the canonical pass-list key: the
+// spellings of one pipeline compile byte-identical graphs
+// (TestDefaultPassListSpellings), so they must be one cache key, while
+// pipelines that can compile differently stay apart.
+func TestPassListSpellingsShareAKey(t *testing.T) {
+	for _, group := range [][]string{
+		{"", "balance", " balance", "balance ", " balance\t"},
+		{"dedup,balance", " dedup , balance ", "dedup,\tbalance"},
+		{"arm-slack=2,balance", "arm-slack = 2, balance"},
+		{"none", " none "},
+	} {
+		want := Options{Passes: group[0]}.Key()
+		for _, spelling := range group[1:] {
+			if got := (Options{Passes: spelling}).Key(); got != want {
+				t.Errorf("Passes %q keys as %q, %q as %q", spelling, got, group[0], want)
+			}
+		}
+	}
+	distinct := []string{"", "none", "dedup", "dedup,balance", "balance-naive", "arm-slack=2,balance", "bogus", ",balance"}
+	seen := map[string]string{}
+	for _, list := range distinct {
+		k := Options{Passes: list}.Key()
+		if prev, dup := seen[k]; dup {
+			t.Errorf("Passes %q and %q share a key", prev, list)
+		}
+		seen[k] = list
 	}
 }

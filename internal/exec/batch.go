@@ -9,7 +9,9 @@
 // bitset paired with a per-cell 64-bit lane mask (hence the MaxBatch = 64
 // lane limit): a (cell, lane) pair is re-planned only when one of that
 // lane's input arcs fills or output arcs drains — the scalar engine's
-// event-driven rule applied per lane.
+// event-driven wake rule applied per lane. The cells are the Prepared's
+// instruction table, shared with the scalar engine; a run builds only its
+// lane streams and lane state.
 //
 // Amortization is what makes batching pay: cells whose plan shape is
 // lane-invariant (sources, sinks, and ordinary operators with ungated
@@ -84,63 +86,27 @@ func (r *Result) Lane(l int) *Result {
 		Clean:    lr.Clean,
 		Canceled: lr.Canceled,
 		Stalled:  lr.Stalled,
-		Graph:    r.Graph,
+		prep:     r.prep,
 	}
-}
-
-// bShape classifies how a cell is planned in the batched engine.
-type bShape uint8
-
-const (
-	bShapeSlow   bShape = iota // per-lane exact planning (merge, gates, ctlgen, gated outs)
-	bShapeDead                 // an unbound operand: never fires
-	bShapeSource               // stream source, ungated destinations
-	bShapeSink                 // arc-fed sink
-	bShapeApply                // ordinary operator, ungated destinations
-)
-
-// bOut is one decoded destination arc: the arc ID and the gating operand
-// port (-1 when unconditional).
-type bOut struct {
-	aid  int32
-	gate int32
-}
-
-// bInst is the flat decoded form of one instruction cell, derived once so
-// the per-cycle plan never chases graph.Node pointers.
-type bInst struct {
-	op    graph.Op
-	shape bShape
-	node  *graph.Node
-	ins   []int32       // arc ID per operand port; -1 = literal or unbound
-	lits  []value.Value // literal per port where ins[p] < 0 (Invalid = unbound)
-	cins  []int32       // the non-literal entries of ins, in port order
-	outs  []bOut
-	sink  int32 // dense sink index (sinks only; -1 otherwise)
-	// streams holds the per-lane source stream (sources only; lane 0 is
-	// the graph's bound stream).
-	streams [][]value.Value
 }
 
 // bsim is the lane-widened machine state shared by all lane-range workers.
 // Workers touch only their own lanes' interleaved slots, so no field here
 // needs synchronization.
 type bsim struct {
-	g *graph.Graph
+	p *Prepared
+	t *table
 	B int
 
-	insts   []bInst
-	arcFrom []int32
-	arcTo   []int32
-	arcPort []int32
+	// streams holds each lane's source stream, sourceIdx*B+lane (lane 0
+	// is the base binding).
+	streams [][]value.Value
+	has     []bool        // token presence, arcID*B+lane
+	val     []value.Value // token value, arcID*B+lane
+	srcPos  []int32       // next stream index, cellID*B+lane
+	frns    []int         // firing counts, cellID*B+lane
 
-	has    []bool        // token presence, arcID*B+lane
-	val    []value.Value // token value, arcID*B+lane
-	srcPos []int32       // next stream index, nodeID*B+lane
-	frns   []int         // firing counts, nodeID*B+lane
-
-	sinkLabels []string        // label per dense sink index
-	sinkOuts   [][]value.Value // received stream, sinkIdx*B+lane
+	sinkOuts [][]value.Value // received stream, sinkIdx*B+lane
 	// sinkCycs holds arrival cycles parallel to sinkOuts; the hot sink
 	// loop appends 8 bytes per token and assemble zips the two into the
 	// result's []Arrival once, instead of copying every value twice.
@@ -159,14 +125,14 @@ type bsim struct {
 	maxCycles int
 }
 
-// runBatched is the Batch > 1 entry point; g is already validated and
-// FIFO-expanded by Run, and streams carries the per-node resolved base
-// source binding every lane defaults to (see resolveStreams).
-func runBatched(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles, B int) (*Result, error) {
+// runBatched is the Batch > 1 entry point; streams carries the resolved
+// base source binding, by source index, that every lane defaults to (see
+// resolveStreams).
+func runBatched(p *Prepared, opt Options, streams [][]value.Value, maxCycles, B int) (*Result, error) {
 	if B > MaxBatch {
 		return nil, fmt.Errorf("exec: Batch %d exceeds the %d-lane limit", B, MaxBatch)
 	}
-	s, err := newBsim(g, opt, streams, maxCycles, B)
+	s, err := newBsim(p, opt, streams, maxCycles, B)
 	if err != nil {
 		return nil, err
 	}
@@ -204,22 +170,29 @@ func runBatched(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles,
 	return s.assemble(opt)
 }
 
-func newBsim(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles, B int) (*bsim, error) {
+// newBsim builds one run's lane streams and lane state; the cells come
+// from the Prepared's table.
+func newBsim(p *Prepared, opt Options, streams [][]value.Value, maxCycles, B int) (*bsim, error) {
 	if len(opt.LaneInputs) > B {
 		return nil, fmt.Errorf("exec: %d lane input sets for %d lanes", len(opt.LaneInputs), B)
 	}
-	nn, na := g.NumNodes(), g.NumArcs()
+	t := &p.tab
+	for l, li := range opt.LaneInputs {
+		if label, ok := t.unknownLabel(li); ok {
+			return nil, fmt.Errorf("exec: lane %d input %q names no source cell", l, label)
+		}
+	}
+	nc, na := len(t.cells), len(t.arcs)
 	s := &bsim{
-		g: g, B: B,
-		insts:   make([]bInst, nn),
-		arcFrom: make([]int32, na),
-		arcTo:   make([]int32, na),
-		arcPort: make([]int32, na),
-		has:     make([]bool, na*B),
-		val:     make([]value.Value, na*B),
-		srcPos:  make([]int32, nn*B),
-		frns:    make([]int, nn*B),
-		outCap:  make([]int, B),
+		p: p, t: t, B: B,
+		streams:  make([][]value.Value, len(t.sources)*B),
+		has:      make([]bool, na*B),
+		val:      make([]value.Value, na*B),
+		srcPos:   make([]int32, nc*B),
+		frns:     make([]int, nc*B),
+		sinkOuts: make([][]value.Value, len(t.sinks)*B),
+		sinkCycs: make([][]int64, len(t.sinks)*B),
+		outCap:   make([]int, B),
 
 		laneCycles:   make([]int, B),
 		laneDone:     make([]bool, B),
@@ -229,107 +202,26 @@ func newBsim(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles, B 
 		tr: opt.Tracer, prog: opt.Progress,
 		maxCycles: maxCycles,
 	}
-	srcLabels := map[string]bool{}
-	for _, n := range g.Nodes() {
-		if n.Op == graph.OpSource {
-			srcLabels[n.Label] = true
-		}
-	}
-	for l, li := range opt.LaneInputs {
-		for name := range li {
-			if !srcLabels[name] {
-				return nil, fmt.Errorf("exec: lane %d input %q names no source cell", l, name)
-			}
-		}
-	}
-	seenSinks := map[string]bool{}
-	for _, n := range g.Nodes() {
-		inst := &s.insts[n.ID]
-		inst.op = n.Op
-		inst.node = n
-		inst.sink = -1
-		if len(n.In) > 0 {
-			inst.ins = make([]int32, len(n.In))
-			inst.lits = make([]value.Value, len(n.In))
-			for p, in := range n.In {
-				switch {
-				case in.Literal != nil:
-					inst.ins[p] = -1
-					inst.lits[p] = *in.Literal
-				case in.Arc != nil:
-					inst.ins[p] = int32(in.Arc.ID)
-					inst.cins = append(inst.cins, int32(in.Arc.ID))
-				default:
-					inst.ins[p] = -1 // unbound: lits[p] stays Invalid, never ready
+	for k, src := range t.sources {
+		for l := 0; l < B; l++ {
+			stream := streams[k]
+			if l > 0 && l < len(opt.LaneInputs) && opt.LaneInputs[l] != nil {
+				if sv, ok := opt.LaneInputs[l][src.label]; ok {
+					stream = sv
 				}
 			}
-		}
-		gated := false
-		for _, a := range n.Out {
-			inst.outs = append(inst.outs, bOut{aid: int32(a.ID), gate: int32(a.Gate)})
-			gated = gated || a.Gate != graph.NoGate
-		}
-		switch n.Op {
-		case graph.OpSink:
-			if seenSinks[n.Label] {
-				return nil, fmt.Errorf("exec: duplicate sink label %q", n.Label)
-			}
-			seenSinks[n.Label] = true
-			inst.sink = int32(len(s.sinkLabels))
-			s.sinkLabels = append(s.sinkLabels, n.Label)
-			if len(inst.ins) > 0 && inst.ins[0] >= 0 && !gated {
-				inst.shape = bShapeSink
-			}
-		case graph.OpSource:
-			inst.streams = make([][]value.Value, B)
-			for l := 0; l < B; l++ {
-				inst.streams[l] = streams[n.ID]
-				if l > 0 && l < len(opt.LaneInputs) && opt.LaneInputs[l] != nil {
-					if sv, ok := opt.LaneInputs[l][n.Label]; ok {
-						inst.streams[l] = sv
-					}
-				}
-				if len(inst.streams[l]) > s.outCap[l] {
-					s.outCap[l] = len(inst.streams[l])
-				}
-			}
-			if !gated {
-				inst.shape = bShapeSource
-			}
-		case graph.OpCtlGen, graph.OpMerge, graph.OpTGate, graph.OpFGate:
-			// plan shape varies with token values: exact per-lane path
-		default:
-			unbound := false
-			for p, aid := range inst.ins {
-				unbound = unbound || (aid < 0 && !inst.lits[p].Valid())
-			}
-			switch {
-			case unbound:
-				inst.shape = bShapeDead
-			case !gated:
-				inst.shape = bShapeApply
-			}
+			s.streams[k*B+l] = stream
+			s.outCap[l] = max(s.outCap[l], len(stream))
 		}
 	}
-	s.sinkOuts = make([][]value.Value, len(s.sinkLabels)*B)
-	s.sinkCycs = make([][]int64, len(s.sinkLabels)*B)
-	for _, a := range g.Arcs() {
-		s.arcFrom[a.ID] = int32(a.From)
-		s.arcTo[a.ID] = int32(a.To)
-		s.arcPort[a.ID] = int32(a.ToPort)
-		if a.Init != nil {
-			for l := 0; l < B; l++ {
-				s.has[a.ID*B+l] = true
-				s.val[a.ID*B+l] = *a.Init
-			}
+	for _, in := range t.inits {
+		for l := 0; l < B; l++ {
+			s.has[int(in.arc)*B+l] = true
+			s.val[int(in.arc)*B+l] = in.val
 		}
 	}
 	if s.tr != nil {
-		names := make([]string, nn)
-		for _, n := range g.Nodes() {
-			names[n.ID] = n.Name()
-		}
-		s.tr.Start(trace.Meta{Cells: names})
+		s.tr.Start(trace.Meta{Cells: p.cellNames()})
 	}
 	if s.prog != nil {
 		s.laneCtrs = s.prog.InitLanes(B)
@@ -343,7 +235,7 @@ func newBsim(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles, B 
 // fire (fast shapes) or belong to a single lane (slow shapes, where fire
 // has one bit). Output values live lane-indexed at outVals[v0+lane].
 type bfiring struct {
-	inst           int32
+	cell           int32
 	fire           uint64 // lanes firing
 	prod           uint64 // lanes producing a result (gates may discard)
 	c0, c1, p0, p1 int32
@@ -379,17 +271,18 @@ type bworker struct {
 }
 
 func newBworker(s *bsim, opt Options, l0, l1 int, traced bool) *bworker {
+	nc := len(s.t.cells)
 	w := &bworker{
 		s: s, l0: l0, l1: l1, traced: traced,
-		cand: newBitset(s.g.NumNodes()),
-		next: newBitset(s.g.NumNodes()),
-		mask: make([]uint64, s.g.NumNodes()),
+		cand: newBitset(nc),
+		next: newBitset(nc),
+		mask: make([]uint64, nc),
 	}
 	if opt.Ctx != nil {
 		w.done = opt.Ctx.Done()
 	}
 	w.all = w.laneBits()
-	for i := range s.insts {
+	for i := 0; i < nc; i++ {
 		w.cand.set(i)
 		w.mask[i] = w.all
 	}
@@ -517,47 +410,46 @@ func (w *bworker) reserveVals() int32 {
 // single mask record, slow shapes fall back to exact per-lane planning.
 func (w *bworker) planCell(ci int32, lanes uint64) {
 	s := w.s
+	t := s.t
 	B := s.B
-	inst := &s.insts[ci]
-	switch inst.shape {
-	case bShapeDead:
-		return
-
-	case bShapeSlow:
+	c := &t.cells[ci]
+	switch c.shape {
+	case shapeSlow:
 		for ; lanes != 0; lanes &= lanes - 1 {
 			w.planLane(ci, bits.TrailingZeros64(lanes))
 		}
 		return
 
-	case bShapeSource:
+	case shapeSource:
 		fire := uint64(0)
 		base := int(ci) * B
+		streams := s.streams[int(c.aux)*B : int(c.aux+1)*B]
 		for m := lanes; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			if int(s.srcPos[base+l]) < len(inst.streams[l]) {
+			if int(s.srcPos[base+l]) < len(streams[l]) {
 				fire |= 1 << uint(l)
 			}
 		}
-		fire = w.destFree(inst, fire)
+		fire = w.destFree(c, fire)
 		if fire == 0 {
 			return
 		}
-		f := bfiring{inst: ci, fire: fire, prod: fire, advance: true, srcArc: -1, v0: w.reserveVals()}
+		f := bfiring{cell: ci, fire: fire, prod: fire, advance: true, srcArc: -1, v0: w.reserveVals()}
 		f.c0 = int32(len(w.arcIDs))
 		f.c1 = f.c0
 		f.p0 = f.c0
-		for _, o := range inst.outs {
-			w.arcIDs = append(w.arcIDs, o.aid)
+		for _, d := range t.outs[c.o0:c.o1] {
+			w.arcIDs = append(w.arcIDs, d.arc)
 		}
 		f.p1 = int32(len(w.arcIDs))
 		for m := fire; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			w.outVals[int(f.v0)+l] = inst.streams[l][s.srcPos[base+l]]
+			w.outVals[int(f.v0)+l] = streams[l][s.srcPos[base+l]]
 		}
 		w.plans = append(w.plans, f)
 
-	case bShapeSink:
-		aid := inst.ins[0]
+	case shapeSink:
+		aid := t.port(c, 0)
 		ab := int(aid) * B
 		fire := lanes
 		for m := fire; m != 0; m &= m - 1 {
@@ -569,19 +461,22 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 		if fire == 0 {
 			return
 		}
-		f := bfiring{inst: ci, fire: fire, sink: true, srcArc: aid}
+		f := bfiring{cell: ci, fire: fire, sink: true, srcArc: aid}
 		f.c0 = int32(len(w.arcIDs))
 		w.arcIDs = append(w.arcIDs, aid)
 		f.c1 = f.c0 + 1
 		f.p0, f.p1 = f.c1, f.c1
 		w.plans = append(w.plans, f)
 
-	case bShapeApply:
+	case shapeApply:
+		ports := t.ports[c.p0:c.p1]
+		cins := t.cins[c.c0:c.c1]
+		outs := t.outs[c.o0:c.o1]
 		fire := lanes
-		if len(inst.cins) == 1 && len(inst.outs) == 1 {
+		if len(cins) == 1 && len(outs) == 1 {
 			// fused presence + destination check: one pass over the lanes
-			inb := int(inst.cins[0]) * B
-			outb := int(inst.outs[0].aid) * B
+			inb := int(cins[0]) * B
+			outb := int(outs[0].arc) * B
 			fire = 0
 			if lanes == w.all {
 				// dense steady state: straight-line over the contiguous
@@ -602,7 +497,7 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 				}
 			}
 		} else {
-			for _, aid := range inst.cins {
+			for _, aid := range cins {
 				ab := int(aid) * B
 				for m := fire; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
@@ -614,18 +509,18 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 					return
 				}
 			}
-			fire = w.destFree(inst, fire)
+			fire = w.destFree(c, fire)
 		}
 		if fire == 0 {
 			return
 		}
-		f := bfiring{inst: ci, fire: fire, prod: fire, srcArc: -1}
+		f := bfiring{cell: ci, fire: fire, prod: fire, srcArc: -1}
 		f.c0 = int32(len(w.arcIDs))
-		w.arcIDs = append(w.arcIDs, inst.cins...)
+		w.arcIDs = append(w.arcIDs, cins...)
 		f.c1 = int32(len(w.arcIDs))
 		f.p0 = f.c1
-		for _, o := range inst.outs {
-			w.arcIDs = append(w.arcIDs, o.aid)
+		for _, d := range outs {
+			w.arcIDs = append(w.arcIDs, d.arc)
 		}
 		f.p1 = int32(len(w.arcIDs))
 		// Results land directly in the output arc's value slots when the
@@ -634,17 +529,17 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 		// touches these lanes — so the staging buffer and apply-phase copy
 		// are pure overhead. Fan-out cells keep the staging arena.
 		var out []value.Value
-		if len(inst.outs) == 1 && inst.op != graph.OpID {
+		if len(outs) == 1 && c.op != graph.OpID {
 			f.inPlace = true
-			ob := int(inst.outs[0].aid) * B
+			ob := int(outs[0].arc) * B
 			out = s.val[ob : ob+B : ob+B]
 		}
 		switch {
-		case inst.op == graph.OpID && len(inst.ins) == 1 && inst.ins[0] >= 0:
+		case c.op == graph.OpID && len(ports) == 1 && ports[0] >= 0:
 			// identity cells move one token: the fill phase copies straight
 			// from the (consumed but still intact) input-arc slots
-			f.srcArc = inst.ins[0]
-		case len(inst.ins) == 2 && inst.ins[0] >= 0 && inst.ins[1] < 0:
+			f.srcArc = ports[0]
+		case len(ports) == 2 && ports[0] >= 0 && ports[1] < 0:
 			// binary op, literal right operand — the dominant shape in
 			// compiled array kernels; operands stay in registers instead of
 			// round-tripping through the scratch operand slice
@@ -652,43 +547,43 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 				f.v0 = w.reserveVals()
 				out = w.outVals[int(f.v0) : int(f.v0)+B : int(f.v0)+B]
 			}
-			w.applyLitRight(inst.op, out, int(inst.ins[0])*B, inst.lits[1], fire)
-		case len(inst.ins) == 2 && inst.ins[0] < 0 && inst.ins[1] >= 0:
+			w.applyLitRight(c.op, out, int(ports[0])*B, t.lits[^ports[1]], fire)
+		case len(ports) == 2 && ports[0] < 0 && ports[1] >= 0:
 			if out == nil {
 				f.v0 = w.reserveVals()
 				out = w.outVals[int(f.v0) : int(f.v0)+B : int(f.v0)+B]
 			}
-			a1 := int(inst.ins[1]) * B
-			lit := inst.lits[0]
+			a1 := int(ports[1]) * B
+			lit := t.lits[^ports[0]]
 			for m := fire; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				out[l] = applyBinary(inst.op, lit, s.val[a1+l])
+				out[l] = applyBinary(c.op, lit, s.val[a1+l])
 			}
-		case len(inst.ins) == 2 && inst.ins[0] >= 0 && inst.ins[1] >= 0:
+		case len(ports) == 2 && ports[0] >= 0 && ports[1] >= 0:
 			if out == nil {
 				f.v0 = w.reserveVals()
 				out = w.outVals[int(f.v0) : int(f.v0)+B : int(f.v0)+B]
 			}
-			w.applyArcArc(inst.op, out, int(inst.ins[0])*B, int(inst.ins[1])*B, fire)
+			w.applyArcArc(c.op, out, int(ports[0])*B, int(ports[1])*B, fire)
 		default:
 			if out == nil {
 				f.v0 = w.reserveVals()
 				out = w.outVals[int(f.v0) : int(f.v0)+B : int(f.v0)+B]
 			}
-			if cap(w.vals) < len(inst.ins) {
-				w.vals = make([]value.Value, len(inst.ins))
+			if cap(w.vals) < len(ports) {
+				w.vals = make([]value.Value, len(ports))
 			}
-			vals := w.vals[:len(inst.ins)]
+			vals := w.vals[:len(ports)]
 			for m := fire; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				for p, aid := range inst.ins {
-					if aid >= 0 {
-						vals[p] = s.val[int(aid)*B+l]
+				for p, port := range ports {
+					if port >= 0 {
+						vals[p] = s.val[int(port)*B+l]
 					} else {
-						vals[p] = inst.lits[p]
+						vals[p] = t.lits[^port]
 					}
 				}
-				out[l] = ApplyOp(inst.op, vals)
+				out[l] = ApplyOp(c.op, vals)
 			}
 		}
 		w.plans = append(w.plans, f)
@@ -767,10 +662,10 @@ func (w *bworker) applyArcArc(op graph.Op, dst []value.Value, a0, a1 int, fire u
 
 // destFree clears every lane whose destination arcs are not all empty
 // (only valid for ungated-destination shapes).
-func (w *bworker) destFree(inst *bInst, fire uint64) uint64 {
+func (w *bworker) destFree(c *cell, fire uint64) uint64 {
 	B := w.s.B
-	for _, o := range inst.outs {
-		ab := int(o.aid) * B
+	for _, d := range w.s.t.outs[c.o0:c.o1] {
+		ab := int(d.arc) * B
 		for m := fire; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
 			if w.s.has[ab+l] {
@@ -784,16 +679,14 @@ func (w *bworker) destFree(inst *bInst, fire uint64) uint64 {
 	return fire
 }
 
-// operand returns the value at port p of inst in the given lane and
-// whether it is present (literals are always present; an unbound port
-// never is).
-func (w *bworker) operand(inst *bInst, p, lane int) (value.Value, bool) {
-	aid := inst.ins[p]
-	if aid < 0 {
-		lit := inst.lits[p]
-		return lit, lit.Valid()
+// operand returns the value at port p of cell c in the given lane and
+// whether it is present (literals are always present).
+func (w *bworker) operand(c *cell, p, lane int) (value.Value, bool) {
+	port := w.s.t.port(c, p)
+	if port < 0 {
+		return w.s.t.lits[^port], true
 	}
-	slot := int(aid)*w.s.B + lane
+	slot := int(port)*w.s.B + lane
 	if !w.s.has[slot] {
 		return value.Value{}, false
 	}
@@ -801,9 +694,9 @@ func (w *bworker) operand(inst *bInst, p, lane int) (value.Value, bool) {
 }
 
 // consumeArc appends port p's arc (if any) to the arena's consume run.
-func (w *bworker) consumeArc(inst *bInst, p int) {
-	if aid := inst.ins[p]; aid >= 0 {
-		w.arcIDs = append(w.arcIDs, aid)
+func (w *bworker) consumeArc(c *cell, p int) {
+	if port := w.s.t.port(c, p); port >= 0 {
+		w.arcIDs = append(w.arcIDs, port)
 	}
 }
 
@@ -814,16 +707,18 @@ func (w *bworker) consumeArc(inst *bInst, p int) {
 // it).
 func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 	s := w.s
+	t := s.t
 	B := s.B
-	inst := &s.insts[ci]
+	c := &t.cells[ci]
+	nports := int(c.p1 - c.p0)
 	var out value.Value
 	var advance, produced, sink bool
-	f := bfiring{inst: ci, fire: 1 << uint(lane), srcArc: -1}
+	f := bfiring{cell: ci, fire: 1 << uint(lane), srcArc: -1}
 	f.c0 = int32(len(w.arcIDs))
 
-	switch inst.op {
+	switch c.op {
 	case graph.OpSource:
-		stream := inst.streams[lane]
+		stream := s.streams[int(c.aux)*B+lane]
 		pos := int(s.srcPos[int(ci)*B+lane])
 		if pos >= len(stream) {
 			return trace.ReasonDone
@@ -834,25 +729,25 @@ func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 
 	case graph.OpCtlGen:
 		pos := int(s.srcPos[int(ci)*B+lane])
-		total := inst.node.Pattern.Len()
-		if total >= 0 && pos >= total {
+		pat := t.patterns[c.aux]
+		if total := pat.Len(); total >= 0 && pos >= total {
 			return trace.ReasonDone
 		}
-		out = value.B(inst.node.Pattern.At(pos))
+		out = value.B(pat.At(pos))
 		advance = true
 		produced = true
 
 	case graph.OpSink:
-		v, ok := w.operand(inst, 0, lane)
+		v, ok := w.operand(c, 0, lane)
 		if !ok {
 			return trace.ReasonOperandWait
 		}
 		out = v
 		sink = true
-		w.consumeArc(inst, 0)
+		w.consumeArc(c, 0)
 
 	case graph.OpMerge:
-		ctl, ok := w.operand(inst, 0, lane)
+		ctl, ok := w.operand(c, 0, lane)
 		if !ok {
 			return trace.ReasonOperandWait
 		}
@@ -860,81 +755,76 @@ func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 		if ctl.AsBool() {
 			sel = 1
 		}
-		v, ok := w.operand(inst, sel, lane)
+		v, ok := w.operand(c, sel, lane)
 		if !ok {
 			return trace.ReasonOperandWait
 		}
-		for p := 3; p < len(inst.ins); p++ {
-			if _, ok := w.operand(inst, p, lane); !ok {
+		for p := 3; p < nports; p++ {
+			if _, ok := w.operand(c, p, lane); !ok {
 				return trace.ReasonOperandWait
 			}
 		}
 		out = v
 		produced = true
-		w.consumeArc(inst, 0)
-		w.consumeArc(inst, sel)
-		for p := 3; p < len(inst.ins); p++ {
-			w.consumeArc(inst, p)
+		w.consumeArc(c, 0)
+		w.consumeArc(c, sel)
+		for p := 3; p < nports; p++ {
+			w.consumeArc(c, p)
 		}
 
 	case graph.OpTGate, graph.OpFGate:
-		ctl, okc := w.operand(inst, 0, lane)
-		data, okd := w.operand(inst, 1, lane)
+		ctl, okc := w.operand(c, 0, lane)
+		data, okd := w.operand(c, 1, lane)
 		if !okc || !okd {
 			return trace.ReasonOperandWait
 		}
-		for p := 2; p < len(inst.ins); p++ {
-			if _, ok := w.operand(inst, p, lane); !ok {
+		for p := 2; p < nports; p++ {
+			if _, ok := w.operand(c, p, lane); !ok {
 				return trace.ReasonOperandWait
 			}
 		}
 		pass := ctl.AsBool()
-		if inst.op == graph.OpFGate {
+		if c.op == graph.OpFGate {
 			pass = !pass
 		}
 		out = data
 		produced = pass
-		for p := range inst.ins {
-			w.consumeArc(inst, p)
-		}
+		w.arcIDs = append(w.arcIDs, t.cins[c.c0:c.c1]...)
 
 	default: // ordinary operator and identity cells
-		if cap(w.vals) < len(inst.ins) {
-			w.vals = make([]value.Value, len(inst.ins))
+		if cap(w.vals) < nports {
+			w.vals = make([]value.Value, nports)
 		}
-		vals := w.vals[:len(inst.ins)]
-		for p := range inst.ins {
-			v, ok := w.operand(inst, p, lane)
+		vals := w.vals[:nports]
+		for p := range vals {
+			v, ok := w.operand(c, p, lane)
 			if !ok {
 				return trace.ReasonOperandWait
 			}
 			vals[p] = v
 		}
-		out = ApplyOp(inst.op, vals)
+		out = ApplyOp(c.op, vals)
 		produced = true
-		for p := range inst.ins {
-			w.consumeArc(inst, p)
-		}
+		w.arcIDs = append(w.arcIDs, t.cins[c.c0:c.c1]...)
 	}
 	f.c1 = int32(len(w.arcIDs))
 	f.p0 = f.c1
 
 	if produced {
-		for _, o := range inst.outs {
-			write := true
-			if o.gate >= 0 {
-				gv, ok := w.operand(inst, int(o.gate), lane)
+		for _, d := range t.outs[c.o0:c.o1] {
+			if d.gate >= 0 {
+				gv, ok := w.operand(c, int(d.gate), lane)
 				if !ok {
 					return trace.ReasonOperandWait
 				}
-				write = gv.AsBool()
-			}
-			if write {
-				if s.has[int(o.aid)*B+lane] {
-					return trace.ReasonAckWait
+				if !gv.AsBool() {
+					continue
 				}
-				w.arcIDs = append(w.arcIDs, o.aid)
 			}
+			if s.has[int(d.arc)*B+lane] {
+				return trace.ReasonAckWait
+			}
+			w.arcIDs = append(w.arcIDs, d.arc)
 		}
 	}
 	f.p1 = int32(len(w.arcIDs))
@@ -945,7 +835,7 @@ func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 	if sink {
 		// slow-path sinks still reference the consumed arc for values; a
 		// literal-fed sink has no arc and keeps the outVals copy.
-		if aid := inst.ins[0]; aid >= 0 {
+		if aid := t.port(c, 0); aid >= 0 {
 			f.sink = true
 			f.srcArc = aid
 			w.plans = append(w.plans, f)
@@ -974,33 +864,36 @@ func (w *bworker) probe(ci int32) trace.Reason {
 // cycle, mirroring the scalar engine's stall pass event for event.
 func (w *bworker) emitStalls(cycle int, plans []bfiring) {
 	s := w.s
-	firing := make(map[int32]bool, len(plans))
+	firing := newBitset(len(s.t.cells))
 	for i := range plans {
 		if plans[i].fire&1 != 0 {
-			firing[plans[i].inst] = true
+			firing.set(int(plans[i].cell))
 		}
 	}
-	for _, n := range s.g.Nodes() {
-		if firing[int32(n.ID)] {
+	for id := range s.t.cells {
+		if firing.has(id) {
 			continue
 		}
-		if why := w.probe(int32(n.ID)); why == trace.ReasonOperandWait || why == trace.ReasonAckWait {
+		if why := w.probe(int32(id)); why == trace.ReasonOperandWait || why == trace.ReasonAckWait {
 			s.tr.Emit(trace.Event{
 				Cycle: int64(cycle), Kind: trace.KindStall,
-				Cell: int32(n.ID), Port: -1, Unit: -1, Src: -1, Dst: -1, Reason: why,
+				Cell: int32(id), Port: -1, Unit: -1, Src: -1, Dst: -1, Reason: why,
 			})
 		}
 	}
 }
 
 // apply commits the cycle's firing records and re-marks the (cell, lane)
-// pairs whose enabledness may have changed. Lane-0 events replay in the
-// scalar engine's exact order: records are collected cell-ascending (with
-// slow-shape lanes inner), so the lane-0 subsequence is cell-ascending —
-// the scalar collect order.
+// pairs whose enabledness may have changed, by the scalar engine's wake
+// rule: a drained arc wakes its producer's lanes, a filled arc its
+// consumer's, and a record marks its own cell only when it consumed and
+// wrote no arc. Lane-0 events replay in the scalar engine's exact order:
+// records are collected cell-ascending (with slow-shape lanes inner), so
+// the lane-0 subsequence is cell-ascending — the scalar collect order.
 func (w *bworker) apply(cycle int, plans []bfiring) {
 	s := w.s
 	B := s.B
+	arcs := s.t.arcs
 	w.next.reset()
 	var tr trace.Tracer
 	if w.traced {
@@ -1008,11 +901,13 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 	}
 	for i := range plans {
 		f := &plans[i]
-		ci := int(f.inst)
+		ci := int(f.cell)
 		base := ci * B
 		fire := f.fire
-		w.next.set(ci)
-		w.mask[ci] |= fire
+		if f.c0 == f.c1 && f.p0 == f.p1 {
+			w.next.set(ci)
+			w.mask[ci] |= fire
+		}
 		if fire == w.all {
 			frns := s.frns[base+w.l0 : base+w.l1 : base+w.l1]
 			for l := range frns {
@@ -1026,7 +921,7 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 		if tr != nil && fire&1 != 0 {
 			tr.Emit(trace.Event{
 				Cycle: int64(cycle), Kind: trace.KindFiring,
-				Cell: f.inst, Port: -1, Unit: -1, Src: -1, Dst: -1,
+				Cell: f.cell, Port: -1, Unit: -1, Src: -1, Dst: -1,
 			})
 		}
 		dense := fire == w.all
@@ -1042,13 +937,13 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 					s.has[ab+bits.TrailingZeros64(m)] = false
 				}
 			}
-			producer := int(s.arcFrom[aid])
-			w.next.set(producer)
+			producer := arcs[aid].from
+			w.next.set(int(producer))
 			w.mask[producer] |= fire
 			if tr != nil && fire&1 != 0 {
 				tr.Emit(trace.Event{
 					Cycle: int64(cycle), Kind: trace.KindAck,
-					Cell: s.arcFrom[aid], Port: -1, Unit: -1, Src: -1, Dst: -1,
+					Cell: producer, Port: -1, Unit: -1, Src: -1, Dst: -1,
 				})
 			}
 		}
@@ -1058,7 +953,7 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 			}
 		}
 		if f.sink {
-			sb := int(s.insts[ci].sink) * B
+			sb := int(s.t.cells[ci].aux) * B
 			vb := int(f.srcArc) * B // sink records always carry srcArc
 			if fire == w.all && s.laneCtrs == nil {
 				vals := s.val[vb+w.l0 : vb+w.l1 : vb+w.l1]
@@ -1132,13 +1027,13 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 					s.val[ab+l] = w.outVals[int(f.v0)+l]
 				}
 			}
-			to := int(s.arcTo[aid])
-			w.next.set(to)
-			w.mask[to] |= prod
+			a := arcs[aid]
+			w.next.set(int(a.to))
+			w.mask[a.to] |= prod
 			if tr != nil && prod&1 != 0 {
 				tr.Emit(trace.Event{
 					Cycle: int64(cycle), Kind: trace.KindToken,
-					Cell: s.arcTo[aid], Port: s.arcPort[aid], Unit: -1, Src: -1, Dst: -1,
+					Cell: a.to, Port: a.port, Unit: -1, Src: -1, Dst: -1,
 				})
 			}
 		}
@@ -1146,54 +1041,36 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 	w.cand, w.next = w.next, w.cand
 }
 
-// drainLane mirrors the scalar drainState for one lane.
+// drainLane is the scalar drainState for one lane.
 func (s *bsim) drainLane(l int) (bool, []string) {
-	var stalled []string
 	B := s.B
-	for _, n := range s.g.Nodes() {
-		switch n.Op {
-		case graph.OpSource:
-			stream := s.insts[n.ID].streams[l]
-			if pos := int(s.srcPos[int(n.ID)*B+l]); pos < len(stream) {
-				stalled = append(stalled, fmt.Sprintf("%s: %d of %d stream values unsent",
-					n.Name(), len(stream)-pos, len(stream)))
-			}
-		case graph.OpCtlGen:
-			if t := n.Pattern.Len(); t >= 0 && int(s.srcPos[int(n.ID)*B+l]) < t {
-				stalled = append(stalled, fmt.Sprintf("%s: %d of %d control values unsent",
-					n.Name(), t-int(s.srcPos[int(n.ID)*B+l]), t))
-			}
-		}
+	streams := make([][]value.Value, len(s.t.sources))
+	for k := range streams {
+		streams[k] = s.streams[k*B+l]
 	}
-	for _, a := range s.g.Arcs() {
-		if slot := a.ID*B + l; s.has[slot] {
-			stalled = append(stalled, fmt.Sprintf("token %s stranded on arc %s -> %s port %d",
-				s.val[slot], s.g.Node(a.From).Name(), s.g.Node(a.To).Name(), a.ToPort))
-		}
-	}
-	return len(stalled) == 0, stalled
+	return s.p.drainState(streams, func(c int) int { return int(s.srcPos[c*B+l]) }, s.has, s.val, l, B)
 }
 
 // assemble builds the batched Result: top-level fields are lane 0's view,
 // Lanes carries every lane's.
 func (s *bsim) assemble(opt Options) (*Result, error) {
-	nn := s.g.NumNodes()
+	nc, sinks := len(s.t.cells), s.t.sinks
 	res := &Result{
-		Graph: s.g,
 		Batch: s.B,
 		Lanes: make([]LaneResult, s.B),
+		prep:  s.p,
 	}
 	anyCanceled, anyMaxed := false, false
 	for l := 0; l < s.B; l++ {
 		lr := &res.Lanes[l]
 		lr.Cycles = s.laneCycles[l]
-		lr.Firings = make([]int, nn)
-		for i := 0; i < nn; i++ {
+		lr.Firings = make([]int, nc)
+		for i := 0; i < nc; i++ {
 			lr.Firings[i] = s.frns[i*s.B+l]
 		}
-		lr.Outputs = make(map[string][]value.Value, len(s.sinkLabels))
-		lr.Arrivals = make(map[string][]Arrival, len(s.sinkLabels))
-		for k, label := range s.sinkLabels {
+		lr.Outputs = make(map[string][]value.Value, len(sinks))
+		lr.Arrivals = make(map[string][]Arrival, len(sinks))
+		for k, label := range sinks {
 			outs := s.sinkOuts[k*s.B+l]
 			cycs := s.sinkCycs[k*s.B+l]
 			var arrs []Arrival

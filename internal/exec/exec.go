@@ -26,7 +26,9 @@
 //
 // A run uses one of two engines: the scalar loop here, or, when
 // Options.Batch > 1, the lane-batched loop of batch.go, whose lanes
-// Options.Workers may shard across goroutines.
+// Options.Workers may shard across goroutines. Both read one pointer-free
+// instruction table that Prepare builds once (prepared.go), never the
+// graph's nodes and arcs.
 package exec
 
 import (
@@ -120,7 +122,7 @@ type Result struct {
 	// Cycles is the cycle count until quiescence (no cell enabled).
 	Cycles int
 	// Firings counts how many times each cell fired, indexed by NodeID of
-	// the simulated (FIFO-expanded) graph.
+	// the simulated (FIFO-expanded) graph, Graph.
 	Firings []int
 	// Outputs holds each sink's received stream, keyed by sink label.
 	Outputs map[string][]value.Value
@@ -136,9 +138,6 @@ type Result struct {
 	Canceled bool
 	// Stalled lists diagnostics for cells left with partial state.
 	Stalled []string
-	// Graph is the graph actually simulated (FIFO cells expanded into
-	// identity chains).
-	Graph *graph.Graph
 	// Batch is the lane count of a batched run (0 for scalar runs).
 	Batch int
 	// Lanes holds per-lane views of a batched run (nil for scalar runs).
@@ -146,7 +145,14 @@ type Result struct {
 	// always report lane 0 so existing consumers observe exactly what a
 	// scalar run would have produced.
 	Lanes []LaneResult
+
+	prep *Prepared // the run's Prepared, for Graph
 }
+
+// Graph returns the graph actually simulated: the FIFO-expanded graph
+// whose node IDs index Firings and name the cells of trace events and
+// stall diagnostics (see Prepared.Graph).
+func (r *Result) Graph() *graph.Graph { return r.prep.Graph() }
 
 // Output returns the stream received by the sink with the given label.
 func (r *Result) Output(label string) []value.Value { return r.Outputs[label] }
@@ -184,12 +190,14 @@ func (r *Result) FullyPipelined(label string) bool {
 	return ii > 0 && ii <= 2.0+1e-9
 }
 
-// bitset is a dense set of node IDs — the event-driven ready set.
+// bitset is a dense set of cell IDs — the event-driven ready set.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
+
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 func (b bitset) reset() {
 	for i := range b {
@@ -197,19 +205,23 @@ func (b bitset) reset() {
 	}
 }
 
-// sim is the mutable machine state.
+// sim is the scalar engine's mutable machine state. It reads the cells
+// and arcs only through the Prepared's instruction table.
 type sim struct {
-	g       *graph.Graph
-	streams [][]value.Value // resolved source stream per node ID (see resolveStreams)
+	t       *table
+	streams [][]value.Value // resolved stream per source index (see resolveStreams)
 	arcHas  []bool          // token presence per arc ID
 	arcVal  []value.Value   // token value per arc ID (meaningful when arcHas)
-	srcPos  []int           // next stream index per node ID (sources/ctlgens)
+	srcPos  []int           // next stream index per cell (sources/ctlgens)
 	firings []int
-	outs    map[string][]value.Value
-	arrs    map[string][]Arrival
-	outCap  int // preallocation hint for sink streams (max source length)
-	tr      trace.Tracer
-	prog    *trace.Progress
+	// sinkOuts and sinkArrs hold each sink's received stream and arrival
+	// times, indexed by sink number; the label-keyed Result maps are built
+	// from them once, after the run.
+	sinkOuts [][]value.Value
+	sinkArrs [][]Arrival
+	outCap   int // preallocation hint for sink streams (max source length)
+	tr       trace.Tracer
+	prog     *trace.Progress
 
 	// candidate tracking: a cell's enabledness only changes when one of
 	// its input arcs fills or one of its output arcs drains, so only those
@@ -220,7 +232,7 @@ type sim struct {
 	// per-cycle scratch, reused across cycles: the firing plans and the
 	// arena their consume/produce arc-ID runs are carved from.
 	plans  []firing
-	arcIDs []int
+	arcIDs []int32
 	vals   []value.Value
 }
 
@@ -229,7 +241,7 @@ type sim struct {
 // produce arc-ID runs live in the sim's arcIDs arena as [c0:c1) and
 // [p0:p1) index ranges (ranges stay valid across arena growth).
 type firing struct {
-	node     *graph.Node
+	cell     int32
 	c0, c1   int32 // arcIDs[c0:c1]: arcs to clear
 	p0, p1   int32 // arcIDs[p0:p1]: arcs to fill
 	out      value.Value
@@ -256,7 +268,7 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 
 // Run executes the prepared graph. Safe for concurrent use: every call
 // draws its mutable run state from the free-list pool (scalar engine) or
-// builds it fresh (batched engine); the graph itself is only read. See
+// builds it fresh (batched engine); the table itself is only read. See
 // Options.Inputs for running with per-call input streams.
 func (p *Prepared) Run(opt Options) (*Result, error) {
 	res, err := p.runPrepared(opt)
@@ -265,51 +277,36 @@ func (p *Prepared) Run(opt Options) (*Result, error) {
 }
 
 func (p *Prepared) runPrepared(opt Options) (*Result, error) {
-	g := p.g
+	t := &p.tab
 	maxCycles := opt.MaxCycles
 	if maxCycles <= 0 {
 		maxCycles = DefaultMaxCycles
 	}
 	if b := opt.Batch; b > 1 {
-		streams, err := resolveStreams(g, opt.Inputs, nil)
+		streams, err := t.resolveStreams(opt.Inputs, nil)
 		if err != nil {
 			return nil, err
 		}
-		return runBatched(g, opt, streams, maxCycles, b)
+		return runBatched(p, opt, streams, maxCycles, b)
 	}
 	s := p.getSim(opt)
 	defer p.putSim(s)
 	var err error
-	if s.streams, err = resolveStreams(g, opt.Inputs, s.streams); err != nil {
+	if s.streams, err = t.resolveStreams(opt.Inputs, s.streams); err != nil {
 		return nil, err
 	}
 	if s.tr != nil {
-		names := make([]string, g.NumNodes())
-		for _, n := range g.Nodes() {
-			names[n.ID] = n.Name()
-		}
-		s.tr.Start(trace.Meta{Cells: names})
+		s.tr.Start(trace.Meta{Cells: p.cellNames()})
 	}
-	for _, a := range g.Arcs() {
-		if a.Init != nil {
-			s.arcHas[a.ID] = true
-			s.arcVal[a.ID] = *a.Init
-		}
+	for _, in := range t.inits {
+		s.arcHas[in.arc] = true
+		s.arcVal[in.arc] = in.val
 	}
-	for _, n := range g.Nodes() {
-		s.cand.set(int(n.ID))
-		switch n.Op {
-		case graph.OpSink:
-			if _, dup := s.outs[n.Label]; dup {
-				return nil, fmt.Errorf("exec: duplicate sink label %q", n.Label)
-			}
-			s.outs[n.Label] = nil
-			s.arrs[n.Label] = nil
-		case graph.OpSource:
-			if len(s.streams[n.ID]) > s.outCap {
-				s.outCap = len(s.streams[n.ID])
-			}
-		}
+	for id := range t.cells {
+		s.cand.set(id)
+	}
+	for _, stream := range s.streams {
+		s.outCap = max(s.outCap, len(stream))
 	}
 
 	var done <-chan struct{}
@@ -345,11 +342,15 @@ func (p *Prepared) runPrepared(opt Options) (*Result, error) {
 	res := &Result{
 		Cycles:   cycle,
 		Firings:  s.firings,
-		Outputs:  s.outs,
-		Arrivals: s.arrs,
-		Graph:    g,
+		Outputs:  make(map[string][]value.Value, len(t.sinks)),
+		Arrivals: make(map[string][]Arrival, len(t.sinks)),
+		prep:     p,
 	}
-	res.Clean, res.Stalled = s.drainState()
+	for k, label := range t.sinks {
+		res.Outputs[label] = s.sinkOuts[k]
+		res.Arrivals[label] = s.sinkArrs[k]
+	}
+	res.Clean, res.Stalled = p.drainState(s.streams, func(c int) int { return s.srcPos[c] }, s.arcHas, s.arcVal, 0, 1)
 	if canceled {
 		return markCanceled(res, cycle, opt.Ctx)
 	}
@@ -370,7 +371,7 @@ func markCanceled(res *Result, cycle int, ctx context.Context) (*Result, error) 
 }
 
 // collect examines candidate cells against the current snapshot and returns
-// the firing plans of all enabled cells in deterministic (NodeID) order.
+// the firing plans of all enabled cells in deterministic (cell ID) order.
 // Each candidate is planned straight into the next plans slot, kept only
 // if the cell is enabled. Returning the plan by value put a stack copy on
 // every candidate's path, and the loop's speed then varied with the
@@ -382,9 +383,8 @@ func (s *sim) collect() []firing {
 		for word != 0 {
 			id := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			n := s.g.Node(graph.NodeID(id))
 			s.plans = append(s.plans, firing{})
-			if s.plan(n, &s.plans[len(s.plans)-1]) != trace.ReasonNone {
+			if s.plan(int32(id), &s.plans[len(s.plans)-1]) != trace.ReasonNone {
 				s.plans = s.plans[:len(s.plans)-1]
 			}
 		}
@@ -396,85 +396,85 @@ func (s *sim) collect() []firing {
 // one stall event per waiting cell (tracing only; plan is semantically
 // side-effect free, so this pass cannot perturb the run).
 func (s *sim) emitStalls(cycle int, plans []firing) {
-	fires := make(map[graph.NodeID]bool, len(plans))
+	fires := newBitset(len(s.t.cells))
 	for _, f := range plans {
-		fires[f.node.ID] = true
+		fires.set(int(f.cell))
 	}
 	var f firing
-	for _, n := range s.g.Nodes() {
-		if fires[n.ID] {
+	for id := range s.t.cells {
+		if fires.has(id) {
 			continue
 		}
-		if why := s.plan(n, &f); why == trace.ReasonOperandWait || why == trace.ReasonAckWait {
+		if why := s.plan(int32(id), &f); why == trace.ReasonOperandWait || why == trace.ReasonAckWait {
 			s.tr.Emit(trace.Event{
 				Cycle: int64(cycle), Kind: trace.KindStall,
-				Cell: int32(n.ID), Port: -1, Unit: -1, Src: -1, Dst: -1, Reason: why,
+				Cell: int32(id), Port: -1, Unit: -1, Src: -1, Dst: -1, Reason: why,
 			})
 		}
 	}
 }
 
-// operand returns the value on port p of n and whether it is present.
-func (s *sim) operand(n *graph.Node, p int) (value.Value, bool) {
-	in := n.In[p]
-	if in.Literal != nil {
-		return *in.Literal, true
+// operand returns the value on port p of cell c and whether it is present.
+func (s *sim) operand(c *cell, p int) (value.Value, bool) {
+	port := s.t.port(c, p)
+	if port < 0 {
+		return s.t.lits[^port], true
 	}
-	if in.Arc == nil {
+	if !s.arcHas[port] {
 		return value.Value{}, false
 	}
-	if !s.arcHas[in.Arc.ID] {
-		return value.Value{}, false
-	}
-	return s.arcVal[in.Arc.ID], true
+	return s.arcVal[port], true
 }
 
 // consumeArc appends port p's arc (if any) to the arena's consume run.
-func (s *sim) consumeArc(n *graph.Node, p int) {
-	if a := n.In[p].Arc; a != nil {
-		s.arcIDs = append(s.arcIDs, a.ID)
+func (s *sim) consumeArc(c *cell, p int) {
+	if port := s.t.port(c, p); port >= 0 {
+		s.arcIDs = append(s.arcIDs, port)
 	}
 }
 
-// plan decides whether cell n can fire now and, if so, writes its effects
+// plan decides whether cell id can fire now and, if so, writes its effects
 // into *f. The returned reason is trace.ReasonNone when the cell is enabled
 // and otherwise classifies the stall (used by the observability layer; plan
 // touches only *f and scratch arenas either way, never machine state).
-func (s *sim) plan(n *graph.Node, f *firing) trace.Reason {
-	*f = firing{node: n}
+func (s *sim) plan(id int32, f *firing) trace.Reason {
+	t := s.t
+	c := &t.cells[id]
+	*f = firing{cell: id}
 	f.c0 = int32(len(s.arcIDs))
+	nports := int(c.p1 - c.p0)
 
 	// Phase 1: operand availability and result computation.
-	switch n.Op {
+	switch c.op {
 	case graph.OpSource:
-		stream := s.streams[n.ID]
-		if s.srcPos[n.ID] >= len(stream) {
+		stream := s.streams[c.aux]
+		if s.srcPos[id] >= len(stream) {
 			return trace.ReasonDone
 		}
-		f.out = stream[s.srcPos[n.ID]]
+		f.out = stream[s.srcPos[id]]
 		f.advance = true
 		f.produced = true
 
 	case graph.OpCtlGen:
-		total := n.Pattern.Len()
-		if total >= 0 && s.srcPos[n.ID] >= total {
+		pat := t.patterns[c.aux]
+		if total := pat.Len(); total >= 0 && s.srcPos[id] >= total {
 			return trace.ReasonDone
 		}
-		f.out = value.B(n.Pattern.At(s.srcPos[n.ID]))
+		f.out = value.B(pat.At(s.srcPos[id]))
 		f.advance = true
 		f.produced = true
 
 	case graph.OpSink:
-		v, ok := s.operand(n, 0)
+		v, ok := s.operand(c, 0)
 		if !ok {
 			return trace.ReasonOperandWait
 		}
 		f.out = v
 		f.sink = true
-		s.consumeArc(n, 0)
+		s.consumeArc(c, 0)
 
 	case graph.OpMerge:
-		ctl, ok := s.operand(n, 0)
+		ctl, ok := s.operand(c, 0)
 		if !ok {
 			return trace.ReasonOperandWait
 		}
@@ -482,62 +482,58 @@ func (s *sim) plan(n *graph.Node, f *firing) trace.Reason {
 		if ctl.AsBool() {
 			sel = 1
 		}
-		v, ok := s.operand(n, sel)
+		v, ok := s.operand(c, sel)
 		if !ok {
 			return trace.ReasonOperandWait
 		}
 		// extra control ports (gates) must also be present
-		for p := 3; p < len(n.In); p++ {
-			if _, ok := s.operand(n, p); !ok {
+		for p := 3; p < nports; p++ {
+			if _, ok := s.operand(c, p); !ok {
 				return trace.ReasonOperandWait
 			}
 		}
 		f.out = v
 		f.produced = true
-		s.consumeArc(n, 0)
-		s.consumeArc(n, sel)
-		for p := 3; p < len(n.In); p++ {
-			s.consumeArc(n, p)
+		s.consumeArc(c, 0)
+		s.consumeArc(c, sel)
+		for p := 3; p < nports; p++ {
+			s.consumeArc(c, p)
 		}
 
 	case graph.OpTGate, graph.OpFGate:
-		ctl, okc := s.operand(n, 0)
-		data, okd := s.operand(n, 1)
+		ctl, okc := s.operand(c, 0)
+		data, okd := s.operand(c, 1)
 		if !okc || !okd {
 			return trace.ReasonOperandWait
 		}
-		for p := 2; p < len(n.In); p++ {
-			if _, ok := s.operand(n, p); !ok {
+		for p := 2; p < nports; p++ {
+			if _, ok := s.operand(c, p); !ok {
 				return trace.ReasonOperandWait
 			}
 		}
 		pass := ctl.AsBool()
-		if n.Op == graph.OpFGate {
+		if c.op == graph.OpFGate {
 			pass = !pass
 		}
 		f.out = data
 		f.produced = pass // false: discard, consuming both operands
-		for p := 0; p < len(n.In); p++ {
-			s.consumeArc(n, p)
-		}
+		s.arcIDs = append(s.arcIDs, t.cins[c.c0:c.c1]...)
 
 	default: // ordinary operator and identity cells
-		if cap(s.vals) < len(n.In) {
-			s.vals = make([]value.Value, len(n.In))
+		if cap(s.vals) < nports {
+			s.vals = make([]value.Value, nports)
 		}
-		vals := s.vals[:len(n.In)]
-		for p := range n.In {
-			v, ok := s.operand(n, p)
+		vals := s.vals[:nports]
+		for p := range vals {
+			v, ok := s.operand(c, p)
 			if !ok {
 				return trace.ReasonOperandWait
 			}
 			vals[p] = v
 		}
-		f.out = ApplyOp(n.Op, vals)
+		f.out = ApplyOp(c.op, vals)
 		f.produced = true
-		for p := range n.In {
-			s.consumeArc(n, p)
-		}
+		s.arcIDs = append(s.arcIDs, t.cins[c.c0:c.c1]...)
 	}
 	f.c1 = int32(len(s.arcIDs))
 	f.p0 = f.c1
@@ -546,21 +542,20 @@ func (s *sim) plan(n *graph.Node, f *firing) trace.Reason {
 	// must be empty (its previous token acknowledged). Gated arcs are
 	// written only when their gate operand is true.
 	if f.produced {
-		for _, a := range n.Out {
-			write := true
-			if a.Gate != graph.NoGate {
-				gv, ok := s.operand(n, a.Gate)
+		for _, d := range t.outs[c.o0:c.o1] {
+			if d.gate >= 0 {
+				gv, ok := s.operand(c, int(d.gate))
 				if !ok {
 					return trace.ReasonOperandWait // gate operand itself not ready
 				}
-				write = gv.AsBool()
-			}
-			if write {
-				if s.arcHas[a.ID] {
-					return trace.ReasonAckWait
+				if !gv.AsBool() {
+					continue
 				}
-				s.arcIDs = append(s.arcIDs, a.ID)
 			}
+			if s.arcHas[d.arc] {
+				return trace.ReasonAckWait
+			}
+			s.arcIDs = append(s.arcIDs, d.arc)
 		}
 	}
 	f.p1 = int32(len(s.arcIDs))
@@ -650,41 +645,49 @@ func applyBinary(op graph.Op, a, b value.Value) value.Value {
 	}
 }
 
-// apply commits the cycle's firings and updates the candidate set.
+// apply commits the cycle's firings and updates the candidate set. A cell
+// is re-planned next cycle only when an arc it reads or writes changed: a
+// drained arc wakes its producer and a filled arc its consumer. A firing
+// that consumed no arc token and wrote no arc changed nothing that could
+// wake it, so only such a cell marks itself; any other firing leaves it
+// unable to fire again until one of those arc events arrives.
 func (s *sim) apply(cycle int, plans []firing) {
 	s.nextCand.reset()
-	arcs := s.g.Arcs()
+	arcs := s.t.arcs
 	for i := range plans {
 		f := &plans[i]
-		n := f.node
-		s.firings[n.ID]++
-		s.nextCand.set(int(n.ID))
+		id := int(f.cell)
+		s.firings[id]++
+		if f.c0 == f.c1 && f.p0 == f.p1 {
+			s.nextCand.set(id)
+		}
 		if s.tr != nil {
 			s.tr.Emit(trace.Event{
 				Cycle: int64(cycle), Kind: trace.KindFiring,
-				Cell: int32(n.ID), Port: -1, Unit: -1, Src: -1, Dst: -1,
+				Cell: f.cell, Port: -1, Unit: -1, Src: -1, Dst: -1,
 			})
 		}
 		for _, aid := range s.arcIDs[f.c0:f.c1] {
 			s.arcHas[aid] = false
 			// the producer of a drained arc may now be enabled
-			producer := arcs[aid].From
+			producer := arcs[aid].from
 			s.nextCand.set(int(producer))
 			if s.tr != nil {
 				// draining the arc is the moment the acknowledge packet
 				// would reach the producer
 				s.tr.Emit(trace.Event{
 					Cycle: int64(cycle), Kind: trace.KindAck,
-					Cell: int32(producer), Port: -1, Unit: -1, Src: -1, Dst: -1,
+					Cell: producer, Port: -1, Unit: -1, Src: -1, Dst: -1,
 				})
 			}
 		}
 		if f.advance {
-			s.srcPos[n.ID]++
+			s.srcPos[id]++
 		}
 		if f.sink {
-			s.outs[n.Label] = appendPrealloc(s.outs[n.Label], f.out, s.outCap)
-			s.arrs[n.Label] = appendArrPrealloc(s.arrs[n.Label], Arrival{Cycle: cycle, Val: f.out}, s.outCap)
+			k := s.t.cells[id].aux
+			s.sinkOuts[k] = appendPrealloc(s.sinkOuts[k], f.out, s.outCap)
+			s.sinkArrs[k] = appendArrPrealloc(s.sinkArrs[k], Arrival{Cycle: cycle, Val: f.out}, s.outCap)
 			if s.prog != nil {
 				s.prog.Arrivals.Add(1)
 			}
@@ -696,11 +699,11 @@ func (s *sim) apply(cycle int, plans []firing) {
 			s.arcHas[aid] = true
 			s.arcVal[aid] = f.out
 			a := arcs[aid]
-			s.nextCand.set(int(a.To))
+			s.nextCand.set(int(a.to))
 			if s.tr != nil {
 				s.tr.Emit(trace.Event{
 					Cycle: int64(cycle), Kind: trace.KindToken,
-					Cell: int32(a.To), Port: int32(a.ToPort), Unit: -1, Src: -1, Dst: -1,
+					Cell: a.to, Port: a.port, Unit: -1, Src: -1, Dst: -1,
 				})
 			}
 		}
@@ -731,31 +734,52 @@ func appendCycPrealloc(s []int64, c int64, hint int) []int64 {
 	return append(s, c)
 }
 
-// drainState reports whether the quiescent machine is fully drained and
-// lists diagnostics for any leftover state.
-func (s *sim) drainState() (bool, []string) {
+// drainState reports whether one lane of a quiescent run is fully drained
+// and lists diagnostics for any leftover state. streams holds the lane's
+// source streams by source index and pos its stream positions by cell;
+// arc slot state lives at has[aid*stride+lane]. Names come from the
+// expanded graph, which only a run that left state behind builds.
+func (p *Prepared) drainState(streams [][]value.Value, pos func(cell int) int, has []bool, val []value.Value, lane, stride int) (bool, []string) {
+	t := &p.tab
+	clean := true
+	for k, src := range t.sources {
+		clean = clean && pos(int(src.cell)) >= len(streams[k])
+	}
+	for id := range t.cells {
+		if c := &t.cells[id]; c.op == graph.OpCtlGen {
+			total := t.patterns[c.aux].Len()
+			clean = clean && (total < 0 || pos(id) >= total)
+		}
+	}
+	for aid := range t.arcs {
+		clean = clean && !has[aid*stride+lane]
+	}
+	if clean {
+		return true, nil
+	}
+	g := p.Graph()
 	var stalled []string
-	for _, n := range s.g.Nodes() {
-		switch n.Op {
+	for id, n := range g.Nodes() {
+		switch c := &t.cells[id]; c.op {
 		case graph.OpSource:
-			if stream := s.streams[n.ID]; s.srcPos[n.ID] < len(stream) {
+			if stream := streams[c.aux]; pos(id) < len(stream) {
 				stalled = append(stalled, fmt.Sprintf("%s: %d of %d stream values unsent",
-					n.Name(), len(stream)-s.srcPos[n.ID], len(stream)))
+					n.Name(), len(stream)-pos(id), len(stream)))
 			}
 		case graph.OpCtlGen:
-			if t := n.Pattern.Len(); t >= 0 && s.srcPos[n.ID] < t {
+			if total := t.patterns[c.aux].Len(); total >= 0 && pos(id) < total {
 				stalled = append(stalled, fmt.Sprintf("%s: %d of %d control values unsent",
-					n.Name(), t-s.srcPos[n.ID], t))
+					n.Name(), total-pos(id), total))
 			}
 		}
 	}
-	for _, a := range s.g.Arcs() {
-		if s.arcHas[a.ID] {
+	for aid, a := range t.arcs {
+		if slot := aid*stride + lane; has[slot] {
 			stalled = append(stalled, fmt.Sprintf("token %s stranded on arc %s -> %s port %d",
-				s.arcVal[a.ID], s.g.Node(a.From).Name(), s.g.Node(a.To).Name(), a.ToPort))
+				val[slot], g.Node(graph.NodeID(a.from)).Name(), g.Node(graph.NodeID(a.to)).Name(), a.port))
 		}
 	}
-	return len(stalled) == 0, stalled
+	return false, stalled
 }
 
 // Describe summarizes a result for reports and error messages.

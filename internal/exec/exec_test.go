@@ -450,8 +450,8 @@ func TestFIFOExpandedExecution(t *testing.T) {
 	if ii := res.II("out"); ii != 2 {
 		t.Errorf("II = %v, want 2", ii)
 	}
-	if res.Graph.NumNodes() != 6 { // src + 4 IDs + sink
-		t.Errorf("expanded nodes = %d, want 6", res.Graph.NumNodes())
+	if res.Graph().NumNodes() != 6 { // src + 4 IDs + sink
+		t.Errorf("expanded nodes = %d, want 6", res.Graph().NumNodes())
 	}
 }
 

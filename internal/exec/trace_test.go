@@ -85,7 +85,7 @@ func TestTracingMatchesFirings(t *testing.T) {
 		}
 		if got := m.Cells[id].Firings; got != int64(want) {
 			t.Errorf("cell %s: tracer saw %d firings, simulator counted %d",
-				res.Graph.Node(graph.NodeID(id)).Name(), got, want)
+				res.Graph().Node(graph.NodeID(id)).Name(), got, want)
 		}
 	}
 }

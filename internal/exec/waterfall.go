@@ -45,7 +45,7 @@ func Waterfall(g *graph.Graph, opt Options, maxCols int) (string, error) {
 		fmt.Fprintf(&b, "%-10d", c)
 	}
 	b.WriteByte('\n')
-	for _, n := range res.Graph.Nodes() {
+	for _, n := range res.Graph().Nodes() {
 		name := n.Name()
 		if len(name) > 24 {
 			name = name[:24]
@@ -67,7 +67,7 @@ func Waterfall(g *graph.Graph, opt Options, maxCols int) (string, error) {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "%d cells, %d cycles", res.Graph.NumNodes(), res.Cycles)
+	fmt.Fprintf(&b, "%d cells, %d cycles", res.Graph().NumNodes(), res.Cycles)
 	if truncated {
 		fmt.Fprintf(&b, " (showing first %d)", cols)
 	}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"staticpipe/internal/telemetry"
 )
 
 func TestSpanTreeShape(t *testing.T) {
@@ -311,4 +313,25 @@ func TestSLOMetricsExposition(t *testing.T) {
 	var nilE *SLOEngine
 	nilE.Observe("x", true)
 	nilE.WriteMetrics(&buf)
+}
+
+// TestSLOMetricsEscapeLabels pins the SLO exposition to the text format's
+// label escaping: a name holding a tab, a quote and a newline renders as
+// telemetry.Label renders it, and the whole exposition lints clean.
+func TestSLOMetricsEscapeLabels(t *testing.T) {
+	name := "wait\tfor \"it\"\nnow"
+	e, _ := sloAt(time.Unix(1000, 0), SLODef{Name: name, Target: 0.99})
+	e.Observe(name, true)
+	var buf bytes.Buffer
+	e.WriteMetrics(&buf)
+	if problems := telemetry.LintExposition(bytes.NewReader(buf.Bytes())); len(problems) > 0 {
+		t.Fatalf("exposition fails lint: %v\n%s", problems, buf.String())
+	}
+	want := "staticpipe_slo_target{" + telemetry.Label("slo", name) + "} 0.99\n"
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("exposition lacks %q:\n%s", want, buf.String())
+	}
+	if n := strings.Count(buf.String(), telemetry.Label("slo", name)); n != 8 {
+		t.Fatalf("%d series carry the escaped label, want 8:\n%s", n, buf.String())
+	}
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"staticpipe/internal/telemetry"
 )
 
 // The SLO engine evaluates declarative objectives over sliding windows of
@@ -266,35 +268,35 @@ func (e *SLOEngine) WriteMetrics(w io.Writer) {
 		return
 	}
 	sts := e.Evaluate()
-	fam := func(name, typ, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-	fam("staticpipe_slo_target", "gauge", "Declared objective: required good fraction per SLO.")
+	telemetry.Family(w, "staticpipe_slo_target", "gauge", "Declared objective: required good fraction per SLO.")
 	for _, st := range sts {
-		fmt.Fprintf(w, "staticpipe_slo_target{slo=%q} %s\n", st.Name, ftoa(st.Target))
+		fmt.Fprintf(w, "staticpipe_slo_target{%s} %s\n", telemetry.Label("slo", st.Name), ftoa(st.Target))
 	}
-	fam("staticpipe_slo_sli", "gauge", "Observed good fraction per SLO and evaluation window.")
+	telemetry.Family(w, "staticpipe_slo_sli", "gauge", "Observed good fraction per SLO and evaluation window.")
 	for _, st := range sts {
-		fmt.Fprintf(w, "staticpipe_slo_sli{slo=%q,window=\"fast\"} %s\n", st.Name, ftoa(st.FastSLI))
-		fmt.Fprintf(w, "staticpipe_slo_sli{slo=%q,window=\"slow\"} %s\n", st.Name, ftoa(st.SlowSLI))
+		slo := telemetry.Label("slo", st.Name)
+		fmt.Fprintf(w, "staticpipe_slo_sli{%s,window=\"fast\"} %s\n", slo, ftoa(st.FastSLI))
+		fmt.Fprintf(w, "staticpipe_slo_sli{%s,window=\"slow\"} %s\n", slo, ftoa(st.SlowSLI))
 	}
-	fam("staticpipe_slo_burn_rate", "gauge", "Error-budget burn rate per SLO and window (1 = sustainable pace).")
+	telemetry.Family(w, "staticpipe_slo_burn_rate", "gauge", "Error-budget burn rate per SLO and window (1 = sustainable pace).")
 	for _, st := range sts {
-		fmt.Fprintf(w, "staticpipe_slo_burn_rate{slo=%q,window=\"fast\"} %s\n", st.Name, ftoa(st.FastBurn))
-		fmt.Fprintf(w, "staticpipe_slo_burn_rate{slo=%q,window=\"slow\"} %s\n", st.Name, ftoa(st.SlowBurn))
+		slo := telemetry.Label("slo", st.Name)
+		fmt.Fprintf(w, "staticpipe_slo_burn_rate{%s,window=\"fast\"} %s\n", slo, ftoa(st.FastBurn))
+		fmt.Fprintf(w, "staticpipe_slo_burn_rate{%s,window=\"slow\"} %s\n", slo, ftoa(st.SlowBurn))
 	}
-	fam("staticpipe_slo_burning", "gauge", "Multi-window burn-rate alert state per SLO (1 = alerting).")
+	telemetry.Family(w, "staticpipe_slo_burning", "gauge", "Multi-window burn-rate alert state per SLO (1 = alerting).")
 	for _, st := range sts {
 		v := 0
 		if st.Burning {
 			v = 1
 		}
-		fmt.Fprintf(w, "staticpipe_slo_burning{slo=%q} %d\n", st.Name, v)
+		fmt.Fprintf(w, "staticpipe_slo_burning{%s} %d\n", telemetry.Label("slo", st.Name), v)
 	}
-	fam("staticpipe_slo_events_total", "counter", "Lifetime observations per SLO, by classification.")
+	telemetry.Family(w, "staticpipe_slo_events_total", "counter", "Lifetime observations per SLO, by classification.")
 	for _, st := range sts {
-		fmt.Fprintf(w, "staticpipe_slo_events_total{slo=%q,result=\"good\"} %d\n", st.Name, st.GoodTotal)
-		fmt.Fprintf(w, "staticpipe_slo_events_total{slo=%q,result=\"bad\"} %d\n", st.Name, st.BadTotal)
+		slo := telemetry.Label("slo", st.Name)
+		fmt.Fprintf(w, "staticpipe_slo_events_total{%s,result=\"good\"} %d\n", slo, st.GoodTotal)
+		fmt.Fprintf(w, "staticpipe_slo_events_total{%s,result=\"bad\"} %d\n", slo, st.BadTotal)
 	}
 }
 

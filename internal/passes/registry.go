@@ -125,3 +125,25 @@ func Parse(list string) ([]Pass, error) {
 	}
 	return ps, nil
 }
+
+// Canonical returns the one spelling of a pass list that names its
+// pipeline: every element trimmed (name and argument alike), and the
+// default pipeline "" written "balance", which compiles identically. A
+// list Parse rejects is returned unchanged; compiling it fails anyway.
+func Canonical(list string) string {
+	if list == "" {
+		return "balance"
+	}
+	if _, err := Parse(list); err != nil {
+		return list
+	}
+	specs := strings.Split(list, ",")
+	for i, spec := range specs {
+		name, arg, hasArg := strings.Cut(spec, "=")
+		specs[i] = strings.TrimSpace(name)
+		if hasArg {
+			specs[i] += "=" + strings.TrimSpace(arg)
+		}
+	}
+	return strings.Join(specs, ",")
+}

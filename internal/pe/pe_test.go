@@ -481,7 +481,7 @@ func TestLiteralControlOption(t *testing.T) {
 			t.Errorf("out[%d] = %v, want %v", j, got[j], want[j])
 		}
 	}
-	stats := res.Graph.ComputeStats()
+	stats := res.Graph().ComputeStats()
 	if stats.ByOp[graph.OpCtlGen] != 0 {
 		t.Error("literal mode still emitted idealized control generators")
 	}

@@ -189,7 +189,7 @@ func TestLiteralIndexStream(t *testing.T) {
 			t.Errorf("out[%d] = %v, want %d", k, v, k+2)
 		}
 	}
-	if n := res.Graph.ComputeStats().ByOp[graph.OpCtlGen]; n != 0 {
+	if n := res.Graph().ComputeStats().ByOp[graph.OpCtlGen]; n != 0 {
 		t.Errorf("literal mode emitted %d generator cells", n)
 	}
 }

@@ -20,7 +20,7 @@ func traced(t *testing.T, g *graph.Graph) (*analyze.Analysis, *trace.Metrics) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := analyze.Analyze(res.Graph, m)
+	a, err := analyze.Analyze(res.Graph(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,21 @@
 // for the subset: integer operators stay in the integer domain, real
 // operators in the real domain, and mixed int/real arithmetic promotes to
 // real (the paper's examples freely mix integer literals with real arrays).
+//
+// # Representation
+//
+// A Value is 16 bytes: a Kind and one 64-bit payload. The payload holds an
+// Int's two's-complement bits, a Real's IEEE-754 bits (math.Float64bits),
+// or 0/1 for a Bool. Simulators move one Value per token, so every arc
+// slot, operand slot, packet value, input and sink stream and arrival
+// record scales with this type's size.
+//
+// Equal, Close and EQ decode the payload and compare the decoded values;
+// they never compare payload bits. The two differ only on reals: NaN is
+// not equal to itself, and +0 equals −0, as in IEEE arithmetic and in Val.
+// reflect.DeepEqual, by contrast, compares the payload bitwise, so two
+// results from identical runs are deeply equal, while NaN tokens with the
+// same bits compare equal and ±0 do not.
 package value
 
 import (
@@ -48,19 +63,27 @@ func (k Kind) String() string {
 // invalid; construct values with I, R, and B.
 type Value struct {
 	kind Kind
-	i    int64
-	r    float64
-	b    bool
+	bits uint64 // the payload; see the package doc's Representation
 }
 
 // I returns an integer value.
-func I(v int64) Value { return Value{kind: Int, i: v} }
+func I(v int64) Value { return Value{kind: Int, bits: uint64(v)} }
 
 // R returns a real value.
-func R(v float64) Value { return Value{kind: Real, r: v} }
+func R(v float64) Value { return Value{kind: Real, bits: math.Float64bits(v)} }
 
 // B returns a boolean value.
-func B(v bool) Value { return Value{kind: Bool, b: v} }
+func B(v bool) Value {
+	if v {
+		return Value{kind: Bool, bits: 1}
+	}
+	return Value{kind: Bool}
+}
+
+// i, r and b decode the payload without checking the kind.
+func (v Value) i() int64   { return int64(v.bits) }
+func (v Value) r() float64 { return math.Float64frombits(v.bits) }
+func (v Value) b() bool    { return v.bits != 0 }
 
 // Kind reports the value's scalar domain.
 func (v Value) Kind() Kind { return v.kind }
@@ -73,7 +96,7 @@ func (v Value) AsInt() int64 {
 	if v.kind != Int {
 		panic(fmt.Sprintf("value: AsInt on %s value", v.kind))
 	}
-	return v.i
+	return v.i()
 }
 
 // AsReal returns the real payload, converting an Int if necessary; it panics
@@ -81,9 +104,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsReal() float64 {
 	switch v.kind {
 	case Real:
-		return v.r
+		return v.r()
 	case Int:
-		return float64(v.i)
+		return float64(v.i())
 	default:
 		panic(fmt.Sprintf("value: AsReal on %s value", v.kind))
 	}
@@ -94,18 +117,18 @@ func (v Value) AsBool() bool {
 	if v.kind != Bool {
 		panic(fmt.Sprintf("value: AsBool on %s value", v.kind))
 	}
-	return v.b
+	return v.b()
 }
 
 // String renders the value in Val literal syntax.
 func (v Value) String() string {
 	switch v.kind {
 	case Int:
-		return fmt.Sprintf("%d", v.i)
+		return fmt.Sprintf("%d", v.i())
 	case Real:
-		return fmt.Sprintf("%g", v.r)
+		return fmt.Sprintf("%g", v.r())
 	case Bool:
-		if v.b {
+		if v.b() {
 			return "true"
 		}
 		return "false"
@@ -126,7 +149,7 @@ func binaryNumeric(a, b Value, op string, fi func(int64, int64) int64, fr func(f
 		panic(fmt.Sprintf("value: %s on %s and %s", op, a.kind, b.kind))
 	}
 	if a.kind == Int && b.kind == Int {
-		return I(fi(a.i, b.i))
+		return I(fi(a.i(), b.i()))
 	}
 	return R(fr(a.AsReal(), b.AsReal()))
 }
@@ -136,8 +159,7 @@ func binaryNumeric(a, b Value, op string, fi func(int64, int64) int64, fr func(f
 // type errors live in the outlined slow path.
 func Add(a, b Value) Value {
 	if a.kind == Real && b.kind == Real {
-		a.r += b.r
-		return a
+		return R(a.r() + b.r())
 	}
 	return addSlow(a, b)
 }
@@ -149,8 +171,7 @@ func addSlow(a, b Value) Value {
 // Sub returns a-b under Val promotion rules.
 func Sub(a, b Value) Value {
 	if a.kind == Real && b.kind == Real {
-		a.r -= b.r
-		return a
+		return R(a.r() - b.r())
 	}
 	return subSlow(a, b)
 }
@@ -162,8 +183,7 @@ func subSlow(a, b Value) Value {
 // Mul returns a*b under Val promotion rules.
 func Mul(a, b Value) Value {
 	if a.kind == Real && b.kind == Real {
-		a.r *= b.r
-		return a
+		return R(a.r() * b.r())
 	}
 	return mulSlow(a, b)
 }
@@ -190,9 +210,9 @@ func Div(a, b Value) Value {
 func Neg(a Value) Value {
 	switch a.kind {
 	case Int:
-		return I(-a.i)
+		return I(-a.i())
 	case Real:
-		return R(-a.r)
+		return R(-a.r())
 	default:
 		panic(fmt.Sprintf("value: neg on %s", a.kind))
 	}
@@ -202,12 +222,12 @@ func Neg(a Value) Value {
 func Abs(a Value) Value {
 	switch a.kind {
 	case Int:
-		if a.i < 0 {
-			return I(-a.i)
+		if a.i() < 0 {
+			return I(-a.i())
 		}
 		return a
 	case Real:
-		return R(math.Abs(a.r))
+		return R(math.Abs(a.r()))
 	default:
 		panic(fmt.Sprintf("value: abs on %s", a.kind))
 	}
@@ -234,9 +254,9 @@ func compare(a, b Value, op string) int {
 	}
 	if a.kind == Int && b.kind == Int {
 		switch {
-		case a.i < b.i:
+		case a.i() < b.i():
 			return -1
-		case a.i > b.i:
+		case a.i() > b.i():
 			return 1
 		default:
 			return 0
@@ -269,15 +289,14 @@ func GE(a, b Value) Value { return B(compare(a, b, "ge") >= 0) }
 // values compare after promotion.
 func EQ(a, b Value) Value {
 	if a.kind == Bool && b.kind == Bool {
-		return B(a.b == b.b)
+		return B(a.b() == b.b())
 	}
 	return B(compare(a, b, "eq") == 0)
 }
 
 // NE returns the boolean a ≠ b.
 func NE(a, b Value) Value {
-	eq := EQ(a, b)
-	return B(!eq.b)
+	return B(!EQ(a, b).b())
 }
 
 // And returns the boolean conjunction.
@@ -289,18 +308,17 @@ func Or(a, b Value) Value { return B(a.AsBool() || b.AsBool()) }
 // Not returns the boolean negation.
 func Not(a Value) Value { return B(!a.AsBool()) }
 
-// Equal reports exact equality of kind and payload.
+// Equal reports exact equality of kind and decoded payload: reals compare
+// as IEEE values (NaN is unequal to itself, +0 equals −0), not bitwise.
 func Equal(a, b Value) bool {
 	if a.kind != b.kind {
 		return false
 	}
 	switch a.kind {
-	case Int:
-		return a.i == b.i
+	case Int, Bool:
+		return a.bits == b.bits
 	case Real:
-		return a.r == b.r
-	case Bool:
-		return a.b == b.b
+		return a.r() == b.r()
 	default:
 		return true
 	}
@@ -316,7 +334,7 @@ func Close(a, b Value, tol float64) bool {
 		return Equal(a, b)
 	}
 	if a.kind == Int && b.kind == Int {
-		return a.i == b.i
+		return a.bits == b.bits
 	}
 	x, y := a.AsReal(), b.AsReal()
 	if x == y {
@@ -391,14 +409,17 @@ func (v Value) MarshalJSON() ([]byte, error) {
 	jv := jsonValue{}
 	switch v.kind {
 	case Int:
+		i := v.i()
 		jv.Kind = "int"
-		jv.I = &v.i
+		jv.I = &i
 	case Real:
+		r := v.r()
 		jv.Kind = "real"
-		jv.R = &v.r
+		jv.R = &r
 	case Bool:
+		b := v.b()
 		jv.Kind = "bool"
-		jv.B = &v.b
+		jv.B = &b
 	default:
 		jv.Kind = "invalid"
 	}

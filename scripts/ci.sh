@@ -201,6 +201,7 @@ echo "== bounded fuzz =="
 go test -run '^$' -fuzz 'FuzzParse$'     -fuzztime 10s ./internal/val/
 go test -run '^$' -fuzz 'FuzzParseExpr$' -fuzztime 10s ./internal/val/
 go test -run '^$' -fuzz 'FuzzUnmarshal$' -fuzztime 10s ./internal/graph/
+go test -run '^$' -fuzz 'FuzzValue$'     -fuzztime 10s ./internal/value/
 
 echo "== perf gate =="
 # Paired perfbench runs of the working tree against its parent commit
