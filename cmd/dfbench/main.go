@@ -972,7 +972,7 @@ func e21(n int) {
 			fatal(err)
 		}
 		finish()
-		a, err := analyze.Analyze(res.Graph, m)
+		a, err := analyze.Analyze(res.Graph(), m)
 		if err != nil {
 			fatal(err)
 		}

@@ -88,7 +88,7 @@ func TestPlacedMachineGolden(t *testing.T) {
 			if want.butterfly {
 				cfg.Network = machine.Butterfly
 			}
-			if err := place.Apply("mincost", art.Compiled.Graph, &cfg, nil); err != nil {
+			if err := place.Apply("mincost", mp.Table(), &cfg, nil); err != nil {
 				t.Fatal(err)
 			}
 			res, err := mp.Run(cfg)

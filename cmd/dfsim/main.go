@@ -149,10 +149,9 @@ func main() {
 		}
 	}
 
-	// runMachine runs the packet-level machine over mp, the prepared form
-	// of g, with inputs bound for this run only (nil keeps the streams
-	// bound on the graph).
-	runMachine := func(mp *machine.Prepared, g *graph.Graph, inputs map[string][]value.Value) {
+	// runMachine runs the packet-level machine over mp with inputs bound
+	// for this run only (nil keeps the streams bound on the graph).
+	runMachine := func(mp *machine.Prepared, inputs map[string][]value.Value) {
 		cfg := machine.Config{PEs: *pes, FUs: *fus, AMs: *ams, Tracer: tracer, Progress: prog,
 			Batch: *batch, LaneInputs: laneFill(inputs, *batch), Inputs: inputs}
 		if *butterfly {
@@ -169,7 +168,7 @@ func main() {
 			}
 			return m, nil
 		}
-		if err := place.Apply(*placeMode, g, &cfg, profile); err != nil {
+		if err := place.Apply(*placeMode, mp.Table(), &cfg, profile); err != nil {
 			fatal(err)
 		}
 		res, err := mp.Run(cfg)
@@ -199,7 +198,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			runMachine(mp, g, nil)
+			runMachine(mp, nil)
 			return
 		}
 		res, err := exec.Run(g, exec.Options{Workers: *workers, Tracer: tracer, Progress: prog, Batch: *batch})
@@ -254,7 +253,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		runMachine(mp, art.Compiled.Graph, inputs)
+		runMachine(mp, inputs)
 		return
 	}
 

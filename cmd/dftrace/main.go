@@ -187,7 +187,7 @@ func main() {
 			if err != nil {
 				fatal(fmt.Errorf("placement baseline run: %w", err))
 			}
-			baseline, err = analyze.Analyze(baseRes.Graph, baseMetrics)
+			baseline, err = analyze.Analyze(baseRes.Graph(), baseMetrics)
 			if err != nil {
 				fatal(err)
 			}
@@ -196,7 +196,7 @@ func main() {
 			// verdict compares against is exactly the profile the new
 			// mapping was derived from.
 			profile := func() (*trace.Metrics, error) { return baseMetrics, nil }
-			if err := place.Apply(*placeMode, art.Compiled.Graph, &cfg, profile); err != nil {
+			if err := place.Apply(*placeMode, mp.Table(), &cfg, profile); err != nil {
 				fatal(err)
 			}
 			plSpan.Set("pes", int64(cfg.PEs))
@@ -211,7 +211,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(machine.Describe(res))
-		ran = res.Graph
+		ran = res.Graph()
 	} else {
 		if spanTree != nil {
 			runSpan = spanTree.Root().Child(obs.KindRun, "exec")

@@ -75,7 +75,7 @@ func observe(t *testing.T, a *core.Artifact) string {
 		t.Fatal(err)
 	}
 	cfg := machine.Config{PEs: 8, FUs: 2, AMs: 2, Inputs: inputs}
-	if err := place.Apply("mincost", a.Compiled.Graph, &cfg, nil); err != nil {
+	if err := place.Apply("mincost", mp.Table(), &cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	mres, err := mp.Run(cfg)

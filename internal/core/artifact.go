@@ -10,10 +10,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"staticpipe/internal/exec"
+	"staticpipe/internal/graph"
 	"staticpipe/internal/machine"
 	"staticpipe/internal/obs"
 	"staticpipe/internal/passes"
@@ -25,8 +25,9 @@ import (
 )
 
 // Artifact is an immutable compiled pipe-structured program: parsed,
-// checked, compiled through the pass pipeline, and prepared (validated and
-// flattened into an instruction table) for the firing-rule simulator.
+// checked, compiled through the pass pipeline, and lowered once into the
+// instruction table (graph.Lower) that both simulators, placement and the
+// rate analysis read.
 // After CompileArtifact returns, nothing mutates an Artifact — concurrent
 // Run/RunBatch calls with different Bindings and inputs are safe, which is
 // the contract the artifact cache depends on.
@@ -39,20 +40,17 @@ type Artifact struct {
 	Cells int
 	Arcs  int
 	// CompileWall is the wall-clock cost of producing this artifact
-	// (parse + check + passes + exec.Prepare); the cache credits it to its
+	// (parse + check + passes + lowering); the cache credits it to its
 	// compile-seconds-saved counter on every hit.
 	CompileWall time.Duration
 
 	// batch is the compile-time Options.Batch, the lane width a Binding
 	// with Batch 0 falls back to.
-	batch    int
+	batch int
+	// tab is the compiled graph's lowered form; prepared and mach run it.
+	tab      *graph.Table
 	prepared *exec.Prepared
-
-	// The machine-model preparation is lazy: exec-only traffic never pays
-	// the machine's FIFO expansion.
-	machOnce sync.Once
 	mach     *machine.Prepared
-	machErr  error
 }
 
 // Binding is the per-run attachment set for an Artifact run: everything
@@ -107,7 +105,7 @@ func CompileArtifact(src string, opts Options) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	prepared, err := exec.Prepare(compiled.Graph)
+	tab, err := graph.Lower(compiled.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("core: compiled graph rejected by simulator: %w", err)
 	}
@@ -120,7 +118,9 @@ func CompileArtifact(src string, opts Options) (*Artifact, error) {
 		Arcs:        stats.Arcs,
 		CompileWall: time.Since(start),
 		batch:       opts.Batch,
-		prepared:    prepared,
+		tab:         tab,
+		prepared:    exec.PrepareTable(tab),
+		mach:        machine.PrepareTable(tab),
 	}, nil
 }
 
@@ -128,14 +128,9 @@ func CompileArtifact(src string, opts Options) (*Artifact, error) {
 func (a *Artifact) PassStats() []passes.Stat { return a.Compiled.PassStats }
 
 // Machine returns the packet-level simulator's prepared form of the
-// compiled graph, building it on first use (exec-only traffic never pays
-// the machine model's FIFO expansion). The result is memoized and shared.
-func (a *Artifact) Machine() (*machine.Prepared, error) {
-	a.machOnce.Do(func() {
-		a.mach, a.machErr = machine.Prepare(a.Compiled.Graph)
-	})
-	return a.mach, a.machErr
-}
+// compiled graph. It runs the artifact's one table and is shared by every
+// caller; the error is always nil.
+func (a *Artifact) Machine() (*machine.Prepared, error) { return a.mach, nil }
 
 // width resolves one run's lane width: the binding's, else the
 // compile-time Options.Batch.

@@ -10,6 +10,7 @@ import (
 
 	"staticpipe/internal/exec"
 	"staticpipe/internal/machine"
+	"staticpipe/internal/mcm"
 	"staticpipe/internal/place"
 	"staticpipe/internal/value"
 )
@@ -295,5 +296,32 @@ func TestCachedVsFreshDifferential(t *testing.T) {
 				t.Fatalf("trial %d %s: shared machine diverged from fresh", trial, v.name)
 			}
 		}
+	}
+}
+
+// TestArtifactLowersOnce pins that an artifact holds one lowered form:
+// the packet machine (on every Machine call) and the rate prediction read
+// the table CompileArtifact built for the exec core.
+func TestArtifactLowersOnce(t *testing.T) {
+	art, err := CompileArtifact(fig3Src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := art.tab
+	for i := 0; i < 2; i++ {
+		mp, err := art.Machine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mp.Table() != tab {
+			t.Fatalf("Machine() call %d runs its own table", i)
+		}
+	}
+	pred, err := art.PredictII()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := mcm.PredictTable(tab); err != nil || pred != want {
+		t.Fatalf("PredictII %v, the table's %v (%v)", pred, want, err)
 	}
 }

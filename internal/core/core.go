@@ -115,9 +115,10 @@ func (a *Artifact) Reference(inputs map[string][]value.Value) (map[string]*val.A
 }
 
 // PredictII returns the analytically predicted initiation interval of the
-// compiled graph (maximum cycle ratio of its timing constraints).
+// compiled graph (maximum cycle ratio of its timing constraints), read
+// from the artifact's lowered form.
 func (a *Artifact) PredictII() (mcm.Result, error) {
-	return mcm.PredictII(a.Compiled.Graph)
+	return mcm.PredictTable(a.tab)
 }
 
 // Report renders a compile report: block table, cell statistics, buffering

@@ -95,7 +95,7 @@ func (r *Result) Lane(l int) *Result {
 // needs synchronization.
 type bsim struct {
 	p *Prepared
-	t *table
+	t *graph.Table
 	B int
 
 	// streams holds each lane's source stream, sourceIdx*B+lane (lane 0
@@ -125,14 +125,12 @@ type bsim struct {
 	maxCycles int
 }
 
-// runBatched is the Batch > 1 entry point; streams carries the resolved
-// base source binding, by source index, that every lane defaults to (see
-// resolveStreams).
-func runBatched(p *Prepared, opt Options, streams [][]value.Value, maxCycles, B int) (*Result, error) {
+// runBatched is the Batch > 1 entry point.
+func runBatched(p *Prepared, opt Options, maxCycles, B int) (*Result, error) {
 	if B > MaxBatch {
 		return nil, fmt.Errorf("exec: Batch %d exceeds the %d-lane limit", B, MaxBatch)
 	}
-	s, err := newBsim(p, opt, streams, maxCycles, B)
+	s, err := newBsim(p, opt, maxCycles, B)
 	if err != nil {
 		return nil, err
 	}
@@ -170,28 +168,24 @@ func runBatched(p *Prepared, opt Options, streams [][]value.Value, maxCycles, B 
 	return s.assemble(opt)
 }
 
-// newBsim builds one run's lane streams and lane state; the cells come
-// from the Prepared's table.
-func newBsim(p *Prepared, opt Options, streams [][]value.Value, maxCycles, B int) (*bsim, error) {
-	if len(opt.LaneInputs) > B {
-		return nil, fmt.Errorf("exec: %d lane input sets for %d lanes", len(opt.LaneInputs), B)
+// newBsim binds one run's lane streams and builds its lane state; the
+// cells come from the Prepared's table.
+func newBsim(p *Prepared, opt Options, maxCycles, B int) (*bsim, error) {
+	t := p.tab
+	streams, err := t.BindStreams(opt.Inputs, opt.LaneInputs, B, nil)
+	if err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
 	}
-	t := &p.tab
-	for l, li := range opt.LaneInputs {
-		if label, ok := t.unknownLabel(li); ok {
-			return nil, fmt.Errorf("exec: lane %d input %q names no source cell", l, label)
-		}
-	}
-	nc, na := len(t.cells), len(t.arcs)
+	nc, na := len(t.Cells), len(t.Arcs)
 	s := &bsim{
 		p: p, t: t, B: B,
-		streams:  make([][]value.Value, len(t.sources)*B),
+		streams:  streams,
 		has:      make([]bool, na*B),
 		val:      make([]value.Value, na*B),
 		srcPos:   make([]int32, nc*B),
 		frns:     make([]int, nc*B),
-		sinkOuts: make([][]value.Value, len(t.sinks)*B),
-		sinkCycs: make([][]int64, len(t.sinks)*B),
+		sinkOuts: make([][]value.Value, len(t.Sinks)*B),
+		sinkCycs: make([][]int64, len(t.Sinks)*B),
 		outCap:   make([]int, B),
 
 		laneCycles:   make([]int, B),
@@ -202,26 +196,19 @@ func newBsim(p *Prepared, opt Options, streams [][]value.Value, maxCycles, B int
 		tr: opt.Tracer, prog: opt.Progress,
 		maxCycles: maxCycles,
 	}
-	for k, src := range t.sources {
-		for l := 0; l < B; l++ {
-			stream := streams[k]
-			if l > 0 && l < len(opt.LaneInputs) && opt.LaneInputs[l] != nil {
-				if sv, ok := opt.LaneInputs[l][src.label]; ok {
-					stream = sv
-				}
-			}
-			s.streams[k*B+l] = stream
-			s.outCap[l] = max(s.outCap[l], len(stream))
+	for l := 0; l < B; l++ {
+		for k := range t.Sources {
+			s.outCap[l] = max(s.outCap[l], len(streams[k*B+l]))
 		}
 	}
-	for _, in := range t.inits {
+	for _, in := range t.Inits {
 		for l := 0; l < B; l++ {
-			s.has[int(in.arc)*B+l] = true
-			s.val[int(in.arc)*B+l] = in.val
+			s.has[int(in.Arc)*B+l] = true
+			s.val[int(in.Arc)*B+l] = in.Val
 		}
 	}
 	if s.tr != nil {
-		s.tr.Start(trace.Meta{Cells: p.cellNames()})
+		s.tr.Start(trace.Meta{Cells: t.CellNames()})
 	}
 	if s.prog != nil {
 		s.laneCtrs = s.prog.InitLanes(B)
@@ -271,7 +258,7 @@ type bworker struct {
 }
 
 func newBworker(s *bsim, opt Options, l0, l1 int, traced bool) *bworker {
-	nc := len(s.t.cells)
+	nc := len(s.t.Cells)
 	w := &bworker{
 		s: s, l0: l0, l1: l1, traced: traced,
 		cand: newBitset(nc),
@@ -412,8 +399,8 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 	s := w.s
 	t := s.t
 	B := s.B
-	c := &t.cells[ci]
-	switch c.shape {
+	c := &t.Cells[ci]
+	switch s.p.shapes[ci] {
 	case shapeSlow:
 		for ; lanes != 0; lanes &= lanes - 1 {
 			w.planLane(ci, bits.TrailingZeros64(lanes))
@@ -423,7 +410,7 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 	case shapeSource:
 		fire := uint64(0)
 		base := int(ci) * B
-		streams := s.streams[int(c.aux)*B : int(c.aux+1)*B]
+		streams := s.streams[int(c.Aux)*B : int(c.Aux+1)*B]
 		for m := lanes; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
 			if int(s.srcPos[base+l]) < len(streams[l]) {
@@ -438,8 +425,8 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 		f.c0 = int32(len(w.arcIDs))
 		f.c1 = f.c0
 		f.p0 = f.c0
-		for _, d := range t.outs[c.o0:c.o1] {
-			w.arcIDs = append(w.arcIDs, d.arc)
+		for _, d := range t.Outs[c.O0:c.O1] {
+			w.arcIDs = append(w.arcIDs, d.Arc)
 		}
 		f.p1 = int32(len(w.arcIDs))
 		for m := fire; m != 0; m &= m - 1 {
@@ -449,7 +436,7 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 		w.plans = append(w.plans, f)
 
 	case shapeSink:
-		aid := t.port(c, 0)
+		aid := t.Port(c, 0)
 		ab := int(aid) * B
 		fire := lanes
 		for m := fire; m != 0; m &= m - 1 {
@@ -469,14 +456,14 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 		w.plans = append(w.plans, f)
 
 	case shapeApply:
-		ports := t.ports[c.p0:c.p1]
-		cins := t.cins[c.c0:c.c1]
-		outs := t.outs[c.o0:c.o1]
+		ports := t.Ports[c.P0:c.P1]
+		cins := t.Cins[c.C0:c.C1]
+		outs := t.Outs[c.O0:c.O1]
 		fire := lanes
 		if len(cins) == 1 && len(outs) == 1 {
 			// fused presence + destination check: one pass over the lanes
 			inb := int(cins[0]) * B
-			outb := int(outs[0].arc) * B
+			outb := int(outs[0].Arc) * B
 			fire = 0
 			if lanes == w.all {
 				// dense steady state: straight-line over the contiguous
@@ -520,7 +507,7 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 		f.c1 = int32(len(w.arcIDs))
 		f.p0 = f.c1
 		for _, d := range outs {
-			w.arcIDs = append(w.arcIDs, d.arc)
+			w.arcIDs = append(w.arcIDs, d.Arc)
 		}
 		f.p1 = int32(len(w.arcIDs))
 		// Results land directly in the output arc's value slots when the
@@ -529,13 +516,13 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 		// touches these lanes — so the staging buffer and apply-phase copy
 		// are pure overhead. Fan-out cells keep the staging arena.
 		var out []value.Value
-		if len(outs) == 1 && c.op != graph.OpID {
+		if len(outs) == 1 && c.Op != graph.OpID {
 			f.inPlace = true
-			ob := int(outs[0].arc) * B
+			ob := int(outs[0].Arc) * B
 			out = s.val[ob : ob+B : ob+B]
 		}
 		switch {
-		case c.op == graph.OpID && len(ports) == 1 && ports[0] >= 0:
+		case c.Op == graph.OpID && len(ports) == 1 && ports[0] >= 0:
 			// identity cells move one token: the fill phase copies straight
 			// from the (consumed but still intact) input-arc slots
 			f.srcArc = ports[0]
@@ -547,24 +534,24 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 				f.v0 = w.reserveVals()
 				out = w.outVals[int(f.v0) : int(f.v0)+B : int(f.v0)+B]
 			}
-			w.applyLitRight(c.op, out, int(ports[0])*B, t.lits[^ports[1]], fire)
+			w.applyLitRight(c.Op, out, int(ports[0])*B, t.Lits[^ports[1]], fire)
 		case len(ports) == 2 && ports[0] < 0 && ports[1] >= 0:
 			if out == nil {
 				f.v0 = w.reserveVals()
 				out = w.outVals[int(f.v0) : int(f.v0)+B : int(f.v0)+B]
 			}
 			a1 := int(ports[1]) * B
-			lit := t.lits[^ports[0]]
+			lit := t.Lits[^ports[0]]
 			for m := fire; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				out[l] = applyBinary(c.op, lit, s.val[a1+l])
+				out[l] = applyBinary(c.Op, lit, s.val[a1+l])
 			}
 		case len(ports) == 2 && ports[0] >= 0 && ports[1] >= 0:
 			if out == nil {
 				f.v0 = w.reserveVals()
 				out = w.outVals[int(f.v0) : int(f.v0)+B : int(f.v0)+B]
 			}
-			w.applyArcArc(c.op, out, int(ports[0])*B, int(ports[1])*B, fire)
+			w.applyArcArc(c.Op, out, int(ports[0])*B, int(ports[1])*B, fire)
 		default:
 			if out == nil {
 				f.v0 = w.reserveVals()
@@ -580,10 +567,10 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 					if port >= 0 {
 						vals[p] = s.val[int(port)*B+l]
 					} else {
-						vals[p] = t.lits[^port]
+						vals[p] = t.Lits[^port]
 					}
 				}
-				out[l] = ApplyOp(c.op, vals)
+				out[l] = ApplyOp(c.Op, vals)
 			}
 		}
 		w.plans = append(w.plans, f)
@@ -662,10 +649,10 @@ func (w *bworker) applyArcArc(op graph.Op, dst []value.Value, a0, a1 int, fire u
 
 // destFree clears every lane whose destination arcs are not all empty
 // (only valid for ungated-destination shapes).
-func (w *bworker) destFree(c *cell, fire uint64) uint64 {
+func (w *bworker) destFree(c *graph.Cell, fire uint64) uint64 {
 	B := w.s.B
-	for _, d := range w.s.t.outs[c.o0:c.o1] {
-		ab := int(d.arc) * B
+	for _, d := range w.s.t.Outs[c.O0:c.O1] {
+		ab := int(d.Arc) * B
 		for m := fire; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
 			if w.s.has[ab+l] {
@@ -681,10 +668,10 @@ func (w *bworker) destFree(c *cell, fire uint64) uint64 {
 
 // operand returns the value at port p of cell c in the given lane and
 // whether it is present (literals are always present).
-func (w *bworker) operand(c *cell, p, lane int) (value.Value, bool) {
-	port := w.s.t.port(c, p)
+func (w *bworker) operand(c *graph.Cell, p, lane int) (value.Value, bool) {
+	port := w.s.t.Port(c, p)
 	if port < 0 {
-		return w.s.t.lits[^port], true
+		return w.s.t.Lits[^port], true
 	}
 	slot := int(port)*w.s.B + lane
 	if !w.s.has[slot] {
@@ -694,8 +681,8 @@ func (w *bworker) operand(c *cell, p, lane int) (value.Value, bool) {
 }
 
 // consumeArc appends port p's arc (if any) to the arena's consume run.
-func (w *bworker) consumeArc(c *cell, p int) {
-	if port := w.s.t.port(c, p); port >= 0 {
+func (w *bworker) consumeArc(c *graph.Cell, p int) {
+	if port := w.s.t.Port(c, p); port >= 0 {
 		w.arcIDs = append(w.arcIDs, port)
 	}
 }
@@ -709,16 +696,16 @@ func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 	s := w.s
 	t := s.t
 	B := s.B
-	c := &t.cells[ci]
-	nports := int(c.p1 - c.p0)
+	c := &t.Cells[ci]
+	nports := int(c.P1 - c.P0)
 	var out value.Value
 	var advance, produced, sink bool
 	f := bfiring{cell: ci, fire: 1 << uint(lane), srcArc: -1}
 	f.c0 = int32(len(w.arcIDs))
 
-	switch c.op {
+	switch c.Op {
 	case graph.OpSource:
-		stream := s.streams[int(c.aux)*B+lane]
+		stream := s.streams[int(c.Aux)*B+lane]
 		pos := int(s.srcPos[int(ci)*B+lane])
 		if pos >= len(stream) {
 			return trace.ReasonDone
@@ -729,7 +716,7 @@ func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 
 	case graph.OpCtlGen:
 		pos := int(s.srcPos[int(ci)*B+lane])
-		pat := t.patterns[c.aux]
+		pat := t.Patterns[c.Aux]
 		if total := pat.Len(); total >= 0 && pos >= total {
 			return trace.ReasonDone
 		}
@@ -784,12 +771,12 @@ func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 			}
 		}
 		pass := ctl.AsBool()
-		if c.op == graph.OpFGate {
+		if c.Op == graph.OpFGate {
 			pass = !pass
 		}
 		out = data
 		produced = pass
-		w.arcIDs = append(w.arcIDs, t.cins[c.c0:c.c1]...)
+		w.arcIDs = append(w.arcIDs, t.Cins[c.C0:c.C1]...)
 
 	default: // ordinary operator and identity cells
 		if cap(w.vals) < nports {
@@ -803,17 +790,17 @@ func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 			}
 			vals[p] = v
 		}
-		out = ApplyOp(c.op, vals)
+		out = ApplyOp(c.Op, vals)
 		produced = true
-		w.arcIDs = append(w.arcIDs, t.cins[c.c0:c.c1]...)
+		w.arcIDs = append(w.arcIDs, t.Cins[c.C0:c.C1]...)
 	}
 	f.c1 = int32(len(w.arcIDs))
 	f.p0 = f.c1
 
 	if produced {
-		for _, d := range t.outs[c.o0:c.o1] {
-			if d.gate >= 0 {
-				gv, ok := w.operand(c, int(d.gate), lane)
+		for _, d := range t.Outs[c.O0:c.O1] {
+			if d.Gate >= 0 {
+				gv, ok := w.operand(c, int(d.Gate), lane)
 				if !ok {
 					return trace.ReasonOperandWait
 				}
@@ -821,10 +808,10 @@ func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 					continue
 				}
 			}
-			if s.has[int(d.arc)*B+lane] {
+			if s.has[int(d.Arc)*B+lane] {
 				return trace.ReasonAckWait
 			}
-			w.arcIDs = append(w.arcIDs, d.arc)
+			w.arcIDs = append(w.arcIDs, d.Arc)
 		}
 	}
 	f.p1 = int32(len(w.arcIDs))
@@ -835,7 +822,7 @@ func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 	if sink {
 		// slow-path sinks still reference the consumed arc for values; a
 		// literal-fed sink has no arc and keeps the outVals copy.
-		if aid := t.port(c, 0); aid >= 0 {
+		if aid := t.Port(c, 0); aid >= 0 {
 			f.sink = true
 			f.srcArc = aid
 			w.plans = append(w.plans, f)
@@ -864,13 +851,13 @@ func (w *bworker) probe(ci int32) trace.Reason {
 // cycle, mirroring the scalar engine's stall pass event for event.
 func (w *bworker) emitStalls(cycle int, plans []bfiring) {
 	s := w.s
-	firing := newBitset(len(s.t.cells))
+	firing := newBitset(len(s.t.Cells))
 	for i := range plans {
 		if plans[i].fire&1 != 0 {
 			firing.set(int(plans[i].cell))
 		}
 	}
-	for id := range s.t.cells {
+	for id := range s.t.Cells {
 		if firing.has(id) {
 			continue
 		}
@@ -893,7 +880,7 @@ func (w *bworker) emitStalls(cycle int, plans []bfiring) {
 func (w *bworker) apply(cycle int, plans []bfiring) {
 	s := w.s
 	B := s.B
-	arcs := s.t.arcs
+	arcs := s.t.Arcs
 	w.next.reset()
 	var tr trace.Tracer
 	if w.traced {
@@ -937,7 +924,7 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 					s.has[ab+bits.TrailingZeros64(m)] = false
 				}
 			}
-			producer := arcs[aid].from
+			producer := arcs[aid].From
 			w.next.set(int(producer))
 			w.mask[producer] |= fire
 			if tr != nil && fire&1 != 0 {
@@ -953,7 +940,7 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 			}
 		}
 		if f.sink {
-			sb := int(s.t.cells[ci].aux) * B
+			sb := int(s.t.Cells[ci].Aux) * B
 			vb := int(f.srcArc) * B // sink records always carry srcArc
 			if fire == w.all && s.laneCtrs == nil {
 				vals := s.val[vb+w.l0 : vb+w.l1 : vb+w.l1]
@@ -1028,12 +1015,12 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 				}
 			}
 			a := arcs[aid]
-			w.next.set(int(a.to))
-			w.mask[a.to] |= prod
+			w.next.set(int(a.To))
+			w.mask[a.To] |= prod
 			if tr != nil && prod&1 != 0 {
 				tr.Emit(trace.Event{
 					Cycle: int64(cycle), Kind: trace.KindToken,
-					Cell: a.to, Port: a.port, Unit: -1, Src: -1, Dst: -1,
+					Cell: a.To, Port: a.Port, Unit: -1, Src: -1, Dst: -1,
 				})
 			}
 		}
@@ -1044,7 +1031,7 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 // drainLane is the scalar drainState for one lane.
 func (s *bsim) drainLane(l int) (bool, []string) {
 	B := s.B
-	streams := make([][]value.Value, len(s.t.sources))
+	streams := make([][]value.Value, len(s.t.Sources))
 	for k := range streams {
 		streams[k] = s.streams[k*B+l]
 	}
@@ -1054,7 +1041,7 @@ func (s *bsim) drainLane(l int) (bool, []string) {
 // assemble builds the batched Result: top-level fields are lane 0's view,
 // Lanes carries every lane's.
 func (s *bsim) assemble(opt Options) (*Result, error) {
-	nc, sinks := len(s.t.cells), s.t.sinks
+	nc, sinks := len(s.t.Cells), s.t.Sinks
 	res := &Result{
 		Batch: s.B,
 		Lanes: make([]LaneResult, s.B),

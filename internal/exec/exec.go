@@ -26,9 +26,9 @@
 //
 // A run uses one of two engines: the scalar loop here, or, when
 // Options.Batch > 1, the lane-batched loop of batch.go, whose lanes
-// Options.Workers may shard across goroutines. Both read one pointer-free
-// instruction table that Prepare builds once (prepared.go), never the
-// graph's nodes and arcs.
+// Options.Workers may shard across goroutines. Both read the graph's
+// pointer-free instruction table (graph.Lower), built once per Prepared,
+// never the graph's nodes and arcs.
 package exec
 
 import (
@@ -151,8 +151,8 @@ type Result struct {
 
 // Graph returns the graph actually simulated: the FIFO-expanded graph
 // whose node IDs index Firings and name the cells of trace events and
-// stall diagnostics (see Prepared.Graph).
-func (r *Result) Graph() *graph.Graph { return r.prep.Graph() }
+// stall diagnostics, built on first use (see graph.Table.Graph).
+func (r *Result) Graph() *graph.Graph { return r.prep.tab.Graph() }
 
 // Output returns the stream received by the sink with the given label.
 func (r *Result) Output(label string) []value.Value { return r.Outputs[label] }
@@ -208,8 +208,8 @@ func (b bitset) reset() {
 // sim is the scalar engine's mutable machine state. It reads the cells
 // and arcs only through the Prepared's instruction table.
 type sim struct {
-	t       *table
-	streams [][]value.Value // resolved stream per source index (see resolveStreams)
+	t       *graph.Table
+	streams [][]value.Value // resolved stream per source index (see graph.Table.BindStreams)
 	arcHas  []bool          // token presence per arc ID
 	arcVal  []value.Value   // token value per arc ID (meaningful when arcHas)
 	srcPos  []int           // next stream index per cell (sources/ctlgens)
@@ -277,32 +277,28 @@ func (p *Prepared) Run(opt Options) (*Result, error) {
 }
 
 func (p *Prepared) runPrepared(opt Options) (*Result, error) {
-	t := &p.tab
+	t := p.tab
 	maxCycles := opt.MaxCycles
 	if maxCycles <= 0 {
 		maxCycles = DefaultMaxCycles
 	}
 	if b := opt.Batch; b > 1 {
-		streams, err := t.resolveStreams(opt.Inputs, nil)
-		if err != nil {
-			return nil, err
-		}
-		return runBatched(p, opt, streams, maxCycles, b)
+		return runBatched(p, opt, maxCycles, b)
 	}
 	s := p.getSim(opt)
 	defer p.putSim(s)
 	var err error
-	if s.streams, err = t.resolveStreams(opt.Inputs, s.streams); err != nil {
-		return nil, err
+	if s.streams, err = t.BindStreams(opt.Inputs, nil, 1, s.streams); err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
 	}
 	if s.tr != nil {
-		s.tr.Start(trace.Meta{Cells: p.cellNames()})
+		s.tr.Start(trace.Meta{Cells: t.CellNames()})
 	}
-	for _, in := range t.inits {
-		s.arcHas[in.arc] = true
-		s.arcVal[in.arc] = in.val
+	for _, in := range t.Inits {
+		s.arcHas[in.Arc] = true
+		s.arcVal[in.Arc] = in.Val
 	}
-	for id := range t.cells {
+	for id := range t.Cells {
 		s.cand.set(id)
 	}
 	for _, stream := range s.streams {
@@ -342,11 +338,11 @@ func (p *Prepared) runPrepared(opt Options) (*Result, error) {
 	res := &Result{
 		Cycles:   cycle,
 		Firings:  s.firings,
-		Outputs:  make(map[string][]value.Value, len(t.sinks)),
-		Arrivals: make(map[string][]Arrival, len(t.sinks)),
+		Outputs:  make(map[string][]value.Value, len(t.Sinks)),
+		Arrivals: make(map[string][]Arrival, len(t.Sinks)),
 		prep:     p,
 	}
-	for k, label := range t.sinks {
+	for k, label := range t.Sinks {
 		res.Outputs[label] = s.sinkOuts[k]
 		res.Arrivals[label] = s.sinkArrs[k]
 	}
@@ -396,12 +392,12 @@ func (s *sim) collect() []firing {
 // one stall event per waiting cell (tracing only; plan is semantically
 // side-effect free, so this pass cannot perturb the run).
 func (s *sim) emitStalls(cycle int, plans []firing) {
-	fires := newBitset(len(s.t.cells))
+	fires := newBitset(len(s.t.Cells))
 	for _, f := range plans {
 		fires.set(int(f.cell))
 	}
 	var f firing
-	for id := range s.t.cells {
+	for id := range s.t.Cells {
 		if fires.has(id) {
 			continue
 		}
@@ -415,10 +411,10 @@ func (s *sim) emitStalls(cycle int, plans []firing) {
 }
 
 // operand returns the value on port p of cell c and whether it is present.
-func (s *sim) operand(c *cell, p int) (value.Value, bool) {
-	port := s.t.port(c, p)
+func (s *sim) operand(c *graph.Cell, p int) (value.Value, bool) {
+	port := s.t.Port(c, p)
 	if port < 0 {
-		return s.t.lits[^port], true
+		return s.t.Lits[^port], true
 	}
 	if !s.arcHas[port] {
 		return value.Value{}, false
@@ -427,8 +423,8 @@ func (s *sim) operand(c *cell, p int) (value.Value, bool) {
 }
 
 // consumeArc appends port p's arc (if any) to the arena's consume run.
-func (s *sim) consumeArc(c *cell, p int) {
-	if port := s.t.port(c, p); port >= 0 {
+func (s *sim) consumeArc(c *graph.Cell, p int) {
+	if port := s.t.Port(c, p); port >= 0 {
 		s.arcIDs = append(s.arcIDs, port)
 	}
 }
@@ -439,15 +435,15 @@ func (s *sim) consumeArc(c *cell, p int) {
 // touches only *f and scratch arenas either way, never machine state).
 func (s *sim) plan(id int32, f *firing) trace.Reason {
 	t := s.t
-	c := &t.cells[id]
+	c := &t.Cells[id]
 	*f = firing{cell: id}
 	f.c0 = int32(len(s.arcIDs))
-	nports := int(c.p1 - c.p0)
+	nports := int(c.P1 - c.P0)
 
 	// Phase 1: operand availability and result computation.
-	switch c.op {
+	switch c.Op {
 	case graph.OpSource:
-		stream := s.streams[c.aux]
+		stream := s.streams[c.Aux]
 		if s.srcPos[id] >= len(stream) {
 			return trace.ReasonDone
 		}
@@ -456,7 +452,7 @@ func (s *sim) plan(id int32, f *firing) trace.Reason {
 		f.produced = true
 
 	case graph.OpCtlGen:
-		pat := t.patterns[c.aux]
+		pat := t.Patterns[c.Aux]
 		if total := pat.Len(); total >= 0 && s.srcPos[id] >= total {
 			return trace.ReasonDone
 		}
@@ -512,12 +508,12 @@ func (s *sim) plan(id int32, f *firing) trace.Reason {
 			}
 		}
 		pass := ctl.AsBool()
-		if c.op == graph.OpFGate {
+		if c.Op == graph.OpFGate {
 			pass = !pass
 		}
 		f.out = data
 		f.produced = pass // false: discard, consuming both operands
-		s.arcIDs = append(s.arcIDs, t.cins[c.c0:c.c1]...)
+		s.arcIDs = append(s.arcIDs, t.Cins[c.C0:c.C1]...)
 
 	default: // ordinary operator and identity cells
 		if cap(s.vals) < nports {
@@ -531,9 +527,9 @@ func (s *sim) plan(id int32, f *firing) trace.Reason {
 			}
 			vals[p] = v
 		}
-		f.out = ApplyOp(c.op, vals)
+		f.out = ApplyOp(c.Op, vals)
 		f.produced = true
-		s.arcIDs = append(s.arcIDs, t.cins[c.c0:c.c1]...)
+		s.arcIDs = append(s.arcIDs, t.Cins[c.C0:c.C1]...)
 	}
 	f.c1 = int32(len(s.arcIDs))
 	f.p0 = f.c1
@@ -542,9 +538,9 @@ func (s *sim) plan(id int32, f *firing) trace.Reason {
 	// must be empty (its previous token acknowledged). Gated arcs are
 	// written only when their gate operand is true.
 	if f.produced {
-		for _, d := range t.outs[c.o0:c.o1] {
-			if d.gate >= 0 {
-				gv, ok := s.operand(c, int(d.gate))
+		for _, d := range t.Outs[c.O0:c.O1] {
+			if d.Gate >= 0 {
+				gv, ok := s.operand(c, int(d.Gate))
 				if !ok {
 					return trace.ReasonOperandWait // gate operand itself not ready
 				}
@@ -552,10 +548,10 @@ func (s *sim) plan(id int32, f *firing) trace.Reason {
 					continue
 				}
 			}
-			if s.arcHas[d.arc] {
+			if s.arcHas[d.Arc] {
 				return trace.ReasonAckWait
 			}
-			s.arcIDs = append(s.arcIDs, d.arc)
+			s.arcIDs = append(s.arcIDs, d.Arc)
 		}
 	}
 	f.p1 = int32(len(s.arcIDs))
@@ -653,7 +649,7 @@ func applyBinary(op graph.Op, a, b value.Value) value.Value {
 // unable to fire again until one of those arc events arrives.
 func (s *sim) apply(cycle int, plans []firing) {
 	s.nextCand.reset()
-	arcs := s.t.arcs
+	arcs := s.t.Arcs
 	for i := range plans {
 		f := &plans[i]
 		id := int(f.cell)
@@ -670,7 +666,7 @@ func (s *sim) apply(cycle int, plans []firing) {
 		for _, aid := range s.arcIDs[f.c0:f.c1] {
 			s.arcHas[aid] = false
 			// the producer of a drained arc may now be enabled
-			producer := arcs[aid].from
+			producer := arcs[aid].From
 			s.nextCand.set(int(producer))
 			if s.tr != nil {
 				// draining the arc is the moment the acknowledge packet
@@ -685,7 +681,7 @@ func (s *sim) apply(cycle int, plans []firing) {
 			s.srcPos[id]++
 		}
 		if f.sink {
-			k := s.t.cells[id].aux
+			k := s.t.Cells[id].Aux
 			s.sinkOuts[k] = appendPrealloc(s.sinkOuts[k], f.out, s.outCap)
 			s.sinkArrs[k] = appendArrPrealloc(s.sinkArrs[k], Arrival{Cycle: cycle, Val: f.out}, s.outCap)
 			if s.prog != nil {
@@ -699,11 +695,11 @@ func (s *sim) apply(cycle int, plans []firing) {
 			s.arcHas[aid] = true
 			s.arcVal[aid] = f.out
 			a := arcs[aid]
-			s.nextCand.set(int(a.to))
+			s.nextCand.set(int(a.To))
 			if s.tr != nil {
 				s.tr.Emit(trace.Event{
 					Cycle: int64(cycle), Kind: trace.KindToken,
-					Cell: a.to, Port: a.port, Unit: -1, Src: -1, Dst: -1,
+					Cell: a.To, Port: a.Port, Unit: -1, Src: -1, Dst: -1,
 				})
 			}
 		}
@@ -740,46 +736,29 @@ func appendCycPrealloc(s []int64, c int64, hint int) []int64 {
 // arc slot state lives at has[aid*stride+lane]. Names come from the
 // expanded graph, which only a run that left state behind builds.
 func (p *Prepared) drainState(streams [][]value.Value, pos func(cell int) int, has []bool, val []value.Value, lane, stride int) (bool, []string) {
-	t := &p.tab
-	clean := true
-	for k, src := range t.sources {
-		clean = clean && pos(int(src.cell)) >= len(streams[k])
-	}
-	for id := range t.cells {
-		if c := &t.cells[id]; c.op == graph.OpCtlGen {
-			total := t.patterns[c.aux].Len()
-			clean = clean && (total < 0 || pos(id) >= total)
-		}
-	}
-	for aid := range t.arcs {
-		clean = clean && !has[aid*stride+lane]
-	}
-	if clean {
-		return true, nil
-	}
-	g := p.Graph()
+	t := p.tab
 	var stalled []string
-	for id, n := range g.Nodes() {
-		switch c := &t.cells[id]; c.op {
+	for id := range t.Cells {
+		switch c := &t.Cells[id]; c.Op {
 		case graph.OpSource:
-			if stream := streams[c.aux]; pos(id) < len(stream) {
+			if stream := streams[c.Aux]; pos(id) < len(stream) {
 				stalled = append(stalled, fmt.Sprintf("%s: %d of %d stream values unsent",
-					n.Name(), len(stream)-pos(id), len(stream)))
+					t.CellName(id), len(stream)-pos(id), len(stream)))
 			}
 		case graph.OpCtlGen:
-			if total := t.patterns[c.aux].Len(); total >= 0 && pos(id) < total {
+			if total := t.Patterns[c.Aux].Len(); total >= 0 && pos(id) < total {
 				stalled = append(stalled, fmt.Sprintf("%s: %d of %d control values unsent",
-					n.Name(), total-pos(id), total))
+					t.CellName(id), total-pos(id), total))
 			}
 		}
 	}
-	for aid, a := range t.arcs {
+	for aid, a := range t.Arcs {
 		if slot := aid*stride + lane; has[slot] {
 			stalled = append(stalled, fmt.Sprintf("token %s stranded on arc %s -> %s port %d",
-				val[slot], g.Node(graph.NodeID(a.from)).Name(), g.Node(graph.NodeID(a.to)).Name(), a.port))
+				val[slot], t.CellName(int(a.From)), t.CellName(int(a.To)), a.Port))
 		}
 	}
-	return false, stalled
+	return len(stalled) == 0, stalled
 }
 
 // Describe summarizes a result for reports and error messages.

@@ -21,9 +21,7 @@ import (
 	"fmt"
 
 	"staticpipe/internal/exec"
-	"staticpipe/internal/graph"
 	"staticpipe/internal/trace"
-	"staticpipe/internal/value"
 )
 
 // runBatched runs cfg.Batch lanes over the prepared graph and assembles the
@@ -33,21 +31,9 @@ func (p *Prepared) runBatched(cfg Config) (*Result, error) {
 	if b > exec.MaxBatch {
 		return nil, fmt.Errorf("machine: Batch %d exceeds the %d-lane limit", b, exec.MaxBatch)
 	}
-	if len(cfg.LaneInputs) > b {
-		return nil, fmt.Errorf("machine: %d lane input sets for %d lanes", len(cfg.LaneInputs), b)
-	}
-	srcLabels := map[string]bool{}
-	for _, n := range p.g.Nodes() {
-		if n.Op == graph.OpSource {
-			srcLabels[n.Label] = true
-		}
-	}
-	for l, li := range cfg.LaneInputs {
-		for name := range li {
-			if !srcLabels[name] {
-				return nil, fmt.Errorf("machine: lane %d input %q names no source cell", l, name)
-			}
-		}
+	streams, err := p.tab.BindStreams(cfg.Inputs, cfg.LaneInputs, b, nil)
+	if err != nil {
+		return nil, fmt.Errorf("machine: %w", err)
 	}
 
 	var laneCtrs []*trace.LaneCounters
@@ -60,18 +46,14 @@ func (p *Prepared) runBatched(cfg Config) (*Result, error) {
 	cancelCycle := -1
 	for l := range lanes {
 		lcfg := cfg
-		streams := cfg.Inputs // the base binding every lane defaults to
 		if l > 0 {
 			lcfg.Tracer = nil // lane 0 owns the event stream
-			if l < len(cfg.LaneInputs) {
-				streams = mergeStreams(cfg.Inputs, cfg.LaneInputs[l])
-			}
 		}
 		var ctr *trace.LaneCounters
 		if laneCtrs != nil {
 			ctr = laneCtrs[l]
 		}
-		res, err := p.runLane(lcfg, streams, ctr)
+		res, err := p.runLane(lcfg, streams, l, b, ctr)
 		if res == nil {
 			return nil, err
 		}
@@ -117,24 +99,4 @@ func (p *Prepared) runBatched(cfg Config) (*Result, error) {
 		return top, fmt.Errorf("machine: no quiescence after %d cycles (livelock or MaxCycles too small)", cfg.MaxCycles)
 	}
 	return top, nil
-}
-
-// mergeStreams layers a lane's input overrides on top of the run's base
-// binding; the lane wins per label. Either side may be nil, in which case
-// the other passes through unchanged (no copy).
-func mergeStreams(base, lane map[string][]value.Value) map[string][]value.Value {
-	if len(base) == 0 {
-		return lane
-	}
-	if len(lane) == 0 {
-		return base
-	}
-	merged := make(map[string][]value.Value, len(base)+len(lane))
-	for k, v := range base {
-		merged[k] = v
-	}
-	for k, v := range lane {
-		merged[k] = v
-	}
-	return merged
 }

@@ -14,12 +14,13 @@
 //
 // The inner loop is event-driven: network transit and function-unit
 // completion are tracked on time wheels indexed by due cycle (no per-cycle
-// scans of in-flight lists), operand tokens live in flat per-cell slices,
-// a cell that cannot fire is not planned again until a packet reaches it,
-// packets are recycled through a free list together with their operation
-// payload buffers, and sink buffers are preallocated. A run's allocations
-// therefore do not grow with stream length
-// (TestSteadyStateAllocationsFlat).
+// scans of in-flight lists), cells, operands and destinations are read
+// from the graph's lowered instruction table (graph.Table), operand tokens
+// live in per-arc slots, a cell that cannot fire is not planned again
+// until a packet reaches it, packets are recycled through a free list
+// together with their operation payload buffers, and sink buffers are
+// preallocated. A run's allocations therefore do not grow with stream
+// length (TestSteadyStateAllocationsFlat).
 //
 // Every run is one sequential cycle loop over run state pooled on a
 // Prepared graph (Run is Prepare then Prepared.Run); a batched run
@@ -123,7 +124,8 @@ type Config struct {
 	Assign Assignment
 	Seed   int64
 	// Placement is the explicit cell → PE map used when Assign == Placed:
-	// indexed by FIFO-expanded node ID, each compute cell's entry must lie
+	// indexed by the table's cells (the FIFO-expanded graph's node IDs, as
+	// package place plans them), each compute cell's entry must lie
 	// in [0, PEs). Source and sink entries are ignored (those cells always
 	// reside on array memories; package place emits -1 for them).
 	// Placement never changes what a run computes — outputs are
@@ -220,15 +222,20 @@ type Result struct {
 	Canceled bool
 	// Stalled carries diagnostics if the machine quiesced with work left.
 	Stalled []string
-	// Graph is the graph actually simulated (FIFO cells expanded), the
-	// one trace event cell IDs refer to.
-	Graph *graph.Graph
 	// Batch is the lane count of a batched run (0 for scalar runs); the
 	// top-level fields above are lane 0's view.
 	Batch int
 	// Lanes holds each lane's view of a batched run; nil for scalar runs.
 	Lanes []LaneResult
+
+	tab *graph.Table // the run's table, for Graph
 }
+
+// Graph returns the graph actually simulated: the FIFO-expanded graph
+// whose node IDs name the cells of trace events and index
+// Config.Placement. It is built on first use and shared by every run of
+// the table (see graph.Table.Graph).
+func (r *Result) Graph() *graph.Graph { return r.tab.Graph() }
 
 // LaneResult is one lane's view of a batched machine run. Its fields mean
 // exactly what the same-named Result fields mean for a scalar run of that
@@ -280,18 +287,13 @@ func (r *Result) Utilization() float64 {
 	return float64(total) / float64(r.Cycles*len(r.PEBusy))
 }
 
-// cell is the machine-resident state of one instruction cell. Operand
-// tokens are held flat (value + presence bit) rather than as pointers.
+// cell is the machine-resident state of one instruction cell. Its op,
+// operand ports and destinations are the table's; the operand tokens it
+// holds sit in the run's per-arc slots.
 type cell struct {
-	node        *graph.Node
 	endpoint    int
-	inTok       []value.Value
-	inHas       []bool
 	pendingAcks int
 	srcPos      int
-	// stream is the source cell's bound stream — the graph's, unless a
-	// batched lane rebound it via Config.LaneInputs. Nil for non-sources.
-	stream []value.Value
 	// stale marks a cell the retirement scan planned without success and
 	// no packet has reached since. Its plan reads only its own operand
 	// slots, pending acknowledges and source position, which change only
@@ -319,8 +321,21 @@ type fuJob struct {
 // machine is the full simulator state.
 type machine struct {
 	cfg   Config
-	g     *graph.Graph
+	t     *graph.Table
 	cells []cell
+	// arcHas and arcVal are the operand slots: one token per arc, held
+	// at the consumer's port the arc binds.
+	arcHas []bool
+	arcVal []value.Value
+	// streams is the run's source binding, source*lanes + lane (see
+	// graph.Table.BindStreams); this machine runs lane.
+	streams     [][]value.Value
+	lane, lanes int
+	// sinkOuts and sinkArrs hold each sink's received stream and arrival
+	// times, indexed by sink number; finish builds the label-keyed Result
+	// maps from them.
+	sinkOuts [][]value.Value
+	sinkArrs [][]exec.Arrival
 	// residents[e] lists cell ids hosted by endpoint e (PEs and AMs).
 	residents [][]int
 	rrNext    []int
@@ -372,6 +387,9 @@ func (m *machine) newPacket() *packet {
 
 func (m *machine) freePacket(p *packet) { m.pktFree = append(m.pktFree, p) }
 
+// stream returns source k's stream in this machine's lane.
+func (m *machine) stream(k int) []value.Value { return m.streams[k*m.lanes+m.lane] }
+
 // Run simulates the graph on the configured machine: Prepare then
 // Prepared.Run. When MaxCycles is exhausted before quiescence the partial
 // Result (with Stalled diagnostics populated) is returned together with
@@ -421,46 +439,28 @@ func (m *machine) drive() (*Result, error) {
 	return m.finish(cycle)
 }
 
-// validateInputs rejects Config.Inputs keys that name no source cell —
-// the same contract exec.Options.Inputs enforces, so a mistyped input
-// name fails loudly on either core instead of silently running the
-// graph-bound stream.
-func validateInputs(g *graph.Graph, inputs map[string][]value.Value) error {
-	if len(inputs) == 0 {
-		return nil
-	}
-	srcLabels := make(map[string]bool)
-	for _, n := range g.Nodes() {
-		if n.Op == graph.OpSource {
-			srcLabels[n.Label] = true
-		}
-	}
-	for label := range inputs {
-		if !srcLabels[label] {
-			return fmt.Errorf("machine: input %q names no source cell", label)
-		}
-	}
-	return nil
-}
-
-// newMachine builds and places one machine instance over the validated,
-// FIFO-expanded graph, carving its cells out of the pooled arena.
-// laneStreams, when non-nil, rebinds source streams by label (per-run
-// Config.Inputs or a batched lane's inputs, already merged); missing
-// labels keep the graph's stream.
-func newMachine(g *graph.Graph, cfg Config, laneStreams map[string][]value.Value, arena *runArena) (*machine, error) {
+// newMachine builds and places one machine instance of lane l of a
+// b-lane run over the table, carving its cells and operand slots out of
+// the pooled arena; streams is the run's source binding (see
+// graph.Table.BindStreams).
+func newMachine(t *graph.Table, cfg Config, streams [][]value.Value, l, b int, arena *runArena) (*machine, error) {
 	m := &machine{
 		cfg:       cfg,
 		arena:     arena,
-		g:         g,
+		t:         t,
+		streams:   streams,
+		lane:      l,
+		lanes:     b,
+		sinkOuts:  make([][]value.Value, len(t.Sinks)),
+		sinkArrs:  make([][]exec.Arrival, len(t.Sinks)),
 		tr:        cfg.Tracer,
 		prog:      cfg.Progress,
 		residents: make([][]int, cfg.PEs+cfg.FUs+cfg.AMs),
 		rrNext:    make([]int, cfg.PEs+cfg.FUs+cfg.AMs),
 		res: &Result{
-			Graph:    g,
-			Outputs:  map[string][]value.Value{},
-			Arrivals: map[string][]exec.Arrival{},
+			tab:      t,
+			Outputs:  make(map[string][]value.Value, len(t.Sinks)),
+			Arrivals: make(map[string][]exec.Arrival, len(t.Sinks)),
 			Packets:  map[string]int{},
 			PEBusy:   make([]int, cfg.PEs),
 			FUBusy:   make([]int, cfg.FUs),
@@ -485,37 +485,15 @@ func newMachine(g *graph.Graph, cfg Config, laneStreams map[string][]value.Value
 		return nil, err
 	}
 	if m.tr != nil {
-		m.fired = make([]bool, g.NumNodes())
+		m.fired = make([]bool, len(t.Cells))
 		m.tr.Start(m.meta())
 	}
-	for _, n := range g.Nodes() {
-		switch n.Op {
-		case graph.OpSink:
-			if _, dup := m.res.Outputs[n.Label]; dup {
-				return nil, fmt.Errorf("machine: duplicate sink label %q", n.Label)
-			}
-			m.res.Outputs[n.Label] = nil
-			m.res.Arrivals[n.Label] = nil
-		case graph.OpSource:
-			c := &m.cells[n.ID]
-			c.stream = n.Stream
-			if laneStreams != nil {
-				if s, ok := laneStreams[n.Label]; ok {
-					c.stream = s
-				}
-			}
-			if len(c.stream) > m.outCap {
-				m.outCap = len(c.stream)
-			}
-		}
+	for k := range t.Sources {
+		m.outCap = max(m.outCap, len(m.stream(k)))
 	}
-	// initial tokens
-	for _, a := range g.Arcs() {
-		if a.Init != nil {
-			c := &m.cells[a.To]
-			c.inTok[a.ToPort] = *a.Init
-			c.inHas[a.ToPort] = true
-		}
+	for _, in := range t.Inits {
+		m.arcHas[in.Arc] = true
+		m.arcVal[in.Arc] = in.Val
 	}
 	return m, nil
 }
@@ -524,6 +502,10 @@ func newMachine(g *graph.Graph, cfg Config, laneStreams map[string][]value.Value
 func (m *machine) finish(endCycle int) (*Result, error) {
 	m.res.Cycles = endCycle
 	m.res.Clean, m.res.Stalled = m.drainState()
+	for k, label := range m.t.Sinks {
+		m.res.Outputs[label] = m.sinkOuts[k]
+		m.res.Arrivals[label] = m.sinkArrs[k]
+	}
 	for k := pktResult; k <= pktOp; k++ {
 		if m.pktCount[k] > 0 {
 			m.res.Packets[k.String()] = m.pktCount[k]
@@ -545,13 +527,12 @@ func (m *machine) finish(endCycle int) (*Result, error) {
 // meta describes the placed machine for the observability layer.
 func (m *machine) meta() trace.Meta {
 	meta := trace.Meta{
-		Cells:    make([]string, m.g.NumNodes()),
+		Cells:    m.t.CellNames(),
 		Units:    make([]string, m.numEndpoints()),
-		CellUnit: make([]int, m.g.NumNodes()),
+		CellUnit: make([]int, len(m.cells)),
 	}
-	for _, n := range m.g.Nodes() {
-		meta.Cells[n.ID] = n.Name()
-		meta.CellUnit[n.ID] = m.cells[n.ID].endpoint
+	for id := range m.cells {
+		meta.CellUnit[id] = m.cells[id].endpoint
 	}
 	for e := 0; e < m.numEndpoints(); e++ {
 		switch {
@@ -569,33 +550,23 @@ func (m *machine) meta() trace.Meta {
 // place assigns cells to endpoints: sources and sinks to AMs, everything
 // else per the configured strategy.
 func (m *machine) place() error {
-	// Cells and their operand slots are carved out of the arena's flat
-	// arrays, which Prepare sized for this exact graph.
+	// Cells and operand slots are the arena's, which the Prepared sized
+	// for this table; arcVal is written before it is read.
 	ar := m.arena
-	m.cells = ar.cells[:m.g.NumNodes()]
-	clear(ar.toks)
-	clear(ar.has)
-	off := 0
-	for _, n := range m.g.Nodes() {
-		np := len(n.In)
-		m.cells[n.ID] = cell{
-			node:  n,
-			inTok: ar.toks[off : off+np : off+np],
-			inHas: ar.has[off : off+np : off+np],
-		}
-		off += np
-	}
+	m.cells, m.arcHas, m.arcVal = ar.cells, ar.arcHas, ar.arcVal
+	clear(m.cells)
+	clear(m.arcHas)
 	var computeIDs []int
 	amNext := 0
-	for _, n := range m.g.Nodes() {
-		c := &m.cells[n.ID]
-		if n.Op == graph.OpSource || n.Op == graph.OpSink {
+	for id := range m.t.Cells {
+		if op := m.t.Cells[id].Op; op == graph.OpSource || op == graph.OpSink {
+			c := &m.cells[id]
 			c.endpoint = m.amEndpoint(amNext % m.cfg.AMs)
 			amNext++
-			m.residents[c.endpoint] = append(m.residents[c.endpoint], int(n.ID))
+			m.residents[c.endpoint] = append(m.residents[c.endpoint], id)
 			continue
 		}
-		computeIDs = append(computeIDs, int(n.ID))
+		computeIDs = append(computeIDs, id)
 	}
 	var peOf func(i, id int) int
 	switch m.cfg.Assign {
@@ -611,10 +582,10 @@ func (m *machine) place() error {
 	case HotSpot:
 		peOf = func(i, id int) int { return 0 }
 	case Placed:
-		// The map indexes FIFO-expanded node IDs — the graph this machine
-		// was handed — so a map planned against a pre-expansion graph is a
+		// The map indexes the table's cells — the FIFO-expanded graph's
+		// node IDs — so a map planned against a pre-expansion graph is a
 		// length mismatch, caught here.
-		if got, want := len(m.cfg.Placement), m.g.NumNodes(); got != want {
+		if got, want := len(m.cfg.Placement), len(m.t.Cells); got != want {
 			return fmt.Errorf("machine: placement maps %d cells, graph has %d (plan against the FIFO-expanded graph)", got, want)
 		}
 		for _, id := range computeIDs {
@@ -677,10 +648,7 @@ func (m *machine) step(now int) bool {
 				})
 			}
 			for _, tgt := range job.pkt.op.targets {
-				p := m.newPacket()
-				p.kind, p.src, p.dst = pktResult, m.fuEndpoint(fi), tgt.endpoint
-				p.cell, p.port, p.val = tgt.cell, tgt.port, job.result
-				m.emit(p, now)
+				m.sendResult(m.fuEndpoint(fi), tgt, job.result, now)
 			}
 			m.freePacket(job.pkt)
 		}
@@ -720,11 +688,11 @@ func (m *machine) step(now int) bool {
 		ids := m.residents[e]
 		i := m.rrNext[e]
 		for range ids {
-			c := &m.cells[ids[i]]
+			id := ids[i]
 			if i++; i == len(ids) {
 				i = 0
 			}
-			if !c.stale && m.fire(c, now) {
+			if !m.cells[id].stale && m.fire(int32(id), now) {
 				m.rrNext[e] = i
 				if e < m.cfg.PEs {
 					m.res.PEBusy[e]++
@@ -757,8 +725,7 @@ func (m *machine) emitStalls(now int) {
 		if m.fired[id] {
 			continue
 		}
-		c := &m.cells[id]
-		why := m.planCell(c)
+		why := m.planCell(int32(id))
 		switch why {
 		case trace.ReasonNone:
 			why = trace.ReasonUnitBusy
@@ -767,7 +734,7 @@ func (m *machine) emitStalls(now int) {
 		}
 		m.tr.Emit(trace.Event{
 			Cycle: int64(now), Kind: trace.KindStall,
-			Cell: int32(id), Port: -1, Unit: int32(c.endpoint), Src: -1, Dst: -1, Reason: why,
+			Cell: int32(id), Port: -1, Unit: int32(m.cells[id].endpoint), Src: -1, Dst: -1, Reason: why,
 		})
 	}
 }
@@ -829,29 +796,29 @@ func (m *machine) deliver(p *packet, now int) {
 		c.stale = false
 		m.freePacket(p)
 	case pktResult:
-		c := &m.cells[p.cell]
-		if c.inHas[p.port] {
-			panic(fmt.Sprintf("machine: operand slot collision at %s port %d", c.node.Name(), p.port))
+		if m.arcHas[p.arc] {
+			panic(fmt.Sprintf("machine: operand slot collision at %s port %d", m.t.CellName(p.cell), p.port))
 		}
-		c.inTok[p.port] = p.val
-		c.inHas[p.port] = true
-		c.stale = false
+		m.arcVal[p.arc] = p.val
+		m.arcHas[p.arc] = true
+		m.cells[p.cell].stale = false
 		m.freePacket(p)
 	case pktOp:
 		m.fus[p.dst-m.cfg.PEs].queue.push(p)
 	}
 }
 
-// operand returns the value at port p (literal or held token) and whether
-// it is present.
-func (c *cell) operand(p int) (value.Value, bool) {
-	if lit := c.node.In[p].Literal; lit != nil {
-		return *lit, true
+// operand returns the value at port p of cell c (a literal or the token
+// on its arc) and whether it is present.
+func (m *machine) operand(c *graph.Cell, p int) (value.Value, bool) {
+	port := m.t.Port(c, p)
+	if port < 0 {
+		return m.t.Lits[^port], true
 	}
-	if !c.inHas[p] {
+	if !m.arcHas[port] {
 		return value.Value{}, false
 	}
-	return c.inTok[p], true
+	return m.arcVal[port], true
 }
 
 // cellPlan is a cell's planned retirement effect, filled in by planCell and
@@ -861,7 +828,7 @@ func (c *cell) operand(p int) (value.Value, bool) {
 // buffers are reused: a plan is valid until the next planCell call, and
 // fire copies what must outlive it.
 type cellPlan struct {
-	consume  []int // ports whose tokens are consumed
+	consume  []int32 // arcs whose tokens are consumed, in port order
 	out      value.Value
 	produced bool
 	advance  bool
@@ -871,46 +838,58 @@ type cellPlan struct {
 	targets  []target
 }
 
-// planCell decides whether cell c can retire now and, if so, fills m.plan
+// consumePort adds port p's arc, if it has one, to the plan's consume list.
+func (m *machine) consumePort(c *graph.Cell, p int) {
+	if port := m.t.Port(c, p); port >= 0 {
+		m.plan.consume = append(m.plan.consume, port)
+	}
+}
+
+// planCell decides whether cell id can retire now and, if so, fills m.plan
 // with its effects. The returned reason is trace.ReasonNone when the cell
 // is enabled and otherwise classifies the stall; planCell has no side
 // effects beyond m.plan either way.
-func (m *machine) planCell(c *cell) trace.Reason {
+func (m *machine) planCell(id int32) trace.Reason {
+	c := &m.cells[id]
 	if c.pendingAcks > 0 {
 		return trace.ReasonAckWait
 	}
-	n := c.node
+	t := m.t
+	tc := &t.Cells[id]
+	nports := int(tc.P1 - tc.P0)
 	pl := &m.plan
 	pl.consume = pl.consume[:0]
 	pl.targets = pl.targets[:0]
 	pl.produced, pl.advance, pl.sink, pl.arith = false, false, false, false
 
-	switch n.Op {
+	switch tc.Op {
 	case graph.OpSource:
-		if c.srcPos >= len(c.stream) {
+		stream := m.stream(int(tc.Aux))
+		if c.srcPos >= len(stream) {
 			return trace.ReasonDone
 		}
-		pl.out = c.stream[c.srcPos]
+		pl.out = stream[c.srcPos]
 		pl.produced = true
 		pl.advance = true
 	case graph.OpCtlGen:
-		total := n.Pattern.Len()
+		pat := t.Patterns[tc.Aux]
+		total := pat.Len()
 		if total >= 0 && c.srcPos >= total {
 			return trace.ReasonDone
 		}
-		pl.out = value.B(n.Pattern.At(c.srcPos))
+		pl.out = value.B(pat.At(c.srcPos))
 		pl.produced = true
 		pl.advance = true
 	case graph.OpSink:
-		v, ok := c.operand(0)
+		v, ok := m.operand(tc, 0)
 		if !ok {
 			return trace.ReasonOperandWait
 		}
 		pl.out = v
 		pl.sink = true
-		pl.consume = append(pl.consume, 0)
+		m.consumePort(tc, 0)
 	case graph.OpMerge:
-		ctl, ok := c.operand(0)
+		ctl, ok := m.operand(tc, 0)
 		if !ok {
 			return trace.ReasonOperandWait
 		}
@@ -918,99 +897,95 @@ func (m *machine) planCell(c *cell) trace.Reason {
 		if ctl.AsBool() {
 			sel = 1
 		}
-		v, ok := c.operand(sel)
+		v, ok := m.operand(tc, sel)
 		if !ok {
 			return trace.ReasonOperandWait
 		}
-		for p := 3; p < len(n.In); p++ {
-			if _, ok := c.operand(p); !ok {
+		for p := 3; p < nports; p++ {
+			if _, ok := m.operand(tc, p); !ok {
 				return trace.ReasonOperandWait
 			}
 		}
 		pl.out = v
 		pl.produced = true
-		pl.consume = append(pl.consume, 0, sel)
-		for p := 3; p < len(n.In); p++ {
-			pl.consume = append(pl.consume, p)
+		m.consumePort(tc, 0)
+		m.consumePort(tc, sel)
+		for p := 3; p < nports; p++ {
+			m.consumePort(tc, p)
 		}
 	case graph.OpTGate, graph.OpFGate:
-		ctl, okc := c.operand(0)
-		data, okd := c.operand(1)
+		ctl, okc := m.operand(tc, 0)
+		data, okd := m.operand(tc, 1)
 		if !okc || !okd {
 			return trace.ReasonOperandWait
 		}
-		for p := 2; p < len(n.In); p++ {
-			if _, ok := c.operand(p); !ok {
+		for p := 2; p < nports; p++ {
+			if _, ok := m.operand(tc, p); !ok {
 				return trace.ReasonOperandWait
 			}
 		}
 		pass := ctl.AsBool()
-		if n.Op == graph.OpFGate {
+		if tc.Op == graph.OpFGate {
 			pass = !pass
 		}
 		pl.out = data
 		pl.produced = pass
-		for p := 0; p < len(n.In); p++ {
-			pl.consume = append(pl.consume, p)
-		}
+		pl.consume = append(pl.consume, t.Cins[tc.C0:tc.C1]...)
 	default:
 		pl.vals = pl.vals[:0]
-		for p := range n.In {
-			v, ok := c.operand(p)
+		for p := 0; p < nports; p++ {
+			v, ok := m.operand(tc, p)
 			if !ok {
 				return trace.ReasonOperandWait
 			}
 			pl.vals = append(pl.vals, v)
 		}
-		for p := range n.In {
-			pl.consume = append(pl.consume, p)
-		}
-		if n.Op.IsArith() {
+		pl.consume = append(pl.consume, t.Cins[tc.C0:tc.C1]...)
+		if tc.Op.IsArith() {
 			pl.arith = true
 		} else {
-			pl.out = exec.ApplyOp(n.Op, pl.vals)
+			pl.out = exec.ApplyOp(tc.Op, pl.vals)
 			pl.produced = true
 		}
 	}
 
-	// Destination list (gates evaluated against held operands). Arithmetic
-	// cells always ship their destinations with the operation packet.
+	// Destination list, in arc order (gates evaluated against held
+	// operands). Arithmetic cells always ship their destinations with the
+	// operation packet.
 	if pl.produced || pl.arith {
-		for _, a := range n.Out {
+		for _, d := range t.Outs[tc.O0:tc.O1] {
 			write := true
-			if a.Gate != graph.NoGate {
-				gv, ok := c.operand(a.Gate)
+			if d.Gate != graph.NoGate {
+				gv, ok := m.operand(tc, int(d.Gate))
 				if !ok {
 					return trace.ReasonOperandWait
 				}
 				write = gv.AsBool()
 			}
 			if write {
-				pl.targets = append(pl.targets, target{
-					endpoint: m.cells[a.To].endpoint, cell: int(a.To), port: a.ToPort,
-				})
+				pl.targets = append(pl.targets, target{endpoint: m.cells[t.Arcs[d.Arc].To].endpoint, arc: d.Arc})
 			}
 		}
 	}
 	return trace.ReasonNone
 }
 
-// fire attempts to retire cell c; it reports whether it fired, and marks c
-// stale when it could not. Arithmetic cells ship an operation packet to a
-// function unit (which sends the result packets); either way the cell owes
-// acknowledgments for every destination targeted.
-func (m *machine) fire(c *cell, now int) bool {
-	if m.planCell(c) != trace.ReasonNone {
+// fire attempts to retire cell id; it reports whether it fired, and marks
+// the cell stale when it could not. Arithmetic cells ship an operation
+// packet to a function unit (which sends the result packets); either way
+// the cell owes acknowledgments for every destination targeted.
+func (m *machine) fire(id int32, now int) bool {
+	c := &m.cells[id]
+	if m.planCell(id) != trace.ReasonNone {
 		c.stale = true
 		return false
 	}
 	pl := &m.plan
-	n := c.node
 	if m.tr != nil {
-		m.fired[n.ID] = true
+		m.fired[id] = true
 		m.tr.Emit(trace.Event{
 			Cycle: int64(now), Kind: trace.KindFiring,
-			Cell: int32(n.ID), Port: -1, Unit: int32(c.endpoint), Src: -1, Dst: -1,
+			Cell: id, Port: -1, Unit: int32(c.endpoint), Src: -1, Dst: -1,
 		})
 	}
 	m.commitConsume(c, pl.consume, now)
@@ -1018,9 +993,9 @@ func (m *machine) fire(c *cell, now int) bool {
 		c.srcPos++
 	}
 	if pl.sink {
-		m.res.Outputs[n.Label] = appendPrealloc(m.res.Outputs[n.Label], pl.out, m.outCap)
-		m.res.Arrivals[n.Label] = appendArrPrealloc(m.res.Arrivals[n.Label],
-			exec.Arrival{Cycle: now, Val: pl.out}, m.outCap)
+		k := m.t.Cells[id].Aux
+		m.sinkOuts[k] = appendPrealloc(m.sinkOuts[k], pl.out, m.outCap)
+		m.sinkArrs[k] = appendArrPrealloc(m.sinkArrs[k], exec.Arrival{Cycle: now, Val: pl.out}, m.outCap)
 		if m.prog != nil {
 			m.prog.Arrivals.Add(1)
 		}
@@ -1034,38 +1009,37 @@ func (m *machine) fire(c *cell, now int) bool {
 		m.fuSeq++
 		p := m.newPacket()
 		p.kind, p.src, p.dst = pktOp, c.endpoint, m.fuEndpoint(fi)
-		p.op.opcode = uint8(n.Op)
+		p.op.opcode = uint8(m.t.Cells[id].Op)
 		p.op.vals = append(p.op.vals, pl.vals...)
 		p.op.targets = append(p.op.targets, pl.targets...)
-		p.op.srcCell = int(n.ID)
+		p.op.srcCell = int(id)
 		m.emit(p, now)
 		return true
 	}
 	for _, tgt := range pl.targets {
-		p := m.newPacket()
-		p.kind, p.src, p.dst = pktResult, c.endpoint, tgt.endpoint
-		p.cell, p.port, p.val = tgt.cell, tgt.port, pl.out
-		m.emit(p, now)
+		m.sendResult(c.endpoint, tgt, pl.out, now)
 	}
 	return true
 }
 
-// commitConsume clears consumed operand slots and sends acknowledge
-// packets to their producers.
-func (m *machine) commitConsume(c *cell, ports []int, now int) {
-	for _, p := range ports {
-		in := c.node.In[p]
-		if in.Arc == nil {
-			continue // literal operand
-		}
-		if !c.inHas[p] {
-			continue // preloaded-literal port with no token (not possible; guard)
-		}
-		c.inHas[p] = false
-		producer := &m.cells[in.Arc.From]
+// sendResult sends v from endpoint src along one destination arc.
+func (m *machine) sendResult(src int, tgt target, v value.Value, now int) {
+	e := m.t.Arcs[tgt.arc]
+	p := m.newPacket()
+	p.kind, p.src, p.dst = pktResult, src, tgt.endpoint
+	p.cell, p.port, p.arc, p.val = int(e.To), int(e.Port), tgt.arc, v
+	m.emit(p, now)
+}
+
+// commitConsume empties the consumed arcs' operand slots and sends
+// acknowledge packets to their producers.
+func (m *machine) commitConsume(c *cell, arcs []int32, now int) {
+	for _, aid := range arcs {
+		m.arcHas[aid] = false
+		from := m.t.Arcs[aid].From
 		ack := m.newPacket()
-		ack.kind, ack.src, ack.dst = pktAck, c.endpoint, producer.endpoint
-		ack.cell = int(in.Arc.From)
+		ack.kind, ack.src, ack.dst = pktAck, c.endpoint, m.cells[from].endpoint
+		ack.cell = int(from)
 		m.emit(ack, now)
 	}
 }
@@ -1086,25 +1060,26 @@ func appendArrPrealloc(s []exec.Arrival, a exec.Arrival, hint int) []exec.Arriva
 	return append(s, a)
 }
 
-// drainState mirrors exec's cleanliness report.
+// drainState mirrors exec's cleanliness report. Names come from the
+// expanded graph, which only a run that left state behind builds.
 func (m *machine) drainState() (bool, []string) {
+	t := m.t
 	var stalled []string
-	for i := range m.cells {
-		c := &m.cells[i]
-		n := c.node
-		switch n.Op {
+	for id := range t.Cells {
+		tc, c := &t.Cells[id], &m.cells[id]
+		switch tc.Op {
 		case graph.OpSource:
-			if c.srcPos < len(c.stream) {
-				stalled = append(stalled, fmt.Sprintf("%s: %d stream values unsent", n.Name(), len(c.stream)-c.srcPos))
+			if stream := m.stream(int(tc.Aux)); c.srcPos < len(stream) {
+				stalled = append(stalled, fmt.Sprintf("%s: %d stream values unsent", t.CellName(id), len(stream)-c.srcPos))
 			}
 		case graph.OpCtlGen:
-			if t := n.Pattern.Len(); t >= 0 && c.srcPos < t {
-				stalled = append(stalled, fmt.Sprintf("%s: %d control values unsent", n.Name(), t-c.srcPos))
+			if total := t.Patterns[tc.Aux].Len(); total >= 0 && c.srcPos < total {
+				stalled = append(stalled, fmt.Sprintf("%s: %d control values unsent", t.CellName(id), total-c.srcPos))
 			}
 		}
-		for p, has := range c.inHas {
-			if has {
-				stalled = append(stalled, fmt.Sprintf("token %s stranded at %s port %d", c.inTok[p], n.Name(), p))
+		for p, port := range t.Ports[tc.P0:tc.P1] {
+			if port >= 0 && m.arcHas[port] {
+				stalled = append(stalled, fmt.Sprintf("token %s stranded at %s port %d", m.arcVal[port], t.CellName(id), p))
 			}
 		}
 	}

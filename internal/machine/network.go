@@ -42,9 +42,12 @@ func (k packetKind) traceKind() trace.PacketKind {
 
 // packet is one unit of routing-network traffic.
 type packet struct {
-	kind     packetKind
+	kind packetKind
+	// arc is a result packet's destination arc: the operand slot it fills.
+	arc      int32
 	src, dst int // endpoint ids
-	// result packets: destination cell/port and the value.
+	// result packets: destination cell/port and the value; ack packets:
+	// the producer cell.
 	cell int
 	port int
 	val  value.Value
@@ -77,11 +80,11 @@ type opPayload struct {
 	srcCell int // for accounting
 }
 
-// target is one destination field carried by an operation packet.
+// target is one destination of a firing: the arc a result packet fills
+// and the endpoint hosting its consumer.
 type target struct {
 	endpoint int
-	cell     int
-	port     int
+	arc      int32
 }
 
 // network models a routing network between endpoints. step advances one

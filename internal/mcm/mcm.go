@@ -21,6 +21,11 @@
 // connected component, in exact integer arithmetic, and the best policy
 // cycle's reduced fraction is verified by an integer Bellman-Ford check
 // that no cycle exceeds it (see MaxRatio).
+//
+// The timing graph is built from a graph's lowered form (graph.Table), the
+// instruction table both simulators run, so its nodes are the cells the
+// simulators number. PredictII lowers a bare graph first; an artifact that
+// already holds its table calls PredictTable.
 package mcm
 
 import (
@@ -410,9 +415,18 @@ func hasCycle(n int, edges []Edge) bool {
 	return false
 }
 
-// PredictII builds the marked timing graph of a machine-level instruction
-// graph (after FIFO expansion) and returns its maximum cycle ratio — the
-// analytically predicted initiation interval.
+// PredictII lowers g (graph.Lower) and returns PredictTable's bound.
+func PredictII(g *graph.Graph) (Result, error) {
+	t, err := graph.Lower(g)
+	if err != nil {
+		return Result{}, err
+	}
+	return PredictTable(t)
+}
+
+// PredictTable builds the marked timing graph of a lowered instruction
+// graph — FIFO(k) cells already k identity cells — and returns its maximum
+// cycle ratio: the analytically predicted initiation interval.
 //
 // A loop's circulating values are the Marking of the arc re-entering its
 // MERGE (1 for Todd loops, 2 for companion loops), counted once as that
@@ -422,40 +436,45 @@ func hasCycle(n int, edges []Edge) bool {
 // every firing; for the unconditional graphs of §3 and the loop kernels
 // of §7 the prediction is exact, and the test suite cross-checks it
 // against simulation.
-func PredictII(g *graph.Graph) (Result, error) {
-	g = g.ExpandFIFOs()
-	return MaxRatio(g.NumNodes(), TimingEdges(g))
+func PredictTable(t *graph.Table) (Result, error) {
+	return MaxRatio(len(t.Cells), TimingEdges(t))
 }
 
-// TimingEdges builds the marked timing-constraint graph PredictII analyzes:
-// a forward edge per data arc, holding the arc's Marking (plus one for an
-// Init token) as tokens, and the reverse acknowledge edge carrying the
-// arc's free slot: 1 − tokens, clamped at 0. A marked re-entry arc's
-// acknowledge edge therefore carries no token, though its true count is
-// 1 − Marking: the MERGE consumes the producer's value k at its firing
-// k + Marking, and only then may the producer fire k + 1. The clamp can
-// only lower a cycle's ratio, and it touches only arcs with Marking ≥ 2,
-// which close full-rate loops. On a balanced graph it changes no
-// prediction: there every edge, the feedback arcs of full-rate loops
-// included, spans latency − 2·tokens levels, so every cycle, counted with
-// true tokens, has ratio exactly 2. A feedback arc that carries tokens (an
-// Init token on a hand-built loop) contributes no acknowledge edge: its
-// producer is a gated merge that skips the send when the loop winds down,
-// so the one-slot backpressure pair does not apply.
-func TimingEdges(g *graph.Graph) []Edge {
-	var edges []Edge
-	for _, a := range g.Arcs() {
-		tok := int64(a.Marking)
-		if a.Init != nil {
+// TimingEdges builds the marked timing-constraint graph PredictTable
+// analyzes, in arc order: a forward edge per lowered arc, holding the
+// arc's Marking (plus one for an Init token) as tokens, and the reverse
+// acknowledge edge carrying the arc's free slot: 1 − tokens, clamped at 0.
+// A marked re-entry arc's acknowledge edge therefore carries no token,
+// though its true count is 1 − Marking: the MERGE consumes the producer's
+// value k at its firing k + Marking, and only then may the producer fire
+// k + 1. The clamp can only lower a cycle's ratio, and it touches only
+// arcs with Marking ≥ 2, which close full-rate loops. On a balanced graph
+// it changes no prediction: there every edge, the feedback arcs of
+// full-rate loops included, spans latency − 2·tokens levels, so every
+// cycle, counted with true tokens, has ratio exactly 2. A feedback arc
+// that carries tokens (an Init token on a hand-built loop) contributes no
+// acknowledge edge: its producer is a gated merge that skips the send when
+// the loop winds down, so the one-slot backpressure pair does not apply.
+func TimingEdges(t *graph.Table) []Edge {
+	edges := make([]Edge, 0, 2*len(t.Arcs))
+	inits, attrs := t.Inits, t.Attrs
+	for aid, a := range t.Arcs {
+		var at graph.ArcAttr
+		if len(attrs) > 0 && int(attrs[0].Arc) == aid {
+			at, attrs = attrs[0], attrs[1:]
+		}
+		tok := int64(at.Marking)
+		if len(inits) > 0 && int(inits[0].Arc) == aid {
 			tok++
+			inits = inits[1:]
 		}
 		// A window gate's output for wave j derives from input wave
 		// j+Skew, shifting its timing by 2·Skew cycles at full rate: the
 		// forward constraint lengthens and the acknowledge constraint
 		// shortens by that amount (their pair cycle stays at ratio 2).
-		skew := int64(a.Skew)
+		skew := int64(at.Skew)
 		edges = append(edges, Edge{From: int(a.From), To: int(a.To), Latency: 1 + 2*skew, Tokens: tok})
-		if !a.Feedback || tok == 0 {
+		if !at.Feedback || tok == 0 {
 			rev := int64(1) - tok
 			if rev < 0 {
 				rev = 0
@@ -466,20 +485,19 @@ func TimingEdges(g *graph.Graph) []Edge {
 	return edges
 }
 
-// Critical computes PredictII's maximum cycle ratio together with the
-// instruction cells of one critical cycle — the cycle whose
+// Critical computes PredictTable's maximum cycle ratio together with
+// the instruction cells of one critical cycle — the cycle whose
 // latency/tokens ratio attains the bound, and therefore the path a
-// bottleneck report should name. Node IDs refer to the FIFO-expanded graph
-// (the graph the simulators actually run). The cycle is nil for acyclic
-// constraint graphs.
-func Critical(g *graph.Graph) (Result, []graph.NodeID, error) {
-	g = g.ExpandFIFOs()
-	edges := TimingEdges(g)
-	r, err := MaxRatio(g.NumNodes(), edges)
+// bottleneck report should name. Node IDs are the table's cells, the
+// FIFO-expanded graph's node IDs (the cells the simulators actually run).
+// The cycle is nil for acyclic constraint graphs.
+func Critical(t *graph.Table) (Result, []graph.NodeID, error) {
+	edges := TimingEdges(t)
+	r, err := MaxRatio(len(t.Cells), edges)
 	if err != nil || !r.HasCycle {
 		return r, nil, err
 	}
-	cyc := CriticalNodes(g.NumNodes(), edges, r)
+	cyc := CriticalNodes(len(t.Cells), edges, r)
 	ids := make([]graph.NodeID, len(cyc))
 	for i, v := range cyc {
 		ids[i] = graph.NodeID(v)

@@ -5,5 +5,9 @@ import "staticpipe/internal/graph"
 // PlanCold is Plan with every refinement round's assignment solved from
 // scratch: the reference the warm-started rounds are checked against.
 func PlanCold(g *graph.Graph, opts Options) (*Placement, error) {
-	return plan(g, opts, false)
+	t, err := graph.Lower(g)
+	if err != nil {
+		return nil, err
+	}
+	return plan(t, opts, false)
 }

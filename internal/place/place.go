@@ -39,18 +39,6 @@ import (
 type Options struct {
 	// PEs is the processing-element count the mapping targets (required).
 	PEs int
-	// CritBoost multiplies the weight of arcs joining two cells of the mcm
-	// critical cycle (default 8): cutting the rate-bounding cycle adds
-	// network latency directly to the whole pipeline's initiation interval.
-	CritBoost int64
-	// FeedbackBoost multiplies the weight of declared feedback arcs
-	// (default 4): a for-iter loop's circulating values pay the cut cost
-	// every iteration and cannot be pipelined around.
-	FeedbackBoost int64
-	// Rounds bounds the min-cost refinement iterations (default 8); each
-	// round re-solves the assignment against the previous round's neighbor
-	// positions and is accepted only if it strictly lowers the cut cost.
-	Rounds int
 	// Metrics, when non-nil, switches to profile-guided weights: each
 	// arc's packet-per-firing weight is scaled by the smaller of its
 	// endpoints' observed firing counts, so regions that carried real
@@ -60,28 +48,27 @@ type Options struct {
 	Metrics *trace.Metrics
 }
 
-func (o Options) withDefaults() Options {
-	if o.CritBoost <= 0 {
-		o.CritBoost = 8
-	}
-	if o.FeedbackBoost <= 0 {
-		o.FeedbackBoost = 4
-	}
-	if o.Rounds <= 0 {
-		o.Rounds = 8
-	}
-	return o
-}
+const (
+	// critBoost multiplies the weight of arcs joining two cells of the mcm
+	// critical cycle: cutting the rate-bounding cycle adds network latency
+	// directly to the whole pipeline's initiation interval.
+	critBoost = 8
+	// feedbackBoost multiplies the weight of declared feedback arcs: a
+	// for-iter loop's circulating values pay the cut cost every iteration
+	// and cannot be pipelined around.
+	feedbackBoost = 4
+	// rounds bounds the min-cost refinement iterations; each round
+	// re-solves the assignment against the previous round's neighbor
+	// positions and is accepted only if it strictly lowers the cut cost.
+	rounds = 8
+)
 
-// Placement is a computed cell → PE mapping over the FIFO-expanded graph.
+// Placement is a computed cell → PE mapping over a lowered graph.
 type Placement struct {
-	// Graph is the FIFO-expanded graph the mapping indexes — the graph the
-	// machine actually simulates.
-	Graph *graph.Graph
-	// PE maps node ID → PE index for compute cells; sources and sinks,
-	// which always reside on array memories, carry -1. The slice's length
-	// is Graph.NumNodes(), so it is directly usable as
-	// machine.Config.Placement.
+	// PE maps each cell of the lowered graph (graph.Table, numbered as the
+	// FIFO-expanded graph's nodes) to a PE index; sources and sinks, which
+	// always reside on array memories, carry -1. It has one entry per
+	// cell, so it is directly usable as machine.Config.Placement.
 	PE []int
 	// SeedCost and Cost are the cut-arc weight of the connectivity seed
 	// and of the final mapping; Rounds counts accepted refinement rounds.
@@ -96,20 +83,30 @@ type edge struct {
 	w    int64
 }
 
-// Plan computes a placement for g on opts.PEs processing elements. The
-// graph is FIFO-expanded first (the expansion is deterministic, so the
-// mapping lines up with the graph the machine core expands internally).
+// Plan lowers g (graph.Lower) and computes a placement for it on
+// opts.PEs processing elements (see PlanTable).
 func Plan(g *graph.Graph, opts Options) (*Placement, error) {
-	return plan(g, opts, true)
+	t, err := graph.Lower(g)
+	if err != nil {
+		return nil, err
+	}
+	return PlanTable(t, opts)
+}
+
+// PlanTable computes a placement for a lowered graph on opts.PEs
+// processing elements. The mapping indexes the table's cells, the cells
+// the machine runs.
+func PlanTable(t *graph.Table, opts Options) (*Placement, error) {
+	return plan(t, opts, true)
 }
 
 // Apply resolves a placement strategy, as the CLIs' -place flag names it,
 // into cfg's assignment: stage, random and hotspot select the machine's
-// built-in assignments, mincost plans from the static graph g, and profile
-// plans from the metrics profile returns, a run of g under another
-// assignment (firing counts do not depend on placement); only profile
-// calls it. "" leaves cfg as it is.
-func Apply(mode string, g *graph.Graph, cfg *machine.Config, profile func() (*trace.Metrics, error)) error {
+// built-in assignments, mincost plans from the lowered graph t, and
+// profile plans from the metrics profile returns, a run of t under
+// another assignment (firing counts do not depend on placement); only
+// profile calls it. "" leaves cfg as it is.
+func Apply(mode string, t *graph.Table, cfg *machine.Config, profile func() (*trace.Metrics, error)) error {
 	switch mode {
 	case "":
 		return nil
@@ -128,7 +125,7 @@ func Apply(mode string, g *graph.Graph, cfg *machine.Config, profile func() (*tr
 			}
 			opts.Metrics = m
 		}
-		pl, err := Plan(g, opts)
+		pl, err := PlanTable(t, opts)
 		if err != nil {
 			return err
 		}
@@ -142,23 +139,21 @@ func Apply(mode string, g *graph.Graph, cfg *machine.Config, profile func() (*tr
 // plan is Plan with the choice of re-solving each refinement round's
 // assignment from the previous round's simplex tree (warm) or from
 // scratch.
-func plan(g *graph.Graph, opts Options, warm bool) (*Placement, error) {
-	opts = opts.withDefaults()
+func plan(t *graph.Table, opts Options, warm bool) (*Placement, error) {
 	if opts.PEs <= 0 {
 		return nil, fmt.Errorf("place: PEs must be positive, got %d", opts.PEs)
 	}
-	g = g.ExpandFIFOs()
 
-	p := &Placement{Graph: g, PE: make([]int, g.NumNodes())}
-	// compute[i] is the i-th compute cell's node ID; idx inverts it.
+	p := &Placement{PE: make([]int, len(t.Cells))}
+	// compute[i] is the i-th compute cell's ID; idx inverts it.
 	var compute []int
-	idx := make([]int, g.NumNodes())
-	for _, n := range g.Nodes() {
-		p.PE[n.ID] = -1
-		idx[n.ID] = -1
-		if n.Op != graph.OpSource && n.Op != graph.OpSink {
-			idx[n.ID] = len(compute)
-			compute = append(compute, int(n.ID))
+	idx := make([]int, len(t.Cells))
+	for id := range t.Cells {
+		p.PE[id] = -1
+		idx[id] = -1
+		if op := t.Cells[id].Op; op != graph.OpSource && op != graph.OpSink {
+			idx[id] = len(compute)
+			compute = append(compute, id)
 		}
 	}
 	nc := len(compute)
@@ -172,7 +167,7 @@ func plan(g *graph.Graph, opts Options, warm bool) (*Placement, error) {
 		return p, nil
 	}
 
-	edges := weightArcs(g, idx, opts)
+	edges := weightArcs(t, idx, opts)
 	// adjacency lists over compute indices
 	adj := make([][]edge, nc)
 	var incident []int64 = make([]int64, nc)
@@ -193,7 +188,7 @@ func plan(g *graph.Graph, opts Options, warm bool) (*Placement, error) {
 	// the neighbors' current positions; accept only strict improvements of
 	// the exact recomputed cut, so the loop terminates.
 	var as *assigner
-	for r := 0; r < opts.Rounds && best > 0; r++ {
+	for r := 0; r < rounds && best > 0; r++ {
 		if as == nil {
 			as = newAssigner(nc, cap, opts.PEs, warm)
 		}
@@ -216,34 +211,39 @@ func plan(g *graph.Graph, opts Options, warm bool) (*Placement, error) {
 	return p, nil
 }
 
-// weightArcs merges the graph's compute-compute arcs into undirected
+// weightArcs merges the table's compute-compute arcs into undirected
 // weighted edges. Per firing, a cut arc u→v costs: the result packet
 // (unless u is arithmetic — those results ship from a function unit
 // regardless of placement) plus the acknowledge packet v returns, each
 // boosted on feedback arcs and on the critical cycle, and scaled by
 // observed traffic in profile mode.
-func weightArcs(g *graph.Graph, idx []int, opts Options) []edge {
-	onCrit := map[graph.NodeID]bool{}
-	if _, crit, err := mcm.Critical(g); err == nil {
+func weightArcs(t *graph.Table, idx []int, opts Options) []edge {
+	onCrit := make([]bool, len(t.Cells))
+	if _, crit, err := mcm.Critical(t); err == nil {
 		for _, id := range crit {
 			onCrit[id] = true
 		}
 	}
 	acc := map[[2]int]int64{}
-	for _, a := range g.Arcs() {
+	attrs := t.Attrs
+	for aid, a := range t.Arcs {
+		feedback := false
+		if len(attrs) > 0 && int(attrs[0].Arc) == aid {
+			feedback, attrs = attrs[0].Feedback, attrs[1:]
+		}
 		u, v := idx[a.From], idx[a.To]
 		if u < 0 || v < 0 || u == v {
 			continue
 		}
 		w := int64(2) // result + ack
-		if g.Node(a.From).Op.IsArith() {
+		if t.Cells[a.From].Op.IsArith() {
 			w = 1 // result ships FU → consumer either way; only the ack localizes
 		}
-		if a.Feedback {
-			w *= opts.FeedbackBoost
+		if feedback {
+			w *= feedbackBoost
 		}
 		if onCrit[a.From] && onCrit[a.To] {
-			w *= opts.CritBoost
+			w *= critBoost
 		}
 		if m := opts.Metrics; m != nil {
 			w *= observed(m, int(a.From), int(a.To))

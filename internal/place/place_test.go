@@ -61,7 +61,7 @@ func mustRun(t *testing.T, g *graph.Graph, cfg machine.Config) (*machine.Result,
 	if err != nil {
 		t.Fatalf("machine.Run (%s): %v", cfg.Assign, err)
 	}
-	a, err := analyze.Analyze(res.Graph, m)
+	a, err := analyze.Analyze(res.Graph(), m)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -74,12 +74,13 @@ func TestPlanShapeAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pl.PE) != pl.Graph.NumNodes() {
-		t.Fatalf("map length %d, graph has %d nodes", len(pl.PE), pl.Graph.NumNodes())
+	eg := g.ExpandFIFOs()
+	if len(pl.PE) != eg.NumNodes() {
+		t.Fatalf("map length %d, graph has %d nodes", len(pl.PE), eg.NumNodes())
 	}
 	load := make([]int, 4)
 	nc := 0
-	for _, n := range pl.Graph.Nodes() {
+	for _, n := range eg.Nodes() {
 		pe := pl.PE[n.ID]
 		if n.Op == graph.OpSource || n.Op == graph.OpSink {
 			if pe != -1 {
@@ -121,7 +122,7 @@ func TestPlanShapeAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range one.Graph.Nodes() {
+	for _, n := range eg.Nodes() {
 		if n.Op != graph.OpSource && n.Op != graph.OpSink && one.PE[n.ID] != 0 {
 			t.Fatalf("PEs=1 mapped %s to %d", n.Name(), one.PE[n.ID])
 		}
@@ -214,7 +215,7 @@ func TestProfileGuidedPlan(t *testing.T) {
 	}
 }
 
-// TestCriticalCycleCoLocated checks the CritBoost objective on a real
+// TestCriticalCycleCoLocated checks the critical-cycle boost on a real
 // program: Example 2's first-order recurrence carries a rate-bounding
 // cycle, and the planned mapping must keep that cycle's compute cells on
 // one PE whenever they fit under the load cap.
@@ -225,11 +226,16 @@ func TestCriticalCycleCoLocated(t *testing.T) {
 		t.Fatal(err)
 	}
 	const pes = 2
-	pl, err := place.Plan(u.Compiled.Graph, place.Options{PEs: pes})
+	mp, err := u.Machine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, crit, err := mcm.Critical(pl.Graph)
+	tab := mp.Table()
+	pl, err := place.PlanTable(tab, place.Options{PEs: pes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, crit, err := mcm.Critical(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +244,7 @@ func TestCriticalCycleCoLocated(t *testing.T) {
 	}
 	pe := -1
 	for _, id := range crit {
-		n := pl.Graph.Node(id)
+		n := tab.Graph().Node(id)
 		if n.Op == graph.OpSource || n.Op == graph.OpSink {
 			continue
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -12,7 +13,7 @@ import (
 
 // Register mounts the job API on mux:
 //
-//	POST   /jobs              submit (200 fast+result, 202 queued, 400/429/503 rejected)
+//	POST   /jobs              submit (200 fast+result, 202 queued, 400/413/429/503 rejected)
 //	GET    /jobs[?tenant=]    list tracked jobs (no result payloads)
 //	GET    /jobs/{id}         one job; includes the result once terminal
 //	POST   /jobs/{id}/cancel  request cancellation (DELETE /jobs/{id} is an alias)
@@ -50,10 +51,21 @@ type errorBody struct {
 	RetryAfter int    `json:"retry_after_sec,omitempty"`
 }
 
+// maxSubmitBytes bounds a POST /jobs body, so no submission can make the
+// decoder buffer an unbounded request. A job's inputs dominate its body:
+// weather at 4096 elements is about 163 KB of JSON, and 10.5 MB with all
+// 64 lanes of inputs bound (exec.MaxBatch), so 32 MiB leaves room for
+// every real job.
+const maxSubmitBytes = 32 << 20
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err), Reason: ReasonInvalid})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&spec); err != nil {
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody{Error: fmt.Sprintf("bad request body: %v", err), Reason: ReasonInvalid})
 		return
 	}
 	j, rej := s.Submit(r.Context(), spec)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -68,6 +69,36 @@ func TestHTTPFastPathDifferential(t *testing.T) {
 		t.Fatalf("fast-path response not terminal: %+v", view)
 	}
 	assertMatches(t, view.Result, want, p.Output)
+}
+
+// fill is an endless reader of one byte.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestHTTPSubmitBodyLimit pins the POST /jobs body bound: a body past
+// maxSubmitBytes is refused with 413 and reason invalid, and the service
+// goes on to run the next valid job.
+func TestHTTPSubmitBodyLimit(t *testing.T) {
+	_, ts := newHTTPService(t, Config{OffloadThreshold: 1 << 40})
+	body := io.MultiReader(strings.NewReader(`{"source": "`),
+		io.LimitReader(fill('x'), maxSubmitBytes), strings.NewReader(`"}`))
+	rec := httptest.NewRecorder()
+	ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", body))
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusRequestEntityTooLarge || eb.Reason != ReasonInvalid {
+		t.Fatalf("over-limit body: status %d, body %.200q (err %v), want 413 with reason %q",
+			rec.Code, rec.Body.Bytes(), err, ReasonInvalid)
+	}
+	resp, view := postJob(t, ts, spec(progs.Fig2(32)))
+	if resp.StatusCode != http.StatusOK || view.State != StateDone {
+		t.Fatalf("job after the refusal: status %d, state %s", resp.StatusCode, view.State)
+	}
 }
 
 // TestHTTPOffloadLifecycle walks the async path over the wire: 202 +

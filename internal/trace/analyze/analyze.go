@@ -112,9 +112,13 @@ const SaturationThreshold = 0.95
 // Analyze compares each cell's achieved inter-firing interval against the
 // analytic prediction for g and names what limits the pipeline. The graph
 // must be the FIFO-expanded graph the metrics were recorded against —
-// exec.Result.Graph or machine.Result.Graph.
+// exec.Result.Graph() or machine.Result.Graph().
 func Analyze(g *graph.Graph, m *trace.Metrics) (*Analysis, error) {
-	pred, crit, err := mcm.Critical(g)
+	t, err := graph.Lower(g)
+	if err != nil {
+		return nil, fmt.Errorf("analyze: %w", err)
+	}
+	pred, crit, err := mcm.Critical(t)
 	if err != nil {
 		return nil, fmt.Errorf("analyze: rate prediction failed: %w", err)
 	}

@@ -38,12 +38,6 @@ rm -rf "$figs"
 echo "== go test -race =="
 go test -race ./...
 
-echo "== benchmark checker and tiny workloads =="
-# perfbench is a module of its own, so ./... above does not reach it: run
-# its checker tests and one tiny round of every workload, traced and
-# untraced.
-(cd perfbench && go test ./...)
-
 echo "== live-telemetry race pin =="
 # The concurrent-snapshot path (readers scraping trace.Live while several
 # runs emit from their own goroutines) gets a dedicated high-iteration race
@@ -161,11 +155,18 @@ echo "== cache path identity =="
 # runs on the placed 8-PE packet-level machine exactly as a fresh compile.
 go test -count=1 -run 'TestCacheHitMatchesFreshCompile' ./internal/artifact/
 
-echo "== placed machine golden =="
-# dfsim -machine -pes 8 -place mincost on all five testdata programs, on
-# both routing networks: cycles, packet counts, busy counters, outputs and
-# the Chrome trace's SHA-256 against values pinned in the test.
+echo "== golden simulator results =="
+# Both simulator cores against values recorded before their kernels were
+# last rewritten: dfsim -machine -pes 8 -place mincost on all five
+# testdata programs and both routing networks (TestPlacedMachineGolden);
+# the packet machine under every built-in assignment, split fabrics,
+# non-default units, a 4-lane batch and a cut run (TestMachineGolden);
+# and the exec core, scalar and batched (TestExecGolden). Cycles, packet
+# and firing counts, busy counters, digests of outputs, arrivals and stall
+# diagnostics, and Chrome-trace digests.
 go test -count=1 -run 'TestPlacedMachineGolden' ./cmd/dfsim/
+go test -count=1 -run 'TestMachineGolden' ./internal/machine/
+go test -count=1 -run 'TestExecGolden' ./internal/exec/
 
 echo "== placement contention gate =="
 # The tentpole claim in one command: re-placing the hotspot demo with the
@@ -209,5 +210,12 @@ echo "== perf gate =="
 # or an end-to-end median worse than its BENCHMARK.json bound. Takes about
 # seven minutes on 2 vCPUs; docs/PERF.md gives the sizing.
 python3 scripts/perfgate.py
+
+echo "== benchmark checker and tiny workloads =="
+# perfbench is a module of its own, so ./... above does not reach it: run
+# its checker tests and one tiny round of every workload, traced and
+# untraced. It runs last so that a failure here, which set -e makes fatal,
+# cannot hide the result of any step above.
+(cd perfbench && go test ./...)
 
 echo "CI OK"
