@@ -194,7 +194,7 @@ func (a *Artifact) Run(b Binding, inputs map[string][]value.Value) (*RunResult, 
 // in a single batched run. inputs binds the baseline streams every lane
 // defaults to (and lane 0 always consumes); laneInputs[l], when non-nil,
 // rebinds lane l's named inputs (lane 0's entry is ignored). Every stream
-// must match the program's declared input length. B is the binding's
+// must pass the compiled program's CheckInput. B is the binding's
 // Batch, else the compile-time Options.Batch, else len(laneInputs). Like
 // Run it is safe for concurrent use on one shared Artifact.
 func (a *Artifact) RunBatch(bd Binding, inputs map[string][]value.Value, laneInputs []map[string][]value.Value) (*BatchRunResult, error) {
@@ -207,11 +207,8 @@ func (a *Artifact) RunBatch(bd Binding, inputs map[string][]value.Value, laneInp
 	}
 	for l, li := range laneInputs {
 		for name, vals := range li {
-			if _, ok := a.Compiled.Inputs[name]; !ok {
-				return nil, fmt.Errorf("core: lane %d binds unknown input %s", l, name)
-			}
-			if want := a.Compiled.InputLen(name); len(vals) != want {
-				return nil, fmt.Errorf("core: lane %d input %s has %d elements, want %d", l, name, len(vals), want)
+			if err := a.Compiled.CheckInput(name, vals); err != nil {
+				return nil, fmt.Errorf("core: lane %d %w", l, err)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -323,5 +324,59 @@ func TestArtifactLowersOnce(t *testing.T) {
 	}
 	if want, err := mcm.PredictTable(tab); err != nil || pred != want {
 		t.Fatalf("PredictII %v, the table's %v (%v)", pred, want, err)
+	}
+}
+
+// TestRunRefusesWrongElementKinds pins the element-kind check every run
+// binding passes: a boolean or invalid element in a real array, or a
+// number in a boolean array, is an error from Run and from one lane of
+// RunBatch, never a simulator panic; an integer in a real array runs.
+func TestRunRefusesWrongElementKinds(t *testing.T) {
+	art, err := CompileArtifact(`
+param n = 4;
+input A : array[real] [1, n];
+input M : array[boolean] [1, n];
+Y : array[real] :=
+  forall i in [1, n]
+    y : real := if M[i] then A[i] else 0. - A[i] endif;
+  construct y
+  endall;
+output Y;
+`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := func() map[string][]value.Value {
+		return map[string][]value.Value{
+			"A": value.Reals([]float64{1, 2, 3, 4}),
+			"M": value.Bools([]bool{true, false, true, false}),
+		}
+	}
+	withInt := good()
+	withInt["A"][3] = value.I(4)
+	if _, err := art.Run(Binding{}, withInt); err != nil {
+		t.Fatalf("an integer in a real array: %v", err)
+	}
+	cases := []struct {
+		input string
+		i     int
+		v     value.Value
+		want  string
+	}{
+		{"A", 0, value.B(true), "input A element 0 is boolean, want real"},
+		{"A", 1, value.Value{}, "input A element 1 is invalid, want real"},
+		{"M", 2, value.R(1), "input M element 2 is real, want boolean"},
+		{"M", 3, value.I(0), "input M element 3 is integer, want boolean"},
+	}
+	for _, tc := range cases {
+		bad := good()
+		bad[tc.input][tc.i] = tc.v
+		if _, err := art.Run(Binding{}, bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Run with %s[%d] = %v: error %v, want %q", tc.input, tc.i, tc.v, err, tc.want)
+		}
+		lanes := []map[string][]value.Value{nil, {tc.input: bad[tc.input]}}
+		if _, err := art.RunBatch(Binding{Batch: 2}, good(), lanes); err == nil || !strings.Contains(err.Error(), "lane 1 "+tc.want) {
+			t.Errorf("RunBatch with lane 1 %s[%d] = %v: error %v, want %q", tc.input, tc.i, tc.v, err, "lane 1 "+tc.want)
+		}
 	}
 }

@@ -116,9 +116,14 @@ type Config struct {
 	Network  NetworkKind
 	NetDelay int
 	// SplitNetworks uses two separate fabrics as Fig 1 draws them: one
-	// routing network carrying operation packets to the function units and
-	// array memories, and one distribution network carrying result and
-	// acknowledge packets back to instruction cells.
+	// routing network carrying operation packets to the function units,
+	// and one distribution network carrying result and acknowledge packets
+	// to instruction cells and array memories. It changes results only on
+	// the Butterfly, whose switches the two kinds of traffic share when
+	// unsplit. The Crossbar serializes per destination only, and the two
+	// kinds never share a destination (operation packets go only to FUs,
+	// result and acknowledge packets only to PEs and AMs), so on the
+	// Crossbar a split run is cycle for cycle the unsplit one.
 	SplitNetworks bool
 	// Assign selects cell placement; Seed drives Random.
 	Assign Assignment

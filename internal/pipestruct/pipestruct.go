@@ -13,6 +13,7 @@ package pipestruct
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -82,7 +83,14 @@ type Result struct {
 	// (e.g. an auto-appended balance after a trailing dedup).
 	Warnings []string
 
-	inputLen map[string]int
+	decls map[string]inputDecl
+}
+
+// inputDecl is what every stream bound to one declared input must match:
+// its length and the element type of its array.
+type inputDecl struct {
+	n    int
+	elem val.ScalarKind
 }
 
 // Range is an inclusive array index range; two-dimensional arrays carry a
@@ -115,10 +123,10 @@ func (r Range) Width() int {
 func Compile(c *val.Checked, opts Options) (*Result, error) {
 	g := graph.New()
 	res := &Result{
-		Graph:    g,
-		Inputs:   map[string]*graph.Node{},
-		Outputs:  map[string]Range{},
-		inputLen: map[string]int{},
+		Graph:   g,
+		Inputs:  map[string]*graph.Node{},
+		Outputs: map[string]Range{},
+		decls:   map[string]inputDecl{},
 	}
 
 	// Producer streams visible to consumers: declared inputs first.
@@ -128,7 +136,7 @@ func Compile(c *val.Checked, opts Options) (*Result, error) {
 		// placeholder keeps the graph valid meanwhile.
 		src := g.AddSource(in.Name, make([]value.Value, 0))
 		res.Inputs[in.Name] = src
-		res.inputLen[in.Name] = in.Len()
+		res.decls[in.Name] = inputDecl{n: in.Len(), elem: in.Ty.Elem}
 		streams[in.Name] = forall.Input{
 			Node: src, Lo: in.Lo, Hi: in.Hi,
 			TwoD: in.Ty.TwoD, Lo2: in.Lo2, Hi2: in.Hi2,
@@ -248,20 +256,55 @@ func (r *Result) SetInput(name string, vals []value.Value) error {
 	if !ok {
 		return fmt.Errorf("pipestruct: unknown input %s", name)
 	}
-	if want := r.inputLen[name]; len(vals) != want {
-		return fmt.Errorf("pipestruct: input %s has %d elements, want %d", name, len(vals), want)
+	if err := r.CheckInput(name, vals); err != nil {
+		return fmt.Errorf("pipestruct: %w", err)
 	}
 	src.Stream = vals
 	return nil
 }
 
-// InputLen returns the declared element count of the named input (0 for an
-// unknown name) — the length every stream bound to it, including a batched
-// run's per-lane streams, must match.
-func (r *Result) InputLen(name string) int { return r.inputLen[name] }
+// CheckInput checks one stream bound to the named input, such as one lane
+// of a batched run: the name is declared, the stream has the declared
+// length, and every element has a kind the declared element type takes.
+// An integer or real array takes integers and reals (the service's wire
+// format sends every bare number as a real); a boolean array takes only
+// booleans. A simulator panics on an operand of a kind its operator does
+// not take, so every run path checks each stream it binds here first. The
+// error reads after a subject, such as "lane 2 input A has …".
+func (r *Result) CheckInput(name string, vals []value.Value) error {
+	d, ok := r.decls[name]
+	if !ok {
+		return fmt.Errorf("binds unknown input %s", name)
+	}
+	if len(vals) != d.n {
+		return fmt.Errorf("input %s has %d elements, want %d", name, len(vals), d.n)
+	}
+	// Every run binds its streams through here, so the common case is one
+	// branch-free pass that collects the kinds present; only a stream
+	// holding a kind its array cannot take is scanned again, for the first
+	// such element.
+	var present uint
+	for _, v := range vals {
+		present |= 1 << (v.Kind() & 7) // a Kind is below 4; the mask drops the shift's range check
+	}
+	if takes := kindSet(d.elem); present&^takes != 0 {
+		i := slices.IndexFunc(vals, func(v value.Value) bool { return takes&(1<<v.Kind()) == 0 })
+		return fmt.Errorf("input %s element %d is %s, want %s", name, i, vals[i].Kind(), d.elem)
+	}
+	return nil
+}
+
+// kindSet returns the value kinds an array with element type elem can
+// hold, one bit per value.Kind.
+func kindSet(elem val.ScalarKind) uint {
+	if elem == val.KindBool {
+		return 1 << value.Bool
+	}
+	return 1<<value.Int | 1<<value.Real
+}
 
 // CheckInputs validates a full input binding — every declared input present
-// with its declared length — without writing the graph. Every run path
+// and passing CheckInput — without writing the graph. Every run path
 // checks its inputs with it: SetInput/SetInputs mutate source cells, so a
 // shared Result must never see them; runs instead pass the checked map
 // through exec.Options.Inputs or machine.Config.Inputs.
@@ -272,8 +315,8 @@ func (r *Result) CheckInputs(inputs map[string][]value.Value) error {
 		if !ok {
 			return fmt.Errorf("pipestruct: missing input %s", name)
 		}
-		if want := r.inputLen[name]; len(vals) != want {
-			return fmt.Errorf("pipestruct: input %s has %d elements, want %d", name, len(vals), want)
+		if err := r.CheckInput(name, vals); err != nil {
+			return fmt.Errorf("pipestruct: %w", err)
 		}
 	}
 	return nil

@@ -169,23 +169,20 @@ func (s *Service) resolveSpec(spec *Spec, adm *obs.Span) (*core.Artifact, *Rejec
 	if rej != nil {
 		return nil, rej
 	}
-	// Check inputs once at admission so name/arity mistakes come back as a
-	// 400, not a failed job. The check never writes the shared graph;
-	// execution passes the streams with the run.
+	// Check inputs once at admission so name, length and element-kind
+	// mistakes come back as a 400, not a failed job or a simulator panic.
+	// The check never writes the shared graph; execution passes the
+	// streams with the run.
 	if err := art.Compiled.CheckInputs(streamInputs(spec.Inputs)); err != nil {
 		return nil, &Rejection{Reason: ReasonInvalid, Status: http.StatusBadRequest, Err: err}
 	}
-	// Per-lane rebinds get the same admission-time checking: unknown names
-	// and wrong lengths are a 400, not a failed job.
+	// Per-lane rebinds get the same admission-time checking: unknown names,
+	// wrong lengths and wrong element kinds are a 400, not a failed job.
 	for l, li := range spec.LaneInputs {
 		for name, vals := range li {
-			if _, ok := art.Compiled.Inputs[name]; !ok {
+			if err := art.Compiled.CheckInput(name, vals); err != nil {
 				return nil, &Rejection{Reason: ReasonInvalid, Status: http.StatusBadRequest,
-					Err: fmt.Errorf("lane %d binds unknown input %s", l, name)}
-			}
-			if want := art.Compiled.InputLen(name); len(vals) != want {
-				return nil, &Rejection{Reason: ReasonInvalid, Status: http.StatusBadRequest,
-					Err: fmt.Errorf("lane %d input %s has %d elements, want %d", l, name, len(vals), want)}
+					Err: fmt.Errorf("lane %d %w", l, err)}
 			}
 		}
 	}

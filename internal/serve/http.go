@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,12 +37,20 @@ func (s *Service) Register(mux *http.ServeMux) {
 	}
 }
 
+// writeJSON answers with v in compact JSON. It encodes v before it writes
+// the status, so a value that cannot be encoded answers 500 with the error
+// envelope, never a status without its body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		// Encode writes nothing when it fails, and an errorBody always
+		// encodes.
+		status = http.StatusInternalServerError
+		json.NewEncoder(&body).Encode(errorBody{Error: fmt.Sprintf("encoding the response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body.Bytes())
 }
 
 // errorBody is the JSON error envelope.

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -351,6 +353,113 @@ func TestStreamJSONRoundTrip(t *testing.T) {
 		}
 		if out[i] != in[i] {
 			t.Fatalf("[%d] %v != %v", i, out[i], in[i])
+		}
+	}
+}
+
+// postRaw posts a hand-written body to /jobs and decodes the error
+// envelope of a refusal.
+func postRaw(t *testing.T, ts *httptest.Server, body string) (int, errorBody) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb errorBody
+	if resp.StatusCode >= 400 {
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatalf("status %d: decoding the error envelope: %v", resp.StatusCode, err)
+		}
+	}
+	return resp.StatusCode, eb
+}
+
+// fig2Body is Fig 2's job at n = 4 with A and B both bound to the raw JSON
+// array arr, plus any more raw top-level fields.
+func fig2Body(t *testing.T, arr, more string) string {
+	t.Helper()
+	src, err := json.Marshal(progs.Fig2(4).Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf(`{"source":%s,"inputs":{"A":%s,"B":%s}%s}`, src, arr, arr, more)
+}
+
+// TestHTTPRefusesBadElements: a null element, and a boolean or invalid
+// element in a real array, in the inputs or in a lane's, is refused at
+// admission with 400 and reason invalid on both paths, and the next valid
+// job still runs.
+func TestHTTPRefusesBadElements(t *testing.T) {
+	for _, path := range []struct {
+		name      string
+		threshold int64
+	}{{PathFast, 1 << 40}, {PathOffload, -1}} {
+		t.Run(path.name, func(t *testing.T) {
+			s, ts := newHTTPService(t, Config{OffloadThreshold: path.threshold})
+			for _, tc := range []struct{ arr, more, want string }{
+				{`[null, 1, 2, 3]`, "", "stream element 0: null"},
+				{`[true, 1, 2, 3]`, "", "element 0 is boolean, want real"},
+				{`[{"k":"invalid"}, 1, 2, 3]`, "", "element 0 is invalid, want real"},
+				{`[0, 1, 2, 3]`, `,"batch":2,"lane_inputs":[null,{"B":[1, 2, false, 3]}]`, "lane 1 input B element 2 is boolean, want real"},
+			} {
+				code, eb := postRaw(t, ts, fig2Body(t, tc.arr, tc.more))
+				if code != http.StatusBadRequest || eb.Reason != ReasonInvalid || !strings.Contains(eb.Error, tc.want) {
+					t.Fatalf("%s%s: status %d, error %q (reason %q), want 400 with %q, reason %q",
+						tc.arr, tc.more, code, eb.Error, eb.Reason, tc.want, ReasonInvalid)
+				}
+			}
+			resp, view := postJob(t, ts, spec(progs.Fig2(4)))
+			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("valid job after the refusals: status %d", resp.StatusCode)
+			}
+			j := s.Get(view.ID)
+			await(t, j, 30*time.Second)
+			if j.Path != path.name || j.State() != StateDone {
+				t.Fatalf("valid job after the refusals: path %s, state %s", j.Path, j.State())
+			}
+		})
+	}
+}
+
+// TestHTTPNonFiniteOutputs: a job whose output holds NaN and infinities
+// answers with its full result, on POST and on GET, and the output reads
+// back as a direct run's values.
+func TestHTTPNonFiniteOutputs(t *testing.T) {
+	p := progs.Program{
+		Source: `param n = 4; input A : array[real] [1, n];
+Y : array[real] := forall i in [1, n] y : real := A[i] / 0.; construct y endall;
+output Y;`,
+		Inputs: map[string][]value.Value{"A": value.Reals([]float64{1, 0, -1, 2})},
+		Output: "Y",
+	}
+	want := directRun(t, p).Outputs["Y"].Elems
+	if !math.IsInf(want[0].AsReal(), 1) || !math.IsNaN(want[1].AsReal()) || !math.IsInf(want[2].AsReal(), -1) {
+		t.Fatalf("direct run computed %v, want [+Inf NaN -Inf +Inf]", want)
+	}
+	_, ts := newHTTPService(t, Config{OffloadThreshold: 1 << 40})
+	resp, view := postJob(t, ts, spec(p))
+	if resp.StatusCode != http.StatusOK || view.Result == nil {
+		t.Fatalf("POST: status %d, result %v", resp.StatusCode, view.Result)
+	}
+	get, err := http.Get(fmt.Sprintf("%s/jobs/%d", ts.URL, view.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer get.Body.Close()
+	var again JobView
+	if err := json.NewDecoder(get.Body).Decode(&again); err != nil || get.StatusCode != http.StatusOK || again.Result == nil {
+		t.Fatalf("GET: status %d, result %v (%v)", get.StatusCode, again.Result, err)
+	}
+	for _, v := range []JobView{view, again} {
+		got := v.Result.Outputs["Y"].Values
+		if len(got) != len(want) {
+			t.Fatalf("output %v, direct run %v", got, want)
+		}
+		for i, w := range want {
+			if g := got[i]; g != w && !(math.IsNaN(w.AsReal()) && g.Kind() == value.Real && math.IsNaN(g.AsReal())) {
+				t.Fatalf("output[%d] = %v, direct run %v", i, g, w)
+			}
 		}
 	}
 }

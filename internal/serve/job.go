@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"staticpipe/internal/obs"
 	"staticpipe/internal/telemetry"
 	"staticpipe/internal/trace"
-	"staticpipe/internal/value"
 )
 
 // Spec is one compile+simulate job as submitted by a client.
@@ -21,9 +19,8 @@ type Spec struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Source is the pipe-structured Val program to compile.
 	Source string `json:"source"`
-	// Inputs binds each declared input array to its stream. Elements may
-	// be plain JSON numbers (reals), booleans, or the tagged exact form
-	// {"k":"int","i":3} / {"k":"real","r":1.5} / {"k":"bool","b":true}.
+	// Inputs binds each declared input array to its stream (see Stream
+	// for the element forms).
 	Inputs map[string]Stream `json:"inputs"`
 	// MaxCycles bounds the simulation (0 = the service default; the
 	// service cap always applies).
@@ -47,51 +44,6 @@ type Spec struct {
 	// l overrides lane l (nil entries, omitted names, and lane 0 fall
 	// back to Inputs). Requires Batch > 1 and len <= Batch.
 	LaneInputs []map[string]Stream `json:"lane_inputs,omitempty"`
-}
-
-// Stream is one input or output value stream. It marshals reals as plain
-// JSON numbers (exact: shortest round-tripping form) and other domains in
-// the tagged value form, and accepts either on input.
-type Stream []value.Value
-
-// MarshalJSON renders reals as bare numbers and ints/bools tagged.
-func (s Stream) MarshalJSON() ([]byte, error) {
-	out := make([]any, len(s))
-	for i, v := range s {
-		if v.Kind() == value.Real {
-			out[i] = v.AsReal()
-		} else {
-			out[i] = v
-		}
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON accepts plain numbers (→ real), plain booleans, or the
-// tagged exact form per element.
-func (s *Stream) UnmarshalJSON(data []byte) error {
-	var raw []json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	out := make([]value.Value, len(raw))
-	for i, r := range raw {
-		var f float64
-		if err := json.Unmarshal(r, &f); err == nil {
-			out[i] = value.R(f)
-			continue
-		}
-		var b bool
-		if err := json.Unmarshal(r, &b); err == nil {
-			out[i] = value.B(b)
-			continue
-		}
-		if err := out[i].UnmarshalJSON(r); err != nil {
-			return fmt.Errorf("stream element %d: %w", i, err)
-		}
-	}
-	*s = out
-	return nil
 }
 
 // State is a job's lifecycle phase.

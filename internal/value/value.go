@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Kind discriminates the scalar domains of the Val subset.
@@ -395,7 +396,7 @@ func Floats(vs []Value) []float64 {
 	return out
 }
 
-// jsonValue is the serialized form of a Value.
+// jsonValue is the decoded form of the tagged object AppendJSON writes.
 type jsonValue struct {
 	Kind string   `json:"k"`
 	I    *int64   `json:"i,omitempty"`
@@ -403,28 +404,47 @@ type jsonValue struct {
 	B    *bool    `json:"b,omitempty"`
 }
 
-// MarshalJSON encodes the value as a small tagged object, preserving the
-// scalar domain exactly (reals round-trip via strconv's shortest form).
-func (v Value) MarshalJSON() ([]byte, error) {
-	jv := jsonValue{}
+// AppendJSONFloat appends the text encoding/json writes for the finite
+// float64 f, which reads back to the same bits: strconv's shortest 'f'
+// form, or its 'e' form when |f| < 1e-6 or |f| ≥ 1e21 (f ≠ 0), with a
+// one-digit negative exponent written e-7, not e-07.
+func AppendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// AppendJSON appends the value as a small tagged object that preserves
+// its scalar domain exactly: {"k":"int","i":3}, {"k":"real","r":1.5},
+// {"k":"bool","b":true} or {"k":"invalid"}. A non-finite real has no JSON
+// form: it is an error, and dst comes back unchanged.
+func (v Value) AppendJSON(dst []byte) ([]byte, error) {
 	switch v.kind {
 	case Int:
-		i := v.i()
-		jv.Kind = "int"
-		jv.I = &i
+		dst = strconv.AppendInt(append(dst, `{"k":"int","i":`...), v.i(), 10)
 	case Real:
 		r := v.r()
-		jv.Kind = "real"
-		jv.R = &r
+		if math.IsInf(r, 0) || math.IsNaN(r) {
+			return dst, fmt.Errorf("value: real %v has no JSON form", r)
+		}
+		dst = AppendJSONFloat(append(dst, `{"k":"real","r":`...), r)
 	case Bool:
-		b := v.b()
-		jv.Kind = "bool"
-		jv.B = &b
+		dst = strconv.AppendBool(append(dst, `{"k":"bool","b":`...), v.b())
 	default:
-		jv.Kind = "invalid"
+		return append(dst, `{"k":"invalid"}`...), nil
 	}
-	return json.Marshal(jv)
+	return append(dst, '}'), nil
 }
+
+// MarshalJSON encodes the value in the tagged form AppendJSON writes.
+func (v Value) MarshalJSON() ([]byte, error) { return v.AppendJSON(make([]byte, 0, 40)) }
 
 // UnmarshalJSON decodes a value written by MarshalJSON.
 func (v *Value) UnmarshalJSON(data []byte) error {

@@ -3,6 +3,7 @@ package value
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -337,5 +338,61 @@ func TestQuickJSONRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAppendJSONMatchesEncodingJSON pins the reflection-free writers to
+// the bytes encoding/json writes: AppendJSONFloat to a float64's text
+// across the bounds of its 'f' and 'e' forms, and AppendJSON to the
+// tagged object as encoding/json marshals jsonValue.
+func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vals := []Value{I(0), I(-7), I(math.MinInt64), I(math.MaxInt64), B(true), B(false), {}}
+	for _, f := range []float64{
+		0, math.SmallestNonzeroFloat64, math.Float64frombits(1<<52 - 1), 1e-7, 1e-6, math.Nextafter(1e-6, 0),
+		1e20, 1e21, math.Nextafter(1e21, 0), math.MaxFloat64, 0.1, 1.5, 123456789,
+	} {
+		vals = append(vals, R(f), R(-f))
+	}
+	for len(vals) < 3000 {
+		switch f := math.Float64frombits(rng.Uint64()); {
+		case math.IsNaN(f) || math.IsInf(f, 0):
+		case rng.Intn(2) == 0:
+			vals = append(vals, R(f))
+		default:
+			vals = append(vals, R((rng.Float64()*2-1)*math.Pow(10, float64(rng.Intn(61)-30))), I(int64(rng.Uint64())))
+		}
+	}
+	for _, v := range vals {
+		jv := jsonValue{}
+		switch v.Kind() {
+		case Int:
+			i := v.AsInt()
+			jv.Kind, jv.I = "int", &i
+		case Real:
+			r := v.AsReal()
+			jv.Kind, jv.R = "real", &r
+			want, err := json.Marshal(r)
+			if got := AppendJSONFloat([]byte("x"), r); err != nil || string(got) != "x"+string(want) {
+				t.Fatalf("AppendJSONFloat(%v) = %s, encoding/json writes %s (%v)", r, got[1:], want, err)
+			}
+		case Bool:
+			b := v.AsBool()
+			jv.Kind, jv.B = "bool", &b
+		default:
+			jv.Kind = "invalid"
+		}
+		want, err := json.Marshal(jv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := v.AppendJSON([]byte("x")); err != nil || string(got) != "x"+string(want) {
+			t.Fatalf("%v.AppendJSON = %s (%v), encoding/json writes %s", v, got, err, want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got, err := R(f).AppendJSON([]byte("x")); err == nil || string(got) != "x" {
+			t.Errorf("R(%v).AppendJSON = %s, %v; want an error and dst unchanged", f, got, err)
+		}
 	}
 }

@@ -203,6 +203,7 @@ go test -run '^$' -fuzz 'FuzzParse$'     -fuzztime 10s ./internal/val/
 go test -run '^$' -fuzz 'FuzzParseExpr$' -fuzztime 10s ./internal/val/
 go test -run '^$' -fuzz 'FuzzUnmarshal$' -fuzztime 10s ./internal/graph/
 go test -run '^$' -fuzz 'FuzzValue$'     -fuzztime 10s ./internal/value/
+go test -run '^$' -fuzz 'FuzzStream$'    -fuzztime 10s ./internal/serve/
 
 echo "== perf gate =="
 # Paired perfbench runs of the working tree against its parent commit
