@@ -93,8 +93,14 @@ func Solve(n int, cons []Constraint) ([]int64, error) {
 	// non-rigid constraint routes the supplies, so the flow is always
 	// feasible; it is unbounded exactly when no levels satisfy the
 	// constraints.
+	m := len(cons)
+	for _, c := range cons {
+		if c.Rigid {
+			m++
+		}
+	}
 	supply := make([]int64, n)
-	net := mincost.New(n)
+	net := mincost.New(n, m)
 	for _, c := range cons {
 		net.AddEdge(c.U, c.V, mincost.Inf, -c.W)
 		if c.Rigid {
@@ -115,11 +121,12 @@ func Solve(n int, cons []Constraint) ([]int64, error) {
 		return nil, fmt.Errorf("balance: internal error: %v", err)
 	}
 	// Reduced-cost optimality of the flow makes π = −h feasible for the
-	// primal, and complementary slackness makes it optimal.
-	pi := make([]int64, n)
+	// primal, and complementary slackness makes it optimal. π takes over
+	// h's array.
+	pi := h
 	var minPi int64
-	for w := 0; w < n; w++ {
-		pi[w] = -h[w]
+	for w := range pi {
+		pi[w] = -pi[w]
 		if w == 0 || pi[w] < minPi {
 			minPi = pi[w]
 		}
@@ -198,7 +205,13 @@ func arcWeight(g *graph.Graph, a *graph.Arc) int64 {
 // constraintsOf builds the level constraints of an instruction graph:
 // one per non-feedback arc.
 func constraintsOf(g *graph.Graph) []Constraint {
-	var cons []Constraint
+	n := 0
+	for _, a := range g.Arcs() {
+		if !a.Feedback {
+			n++
+		}
+	}
+	cons := make([]Constraint, 0, n)
 	for _, a := range g.Arcs() {
 		if a.Feedback {
 			continue

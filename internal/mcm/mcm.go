@@ -22,6 +22,14 @@
 // cycle's reduced fraction is verified by an integer Bellman-Ford check
 // that no cycle exceeds it (see MaxRatio).
 //
+// Each analysis builds one CSR adjacency of the constraint graph, every
+// node's out-edges in edge order, and sizes its per-node arrays once. The
+// one adjacency serves both SCC passes (over all edges, and over the
+// tokenless ones for the deadlock test, which no longer copies them), the
+// policy iteration and, in Critical, the tight-edge search for a critical
+// cycle, which reuses the Bellman-Ford distances, marks and DFS stack of
+// the ratio computation.
+//
 // The timing graph is built from a graph's lowered form (graph.Table), the
 // instruction table both simulators run, so its nodes are the cells the
 // simulators number. PredictII lowers a bare graph first; an artifact that
@@ -90,107 +98,148 @@ var ErrDeadlock = errors.New("mcm: zero-token cycle (structural deadlock)")
 // best policy cycle's ratio is then checked by integer Bellman-Ford: no
 // cycle of the component may exceed it.
 func MaxRatio(n int, edges []Edge) (Result, error) {
+	if err := validate(n, edges); err != nil {
+		return Result{}, err
+	}
+	return newSolver(n, edges).maxRatio()
+}
+
+// validate refuses out-of-range endpoints and negative token counts.
+func validate(n int, edges []Edge) error {
 	for _, e := range edges {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
-			return Result{}, fmt.Errorf("mcm: edge %d->%d out of range (n=%d)", e.From, e.To, n)
+			return fmt.Errorf("mcm: edge %d->%d out of range (n=%d)", e.From, e.To, n)
 		}
 		if e.Tokens < 0 {
-			return Result{}, fmt.Errorf("mcm: negative tokens on edge %d->%d", e.From, e.To)
+			return fmt.Errorf("mcm: negative tokens on edge %d->%d", e.From, e.To)
 		}
 	}
-	h := newHoward(n, edges)
-	if len(h.nodes) == 0 {
-		return Result{}, nil
-	}
-	var tokenless []Edge
-	for _, e := range edges {
-		if e.Tokens == 0 {
-			tokenless = append(tokenless, e)
-		}
-	}
-	if hasCycle(n, tokenless) {
-		return Result{}, ErrDeadlock
-	}
-	h.solve()
-	if !h.verify() {
-		return Result{}, errors.New("mcm: ratio verification failed (policy iteration ended below a cycle's ratio)")
-	}
-	best := Result{HasCycle: true, Num: 0, Den: 1}
-	for _, v := range h.nodes {
-		if h.num[v]*best.Den > best.Num*h.den[v] {
-			best.Num, best.Den = h.num[v], h.den[v]
-		}
-	}
-	return best, nil
+	return nil
 }
 
-// howard is the policy-iteration state over the edges that lie inside a
-// strongly connected component (only those can be on a cycle).
-type howard struct {
+// solver is one analysis's workspace, sized once from the graph: the
+// out-edges of every node in CSR form, in edge order, which the SCC
+// passes, Howard's iteration and the critical-cycle search all walk, and
+// the per-node arrays they share.
+type solver struct {
 	edges []Edge
-	nodes []int // nodes with an intra-component out-edge, ascending
-	off   []int // intra-component out-edges of v: out[off[v]:off[v+1]]
-	out   []int // edge indexes
-	pol   []int // policy: the chosen out-edge index per node
-	// The ratio num/den (reduced, den > 0) of the policy cycle each node
-	// reaches, and its potential: den times the length, at that ratio, of
-	// its policy path to the cycle's root.
+	off   []int32 // out-edges of v: out[off[v]:off[v+1]]
+	out   []int32 // edge indexes, in edge order within each node
+
+	// Tarjan's SCC pass: DFS index, low link, component, and the SCC and
+	// call stacks; the call stack doubles as the critical-cycle DFS path.
+	index, low, comp []int32
+	onStack          []bool
+	stack            []int32
+	call             []frame
+
+	// Howard's policy iteration over the edges inside a component (only
+	// those can be on a cycle): the nodes with such an edge, ascending;
+	// each node's policy edge; the ratio num/den (reduced, den > 0) of the
+	// policy cycle it reaches; and its potential x: den times the length,
+	// at that ratio, of its policy path to the cycle's root.
+	nodes       []int32
+	pol         []int32
 	num, den, x []int64
-	mark        []uint8 // value determination: 0 unseen, 1 on the walk, 2 done
+	mark        []uint8 // value determination: 0 unseen, 1 on the walk, 2 done; DFS colours
+	path        []int32
+	dist        []int64 // Bellman-Ford longest paths
 }
 
-func newHoward(n int, edges []Edge) *howard {
-	comp := sccs(n, edges)
-	h := &howard{
+// frame is one DFS level: a node and the position of its next out-edge.
+type frame struct{ node, next int32 }
+
+func newSolver(n int, edges []Edge) *solver {
+	s := &solver{
 		edges: edges,
-		off:   make([]int, n+1),
-		pol:   make([]int, n),
-		num:   make([]int64, n),
-		den:   make([]int64, n),
-		x:     make([]int64, n),
-		mark:  make([]uint8, n),
+		off:   make([]int32, n+1),
+		out:   make([]int32, len(edges)),
+		index: make([]int32, n), low: make([]int32, n), comp: make([]int32, n),
+		onStack: make([]bool, n),
+		stack:   make([]int32, 0, n), call: make([]frame, 0, n),
+		nodes: make([]int32, 0, n), pol: make([]int32, n),
+		num: make([]int64, n), den: make([]int64, n), x: make([]int64, n),
+		mark: make([]uint8, n), path: make([]int32, 0, n),
+		dist: make([]int64, n),
 	}
+	// off[v] counts v's out-edges, then, summed, marks the end of v's
+	// block; filling from the last edge down moves it to the start.
 	for _, e := range edges {
-		if comp[e.From] == comp[e.To] {
-			h.off[e.From+1]++
+		s.off[e.From]++
+	}
+	for v := 1; v < n; v++ {
+		s.off[v] += s.off[v-1]
+	}
+	s.off[n] = int32(len(edges))
+	for i := len(edges) - 1; i >= 0; i-- {
+		v := edges[i].From
+		s.off[v]--
+		s.out[s.off[v]] = int32(i)
+	}
+	return s
+}
+
+// outs returns v's out-edge indexes.
+func (s *solver) outs(v int32) []int32 { return s.out[s.off[v]:s.off[v+1]] }
+
+// inside reports whether edge i joins two nodes of one strongly connected
+// component, as the last SCC pass labelled them.
+func (s *solver) inside(i int32) bool {
+	e := &s.edges[i]
+	return s.comp[e.From] == s.comp[e.To]
+}
+
+func (s *solver) maxRatio() (Result, error) {
+	n := int32(len(s.comp))
+	// A zero-token cycle is a cycle of the tokenless edges alone. (A graph
+	// with such a cycle is cyclic, so testing it first changes no answer.)
+	s.sccs(true)
+	for i := range s.edges {
+		if s.edges[i].Tokens == 0 && s.inside(int32(i)) {
+			return Result{}, ErrDeadlock
 		}
 	}
-	for v := 0; v < n; v++ {
-		if h.off[v+1] > 0 {
-			h.nodes = append(h.nodes, v)
-		}
-		h.off[v+1] += h.off[v]
-	}
-	h.out = make([]int, h.off[n])
-	next := append([]int(nil), h.off[:n]...)
-	for i, e := range edges {
-		if comp[e.From] == comp[e.To] {
-			h.out[next[e.From]] = i
-			next[e.From]++
-		}
-	}
-	// Initial policy: each node's longest out-edge (the first on ties).
-	for _, v := range h.nodes {
-		h.pol[v] = h.out[h.off[v]]
-		for _, i := range h.out[h.off[v]:h.off[v+1]] {
-			if edges[i].Latency > edges[h.pol[v]].Latency {
-				h.pol[v] = i
+	s.sccs(false)
+	s.nodes = s.nodes[:0]
+	for v := int32(0); v < n; v++ {
+		for _, i := range s.outs(v) {
+			if s.inside(i) {
+				s.nodes = append(s.nodes, v)
+				break
 			}
 		}
 	}
-	return h
-}
-
-// solve improves the policy until it is optimal. Policy iteration with
-// strict improvements and exact arithmetic terminates; on return every
-// node of a component carries the component's maximum ratio.
-func (h *howard) solve() {
-	for {
-		h.evaluate()
-		if !h.improve() {
-			return
+	if len(s.nodes) == 0 {
+		return Result{}, nil
+	}
+	// Initial policy: each node's longest out-edge (the first on ties).
+	for _, v := range s.nodes {
+		s.pol[v] = -1
+		for _, i := range s.outs(v) {
+			if s.inside(i) && (s.pol[v] < 0 || s.edges[i].Latency > s.edges[s.pol[v]].Latency) {
+				s.pol[v] = i
+			}
 		}
 	}
+	// Improve the policy until it is optimal. Policy iteration with strict
+	// improvements and exact arithmetic terminates; then every node of a
+	// component carries the component's maximum ratio.
+	for {
+		s.evaluate()
+		if !s.improve() {
+			break
+		}
+	}
+	if !s.verify() {
+		return Result{}, errors.New("mcm: ratio verification failed (policy iteration ended below a cycle's ratio)")
+	}
+	best := Result{HasCycle: true, Num: 0, Den: 1}
+	for _, v := range s.nodes {
+		if s.num[v]*best.Den > best.Num*s.den[v] {
+			best.Num, best.Den = s.num[v], s.den[v]
+		}
+	}
+	return best, nil
 }
 
 // evaluate computes each node's policy-cycle ratio and potential. Every
@@ -198,21 +247,20 @@ func (h *howard) solve() {
 // on a cycle. Each cycle's root is its smallest node, with potential 0: a
 // cycle that survives an improvement keeps its potentials, which is what
 // makes the improvements monotone.
-func (h *howard) evaluate() {
-	clear(h.mark)
-	var path []int
-	for _, s := range h.nodes {
-		if h.mark[s] != 0 {
+func (s *solver) evaluate() {
+	clear(s.mark)
+	for _, start := range s.nodes {
+		if s.mark[start] != 0 {
 			continue
 		}
-		path = path[:0]
-		v := s
-		for h.mark[v] == 0 {
-			h.mark[v] = 1
+		path := s.path[:0]
+		v := start
+		for s.mark[v] == 0 {
+			s.mark[v] = 1
 			path = append(path, v)
-			v = h.edges[h.pol[v]].To
+			v = int32(s.edges[s.pol[v]].To)
 		}
-		if h.mark[v] == 1 {
+		if s.mark[v] == 1 {
 			// A new cycle: path from v's position on.
 			i := len(path) - 1
 			for path[i] != v {
@@ -222,7 +270,7 @@ func (h *howard) evaluate() {
 			var lat, tok int64
 			root := 0
 			for j, u := range cyc {
-				e := h.edges[h.pol[u]]
+				e := &s.edges[s.pol[u]]
 				lat += e.Latency
 				tok += e.Tokens
 				if u < cyc[root] {
@@ -231,61 +279,65 @@ func (h *howard) evaluate() {
 			}
 			num, den := reduce(lat, tok)
 			r := cyc[root]
-			h.num[r], h.den[r], h.x[r], h.mark[r] = num, den, 0, 2
+			s.num[r], s.den[r], s.x[r], s.mark[r] = num, den, 0, 2
 			for k := 1; k < len(cyc); k++ {
-				h.settle(cyc[(root-k+len(cyc))%len(cyc)])
+				s.settle(cyc[(root-k+len(cyc))%len(cyc)])
 			}
 			path = path[:i]
 		}
 		for j := len(path) - 1; j >= 0; j-- {
-			h.settle(path[j])
+			s.settle(path[j])
 		}
+		s.path = path
 	}
 }
 
 // settle derives u's ratio and potential from its policy successor's.
-func (h *howard) settle(u int) {
-	e := h.edges[h.pol[u]]
+func (s *solver) settle(u int32) {
+	e := &s.edges[s.pol[u]]
 	w := e.To
-	h.num[u], h.den[u] = h.num[w], h.den[w]
-	h.x[u] = h.den[w]*e.Latency - h.num[w]*e.Tokens + h.x[w]
-	h.mark[u] = 2
+	s.num[u], s.den[u] = s.num[w], s.den[w]
+	s.x[u] = s.den[w]*e.Latency - s.num[w]*e.Tokens + s.x[w]
+	s.mark[u] = 2
 }
 
 // improve switches each node whose successors offer a higher cycle ratio
 // to the best of them; if no node can, it switches nodes to an equal-ratio
 // successor that gives a strictly longer path. It reports whether the
 // policy changed.
-func (h *howard) improve() bool {
+func (s *solver) improve() bool {
 	changed := false
-	for _, u := range h.nodes {
-		best, bn, bd := -1, h.num[u], h.den[u]
-		for _, i := range h.out[h.off[u]:h.off[u+1]] {
-			if w := h.edges[i].To; h.num[w]*bd > bn*h.den[w] {
-				best, bn, bd = i, h.num[w], h.den[w]
+	for _, u := range s.nodes {
+		best, bn, bd := int32(-1), s.num[u], s.den[u]
+		for _, i := range s.outs(u) {
+			if !s.inside(i) {
+				continue
+			}
+			if w := s.edges[i].To; s.num[w]*bd > bn*s.den[w] {
+				best, bn, bd = i, s.num[w], s.den[w]
 			}
 		}
 		if best >= 0 {
-			h.pol[u] = best
+			s.pol[u] = best
 			changed = true
 		}
 	}
 	if changed {
 		return true
 	}
-	for _, u := range h.nodes {
-		best, bx := -1, h.x[u]
-		for _, i := range h.out[h.off[u]:h.off[u+1]] {
-			e := h.edges[i]
-			if h.num[e.To] != h.num[u] || h.den[e.To] != h.den[u] {
+	for _, u := range s.nodes {
+		best, bx := int32(-1), s.x[u]
+		for _, i := range s.outs(u) {
+			e := &s.edges[i]
+			if !s.inside(i) || s.num[e.To] != s.num[u] || s.den[e.To] != s.den[u] {
 				continue
 			}
-			if x := h.den[u]*e.Latency - h.num[u]*e.Tokens + h.x[e.To]; x > bx {
+			if x := s.den[u]*e.Latency - s.num[u]*e.Tokens + s.x[e.To]; x > bx {
 				best, bx = i, x
 			}
 		}
 		if best >= 0 {
-			h.pol[u] = best
+			s.pol[u] = best
 			changed = true
 		}
 	}
@@ -296,17 +348,21 @@ func (h *howard) improve() bool {
 // num·tokens, no cycle inside a component may have positive weight, which
 // longest-path relaxation (seeded with the negated potentials, which are
 // already feasible when the policy is optimal) confirms by converging.
-func (h *howard) verify() bool {
-	dist := make([]int64, len(h.x))
-	for _, v := range h.nodes {
-		dist[v] = -h.x[v]
+func (s *solver) verify() bool {
+	dist := s.dist
+	clear(dist)
+	for _, v := range s.nodes {
+		dist[v] = -s.x[v]
 	}
-	for iter := 0; iter <= len(h.nodes); iter++ {
+	for iter := 0; iter <= len(s.nodes); iter++ {
 		changed := false
-		for _, u := range h.nodes {
-			for _, i := range h.out[h.off[u]:h.off[u+1]] {
-				e := h.edges[i]
-				if d := dist[u] + h.den[u]*e.Latency - h.num[u]*e.Tokens; d > dist[e.To] {
+		for _, u := range s.nodes {
+			for _, i := range s.outs(u) {
+				if !s.inside(i) {
+					continue
+				}
+				e := &s.edges[i]
+				if d := dist[u] + s.den[u]*e.Latency - s.num[u]*e.Tokens; d > dist[e.To] {
 					dist[e.To] = d
 					changed = true
 				}
@@ -336,62 +392,58 @@ func reduce(lat, tok int64) (int64, int64) {
 }
 
 // sccs labels each node with its strongly connected component (Tarjan's
-// algorithm, iterative).
-func sccs(n int, edges []Edge) []int {
-	adj := make([][]int, n)
-	for _, e := range edges {
-		adj[e.From] = append(adj[e.From], e.To)
-	}
+// algorithm, iterative), over every edge or, with tokenless set, over the
+// edges that carry no token.
+func (s *solver) sccs(tokenless bool) {
 	const unseen = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	comp := make([]int, n)
-	onStack := make([]bool, n)
-	for v := range index {
-		index[v], comp[v] = unseen, unseen
+	for v := range s.index {
+		s.index[v], s.comp[v] = unseen, unseen
 	}
-	var stack []int
-	type frame struct{ node, next int }
-	var call []frame
-	counter, ncomp := 0, 0
-	for s := 0; s < n; s++ {
-		if index[s] != unseen {
+	stack, call := s.stack[:0], s.call[:0]
+	counter, ncomp := int32(0), int32(0)
+	for start := range s.index {
+		if s.index[start] != unseen {
 			continue
 		}
-		call = append(call[:0], frame{s, 0})
-		index[s], low[s] = counter, counter
+		v := int32(start)
+		call = append(call[:0], frame{v, s.off[v]})
+		s.index[v], s.low[v] = counter, counter
 		counter++
-		stack = append(stack, s)
-		onStack[s] = true
+		stack = append(stack, v)
+		s.onStack[v] = true
 		for len(call) > 0 {
 			f := &call[len(call)-1]
 			v := f.node
-			if f.next < len(adj[v]) {
-				w := adj[v][f.next]
+			if f.next < s.off[v+1] {
+				e := &s.edges[s.out[f.next]]
 				f.next++
+				if tokenless && e.Tokens != 0 {
+					continue
+				}
+				w := int32(e.To)
 				switch {
-				case index[w] == unseen:
-					index[w], low[w] = counter, counter
+				case s.index[w] == unseen:
+					s.index[w], s.low[w] = counter, counter
 					counter++
 					stack = append(stack, w)
-					onStack[w] = true
-					call = append(call, frame{w, 0})
-				case onStack[w]:
-					low[v] = min(low[v], index[w])
+					s.onStack[w] = true
+					call = append(call, frame{w, s.off[w]})
+				case s.onStack[w]:
+					s.low[v] = min(s.low[v], s.index[w])
 				}
 				continue
 			}
 			call = call[:len(call)-1]
 			if len(call) > 0 {
 				p := call[len(call)-1].node
-				low[p] = min(low[p], low[v])
+				s.low[p] = min(s.low[p], s.low[v])
 			}
-			if low[v] == index[v] {
+			if s.low[v] == s.index[v] {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = ncomp
+					s.onStack[w] = false
+					s.comp[w] = ncomp
 					if w == v {
 						break
 					}
@@ -400,19 +452,7 @@ func sccs(n int, edges []Edge) []int {
 			}
 		}
 	}
-	return comp
-}
-
-// hasCycle reports whether the edges form a directed cycle: some edge
-// joins two nodes of one strongly connected component.
-func hasCycle(n int, edges []Edge) bool {
-	comp := sccs(n, edges)
-	for _, e := range edges {
-		if comp[e.From] == comp[e.To] {
-			return true
-		}
-	}
-	return false
+	s.stack, s.call = stack, call
 }
 
 // PredictII lowers g (graph.Lower) and returns PredictTable's bound.
@@ -492,12 +532,16 @@ func TimingEdges(t *graph.Table) []Edge {
 // FIFO-expanded graph's node IDs (the cells the simulators actually run).
 // The cycle is nil for acyclic constraint graphs.
 func Critical(t *graph.Table) (Result, []graph.NodeID, error) {
-	edges := TimingEdges(t)
-	r, err := MaxRatio(len(t.Cells), edges)
+	n, edges := len(t.Cells), TimingEdges(t)
+	if err := validate(n, edges); err != nil {
+		return Result{}, nil, err
+	}
+	s := newSolver(n, edges)
+	r, err := s.maxRatio()
 	if err != nil || !r.HasCycle {
 		return r, nil, err
 	}
-	cyc := CriticalNodes(len(t.Cells), edges, r)
+	cyc := s.critical(r)
 	ids := make([]graph.NodeID, len(cyc))
 	for i, v := range cyc {
 		ids[i] = graph.NodeID(v)
@@ -520,17 +564,23 @@ func CriticalNodes(n int, edges []Edge, r Result) []int {
 	if !r.HasCycle {
 		return nil
 	}
-	w := make([]int64, len(edges))
-	for i, e := range edges {
-		w[i] = r.Den*e.Latency - r.Num*e.Tokens
-	}
+	return newSolver(n, edges).critical(r)
+}
+
+// critical is CriticalNodes over the solver's graph, reusing its arrays:
+// the Bellman-Ford distances, the marks as DFS colours and the call stack
+// as the DFS path.
+func (s *solver) critical(r Result) []int {
+	weight := func(e *Edge) int64 { return r.Den*e.Latency - r.Num*e.Tokens }
 	// Longest-path potentials: no positive cycle exists, so simple paths
 	// attain the optimum and n rounds of relaxation converge.
-	dist := make([]int64, n)
-	for iter := 0; iter <= n; iter++ {
+	dist := s.dist
+	clear(dist)
+	for iter := 0; iter <= len(dist); iter++ {
 		changed := false
-		for i, e := range edges {
-			if nd := dist[e.From] + w[i]; nd > dist[e.To] {
+		for i := range s.edges {
+			e := &s.edges[i]
+			if nd := dist[e.From] + weight(e); nd > dist[e.To] {
 				dist[e.To] = nd
 				changed = true
 			}
@@ -539,47 +589,46 @@ func CriticalNodes(n int, edges []Edge, r Result) []int {
 			break
 		}
 	}
-	adj := make([][]int, n) // tight-edge adjacency: node -> successor nodes
-	for i, e := range edges {
-		if dist[e.From]+w[i] == dist[e.To] {
-			adj[e.From] = append(adj[e.From], e.To)
-		}
-	}
 	// Iterative DFS for a cycle in the tight subgraph; the gray stack is
 	// the current path, so hitting a gray node yields the cycle directly.
-	color := make([]uint8, n)
-	type frame struct{ node, next int }
-	for s := 0; s < n; s++ {
-		if color[s] != 0 {
+	color := s.mark
+	clear(color)
+	for start := range color {
+		if color[start] != 0 {
 			continue
 		}
-		stack := []frame{{s, 0}}
-		color[s] = 1
+		v := int32(start)
+		stack := append(s.call[:0], frame{v, s.off[v]})
+		color[v] = 1
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next < len(adj[f.node]) {
-				to := adj[f.node][f.next]
-				f.next++
-				switch color[to] {
-				case 0:
-					color[to] = 1
-					stack = append(stack, frame{to, 0})
-				case 1:
-					var cyc []int
-					for i := range stack {
-						if stack[i].node == to {
-							for _, fr := range stack[i:] {
-								cyc = append(cyc, fr.node)
-							}
-							return cyc
-						}
-					}
-				}
-			} else {
+			if f.next == s.off[f.node+1] {
 				color[f.node] = 2
 				stack = stack[:len(stack)-1]
+				continue
+			}
+			e := &s.edges[s.out[f.next]]
+			f.next++
+			if dist[e.From]+weight(e) != dist[e.To] {
+				continue
+			}
+			switch to := int32(e.To); color[to] {
+			case 0:
+				color[to] = 1
+				stack = append(stack, frame{to, s.off[to]})
+			case 1:
+				for i := range stack {
+					if stack[i].node == to {
+						cyc := make([]int, 0, len(stack)-i)
+						for _, fr := range stack[i:] {
+							cyc = append(cyc, int(fr.node))
+						}
+						return cyc
+					}
+				}
 			}
 		}
+		s.call = stack
 	}
 	return nil
 }

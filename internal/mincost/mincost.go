@@ -29,6 +29,14 @@
 // stays a strongly feasible basis, and only the pivots the new costs call
 // for are made. Package place re-solves one assignment network per
 // refinement round this way.
+//
+// The network takes its edge count up front (New). Every arc array —
+// endpoints, capacities, costs, flows and pivot states — is allocated
+// once, with room for the n artificial arcs a solve appends after the
+// real ones, and the simplex pivots on those arrays in place: a solve
+// copies no arc, a re-solve allocates nothing, and SetCost writes the one
+// cost array the simplex prices. Node and arc indices are int32; costs,
+// capacities and flows are int64.
 package mincost
 
 import (
@@ -40,25 +48,52 @@ import (
 // Inf, used as an arc capacity, makes the arc uncapacitated.
 const Inf int64 = math.MaxInt64
 
-// Graph is a flow network under construction and solution.
+// Graph is a flow network under construction and solution, together with
+// the simplex's working state: arcs 0..m-1 are the network's, arc m+v the
+// artificial arc a solve hangs node v from the root by, and node n is that
+// root. Every array is allocated once, by New.
 type Graph struct {
-	n    int
-	src  []int
-	dst  []int
-	cap  []int64
-	cost []int64
-	flow []int64
-	// pi holds the optimal tree potentials of the last successful solve
-	// (nil before one).
-	pi []int64
-	// last is the last solve's simplex state, kept for Resolve (nil before
-	// a solve and after AddEdge).
-	last *simplex
+	n, m      int // nodes; arcs added so far
+	src, dst  []int32
+	cap, cost []int64
+	flow      []int64
+	state     []int8
+
+	// The spanning tree: each non-root node's parent, the tree arc to it
+	// (pred) and whether that arc points at the parent (up), the node's
+	// depth, and its children as a doubly linked sibling list.
+	parent, pred []int32
+	up           []bool
+	depth        []int32
+	child        []int32
+	next, prev   []int32
+	pi           []int64
+
+	block, nextArc int
+
+	// basis reports a spanning tree Resolve can start from: a MinCostFlow
+	// got as far as solving and no edge was added since. solved makes the
+	// last solve's flows readable, priced its potentials.
+	basis, solved, priced bool
 }
 
-// New returns a network with n nodes numbered 0..n-1.
-func New(n int) *Graph {
-	return &Graph{n: n}
+// New returns a network with n nodes numbered 0..n-1 and room for m edges.
+// The arc arrays are sized once here, with room for the n artificial arcs
+// a solve appends, and the simplex pivots on them in place.
+func New(n, m int) *Graph {
+	if n < 0 || m < 0 || int64(n)+int64(m)+1 > math.MaxInt32 {
+		panic(fmt.Sprintf("mincost: %d nodes and %d edges out of range", n, m))
+	}
+	M, N := m+n, n+1
+	return &Graph{
+		n:   n,
+		src: make([]int32, M), dst: make([]int32, M),
+		cap: make([]int64, M), cost: make([]int64, M),
+		flow: make([]int64, M), state: make([]int8, M),
+		parent: make([]int32, N), pred: make([]int32, N), up: make([]bool, N),
+		depth: make([]int32, N), child: make([]int32, N),
+		next: make([]int32, N), prev: make([]int32, N), pi: make([]int64, N),
+	}
 }
 
 // NumNodes returns the node count.
@@ -66,7 +101,8 @@ func (g *Graph) NumNodes() int { return g.n }
 
 // AddEdge adds a directed edge u→v with the given capacity (Inf for none)
 // and per-unit cost, returning an identifier usable with Flow. It panics
-// on out-of-range endpoints or negative capacity.
+// on out-of-range endpoints, negative capacity, or more edges than New
+// was given room for.
 func (g *Graph) AddEdge(u, v int, capacity, cost int64) int {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("mincost: edge %d->%d out of range (n=%d)", u, v, g.n))
@@ -74,27 +110,30 @@ func (g *Graph) AddEdge(u, v int, capacity, cost int64) int {
 	if capacity < 0 {
 		panic("mincost: negative capacity")
 	}
-	g.src = append(g.src, u)
-	g.dst = append(g.dst, v)
-	g.cap = append(g.cap, capacity)
-	g.cost = append(g.cost, cost)
-	g.pi, g.last = nil, nil
-	return len(g.src) - 1
+	e := g.m
+	if e+g.n == len(g.src) {
+		panic(fmt.Sprintf("mincost: more than %d edges", e))
+	}
+	g.src[e], g.dst[e] = int32(u), int32(v)
+	g.cap[e], g.cost[e], g.flow[e] = capacity, cost, 0
+	g.m++
+	g.basis, g.priced = false, false
+	return e
 }
 
 // SetCost changes edge id's per-unit cost. The last solution's flows stay
 // readable; its potentials are dropped until the next solve.
 func (g *Graph) SetCost(id int, cost int64) {
-	g.cost[id] = cost
-	if g.last != nil {
-		g.last.cost[id] = cost
+	if id < 0 || id >= g.m {
+		panic(fmt.Sprintf("mincost: no edge %d", id))
 	}
-	g.pi = nil
+	g.cost[id] = cost
+	g.priced = false
 }
 
 // Flow returns the flow edge id carries in the last solution.
 func (g *Graph) Flow(id int) int64 {
-	if id >= len(g.flow) {
+	if !g.solved || id >= g.m {
 		return 0
 	}
 	return g.flow[id]
@@ -121,7 +160,7 @@ func (g *Graph) MinCostFlow(supply []int64) (int64, error) {
 	if len(supply) != g.n {
 		panic(fmt.Sprintf("mincost: %d supplies for %d nodes", len(supply), g.n))
 	}
-	g.flow, g.pi, g.last = nil, nil, nil
+	g.basis, g.solved, g.priced = false, false, false
 	var sum int64
 	for _, b := range supply {
 		sum += b
@@ -133,7 +172,8 @@ func (g *Graph) MinCostFlow(supply []int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	g.last = newSimplex(g, supply, bigM)
+	g.initTree(supply, bigM)
+	g.basis = true
 	return g.run()
 }
 
@@ -144,16 +184,15 @@ func (g *Graph) MinCostFlow(supply []int64) (int64, error) {
 // cost optima. It fails if no MinCostFlow got as far as solving since the
 // last AddEdge.
 func (g *Graph) Resolve() (int64, error) {
-	s := g.last
-	if s == nil {
+	if !g.basis {
 		return 0, errors.New("mincost: Resolve without a previous MinCostFlow")
 	}
-	g.flow, g.pi = nil, nil
+	g.solved, g.priced = false, false
 	bigM, err := g.bigM()
 	if err != nil {
 		return 0, err
 	}
-	s.reprice(bigM)
+	g.reprice(bigM)
 	return g.run()
 }
 
@@ -161,7 +200,7 @@ func (g *Graph) Resolve() (int64, error) {
 // over all arcs, refused past maxCostSum.
 func (g *Graph) bigM() (int64, error) {
 	var costSum int64
-	for _, c := range g.cost {
+	for _, c := range g.cost[:g.m] {
 		if c < 0 {
 			c = -c // math.MinInt64 stays negative and is refused below
 		}
@@ -173,23 +212,21 @@ func (g *Graph) bigM() (int64, error) {
 	return costSum + 1, nil
 }
 
-// run pivots the last simplex state to optimality and publishes its flows
-// and potentials.
+// run pivots the tree to optimality and publishes its flows and
+// potentials.
 func (g *Graph) run() (int64, error) {
-	s := g.last
-	if err := s.solve(); err != nil {
+	if err := g.solve(); err != nil {
 		return 0, err
 	}
-	m := len(g.src)
-	for v := 0; v < g.n; v++ {
-		if s.flow[m+v] != 0 {
+	m := g.m
+	for _, f := range g.flow[m : m+g.n] {
+		if f != 0 {
 			return 0, ErrInfeasible
 		}
 	}
-	g.flow = s.flow[:m:m]
-	g.pi = s.pi[:g.n:g.n]
+	g.solved, g.priced = true, true
 	var total int64
-	for e, f := range g.flow {
+	for e, f := range g.flow[:m] {
 		total += f * g.cost[e]
 	}
 	return total, nil
@@ -204,47 +241,12 @@ const (
 	stateLower int8 = 1
 )
 
-// simplex is one solve's working state. Nodes 0..n-1 are the network's,
-// node n the artificial root; arcs 0..m-1 are the network's, arc m+v the
-// artificial arc joining node v to the root.
-type simplex struct {
-	m         int
-	src, dst  []int
-	cap, cost []int64
-	flow      []int64
-	state     []int8
-
-	// The spanning tree: each non-root node's parent, the tree arc to it
-	// (pred) and whether that arc points at the parent (up), the node's
-	// depth, and its children as a doubly linked sibling list.
-	parent, pred []int
-	up           []bool
-	depth        []int
-	child        []int
-	next, prev   []int
-	pi           []int64
-
-	block, nextArc int
-}
-
-func newSimplex(g *Graph, supply []int64, bigM int64) *simplex {
-	n, m := g.n, len(g.src)
-	root, N, M := n, n+1, m+n
-	s := &simplex{
-		m:   m,
-		src: make([]int, M), dst: make([]int, M),
-		cap: make([]int64, M), cost: make([]int64, M),
-		flow: make([]int64, M), state: make([]int8, M),
-		parent: make([]int, N), pred: make([]int, N), up: make([]bool, N),
-		depth: make([]int, N), child: make([]int, N),
-		next: make([]int, N), prev: make([]int, N), pi: make([]int64, N),
-	}
-	copy(s.src, g.src)
-	copy(s.dst, g.dst)
-	copy(s.cap, g.cap)
-	copy(s.cost, g.cost)
+// initTree sets up the first spanning tree of a solve.
+func (g *Graph) initTree(supply []int64, bigM int64) {
+	n, m := g.n, g.m
+	root := int32(n)
 	for e := 0; e < m; e++ {
-		s.state[e] = stateLower
+		g.flow[e], g.state[e] = 0, stateLower
 	}
 	// The first tree hangs every node from the root by its artificial arc,
 	// carrying the node's supply: toward the root at no cost from supply
@@ -253,169 +255,169 @@ func newSimplex(g *Graph, supply []int64, bigM int64) *simplex {
 	// the root proves the supplies cannot be routed. Zero-flow arcs all
 	// point up, so flow can be pushed from any node to the root: the tree
 	// is strongly feasible.
-	s.parent[root], s.pred[root] = -1, -1
-	s.child[root], s.next[root], s.prev[root] = -1, -1, -1
-	for v := n - 1; v >= 0; v-- {
-		a := m + v
-		s.cap[a] = Inf
-		if supply[v] >= 0 {
-			s.src[a], s.dst[a] = v, root
-			s.flow[a] = supply[v]
-			s.up[v] = true
+	g.parent[root], g.pred[root], g.up[root], g.depth[root], g.pi[root] = -1, -1, false, 0, 0
+	g.child[root], g.next[root], g.prev[root] = -1, -1, -1
+	for v := int32(n - 1); v >= 0; v-- {
+		a := int32(m) + v
+		g.cap[a], g.state[a] = Inf, stateTree
+		if b := supply[v]; b >= 0 {
+			g.src[a], g.dst[a] = v, root
+			g.flow[a], g.cost[a] = b, 0
+			g.up[v], g.pi[v] = true, 0
 		} else {
-			s.src[a], s.dst[a] = root, v
-			s.flow[a] = -supply[v]
-			s.cost[a] = bigM
-			s.pi[v] = bigM
+			g.src[a], g.dst[a] = root, v
+			g.flow[a], g.cost[a] = -b, bigM
+			g.up[v], g.pi[v] = false, bigM
 		}
-		s.pred[v], s.depth[v], s.child[v] = a, 1, -1
-		s.link(v, root)
+		g.pred[v], g.depth[v], g.child[v] = a, 1, -1
+		g.link(v, root)
 	}
-	s.block = max(10, int(math.Sqrt(float64(m))))
-	return s
+	g.block = max(10, int(math.Sqrt(float64(m))))
+	g.nextArc = 0
 }
 
 // reprice gives the artificial arcs into demand nodes cost bigM and
 // recomputes every potential down the tree, so that each tree arc has zero
 // reduced cost under the current costs. The root keeps potential 0.
-func (s *simplex) reprice(bigM int64) {
-	root := len(s.parent) - 1
-	for v := 0; v < root; v++ {
-		if a := s.m + v; s.dst[a] == v {
-			s.cost[a] = bigM
+func (g *Graph) reprice(bigM int64) {
+	root := int32(g.n)
+	for v := int32(0); v < root; v++ {
+		if a := int32(g.m) + v; g.dst[a] == v {
+			g.cost[a] = bigM
 		}
 	}
-	for x := s.child[root]; x >= 0; {
-		if p, a := s.parent[x], s.pred[x]; s.up[x] {
-			s.pi[x] = s.pi[p] - s.cost[a]
+	for x := g.child[root]; x >= 0; {
+		if p, a := g.parent[x], g.pred[x]; g.up[x] {
+			g.pi[x] = g.pi[p] - g.cost[a]
 		} else {
-			s.pi[x] = s.pi[p] + s.cost[a]
+			g.pi[x] = g.pi[p] + g.cost[a]
 		}
 		// Preorder successor over the child lists.
-		if c := s.child[x]; c >= 0 {
+		if c := g.child[x]; c >= 0 {
 			x = c
 			continue
 		}
-		for x != root && s.next[x] < 0 {
-			x = s.parent[x]
+		for x != root && g.next[x] < 0 {
+			x = g.parent[x]
 		}
 		if x == root {
 			break
 		}
-		x = s.next[x]
+		x = g.next[x]
 	}
 }
 
 // link hangs v from p as p's first child.
-func (s *simplex) link(v, p int) {
-	s.parent[v] = p
-	s.prev[v] = -1
-	s.next[v] = s.child[p]
-	if c := s.child[p]; c >= 0 {
-		s.prev[c] = v
+func (g *Graph) link(v, p int32) {
+	g.parent[v] = p
+	g.prev[v] = -1
+	g.next[v] = g.child[p]
+	if c := g.child[p]; c >= 0 {
+		g.prev[c] = v
 	}
-	s.child[p] = v
+	g.child[p] = v
 }
 
 // unlink detaches v from its parent's child list.
-func (s *simplex) unlink(v int) {
-	if p := s.prev[v]; p >= 0 {
-		s.next[p] = s.next[v]
+func (g *Graph) unlink(v int32) {
+	if p := g.prev[v]; p >= 0 {
+		g.next[p] = g.next[v]
 	} else {
-		s.child[s.parent[v]] = s.next[v]
+		g.child[g.parent[v]] = g.next[v]
 	}
-	if x := s.next[v]; x >= 0 {
-		s.prev[x] = s.prev[v]
+	if x := g.next[v]; x >= 0 {
+		g.prev[x] = g.prev[v]
 	}
 }
 
 // reduced returns arc e's cost reduced by the tree potentials.
-func (s *simplex) reduced(e int) int64 {
-	return s.cost[e] + s.pi[s.src[e]] - s.pi[s.dst[e]]
+func (g *Graph) reduced(e int) int64 {
+	return g.cost[e] + g.pi[g.src[e]] - g.pi[g.dst[e]]
 }
 
 // entering prices the real arcs by block search, resuming where the last
 // search stopped: it returns the most violating arc of the first block
 // that holds a violation, or -1 when no arc violates optimality.
-func (s *simplex) entering() int {
+func (g *Graph) entering() int {
 	best, bestV := -1, int64(0)
-	e, left := s.nextArc, s.block
-	for i := 0; i < s.m; i++ {
-		if st := s.state[e]; st != stateTree {
-			if v := int64(st) * s.reduced(e); v < bestV {
+	e, left := g.nextArc, g.block
+	for i := 0; i < g.m; i++ {
+		if st := g.state[e]; st != stateTree {
+			if v := int64(st) * g.reduced(e); v < bestV {
 				best, bestV = e, v
 			}
 		}
-		if e++; e == s.m {
+		if e++; e == g.m {
 			e = 0
 		}
 		if left--; left == 0 {
 			if best >= 0 {
 				break
 			}
-			left = s.block
+			left = g.block
 		}
 	}
-	s.nextArc = e
+	g.nextArc = e
 	return best
 }
 
 // apex returns the nearest common ancestor of u and v.
-func (s *simplex) apex(u, v int) int {
-	for s.depth[u] > s.depth[v] {
-		u = s.parent[u]
+func (g *Graph) apex(u, v int32) int32 {
+	for g.depth[u] > g.depth[v] {
+		u = g.parent[u]
 	}
-	for s.depth[v] > s.depth[u] {
-		v = s.parent[v]
+	for g.depth[v] > g.depth[u] {
+		v = g.parent[v]
 	}
 	for u != v {
-		u, v = s.parent[u], s.parent[v]
+		u, v = g.parent[u], g.parent[v]
 	}
 	return u
 }
 
 // residual returns how much more flow arc e accepts.
-func (s *simplex) residual(e int) int64 {
-	if s.cap[e] == Inf {
+func (g *Graph) residual(e int32) int64 {
+	if g.cap[e] == Inf {
 		return Inf
 	}
-	return s.cap[e] - s.flow[e]
+	return g.cap[e] - g.flow[e]
 }
 
-func (s *simplex) solve() error {
+func (g *Graph) solve() error {
 	for {
-		in := s.entering()
-		if in < 0 {
+		e := g.entering()
+		if e < 0 {
 			return nil
 		}
+		in := int32(e)
 		// Flow circulates apex → first (down the tree), first → second
 		// over the entering arc, second → apex (up the tree).
-		first, second := s.src[in], s.dst[in]
-		if s.state[in] == stateUpper {
+		first, second := g.src[in], g.dst[in]
+		if g.state[in] == stateUpper {
 			first, second = second, first
 		}
-		apex := s.apex(first, second)
-		delta := s.residual(in)
-		if s.state[in] == stateUpper {
-			delta = s.flow[in]
+		apex := g.apex(first, second)
+		delta := g.residual(in)
+		if g.state[in] == stateUpper {
+			delta = g.flow[in]
 		}
 		// Ties go to the arc met last in flow order, so the first side is
 		// walked against the flow with a strict test and the second side
 		// along it with a non-strict one.
-		out, side := -1, 0
-		for x := first; x != apex; x = s.parent[x] {
-			d := s.flow[s.pred[x]]
-			if !s.up[x] {
-				d = s.residual(s.pred[x])
+		out, side := int32(-1), 0
+		for x := first; x != apex; x = g.parent[x] {
+			d := g.flow[g.pred[x]]
+			if !g.up[x] {
+				d = g.residual(g.pred[x])
 			}
 			if d < delta {
 				delta, out, side = d, x, 1
 			}
 		}
-		for x := second; x != apex; x = s.parent[x] {
-			d := s.flow[s.pred[x]]
-			if s.up[x] {
-				d = s.residual(s.pred[x])
+		for x := second; x != apex; x = g.parent[x] {
+			d := g.flow[g.pred[x]]
+			if g.up[x] {
+				d = g.residual(g.pred[x])
 			}
 			if d <= delta {
 				delta, out, side = d, x, 2
@@ -426,42 +428,42 @@ func (s *simplex) solve() error {
 		}
 		if delta > 0 {
 			val := delta
-			if s.state[in] == stateUpper {
+			if g.state[in] == stateUpper {
 				val = -delta
 			}
-			s.flow[in] += val
-			for x := s.src[in]; x != apex; x = s.parent[x] {
-				if s.up[x] {
-					s.flow[s.pred[x]] -= val
+			g.flow[in] += val
+			for x := g.src[in]; x != apex; x = g.parent[x] {
+				if g.up[x] {
+					g.flow[g.pred[x]] -= val
 				} else {
-					s.flow[s.pred[x]] += val
+					g.flow[g.pred[x]] += val
 				}
 			}
-			for x := s.dst[in]; x != apex; x = s.parent[x] {
-				if s.up[x] {
-					s.flow[s.pred[x]] += val
+			for x := g.dst[in]; x != apex; x = g.parent[x] {
+				if g.up[x] {
+					g.flow[g.pred[x]] += val
 				} else {
-					s.flow[s.pred[x]] -= val
+					g.flow[g.pred[x]] -= val
 				}
 			}
 		}
 		if side == 0 {
 			// The entering arc blocks itself: it moves to its other bound
 			// and the tree stays as it is.
-			s.state[in] = -s.state[in]
+			g.state[in] = -g.state[in]
 			continue
 		}
-		leaving := s.pred[out]
-		s.state[in] = stateTree
-		s.state[leaving] = stateLower
-		if s.flow[leaving] != 0 {
-			s.state[leaving] = stateUpper
+		leaving := g.pred[out]
+		g.state[in] = stateTree
+		g.state[leaving] = stateLower
+		if g.flow[leaving] != 0 {
+			g.state[leaving] = stateUpper
 		}
 		uIn, vIn := first, second
 		if side == 2 {
 			uIn, vIn = second, first
 		}
-		s.rehang(in, uIn, vIn, out)
+		g.rehang(in, uIn, vIn, out)
 	}
 }
 
@@ -469,17 +471,17 @@ func (s *simplex) solve() error {
 // (inside out's subtree) to vIn (outside it): the tree path uIn … out is
 // reversed so the subtree hangs from vIn by in, and the subtree's
 // potentials shift together so that in's reduced cost becomes zero.
-func (s *simplex) rehang(in, uIn, vIn, out int) {
-	sigma := s.pi[vIn] - s.pi[uIn] + s.cost[in]
-	if s.src[in] == uIn {
-		sigma = s.pi[vIn] - s.pi[uIn] - s.cost[in]
+func (g *Graph) rehang(in, uIn, vIn, out int32) {
+	sigma := g.pi[vIn] - g.pi[uIn] + g.cost[in]
+	if g.src[in] == uIn {
+		sigma = g.pi[vIn] - g.pi[uIn] - g.cost[in]
 	}
-	x, p, arc, up := uIn, vIn, in, s.src[in] == uIn
+	x, p, arc, up := uIn, vIn, in, g.src[in] == uIn
 	for {
-		oldP, oldArc, oldUp := s.parent[x], s.pred[x], s.up[x]
-		s.unlink(x)
-		s.link(x, p)
-		s.pred[x], s.up[x] = arc, up
+		oldP, oldArc, oldUp := g.parent[x], g.pred[x], g.up[x]
+		g.unlink(x)
+		g.link(x, p)
+		g.pred[x], g.up[x] = arc, up
 		if x == out {
 			break
 		}
@@ -488,19 +490,19 @@ func (s *simplex) rehang(in, uIn, vIn, out int) {
 	// Preorder walk of the re-hung subtree over the child lists.
 	x = uIn
 	for {
-		s.pi[x] += sigma
-		s.depth[x] = s.depth[s.parent[x]] + 1
-		if c := s.child[x]; c >= 0 {
+		g.pi[x] += sigma
+		g.depth[x] = g.depth[g.parent[x]] + 1
+		if c := g.child[x]; c >= 0 {
 			x = c
 			continue
 		}
-		for x != uIn && s.next[x] < 0 {
-			x = s.parent[x]
+		for x != uIn && g.next[x] < 0 {
+			x = g.parent[x]
 		}
 		if x == uIn {
 			return
 		}
-		x = s.next[x]
+		x = g.next[x]
 	}
 }
 
@@ -516,27 +518,29 @@ func (s *simplex) rehang(in, uIn, vIn, out int) {
 // It runs one Dijkstra over costs reduced by the solution's tree
 // potentials, which are non-negative on every residual edge.
 func (g *Graph) Potentials() ([]int64, error) {
-	if g.pi == nil {
+	if !g.priced {
 		return nil, errors.New("mincost: Potentials before a successful MinCostFlow")
 	}
-	n, m := g.n, len(g.src)
-	// Residual adjacency in CSR form: each edge is listed under its source
-	// (forward residual) and its destination (reverse residual).
-	start := make([]int, n+1)
+	n, m := g.n, g.m
+	// Residual adjacency in CSR form, in edge order: each edge is listed
+	// under its source (forward residual) and its destination (reverse
+	// residual). start[v] counts v's entries, then, summed, marks the end
+	// of v's block; filling from the last edge down moves it to the start.
+	start := make([]int32, n+1)
 	for e := 0; e < m; e++ {
-		start[g.src[e]+1]++
-		start[g.dst[e]+1]++
+		start[g.src[e]]++
+		start[g.dst[e]]++
 	}
-	for v := 0; v < n; v++ {
-		start[v+1] += start[v]
+	for v := 1; v < n; v++ {
+		start[v] += start[v-1]
 	}
-	at := append([]int(nil), start[:n]...)
-	adj := make([]int, 2*m)
-	for e := 0; e < m; e++ {
-		adj[at[g.src[e]]] = e
-		at[g.src[e]]++
-		adj[at[g.dst[e]]] = e
-		at[g.dst[e]]++
+	start[n] = int32(2 * m)
+	adj := make([]int32, 2*m)
+	for e := int32(m - 1); e >= 0; e-- {
+		start[g.dst[e]]--
+		adj[start[g.dst[e]]] = e
+		start[g.src[e]]--
+		adj[start[g.src[e]]] = e
 	}
 	// key[v] is the reduced distance d(v) − pi[v]; the virtual root's edge
 	// gives every node d(v) ≤ 0 to start from.
@@ -554,18 +558,18 @@ func (g *Graph) Potentials() ([]int64, error) {
 		}
 		done[u] = true
 		for _, e := range adj[start[u]:start[u+1]] {
-			var v int
+			var v int32
 			var rc int64
-			if g.src[e] == u && g.flow[e] < g.cap[e] {
+			if int(g.src[e]) == u && g.flow[e] < g.cap[e] {
 				v, rc = g.dst[e], g.cost[e]+g.pi[u]-g.pi[g.dst[e]]
-			} else if g.dst[e] == u && g.flow[e] > 0 {
+			} else if int(g.dst[e]) == u && g.flow[e] > 0 {
 				v, rc = g.src[e], -g.cost[e]+g.pi[u]-g.pi[g.src[e]]
 			} else {
 				continue
 			}
 			if nk := k + rc; nk < key[v] {
 				key[v] = nk
-				h.push(v, nk)
+				h.push(int(v), nk)
 			}
 		}
 	}

@@ -21,7 +21,7 @@ func TestMaxFlowSimple(t *testing.T) {
 	// s=0, t=3; two disjoint paths of capacity 2 and 3: 5 units route at
 	// no cost, 6 do not route at all.
 	build := func() (*Graph, int, int) {
-		g := New(4)
+		g := New(4, 4)
 		a := g.AddEdge(0, 1, 2, 0)
 		g.AddEdge(1, 3, 2, 0)
 		b := g.AddEdge(0, 2, 3, 0)
@@ -46,7 +46,7 @@ func TestMinCostPrefersCheapPath(t *testing.T) {
 	// Two paths s->t: cost 1 (cap 1) and cost 5 (cap 1). Flow of 2 must use
 	// both; flow of 1 must use the cheap one.
 	build := func() (*Graph, int, int) {
-		g := New(4)
+		g := New(4, 4)
 		e1 := g.AddEdge(0, 1, 1, 1)
 		g.AddEdge(1, 3, 1, 0)
 		e2 := g.AddEdge(0, 2, 1, 5)
@@ -75,7 +75,7 @@ func TestReroutingThroughResidual(t *testing.T) {
 	// partially undone to route two units at minimum cost. Edge 2-3 has
 	// capacity 1, so the options are 0-1-3 (6) + 0-2-3 (5) = 11 or
 	// 0-1-2-3 (3) + 0-2-? (no way on): 11 is the minimum.
-	g := New(4)
+	g := New(4, 5)
 	g.AddEdge(0, 1, 1, 1)
 	g.AddEdge(0, 2, 1, 4)
 	g.AddEdge(1, 2, 1, 1)
@@ -91,7 +91,7 @@ func TestReroutingThroughResidual(t *testing.T) {
 }
 
 func TestNegativeCostEdges(t *testing.T) {
-	g := New(3)
+	g := New(3, 2)
 	g.AddEdge(0, 1, 2, -3)
 	g.AddEdge(1, 2, 2, -2)
 	cost, err := route(g, 0, 2, 2)
@@ -106,7 +106,7 @@ func TestNegativeCostEdges(t *testing.T) {
 func TestNegativeCycleDetected(t *testing.T) {
 	// 1->2->1 costs -1 and has no capacity bound: min-cost flow is
 	// unbounded.
-	g := New(4)
+	g := New(4, 4)
 	g.AddEdge(0, 1, 1, 0)
 	g.AddEdge(1, 2, Inf, -2)
 	g.AddEdge(2, 1, Inf, 1)
@@ -120,7 +120,7 @@ func TestNegativeCycleDetected(t *testing.T) {
 	// With a finite capacity on the cycle the problem is bounded: the unit
 	// takes 1->2 at -2 and the cycle fills the 4 units of 1->2 left, at -1
 	// each.
-	g = New(4)
+	g = New(4, 4)
 	g.AddEdge(0, 1, 1, 0)
 	g.AddEdge(1, 2, 5, -2)
 	g.AddEdge(2, 1, 5, 1)
@@ -131,7 +131,7 @@ func TestNegativeCycleDetected(t *testing.T) {
 }
 
 func TestDisconnected(t *testing.T) {
-	g := New(4)
+	g := New(4, 2)
 	g.AddEdge(0, 1, 5, 1)
 	g.AddEdge(2, 3, 5, 1)
 	if _, err := route(g, 0, 3, 1); !errors.Is(err, ErrInfeasible) {
@@ -146,12 +146,13 @@ func TestDisconnected(t *testing.T) {
 }
 
 func TestAddEdgePanics(t *testing.T) {
-	g := New(2)
+	g := New(2, 1)
 	for i, f := range []func(){
 		func() { g.AddEdge(0, 5, 1, 0) },
 		func() { g.AddEdge(-1, 1, 1, 0) },
 		func() { g.AddEdge(0, 1, -1, 0) },
 		func() { g.MinCostFlow([]int64{0}) },
+		func() { g.AddEdge(0, 1, 1, 0); g.AddEdge(1, 0, 1, 0) }, // past New's count
 	} {
 		func() {
 			defer func() {
@@ -168,7 +169,7 @@ func TestAddEdgePanics(t *testing.T) {
 // int64 headroom are an error, not a silent overflow.
 func TestCostRangeRefused(t *testing.T) {
 	for _, c := range []int64{math.MinInt64, math.MaxInt64, math.MaxInt64 / 10} {
-		g := New(2)
+		g := New(2, 2)
 		g.AddEdge(0, 1, 1, c)
 		g.AddEdge(1, 0, 1, c)
 		if _, err := g.MinCostFlow(make([]int64, 2)); err == nil || errors.Is(err, ErrInfeasible) || errors.Is(err, ErrNegativeCycle) {
@@ -181,7 +182,7 @@ func TestCostRangeRefused(t *testing.T) {
 // relies on: after solving, every residual edge satisfies
 // cost + h[u] − h[v] ≥ 0, and no h exceeds 0.
 func TestPotentialsReducedCosts(t *testing.T) {
-	g := New(5)
+	g := New(5, 6)
 	g.AddEdge(0, 1, 3, -1)
 	g.AddEdge(1, 2, 2, -1)
 	g.AddEdge(0, 2, 1, -1)
@@ -195,7 +196,7 @@ func TestPotentialsReducedCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e := range g.src {
+	for e := 0; e < g.m; e++ {
 		u, v, c := g.src[e], g.dst[e], g.cost[e]
 		if g.flow[e] < g.cap[e] && c+h[u]-h[v] < 0 {
 			t.Errorf("residual edge %d->%d violates reduced cost: %d + %d - %d", u, v, c, h[u], h[v])
@@ -221,7 +222,7 @@ func TestQuickBipartiteFlow(t *testing.T) {
 		}
 		n := 2 + len(capsA) + len(capsB)
 		build := func() *Graph {
-			g := New(n)
+			g := New(n, len(capsA)+len(capsB)+len(capsA)*len(capsB))
 			for i, c := range capsA {
 				g.AddEdge(0, 2+i, int64(c), 0)
 			}
@@ -464,7 +465,7 @@ func TestSimplexMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 3000; trial++ {
 		n, arcs, supply := randomNetwork(rng)
 		wantCost, wantH, wantErr := oracle(n, arcs, supply)
-		g := New(n)
+		g := New(n, len(arcs))
 		for _, a := range arcs {
 			g.AddEdge(a.u, a.v, a.cap, a.cost)
 		}
@@ -514,7 +515,7 @@ func TestSimplexMatchesOracle(t *testing.T) {
 // between the same nodes form an unbounded negative cycle, whatever the
 // supplies.
 func TestUnboundedRigidPair(t *testing.T) {
-	g := New(3)
+	g := New(3, 6)
 	g.AddEdge(0, 1, Inf, -2)
 	g.AddEdge(1, 0, Inf, 2)
 	g.AddEdge(0, 2, Inf, -1)
@@ -550,7 +551,7 @@ func TestResolveMatchesColdSolve(t *testing.T) {
 	classes := map[string]int{}
 	for trial := 0; trial < 2000; trial++ {
 		n, arcs, supply := randomNetwork(rng)
-		warm := New(n)
+		warm := New(n, len(arcs))
 		for _, a := range arcs {
 			warm.AddEdge(a.u, a.v, a.cap, a.cost)
 		}
@@ -569,7 +570,7 @@ func TestResolveMatchesColdSolve(t *testing.T) {
 				}
 				warm.SetCost(e, arcs[e].cost)
 			}
-			cold := New(n)
+			cold := New(n, len(arcs))
 			for _, a := range arcs {
 				cold.AddEdge(a.u, a.v, a.cap, a.cost)
 			}
@@ -616,7 +617,7 @@ func TestResolveMatchesColdSolve(t *testing.T) {
 // TestResolveNeedsASolve: Resolve has no tree to start from before a
 // solve, nor after an edge is added.
 func TestResolveNeedsASolve(t *testing.T) {
-	g := New(2)
+	g := New(2, 2)
 	if _, err := g.Resolve(); err == nil {
 		t.Error("Resolve before any solve succeeded")
 	}

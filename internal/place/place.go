@@ -25,8 +25,9 @@
 package place
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"staticpipe/internal/graph"
 	"staticpipe/internal/machine"
@@ -77,11 +78,20 @@ type Placement struct {
 }
 
 // edge is one merged undirected compute-compute adjacency with its total
-// cut weight.
+// cut weight; in a cell's neighbour list (adjacency) u is the cell.
 type edge struct {
-	u, v int // compute indices (not node IDs)
+	u, v int32 // compute indices (not node IDs)
 	w    int64
 }
+
+// adjacency lists each compute cell's neighbours in CSR form: cell c's
+// are nbr[off[c]:off[c+1]], in the order of the merged edges.
+type adjacency struct {
+	off []int32
+	nbr []edge
+}
+
+func (a *adjacency) of(c int) []edge { return a.nbr[a.off[c]:a.off[c+1]] }
 
 // Plan lowers g (graph.Lower) and computes a placement for it on
 // opts.PEs processing elements (see PlanTable).
@@ -146,14 +156,14 @@ func plan(t *graph.Table, opts Options, warm bool) (*Placement, error) {
 
 	p := &Placement{PE: make([]int, len(t.Cells))}
 	// compute[i] is the i-th compute cell's ID; idx inverts it.
-	var compute []int
-	idx := make([]int, len(t.Cells))
+	compute := make([]int32, 0, len(t.Cells))
+	idx := make([]int32, len(t.Cells))
 	for id := range t.Cells {
 		p.PE[id] = -1
 		idx[id] = -1
 		if op := t.Cells[id].Op; op != graph.OpSource && op != graph.OpSink {
-			idx[id] = len(compute)
-			compute = append(compute, id)
+			idx[id] = int32(len(compute))
+			compute = append(compute, int32(id))
 		}
 	}
 	nc := len(compute)
@@ -168,15 +178,7 @@ func plan(t *graph.Table, opts Options, warm bool) (*Placement, error) {
 	}
 
 	edges := weightArcs(t, idx, opts)
-	// adjacency lists over compute indices
-	adj := make([][]edge, nc)
-	var incident []int64 = make([]int64, nc)
-	for _, e := range edges {
-		adj[e.u] = append(adj[e.u], e)
-		adj[e.v] = append(adj[e.v], edge{u: e.v, v: e.u, w: e.w})
-		incident[e.u] += e.w
-		incident[e.v] += e.w
-	}
+	adj, incident := neighbours(nc, edges)
 
 	cap := (nc + opts.PEs - 1) / opts.PEs
 	cur := seed(nc, adj, cap, opts.PEs)
@@ -188,12 +190,12 @@ func plan(t *graph.Table, opts Options, warm bool) (*Placement, error) {
 	// the neighbors' current positions; accept only strict improvements of
 	// the exact recomputed cut, so the loop terminates.
 	var as *assigner
+	next := make([]int, nc)
 	for r := 0; r < rounds && best > 0; r++ {
 		if as == nil {
 			as = newAssigner(nc, cap, opts.PEs, warm)
 		}
-		next, err := as.assign(adj, incident, cur)
-		if err != nil {
+		if err := as.assign(adj, incident, cur, next); err != nil {
 			return nil, err
 		}
 		c := cutCost(edges, next)
@@ -201,7 +203,7 @@ func plan(t *graph.Table, opts Options, warm bool) (*Placement, error) {
 			break
 		}
 		best = c
-		cur = next
+		cur, next = next, cur
 		p.Rounds++
 	}
 	p.Cost = best
@@ -217,14 +219,14 @@ func plan(t *graph.Table, opts Options, warm bool) (*Placement, error) {
 // regardless of placement) plus the acknowledge packet v returns, each
 // boosted on feedback arcs and on the critical cycle, and scaled by
 // observed traffic in profile mode.
-func weightArcs(t *graph.Table, idx []int, opts Options) []edge {
+func weightArcs(t *graph.Table, idx []int32, opts Options) []edge {
 	onCrit := make([]bool, len(t.Cells))
 	if _, crit, err := mcm.Critical(t); err == nil {
 		for _, id := range crit {
 			onCrit[id] = true
 		}
 	}
-	acc := map[[2]int]int64{}
+	edges := make([]edge, 0, len(t.Arcs))
 	attrs := t.Attrs
 	for aid, a := range t.Arcs {
 		feedback := false
@@ -248,23 +250,53 @@ func weightArcs(t *graph.Table, idx []int, opts Options) []edge {
 		if m := opts.Metrics; m != nil {
 			w *= observed(m, int(a.From), int(a.To))
 		}
-		k := [2]int{u, v}
-		if k[0] > k[1] {
-			k[0], k[1] = k[1], k[0]
-		}
-		acc[k] += w
+		edges = append(edges, edge{u: min(u, v), v: max(u, v), w: w})
 	}
-	edges := make([]edge, 0, len(acc))
-	for k, w := range acc {
-		edges = append(edges, edge{u: k[0], v: k[1], w: w})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
+	// Parallel arcs become one edge: sorted by (u, v), each run of equal
+	// ends is summed into its first entry.
+	slices.SortFunc(edges, func(a, b edge) int {
+		if a.u != b.u {
+			return cmp.Compare(a.u, b.u)
 		}
-		return edges[i].v < edges[j].v
+		return cmp.Compare(a.v, b.v)
 	})
-	return edges
+	out := edges[:0]
+	for _, e := range edges {
+		if k := len(out) - 1; k >= 0 && out[k].u == e.u && out[k].v == e.v {
+			out[k].w += e.w
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// neighbours lists each compute cell's merged edges, oriented away from
+// the cell, and totals each cell's incident weight.
+func neighbours(nc int, edges []edge) (adjacency, []int64) {
+	// off[c] counts c's edges, then, summed, marks the end of c's block;
+	// filling from the last edge down moves it to the block's start and
+	// leaves each block in edge order.
+	a := adjacency{off: make([]int32, nc+1), nbr: make([]edge, 2*len(edges))}
+	incident := make([]int64, nc)
+	for _, e := range edges {
+		a.off[e.u]++
+		a.off[e.v]++
+		incident[e.u] += e.w
+		incident[e.v] += e.w
+	}
+	for c := 1; c < nc; c++ {
+		a.off[c] += a.off[c-1]
+	}
+	a.off[nc] = int32(len(a.nbr))
+	for i := len(edges) - 1; i >= 0; i-- {
+		e := edges[i]
+		a.off[e.v]--
+		a.nbr[a.off[e.v]] = edge{u: e.v, v: e.u, w: e.w}
+		a.off[e.u]--
+		a.nbr[a.off[e.u]] = e
+	}
+	return a, incident
 }
 
 // observed returns the traffic scale for an arc in profile mode: the
@@ -294,11 +326,12 @@ func observed(m *trace.Metrics, from, to int) int64 {
 // by construction, which is already near-optimal for the chain-structured
 // graphs the compiler emits; refinement then handles what connectivity
 // order alone gets wrong.
-func seed(nc int, adj [][]edge, cap, pes int) []int {
-	order := make([]int, 0, nc)
+func seed(nc int, adj adjacency, cap, pes int) []int {
+	order := make([]int32, 0, nc)
 	seen := make([]bool, nc)
-	var stack []int
-	for start := 0; start < nc; start++ {
+	var stack []int32
+	var nb []edge
+	for start := int32(0); start < int32(nc); start++ {
 		if seen[start] {
 			continue
 		}
@@ -309,13 +342,14 @@ func seed(nc int, adj [][]edge, cap, pes int) []int {
 			stack = stack[:len(stack)-1]
 			order = append(order, c)
 			// push lighter edges first so the heaviest neighbor is
-			// visited (and co-located) next
-			nb := append([]edge(nil), adj[c]...)
-			sort.Slice(nb, func(i, j int) bool {
-				if nb[i].w != nb[j].w {
-					return nb[i].w < nb[j].w
+			// visited (and co-located) next; neighbours are distinct, so
+			// the order is total
+			nb = append(nb[:0], adj.of(int(c))...)
+			slices.SortFunc(nb, func(a, b edge) int {
+				if a.w != b.w {
+					return cmp.Compare(a.w, b.w)
 				}
-				return nb[i].v > nb[j].v
+				return cmp.Compare(b.v, a.v)
 			})
 			for _, e := range nb {
 				if !seen[e.v] {
@@ -347,21 +381,19 @@ type assigner struct {
 	net     *mincost.Graph
 	nc, pes int
 	supply  []int64
-	cellPE  []int // edge ID of cell c → PE p at c·pes + p
 	attract []int64
 	warm    bool
 	solved  bool
 }
 
 func newAssigner(nc, cap, pes int, warm bool) *assigner {
-	net := mincost.New(2 + nc + pes)
+	net := mincost.New(2+nc+pes, nc*(pes+1)+pes)
 	s, t := 0, 1
-	a := &assigner{net: net, nc: nc, pes: pes, warm: warm,
-		cellPE: make([]int, 0, nc*pes), attract: make([]int64, pes)}
+	a := &assigner{net: net, nc: nc, pes: pes, warm: warm, attract: make([]int64, pes)}
 	for c := 0; c < nc; c++ {
 		net.AddEdge(s, 2+c, 1, 0)
 		for p := 0; p < pes; p++ {
-			a.cellPE = append(a.cellPE, net.AddEdge(2+c, 2+nc+p, 1, 0))
+			net.AddEdge(2+c, 2+nc+p, 1, 0)
 		}
 	}
 	for p := 0; p < pes; p++ {
@@ -372,17 +404,22 @@ func newAssigner(nc, cap, pes int, warm bool) *assigner {
 	return a
 }
 
-// assign solves one refinement round: each cell's cost to a PE is the
-// incident weight it would cut given the neighbors' positions in cur.
-func (a *assigner) assign(adj [][]edge, incident []int64, cur []int) ([]int, error) {
+// cellPE returns the edge ID of cell c → PE p: each cell's edges follow
+// its source edge.
+func (a *assigner) cellPE(c, p int) int { return c*(a.pes+1) + 1 + p }
+
+// assign solves one refinement round into out: each cell's cost to a PE
+// is the incident weight it would cut given the neighbors' positions in
+// cur.
+func (a *assigner) assign(adj adjacency, incident []int64, cur, out []int) error {
 	for c := 0; c < a.nc; c++ {
 		// attract[p]: incident weight kept local if c lands on p
 		clear(a.attract)
-		for _, e := range adj[c] {
+		for _, e := range adj.of(c) {
 			a.attract[cur[e.v]] += e.w
 		}
 		for p, w := range a.attract {
-			a.net.SetCost(a.cellPE[c*a.pes+p], incident[c]-w)
+			a.net.SetCost(a.cellPE(c, p), incident[c]-w)
 		}
 	}
 	var err error
@@ -393,21 +430,20 @@ func (a *assigner) assign(adj [][]edge, incident []int64, cur []int) ([]int, err
 		a.solved = true
 	}
 	if err != nil {
-		return nil, fmt.Errorf("place: assignment solve: %w", err)
+		return fmt.Errorf("place: assignment solve: %w", err)
 	}
-	out := make([]int, a.nc)
 	for c := range out {
 		out[c] = -1
 		for p := 0; p < a.pes; p++ {
-			if a.net.Flow(a.cellPE[c*a.pes+p]) > 0 {
+			if a.net.Flow(a.cellPE(c, p)) > 0 {
 				out[c] = p
 			}
 		}
 		if out[c] < 0 {
-			return nil, fmt.Errorf("place: cell %d left unassigned", c)
+			return fmt.Errorf("place: cell %d left unassigned", c)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // cutCost totals the weight of edges whose endpoints sit on different PEs.

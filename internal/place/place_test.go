@@ -3,6 +3,7 @@ package place_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -349,5 +350,43 @@ func TestWarmRefinementMatchesCold(t *testing.T) {
 	}
 	if refined == 0 {
 		t.Error("no plan took a second refinement round: the warm re-solve went unchecked")
+	}
+}
+
+// TestPlanTableAllocations pins the solver workspaces' footprint: one
+// PlanTable of weather at 512 elements on 8 PEs — the critical-cycle
+// search, the seed and every refinement round's assignment solve —
+// allocated 290 KB in 1,515 allocations while its networks regrew and
+// copied their arc arrays, and about 78 KiB in about 60 once they were
+// sized once and shared.
+func TestPlanTableAllocations(t *testing.T) {
+	art, err := core.CompileArtifact(progs.Weather(512).Source, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, err := art.Machine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := mp.Table()
+	plan := func() {
+		if _, err := place.PlanTable(tab, place.Options{PEs: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 20
+	plan()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		plan()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	allocs := testing.AllocsPerRun(runs, plan)
+	t.Logf("%d bytes in %.0f allocations per call", bytes, allocs)
+	if bytes > 96<<10 || allocs > 80 {
+		t.Fatalf("PlanTable(weather 512, 8 PEs): %d bytes in %.0f allocations per call, want at most %d in 80",
+			bytes, allocs, 96<<10)
 	}
 }

@@ -61,15 +61,41 @@ type errorBody struct {
 }
 
 // maxSubmitBytes bounds a POST /jobs body, so no submission can make the
-// decoder buffer an unbounded request. A job's inputs dominate its body:
+// handler buffer an unbounded request. A job's inputs dominate its body:
 // weather at 4096 elements is about 163 KB of JSON, and 10.5 MB with all
 // 64 lanes of inputs bound (exec.MaxBatch), so 32 MiB leaves room for
 // every real job.
 const maxSubmitBytes = 32 << 20
 
+// presizeBytes caps how much of a declared Content-Length readSubmit
+// reserves before the bytes arrive, so that a header alone cannot make
+// the handler hold 32 MiB; a longer body grows the buffer as it comes.
+// Weather's scalar job at 4096 elements, about 163 KB, fits six times.
+const presizeBytes = 1 << 20
+
+// readSubmit reads a POST /jobs body whole into one buffer sized from its
+// Content-Length, bounded by maxSubmitBytes. A declared length past the
+// bound is refused before any byte is read.
+func readSubmit(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxSubmitBytes {
+		return nil, &http.MaxBytesError{Limit: maxSubmitBytes}
+	}
+	// The last read, the one that meets EOF, needs MinRead bytes of room.
+	size := min(max(r.ContentLength, 0), presizeBytes) + bytes.MinRead
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	return buf.Bytes(), err
+}
+
+// handleSubmit admits one job spec. The body must be exactly one JSON
+// object: json.Unmarshal refuses bytes after it (400).
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&spec); err != nil {
+	body, err := readSubmit(w, r)
+	if err == nil {
+		err = json.Unmarshal(body, &spec)
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge

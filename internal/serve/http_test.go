@@ -103,6 +103,64 @@ func TestHTTPSubmitBodyLimit(t *testing.T) {
 	}
 }
 
+// unread fails the test that reads it.
+type unread struct{ t *testing.T }
+
+func (u unread) Read([]byte) (int, error) {
+	u.t.Error("body read after its Content-Length was refused")
+	return 0, io.EOF
+}
+
+// TestHTTPSubmitDeclaredLengthLimit: a POST /jobs whose Content-Length
+// exceeds maxSubmitBytes is refused with 413 and reason invalid before
+// the handler reads a byte of it.
+func TestHTTPSubmitDeclaredLengthLimit(t *testing.T) {
+	_, ts := newHTTPService(t, Config{OffloadThreshold: 1 << 40})
+	req := httptest.NewRequest(http.MethodPost, "/jobs", unread{t})
+	req.ContentLength = maxSubmitBytes + 1
+	rec := httptest.NewRecorder()
+	ts.Config.Handler.ServeHTTP(rec, req)
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusRequestEntityTooLarge || eb.Reason != ReasonInvalid {
+		t.Fatalf("declared over-limit body: status %d, body %q (err %v), want 413 with reason %q",
+			rec.Code, rec.Body.Bytes(), err, ReasonInvalid)
+	}
+}
+
+// TestHTTPSubmitTrailingBytes pins that a POST /jobs body is one JSON
+// object and nothing more: bytes after the object (a second object,
+// stray text) are a 400 with reason invalid, while trailing white space
+// is accepted.
+func TestHTTPSubmitTrailingBytes(t *testing.T) {
+	_, ts := newHTTPService(t, Config{OffloadThreshold: 1 << 40})
+	job, err := json.Marshal(spec(progs.Fig2(32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tail string
+		code int
+	}{
+		{"", http.StatusOK},
+		{" \n\t", http.StatusOK},
+		{"x", http.StatusBadRequest},
+		{`{"source": ""}`, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		body := append(append([]byte(nil), job...), tc.tail...)
+		ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		if rec.Code != tc.code {
+			t.Fatalf("tail %q: status %d, want %d (body %.200q)", tc.tail, rec.Code, tc.code, rec.Body.Bytes())
+		}
+		if tc.code != http.StatusOK {
+			var eb errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Reason != ReasonInvalid {
+				t.Fatalf("tail %q: error body %q (err %v), want reason %q", tc.tail, rec.Body.Bytes(), err, ReasonInvalid)
+			}
+		}
+	}
+}
+
 // TestHTTPOffloadLifecycle walks the async path over the wire: 202 +
 // Location on submit, polls GET /jobs/{id} to done, and checks the final
 // result differentially.

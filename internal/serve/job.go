@@ -171,7 +171,10 @@ func (j *Job) setRunSpan(sp *obs.Span) {
 	j.mu.Unlock()
 }
 
-// Done returns a channel closed when the job reaches a terminal state.
+// Done returns a channel closed once the job's terminal transition is
+// fully recorded: its state and result, its closed run and root spans,
+// its flight-recorder tree and its SLO observations. A caller woken by
+// Done reads all of them finished.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // State returns the job's current lifecycle phase.
@@ -191,7 +194,8 @@ func (j *Job) Result() *JobResult {
 
 // cancelQueued atomically transitions queued → canceled; false means the
 // job already started (or finished) and cancellation must flow through
-// its context instead.
+// its context instead. The caller that gets true records the rest of the
+// transition and then closes Done.
 func (j *Job) cancelQueued() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -201,7 +205,6 @@ func (j *Job) cancelQueued() bool {
 	j.state = StateCanceled
 	j.errMsg = "canceled while queued"
 	j.finished = time.Now()
-	close(j.done)
 	return true
 }
 
@@ -218,7 +221,8 @@ func (j *Job) begin() bool {
 	return true
 }
 
-// finish records the terminal state; idempotent (the first caller wins).
+// finish records the terminal state; idempotent (the first caller wins,
+// records the rest of the transition and then closes Done).
 func (j *Job) finish(state State, res *JobResult, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -229,9 +233,12 @@ func (j *Job) finish(state State, res *JobResult, errMsg string) bool {
 	j.result = res
 	j.errMsg = errMsg
 	j.finished = time.Now()
-	close(j.done)
 	return true
 }
+
+// closeDone wakes Done's waiters; the caller that won the terminal
+// transition calls it once, last.
+func (j *Job) closeDone() { close(j.done) }
 
 // JobView is the JSON shape of one job on the HTTP surface.
 type JobView struct {

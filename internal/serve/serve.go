@@ -457,11 +457,13 @@ func laneStreamInputs(in []map[string]Stream) []map[string][]value.Value {
 
 // complete records a job's terminal transition exactly once: lifecycle
 // state, counters, telemetry run closure, result-store eviction, span
-// closure, flight recording, and SLO observations.
+// closure, flight recording, and SLO observations. Done closes last, so
+// its waiters see every one of them.
 func (s *Service) complete(j *Job, state State, res *JobResult, errMsg string, err error) {
 	if !j.finish(state, res, errMsg) {
 		return
 	}
+	defer j.closeDone()
 	j.cancelFn() // release the job's context resources
 	j.mu.Lock()
 	run := j.run
@@ -608,7 +610,8 @@ func (s *Service) Cancel(id int64) (*Job, bool) {
 	j.cancelFn()
 	if j.cancelQueued() {
 		// Never started: record the terminal transition here (the worker
-		// that eventually dequeues it will skip it).
+		// that eventually dequeues it will skip it), Done last.
+		defer j.closeDone()
 		j.mu.Lock()
 		run := j.run
 		j.mu.Unlock()

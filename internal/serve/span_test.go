@@ -207,6 +207,73 @@ func TestSLOBurnsUnderSaturation(t *testing.T) {
 	}
 }
 
+// TestDoneClosesAfterRecording pins the order of a terminal transition: a
+// caller woken by Done reads it whole — the run and root spans closed, the
+// tree in the flight recorder, the SLO observations made — both when a
+// pool worker completes the job and when Cancel retires a queued one on
+// another goroutine. scripts/ci.sh races it repeatedly.
+func TestDoneClosesAfterRecording(t *testing.T) {
+	slo := DefaultSLOs()
+	fl := obs.NewFlight(0, 0, 0)
+	s := newService(t, Config{OffloadThreshold: -1, PoolWorkers: 1, QueueDepth: 8, SLO: slo, Flight: fl})
+	observed := func() int64 {
+		for _, st := range slo.Evaluate() {
+			if st.Name == SLOJobErrors {
+				return st.GoodTotal + st.BadTotal
+			}
+		}
+		return 0
+	}
+	for i := 1; i <= 3; i++ {
+		j, rej := s.Submit(nil, spec(progs.Fig2(64)))
+		if rej != nil {
+			t.Fatalf("rejected: %v", rej)
+		}
+		await(t, j, 30*time.Second)
+		root := treeOf(t, j)
+		if root.Open {
+			t.Fatalf("job %d: root span open after Done", i)
+		}
+		if run := root.Find(obs.KindRun); run == nil || run.Open || run.Attrs["cost_ratio"] == nil {
+			t.Fatalf("job %d: run span after Done = %+v", i, run)
+		}
+		if got := len(fl.Dump().Spans); got != i {
+			t.Fatalf("job %d: flight holds %d trees after Done, want %d", i, got, i)
+		}
+		if got := observed(); got != int64(i) {
+			t.Fatalf("job %d: %d job-error observations after Done, want %d", i, got, i)
+		}
+	}
+
+	blocker, rej := s.Submit(nil, spec(progs.Fig2(1<<17)))
+	if rej != nil {
+		t.Fatalf("blocker rejected: %v", rej)
+	}
+	victim, rej := s.Submit(nil, spec(progs.Fig2(64)))
+	if rej != nil {
+		t.Fatalf("victim rejected: %v", rej)
+	}
+	type view struct {
+		open         bool
+		trees        int
+		observations int64
+	}
+	woke := make(chan view)
+	go func() {
+		<-victim.Done()
+		woke <- view{victim.SpanTree().Snapshot().Open, len(fl.Dump().Spans), observed()}
+	}()
+	s.Cancel(victim.ID)
+	if st := victim.State(); st != StateCanceled {
+		t.Fatalf("victim in state %s, want canceled while queued", st)
+	}
+	if got, want := <-woke, (view{false, 4, 4}); got != want {
+		t.Fatalf("waiter woken by Done read %+v, want %+v", got, want)
+	}
+	s.Cancel(blocker.ID)
+	await(t, blocker, 30*time.Second)
+}
+
 // TestSpanRecordingDoesNotPerturbResults pins the service-level
 // zero-perturbation bound: the same spec through a span/flight/SLO-laden
 // service yields byte-identical simulation results to a bare one.

@@ -55,6 +55,12 @@ echo "== service admission race pin =="
 go test -race -count=3 -run 'TestQueueOverflowRejects429|TestTenantThrottle|TestCancelQueuedJob|TestEviction|TestSubmitAfterCloseRejectsShutdown' \
     ./internal/serve/
 
+echo "== job completion race pin =="
+# A job's Done channel closes only after its terminal transition is fully
+# recorded (spans closed, flight tree, SLO observations); a waiter that
+# reads any of them after Done must never see the job unfinished.
+go test -race -count=20 -run 'TestDoneClosesAfterRecording' ./internal/serve/
+
 echo "== flight-recorder race pin =="
 # Concurrent /debug/flight dumps race live span recording and job traffic;
 # the full-suite -race run exercises the interleaving only once.
@@ -204,6 +210,7 @@ go test -run '^$' -fuzz 'FuzzParseExpr$' -fuzztime 10s ./internal/val/
 go test -run '^$' -fuzz 'FuzzUnmarshal$' -fuzztime 10s ./internal/graph/
 go test -run '^$' -fuzz 'FuzzValue$'     -fuzztime 10s ./internal/value/
 go test -run '^$' -fuzz 'FuzzStream$'    -fuzztime 10s ./internal/serve/
+go test -run '^$' -fuzz 'FuzzMinCostFlow$' -fuzztime 10s ./internal/mincost/
 
 echo "== perf gate =="
 # Paired perfbench runs of the working tree against its parent commit
