@@ -278,7 +278,7 @@ func e2(n int) {
 		}
 		g.Connect(prev, g.AddSink("out"), 0)
 		res := execRun(g)
-		fmt.Printf("  %8d  %14.3f  %10d\n", stages, res.II("out"), res.Arrivals["out"][0].Cycle)
+		fmt.Printf("  %8d  %14.3f  %10d\n", stages, res.II("out"), res.Arrivals["out"][0])
 		record(fmt.Sprintf("ii_stages_%d", stages), res.II("out"))
 	}
 }

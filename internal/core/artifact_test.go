@@ -23,7 +23,7 @@ type execView struct {
 	Cycles   int
 	Firings  []int
 	Outputs  map[string][]value.Value
-	Arrivals map[string][]exec.Arrival
+	Arrivals map[string][]int
 	Clean    bool
 	Stalled  []string
 }
@@ -43,7 +43,7 @@ func viewOf(res *exec.Result) execView {
 type machView struct {
 	Cycles       int
 	Outputs      map[string][]value.Value
-	Arrivals     map[string][]exec.Arrival
+	Arrivals     map[string][]int
 	Packets      map[string]int
 	AMPackets    int
 	TotalPackets int

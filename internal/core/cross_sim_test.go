@@ -76,7 +76,7 @@ func TestCrossSimulatorRandom(t *testing.T) {
 				for name := range eres.Outputs {
 					marr := mres.Arrivals[name]
 					for k := 1; k < len(marr); k++ {
-						if marr[k].Cycle < marr[k-1].Cycle {
+						if marr[k] < marr[k-1] {
 							t.Errorf("output %s: machine arrivals out of order at %d", name, k)
 						}
 					}

@@ -52,12 +52,13 @@ const MaxBatch = 64
 
 // LaneResult is one lane's view of a batched run. Its fields mean exactly
 // what the same-named Result fields mean for a scalar run of that lane's
-// input streams.
+// input streams: Arrivals[label][i] is the cycle at which the lane's
+// Outputs[label][i] reached the sink.
 type LaneResult struct {
 	Cycles   int
 	Firings  []int
 	Outputs  map[string][]value.Value
-	Arrivals map[string][]Arrival
+	Arrivals map[string][]int
 	Clean    bool
 	Canceled bool
 	Stalled  []string
@@ -107,11 +108,8 @@ type bsim struct {
 	frns    []int         // firing counts, cellID*B+lane
 
 	sinkOuts [][]value.Value // received stream, sinkIdx*B+lane
-	// sinkCycs holds arrival cycles parallel to sinkOuts; the hot sink
-	// loop appends 8 bytes per token and assemble zips the two into the
-	// result's []Arrival once, instead of copying every value twice.
-	sinkCycs [][]int64
-	outCap   []int // per-lane preallocation hint
+	sinkCycs [][]int         // arrival cycles parallel to sinkOuts
+	outCap   []int           // per-lane preallocation hint
 
 	laneCycles   []int
 	laneDone     []bool
@@ -185,7 +183,7 @@ func newBsim(p *Prepared, opt Options, maxCycles, B int) (*bsim, error) {
 		srcPos:   make([]int32, nc*B),
 		frns:     make([]int, nc*B),
 		sinkOuts: make([][]value.Value, len(t.Sinks)*B),
-		sinkCycs: make([][]int64, len(t.Sinks)*B),
+		sinkCycs: make([][]int, len(t.Sinks)*B),
 		outCap:   make([]int, B),
 
 		laneCycles:   make([]int, B),
@@ -947,14 +945,14 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 				for l, v := range vals {
 					i := sb + w.l0 + l
 					s.sinkOuts[i] = appendPrealloc(s.sinkOuts[i], v, s.outCap[w.l0+l])
-					s.sinkCycs[i] = appendCycPrealloc(s.sinkCycs[i], int64(cycle), s.outCap[w.l0+l])
+					s.sinkCycs[i] = appendPrealloc(s.sinkCycs[i], cycle, s.outCap[w.l0+l])
 				}
 			} else {
 				for m := fire; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
 					v := s.val[vb+l]
 					s.sinkOuts[sb+l] = appendPrealloc(s.sinkOuts[sb+l], v, s.outCap[l])
-					s.sinkCycs[sb+l] = appendCycPrealloc(s.sinkCycs[sb+l], int64(cycle), s.outCap[l])
+					s.sinkCycs[sb+l] = appendPrealloc(s.sinkCycs[sb+l], cycle, s.outCap[l])
 					if s.laneCtrs != nil {
 						s.laneCtrs[l].Arrivals.Add(1)
 					}
@@ -1056,19 +1054,10 @@ func (s *bsim) assemble(opt Options) (*Result, error) {
 			lr.Firings[i] = s.frns[i*s.B+l]
 		}
 		lr.Outputs = make(map[string][]value.Value, len(sinks))
-		lr.Arrivals = make(map[string][]Arrival, len(sinks))
+		lr.Arrivals = make(map[string][]int, len(sinks))
 		for k, label := range sinks {
-			outs := s.sinkOuts[k*s.B+l]
-			cycs := s.sinkCycs[k*s.B+l]
-			var arrs []Arrival
-			if outs != nil { // nil stays nil: a silent sink has no arrivals
-				arrs = make([]Arrival, len(outs))
-				for i := range outs {
-					arrs[i] = Arrival{Cycle: int(cycs[i]), Val: outs[i]}
-				}
-			}
-			lr.Outputs[label] = outs
-			lr.Arrivals[label] = arrs
+			lr.Outputs[label] = s.sinkOuts[k*s.B+l]
+			lr.Arrivals[label] = s.sinkCycs[k*s.B+l]
 		}
 		lr.Canceled = s.laneCanceled[l]
 		lr.Clean, lr.Stalled = s.drainLane(l)

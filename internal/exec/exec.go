@@ -111,12 +111,6 @@ const CancelCadence = 1024
 // DefaultMaxCycles bounds runs when Options.MaxCycles is zero.
 const DefaultMaxCycles = 10_000_000
 
-// Arrival records one value reaching a sink and the cycle it arrived.
-type Arrival struct {
-	Cycle int
-	Val   value.Value
-}
-
 // Result holds the outcome of a simulation run.
 type Result struct {
 	// Cycles is the cycle count until quiescence (no cell enabled).
@@ -126,8 +120,11 @@ type Result struct {
 	Firings []int
 	// Outputs holds each sink's received stream, keyed by sink label.
 	Outputs map[string][]value.Value
-	// Arrivals holds each sink's arrival times, keyed by sink label.
-	Arrivals map[string][]Arrival
+	// Arrivals holds each sink's arrival cycles, keyed by sink label:
+	// Arrivals[label][i] is the cycle at which Outputs[label][i] reached
+	// the sink, so the two slices have equal lengths (both nil for a sink
+	// that received nothing).
+	Arrivals map[string][]int
 	// Clean reports whether the graph drained completely: all sources
 	// exhausted, no token left on any arc. A false value with non-empty
 	// Stalled means the pipeline jammed or starved.
@@ -157,26 +154,26 @@ func (r *Result) Graph() *graph.Graph { return r.prep.tab.Graph() }
 // Output returns the stream received by the sink with the given label.
 func (r *Result) Output(label string) []value.Value { return r.Outputs[label] }
 
-// SteadyII returns the steady-state initiation interval of an arrival
-// stream: the average cycle gap between consecutive arrivals over a window
+// SteadyII returns the steady-state initiation interval of a sink's arrival
+// cycles: the average cycle gap between consecutive arrivals over a window
 // chosen to exclude transients. With at least 8 samples the window is the
 // middle half of the stream, excluding both the pipeline fill and drain
 // transients; with 4–7 samples only the fill prefix (the first quarter) is
 // skipped — there are too few samples to also trim the tail; with 2–3
 // samples the whole stream is the window. It returns 0 for fewer than two
 // arrivals.
-func SteadyII(arr []Arrival) float64 {
-	if len(arr) < 2 {
+func SteadyII(cycles []int) float64 {
+	if len(cycles) < 2 {
 		return 0
 	}
-	lo, hi := 0, len(arr)-1
+	lo, hi := 0, len(cycles)-1
 	switch {
-	case len(arr) >= 8:
-		lo, hi = len(arr)/4, 3*len(arr)/4
-	case len(arr) >= 4:
-		lo = len(arr) / 4
+	case len(cycles) >= 8:
+		lo, hi = len(cycles)/4, 3*len(cycles)/4
+	case len(cycles) >= 4:
+		lo = len(cycles) / 4
 	}
-	return float64(arr[hi].Cycle-arr[lo].Cycle) / float64(hi-lo)
+	return float64(cycles[hi]-cycles[lo]) / float64(hi-lo)
 }
 
 // II returns the steady-state initiation interval observed at the given
@@ -214,11 +211,11 @@ type sim struct {
 	arcVal  []value.Value   // token value per arc ID (meaningful when arcHas)
 	srcPos  []int           // next stream index per cell (sources/ctlgens)
 	firings []int
-	// sinkOuts and sinkArrs hold each sink's received stream and arrival
-	// times, indexed by sink number; the label-keyed Result maps are built
+	// sinkOuts and sinkCycs hold each sink's received stream and arrival
+	// cycles, indexed by sink number; the label-keyed Result maps are built
 	// from them once, after the run.
 	sinkOuts [][]value.Value
-	sinkArrs [][]Arrival
+	sinkCycs [][]int
 	outCap   int // preallocation hint for sink streams (max source length)
 	tr       trace.Tracer
 	prog     *trace.Progress
@@ -339,12 +336,12 @@ func (p *Prepared) runPrepared(opt Options) (*Result, error) {
 		Cycles:   cycle,
 		Firings:  s.firings,
 		Outputs:  make(map[string][]value.Value, len(t.Sinks)),
-		Arrivals: make(map[string][]Arrival, len(t.Sinks)),
+		Arrivals: make(map[string][]int, len(t.Sinks)),
 		prep:     p,
 	}
 	for k, label := range t.Sinks {
 		res.Outputs[label] = s.sinkOuts[k]
-		res.Arrivals[label] = s.sinkArrs[k]
+		res.Arrivals[label] = s.sinkCycs[k]
 	}
 	res.Clean, res.Stalled = p.drainState(s.streams, func(c int) int { return s.srcPos[c] }, s.arcHas, s.arcVal, 0, 1)
 	if canceled {
@@ -683,7 +680,7 @@ func (s *sim) apply(cycle int, plans []firing) {
 		if f.sink {
 			k := s.t.Cells[id].Aux
 			s.sinkOuts[k] = appendPrealloc(s.sinkOuts[k], f.out, s.outCap)
-			s.sinkArrs[k] = appendArrPrealloc(s.sinkArrs[k], Arrival{Cycle: cycle, Val: f.out}, s.outCap)
+			s.sinkCycs[k] = appendPrealloc(s.sinkCycs[k], cycle, s.outCap)
 			if s.prog != nil {
 				s.prog.Arrivals.Add(1)
 			}
@@ -707,27 +704,14 @@ func (s *sim) apply(cycle int, plans []firing) {
 	s.cand, s.nextCand = s.nextCand, s.cand
 }
 
-// appendPrealloc appends to a sink stream, sizing the buffer for the whole
-// expected stream on first use so steady-state appends never reallocate.
-func appendPrealloc(s []value.Value, v value.Value, hint int) []value.Value {
+// appendPrealloc appends to a sink's value or cycle stream, sizing the
+// buffer for the whole expected stream on first use so steady-state
+// appends never reallocate.
+func appendPrealloc[T any](s []T, v T, hint int) []T {
 	if s == nil && hint > 0 {
-		s = make([]value.Value, 0, hint)
+		s = make([]T, 0, hint)
 	}
 	return append(s, v)
-}
-
-func appendArrPrealloc(s []Arrival, a Arrival, hint int) []Arrival {
-	if s == nil && hint > 0 {
-		s = make([]Arrival, 0, hint)
-	}
-	return append(s, a)
-}
-
-func appendCycPrealloc(s []int64, c int64, hint int) []int64 {
-	if s == nil && hint > 0 {
-		s = make([]int64, 0, hint)
-	}
-	return append(s, c)
 }
 
 // drainState reports whether one lane of a quiescent run is fully drained

@@ -91,7 +91,7 @@ func TestMaximumRateIsTwoCycles(t *testing.T) {
 		// latency grows with stages but rate does not (paper §3: "the
 		// computation rate of a pipeline is not dependent on the number of
 		// stages").
-		first := res.Arrivals["out"][0].Cycle
+		first := res.Arrivals["out"][0]
 		if first < stages {
 			t.Errorf("stages=%d: first arrival at %d, expected ≥ stage count", stages, first)
 		}
@@ -474,14 +474,14 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestIIEdgeCases(t *testing.T) {
-	r := &Result{Arrivals: map[string][]Arrival{"out": nil}}
+	r := &Result{Arrivals: map[string][]int{"out": nil}}
 	if r.II("out") != 0 {
 		t.Error("II of empty stream should be 0")
 	}
 	if r.FullyPipelined("out") {
 		t.Error("empty stream is not fully pipelined")
 	}
-	r.Arrivals["out"] = []Arrival{{Cycle: 3}, {Cycle: 5}}
+	r.Arrivals["out"] = []int{3, 5}
 	if r.II("out") != 2 {
 		t.Errorf("II = %v, want 2", r.II("out"))
 	}

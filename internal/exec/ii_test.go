@@ -5,14 +5,6 @@ import (
 	"testing"
 )
 
-func arrivalsAt(cycles ...int) []Arrival {
-	out := make([]Arrival, len(cycles))
-	for i, c := range cycles {
-		out[i].Cycle = c
-	}
-	return out
-}
-
 // TestSteadyIIWindow pins the II measurement window: middle half with ≥8
 // samples, fill-prefix skip with 4–7, full span below that. The short
 // streams use a ramping arrival pattern (the fill transient of a deep
@@ -21,26 +13,26 @@ func arrivalsAt(cycles ...int) []Arrival {
 func TestSteadyIIWindow(t *testing.T) {
 	cases := []struct {
 		name string
-		arr  []Arrival
+		arr  []int
 		want float64
 	}{
 		{"empty", nil, 0},
-		{"single", arrivalsAt(5), 0},
+		{"single", []int{5}, 0},
 		// 2–3 samples: nothing to trim, full span.
-		{"two", arrivalsAt(10, 14), 4},
-		{"three", arrivalsAt(10, 14, 18), 4},
+		{"two", []int{10, 14}, 4},
+		{"three", []int{10, 14, 18}, 4},
 		// 4–7 samples: skip the fill prefix (first quarter), keep the tail.
 		// Fill gap of 10 cycles, steady II of 2 afterwards.
-		{"four-with-fill", arrivalsAt(0, 10, 12, 14), 2},
-		{"seven-with-fill", arrivalsAt(0, 10, 12, 14, 16, 18, 20), 2},
+		{"four-with-fill", []int{0, 10, 12, 14}, 2},
+		{"seven-with-fill", []int{0, 10, 12, 14, 16, 18, 20}, 2},
 		// ≥8 samples: middle half, excluding fill and drain transients.
-		{"eight-with-fill-and-drain", arrivalsAt(0, 10, 12, 14, 16, 18, 20, 30), 2},
-		{"steady-16", func() []Arrival {
+		{"eight-with-fill-and-drain", []int{0, 10, 12, 14, 16, 18, 20, 30}, 2},
+		{"steady-16", func() []int {
 			cycles := make([]int, 16)
 			for i := range cycles {
 				cycles[i] = 100 + 2*i
 			}
-			return arrivalsAt(cycles...)
+			return cycles
 		}(), 2},
 	}
 	for _, tc := range cases {
@@ -54,8 +46,8 @@ func TestSteadyIIWindow(t *testing.T) {
 // a fully pipelined sink with a short stream and a deep fill is recognized
 // as fully pipelined instead of being penalized for the fill gap.
 func TestFullyPipelinedShortStream(t *testing.T) {
-	r := &Result{Arrivals: map[string][]Arrival{
-		"out": arrivalsAt(0, 20, 22, 24, 26),
+	r := &Result{Arrivals: map[string][]int{
+		"out": []int{0, 20, 22, 24, 26},
 	}}
 	if ii := r.II("out"); math.Abs(ii-2) > 1e-12 {
 		t.Fatalf("II = %v, want 2", ii)

@@ -93,7 +93,7 @@ func (p *Prepared) getSim(opt Options) *sim {
 			cand:     newBitset(nc),
 			nextCand: newBitset(nc),
 			sinkOuts: make([][]value.Value, len(t.Sinks)),
-			sinkArrs: make([][]Arrival, len(t.Sinks)),
+			sinkCycs: make([][]int, len(t.Sinks)),
 		}
 	} else {
 		// arcVal and the plan arenas may hold stale data; both are
@@ -116,7 +116,7 @@ func (p *Prepared) getSim(opt Options) *sim {
 func (p *Prepared) putSim(s *sim) {
 	clear(s.streams)
 	clear(s.sinkOuts)
-	clear(s.sinkArrs)
+	clear(s.sinkCycs)
 	s.firings = nil
 	s.tr, s.prog = nil, nil
 	p.pool.Put(s)

@@ -330,9 +330,32 @@ func pinLane(t *testing.T, r *machine.LaneResult) machinePin {
 		packets: [3]int{r.Packets["result"], r.Packets["ack"], r.Packets["operation"]},
 		am:      r.AMPackets,
 		peBusy:  r.PEBusy, fuBusy: r.FUBusy,
-		outSHA:   jsonSHA(t, []any{r.Outputs, r.Arrivals}),
+		outSHA:   jsonSHA(t, []any{r.Outputs, arrivalRecords(r.Outputs, r.Arrivals)}),
 		stallSHA: jsonSHA(t, r.Stalled),
 	}
+}
+
+// arrivalRecords rebuilds the per-arrival records the digests were
+// recorded over: each sink's values paired with their arrival cycles, nil
+// for a sink that received nothing.
+func arrivalRecords(outs map[string][]value.Value, cycles map[string][]int) map[string][]arrival {
+	recs := make(map[string][]arrival, len(cycles))
+	for label, cs := range cycles {
+		var rs []arrival
+		if cs != nil {
+			rs = make([]arrival, len(cs))
+			for i, c := range cs {
+				rs[i] = arrival{Cycle: c, Val: outs[label][i]}
+			}
+		}
+		recs[label] = rs
+	}
+	return recs
+}
+
+type arrival struct {
+	Cycle int
+	Val   value.Value
 }
 
 func jsonSHA(t *testing.T, v any) string {

@@ -207,9 +207,14 @@ func (c Config) withDefaults() Config {
 
 // Result holds a machine run's outcome and statistics.
 type Result struct {
-	Cycles   int
-	Outputs  map[string][]value.Value
-	Arrivals map[string][]exec.Arrival
+	Cycles int
+	// Outputs holds each sink's received stream, keyed by sink label.
+	Outputs map[string][]value.Value
+	// Arrivals holds each sink's arrival cycles, keyed by sink label:
+	// Arrivals[label][i] is the cycle at which Outputs[label][i] reached
+	// the sink, so the two slices have equal lengths (both nil for a sink
+	// that received nothing).
+	Arrivals map[string][]int
 	// Packets counts routed traffic by kind.
 	Packets map[string]int
 	// AMPackets counts packets delivered to or sent from array memory
@@ -244,11 +249,12 @@ func (r *Result) Graph() *graph.Graph { return r.tab.Graph() }
 
 // LaneResult is one lane's view of a batched machine run. Its fields mean
 // exactly what the same-named Result fields mean for a scalar run of that
-// lane's streams: each lane is one.
+// lane's streams: each lane is one. Arrivals[label][i] is the cycle at
+// which the lane's Outputs[label][i] reached the sink.
 type LaneResult struct {
 	Cycles       int
 	Outputs      map[string][]value.Value
-	Arrivals     map[string][]exec.Arrival
+	Arrivals     map[string][]int
 	Packets      map[string]int
 	AMPackets    int
 	TotalPackets int
@@ -336,11 +342,11 @@ type machine struct {
 	// graph.Table.BindStreams); this machine runs lane.
 	streams     [][]value.Value
 	lane, lanes int
-	// sinkOuts and sinkArrs hold each sink's received stream and arrival
-	// times, indexed by sink number; finish builds the label-keyed Result
+	// sinkOuts and sinkCycs hold each sink's received stream and arrival
+	// cycles, indexed by sink number; finish builds the label-keyed Result
 	// maps from them.
 	sinkOuts [][]value.Value
-	sinkArrs [][]exec.Arrival
+	sinkCycs [][]int
 	// residents[e] lists cell ids hosted by endpoint e (PEs and AMs).
 	residents [][]int
 	rrNext    []int
@@ -457,7 +463,7 @@ func newMachine(t *graph.Table, cfg Config, streams [][]value.Value, l, b int, a
 		lane:      l,
 		lanes:     b,
 		sinkOuts:  make([][]value.Value, len(t.Sinks)),
-		sinkArrs:  make([][]exec.Arrival, len(t.Sinks)),
+		sinkCycs:  make([][]int, len(t.Sinks)),
 		tr:        cfg.Tracer,
 		prog:      cfg.Progress,
 		residents: make([][]int, cfg.PEs+cfg.FUs+cfg.AMs),
@@ -465,7 +471,7 @@ func newMachine(t *graph.Table, cfg Config, streams [][]value.Value, l, b int, a
 		res: &Result{
 			tab:      t,
 			Outputs:  make(map[string][]value.Value, len(t.Sinks)),
-			Arrivals: make(map[string][]exec.Arrival, len(t.Sinks)),
+			Arrivals: make(map[string][]int, len(t.Sinks)),
 			Packets:  map[string]int{},
 			PEBusy:   make([]int, cfg.PEs),
 			FUBusy:   make([]int, cfg.FUs),
@@ -509,7 +515,7 @@ func (m *machine) finish(endCycle int) (*Result, error) {
 	m.res.Clean, m.res.Stalled = m.drainState()
 	for k, label := range m.t.Sinks {
 		m.res.Outputs[label] = m.sinkOuts[k]
-		m.res.Arrivals[label] = m.sinkArrs[k]
+		m.res.Arrivals[label] = m.sinkCycs[k]
 	}
 	for k := pktResult; k <= pktOp; k++ {
 		if m.pktCount[k] > 0 {
@@ -1000,7 +1006,7 @@ func (m *machine) fire(id int32, now int) bool {
 	if pl.sink {
 		k := m.t.Cells[id].Aux
 		m.sinkOuts[k] = appendPrealloc(m.sinkOuts[k], pl.out, m.outCap)
-		m.sinkArrs[k] = appendArrPrealloc(m.sinkArrs[k], exec.Arrival{Cycle: now, Val: pl.out}, m.outCap)
+		m.sinkCycs[k] = appendPrealloc(m.sinkCycs[k], now, m.outCap)
 		if m.prog != nil {
 			m.prog.Arrivals.Add(1)
 		}
@@ -1049,20 +1055,14 @@ func (m *machine) commitConsume(c *cell, arcs []int32, now int) {
 	}
 }
 
-// appendPrealloc appends to a sink stream, sizing the buffer for the whole
-// expected stream on first use so steady-state appends never reallocate.
-func appendPrealloc(s []value.Value, v value.Value, hint int) []value.Value {
+// appendPrealloc appends to a sink's value or cycle stream, sizing the
+// buffer for the whole expected stream on first use so steady-state
+// appends never reallocate.
+func appendPrealloc[T any](s []T, v T, hint int) []T {
 	if s == nil && hint > 0 {
-		s = make([]value.Value, 0, hint)
+		s = make([]T, 0, hint)
 	}
 	return append(s, v)
-}
-
-func appendArrPrealloc(s []exec.Arrival, a exec.Arrival, hint int) []exec.Arrival {
-	if s == nil && hint > 0 {
-		s = make([]exec.Arrival, 0, hint)
-	}
-	return append(s, a)
 }
 
 // drainState mirrors exec's cleanliness report. Names come from the

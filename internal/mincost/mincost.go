@@ -545,18 +545,13 @@ func (g *Graph) Potentials() ([]int64, error) {
 	// key[v] is the reduced distance d(v) − pi[v]; the virtual root's edge
 	// gives every node d(v) ≤ 0 to start from.
 	key := make([]int64, n)
-	h := make(nodeHeap, 0, n)
-	for v := 0; v < n; v++ {
+	for v := range key {
 		key[v] = -g.pi[v]
-		h.push(v, key[v])
 	}
-	done := make([]bool, n)
-	for len(h) > 0 {
-		u, k := h.pop()
-		if done[u] || k != key[u] {
-			continue
-		}
-		done[u] = true
+	h := newNodeHeap(key)
+	for len(h.heap) > 0 {
+		u := h.pop()
+		k := key[u]
 		for _, e := range adj[start[u]:start[u+1]] {
 			var v int32
 			var rc int64
@@ -569,7 +564,7 @@ func (g *Graph) Potentials() ([]int64, error) {
 			}
 			if nk := k + rc; nk < key[v] {
 				key[v] = nk
-				h.push(int(v), nk)
+				h.decrease(v)
 			}
 		}
 	}
@@ -579,48 +574,75 @@ func (g *Graph) Potentials() ([]int64, error) {
 	return key, nil
 }
 
-// nodeHeap is a binary min-heap of (node, key) entries; stale entries are
-// skipped by the caller rather than removed.
-type nodeHeap []heapEntry
-
-type heapEntry struct {
-	key  int64
-	node int
+// nodeHeap is a binary min-heap of nodes ordered by key, holding every
+// node from the start. pos[v] is v's index in heap (-1 once popped), so a
+// decreased key sifts its node up in place and the heap never grows.
+type nodeHeap struct {
+	key  []int64
+	heap []int32
+	pos  []int32
 }
 
-func (h *nodeHeap) push(v int, k int64) {
-	*h = append(*h, heapEntry{k, v})
-	a := *h
-	for i := len(a) - 1; i > 0; {
+func newNodeHeap(key []int64) nodeHeap {
+	n := len(key)
+	idx := make([]int32, 2*n)
+	h := nodeHeap{key: key, heap: idx[:n:n], pos: idx[n:]}
+	for v := range h.heap {
+		h.heap[v], h.pos[v] = int32(v), int32(v)
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
+// pop removes and returns the node of least key.
+func (h *nodeHeap) pop() int {
+	top := h.heap[0]
+	last := len(h.heap) - 1
+	h.heap[0] = h.heap[last]
+	h.pos[h.heap[0]] = 0
+	h.heap = h.heap[:last]
+	h.pos[top] = -1
+	if last > 0 {
+		h.down(0)
+	}
+	return int(top)
+}
+
+// decrease restores heap order after key[v] fell; a popped v is final.
+func (h *nodeHeap) decrease(v int32) {
+	i := int(h.pos[v])
+	if i < 0 {
+		return
+	}
+	for i > 0 {
 		p := (i - 1) / 2
-		if a[p].key <= a[i].key {
+		if h.key[h.heap[p]] <= h.key[v] {
 			break
 		}
-		a[p], a[i] = a[i], a[p]
+		h.heap[i] = h.heap[p]
+		h.pos[h.heap[i]] = int32(i)
 		i = p
 	}
+	h.heap[i], h.pos[v] = v, int32(i)
 }
 
-func (h *nodeHeap) pop() (int, int64) {
-	a := *h
-	top := a[0]
-	last := len(a) - 1
-	a[0] = a[last]
-	a = a[:last]
-	for i := 0; ; {
+func (h *nodeHeap) down(i int) {
+	a, key := h.heap, h.key
+	for {
 		l, small := 2*i+1, i
-		if l < len(a) && a[l].key < a[small].key {
+		if l < len(a) && key[a[l]] < key[a[small]] {
 			small = l
 		}
-		if r := l + 1; r < len(a) && a[r].key < a[small].key {
+		if r := l + 1; r < len(a) && key[a[r]] < key[a[small]] {
 			small = r
 		}
 		if small == i {
-			break
+			return
 		}
 		a[i], a[small] = a[small], a[i]
+		h.pos[a[i]], h.pos[a[small]] = int32(i), int32(small)
 		i = small
 	}
-	*h = a
-	return top.node, top.key
 }

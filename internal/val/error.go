@@ -39,11 +39,11 @@ func excerpt(src string, p Pos) string {
 		return ""
 	}
 	lines := strings.Split(src, "\n")
-	if p.Line > len(lines) {
+	if int(p.Line) > len(lines) {
 		return ""
 	}
 	line := strings.TrimRight(lines[p.Line-1], "\r")
-	col := p.Col
+	col := int(p.Col)
 	if col > len(line)+1 {
 		col = len(line) + 1
 	}

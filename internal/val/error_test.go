@@ -69,7 +69,7 @@ func TestErrorExcerptCaret(t *testing.T) {
 	}
 	// Both rendered lines carry a two-space margin, so the caret's index in
 	// its line equals the column it points at in the excerpt line.
-	if col := posOf(t, err).Col; caret != col+1 {
+	if col := int(posOf(t, err).Col); caret != col+1 {
 		t.Errorf("caret at index %d, want under column %d", caret, col)
 	}
 	if lines[1][caret] != 'D' {

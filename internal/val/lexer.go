@@ -9,8 +9,8 @@ import (
 type Lexer struct {
 	src  string
 	off  int
-	line int
-	col  int
+	line int32
+	col  int32
 }
 
 // NewLexer returns a lexer over the given source.

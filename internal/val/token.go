@@ -60,9 +60,10 @@ func (k TokKind) String() string {
 	}
 }
 
-// Pos is a source position (1-based line and column).
+// Pos is a source position (1-based line and column). int32 fields, exact
+// for any source under 2 GiB, keep a Token at 32 bytes.
 type Pos struct {
-	Line, Col int
+	Line, Col int32
 }
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }

@@ -3,6 +3,7 @@ package val
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // example1 is the paper's Example 1 (§4) in this front end's program
@@ -86,6 +87,14 @@ func TestLexPositions(t *testing.T) {
 	}
 	if toks[1].Pos.Line != 2 || toks[1].Pos.Col != 3 {
 		t.Errorf("b at %v", toks[1].Pos)
+	}
+}
+
+// TestTokenSize pins a token at 32 bytes: a kind, its text and an int32
+// line and column. val.Lex allocates one per token of the source.
+func TestTokenSize(t *testing.T) {
+	if got := unsafe.Sizeof(Token{}); got != 32 {
+		t.Errorf("Token is %d bytes, want 32", got)
 	}
 }
 
