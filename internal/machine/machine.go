@@ -347,8 +347,11 @@ type machine struct {
 	// maps from them.
 	sinkOuts [][]value.Value
 	sinkCycs [][]int
-	// residents[e] lists cell ids hosted by endpoint e (PEs and AMs).
+	// residents[e] lists cell ids hosted by endpoint e (PEs and AMs), in
+	// ascending order; fresh[e] counts those not marked stale, so the
+	// retirement scan passes over an endpoint whose count is 0.
 	residents [][]int
+	fresh     []int
 	rrNext    []int
 	net       network   // distribution network (results, acks); all traffic when not split
 	opNet     network   // routing network for operation packets (nil unless SplitNetworks)
@@ -467,6 +470,7 @@ func newMachine(t *graph.Table, cfg Config, streams [][]value.Value, l, b int, a
 		tr:        cfg.Tracer,
 		prog:      cfg.Progress,
 		residents: make([][]int, cfg.PEs+cfg.FUs+cfg.AMs),
+		fresh:     make([]int, cfg.PEs+cfg.FUs+cfg.AMs),
 		rrNext:    make([]int, cfg.PEs+cfg.FUs+cfg.AMs),
 		res: &Result{
 			tab:      t,
@@ -567,14 +571,12 @@ func (m *machine) place() error {
 	m.cells, m.arcHas, m.arcVal = ar.cells, ar.arcHas, ar.arcVal
 	clear(m.cells)
 	clear(m.arcHas)
-	var computeIDs []int
+	computeIDs := make([]int, 0, len(m.t.Cells)-len(m.t.Sources)-len(m.t.Sinks))
 	amNext := 0
 	for id := range m.t.Cells {
 		if op := m.t.Cells[id].Op; op == graph.OpSource || op == graph.OpSink {
-			c := &m.cells[id]
-			c.endpoint = m.amEndpoint(amNext % m.cfg.AMs)
+			m.cells[id].endpoint = m.amEndpoint(amNext % m.cfg.AMs)
 			amNext++
-			m.residents[c.endpoint] = append(m.residents[c.endpoint], id)
 			continue
 		}
 		computeIDs = append(computeIDs, id)
@@ -609,9 +611,22 @@ func (m *machine) place() error {
 		peOf = func(i, id int) int { return i % m.cfg.PEs }
 	}
 	for i, id := range computeIDs {
-		pe := peOf(i, id)
-		m.cells[id].endpoint = pe
-		m.residents[pe] = append(m.residents[pe], id)
+		m.cells[id].endpoint = peOf(i, id)
+	}
+	// Every cell starts fresh. The resident lists are carved, each at its
+	// exact length, from one array of all cell ids.
+	for id := range m.cells {
+		m.fresh[m.cells[id].endpoint]++
+	}
+	ids := make([]int, len(m.cells))
+	off := 0
+	for e, n := range m.fresh {
+		m.residents[e] = ids[off : off : off+n]
+		off += n
+	}
+	for id := range m.cells {
+		e := m.cells[id].endpoint
+		m.residents[e] = append(m.residents[e], id)
 	}
 	return nil
 }
@@ -691,11 +706,15 @@ func (m *machine) step(now int) bool {
 
 	// 3. PEs and AMs each retire one enabled instruction: the first, in
 	// round-robin order from rrNext, whose plan succeeds. Stale cells would
-	// fail to plan, so skipping them retires the same cell.
+	// fail to plan, so skipping them, and every endpoint whose residents
+	// are all stale, retires the same cell.
 	if m.tr != nil {
 		clear(m.fired)
 	}
 	for e := 0; e < m.numEndpoints(); e++ {
+		if m.fresh[e] == 0 {
+			continue
+		}
 		ids := m.residents[e]
 		i := m.rrNext[e]
 		for range ids {
@@ -804,7 +823,7 @@ func (m *machine) deliver(p *packet, now int) {
 	case pktAck:
 		c := &m.cells[p.cell]
 		c.pendingAcks--
-		c.stale = false
+		m.wake(c)
 		m.freePacket(p)
 	case pktResult:
 		if m.arcHas[p.arc] {
@@ -812,10 +831,19 @@ func (m *machine) deliver(p *packet, now int) {
 		}
 		m.arcVal[p.arc] = p.val
 		m.arcHas[p.arc] = true
-		m.cells[p.cell].stale = false
+		m.wake(&m.cells[p.cell])
 		m.freePacket(p)
 	case pktOp:
 		m.fus[p.dst-m.cfg.PEs].queue.push(p)
+	}
+}
+
+// wake clears a cell's stale mark, counting it fresh again on its
+// endpoint.
+func (m *machine) wake(c *cell) {
+	if c.stale {
+		c.stale = false
+		m.fresh[c.endpoint]++
 	}
 }
 
@@ -981,14 +1009,15 @@ func (m *machine) planCell(id int32) trace.Reason {
 	return trace.ReasonNone
 }
 
-// fire attempts to retire cell id; it reports whether it fired, and marks
-// the cell stale when it could not. Arithmetic cells ship an operation
+// fire attempts to retire cell id, which is not stale; it reports whether
+// it fired, and marks the cell stale when it could not. Arithmetic cells ship an operation
 // packet to a function unit (which sends the result packets); either way
 // the cell owes acknowledgments for every destination targeted.
 func (m *machine) fire(id int32, now int) bool {
 	c := &m.cells[id]
 	if m.planCell(id) != trace.ReasonNone {
 		c.stale = true
+		m.fresh[c.endpoint]--
 		return false
 	}
 	pl := &m.plan

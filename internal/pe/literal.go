@@ -14,12 +14,6 @@ func LiteralPattern(g *graph.Graph, pattern []bool, label string) *graph.Node {
 	return literalPattern(g, pattern, label)
 }
 
-// literalIndexStream emits a contiguous index stream from literal
-// instruction cells (control.IndexStream's interleaved counters).
-func literalIndexStream(g *graph.Graph, idxs []int64) *graph.Node {
-	return control.IndexStream(g, "i", idxs[0], idxs[len(idxs)-1])
-}
-
 // literalPattern builds a boolean control stream from literal instruction
 // cells: an index stream over the pattern positions, run-decomposed into
 // window predicates (lo <= p & p <= hi) combined by an OR tree. This is

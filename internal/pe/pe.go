@@ -17,6 +17,13 @@
 //     into Todd-style control patterns, exactly as the paper's figures
 //     show precomputed <FT..TF> streams rather than runtime comparisons.
 //
+// The positions a construct covers — the whole iteration space, or those
+// an enclosing static condition selects for one arm — are an iteration
+// set of position runs (iterSet), walked run by run, so the builder's own
+// memory does not grow with the extent. What grows is what the graph
+// holds: its control patterns, one byte per element, and the values of
+// index and constant streams.
+//
 // The emitted graph is not yet balanced; callers apply package balance to
 // obtain the fully pipelined form (Theorem 1's FIFO insertion).
 package pe
@@ -24,6 +31,7 @@ package pe
 import (
 	"fmt"
 
+	"staticpipe/internal/control"
 	"staticpipe/internal/graph"
 	"staticpipe/internal/val"
 	"staticpipe/internal/value"
@@ -74,12 +82,12 @@ type binding struct {
 }
 
 // selLayer is one enclosing conditional arm: streams crossing into the arm
-// are gated by ctl with the given polarity. If the selected index
-// subsequence is statically known it is recorded for pattern fusion.
+// are gated by ctl with the given polarity. If the arm's iteration set is
+// statically known it is recorded for pattern fusion.
 type selLayer struct {
 	ctl  *graph.Node
 	keep bool
-	idxs []int64 // nil when the condition is data-dependent
+	set  iterSet // dynamicSet when the condition is data-dependent
 }
 
 // arrayInfo is a bound input array stream. Two-dimensional arrays (w > 0)
@@ -117,6 +125,7 @@ type Builder struct {
 	arrays  map[string]arrayInfo
 	scalars map[string]binding
 	sel     []selLayer
+	all     iterSet // every position of the iteration space
 }
 
 // NewBuilder returns a builder for primitive expressions on indexVar, with
@@ -131,6 +140,7 @@ func NewBuilder(g *graph.Graph, indexVar string, lo, hi int64, params map[string
 		opts:    opts,
 		arrays:  map[string]arrayInfo{},
 		scalars: map[string]binding{},
+		all:     fullSet(hi - lo + 1),
 	}
 }
 
@@ -147,6 +157,7 @@ func NewBuilder2(g *graph.Graph, iv string, lo, hi int64, iv2 string, lo2, hi2 i
 	b := NewBuilder(g, iv, lo, hi, params, opts)
 	b.indexVar2 = iv2
 	b.lo2, b.hi2 = lo2, hi2
+	b.all = fullSet(int64(b.N()))
 	return b
 }
 
@@ -171,6 +182,15 @@ func (b *Builder) ivAt(p int64) (i, j int64) {
 	return b.lo + p/c, b.lo2 + p%c
 }
 
+// iv returns the value of index variable dim at iteration position p.
+func (b *Builder) iv(p int64, dim int) int64 {
+	i, j := b.ivAt(p)
+	if dim == 2 {
+		return j
+	}
+	return i
+}
+
 // BindArray makes an array's element stream (indices alo..ahi arriving in
 // order from src) available to references A[i±k].
 func (b *Builder) BindArray(name string, src *graph.Node, alo, ahi int64) {
@@ -188,17 +208,14 @@ func (b *Builder) BindScalar(name string, src *graph.Node) {
 	b.scalars[name] = binding{node: src, depth: len(b.sel)}
 }
 
-// curIdxs returns the iteration positions (0..N−1 based) selected by the
-// current layers, or nil if any enclosing condition is data-dependent.
-func (b *Builder) curIdxs() []int64 {
+// curSet returns the iteration set (positions 0..N−1 based) selected by
+// the current layers: dynamicSet if any enclosing condition is
+// data-dependent.
+func (b *Builder) curSet() iterSet {
 	if len(b.sel) == 0 {
-		out := make([]int64, b.N())
-		for p := range out {
-			out[p] = int64(p)
-		}
-		return out
+		return b.all
 	}
-	return b.sel[len(b.sel)-1].idxs
+	return b.sel[len(b.sel)-1].set
 }
 
 // Compile translates a primitive expression into the graph, returning its
@@ -353,11 +370,11 @@ func (b *Builder) materialize(r Result, label string) *graph.Node {
 	if !r.IsConst() {
 		return r.Node
 	}
-	idxs := b.curIdxs()
-	if idxs == nil {
+	set := b.curSet()
+	if set.dynamic {
 		panic("pe: internal error: constant stream under data-dependent selection")
 	}
-	stream := make([]value.Value, len(idxs))
+	stream := make([]value.Value, set.count())
 	for i := range stream {
 		stream[i] = *r.Const
 	}
@@ -373,20 +390,6 @@ func (b *Builder) connect(r Result, n *graph.Node, p int) {
 	b.G.Connect(r.Node, n, p)
 }
 
-// ivValues maps iteration positions to the values of index variable dim.
-func (b *Builder) ivValues(positions []int64, dim int) []int64 {
-	out := make([]int64, len(positions))
-	for k, p := range positions {
-		i, j := b.ivAt(p)
-		if dim == 1 {
-			out[k] = i
-		} else {
-			out[k] = j
-		}
-	}
-	return out
-}
-
 func (b *Builder) ivName(dim int) string {
 	if dim == 2 {
 		return b.indexVar2
@@ -396,40 +399,50 @@ func (b *Builder) ivName(dim int) string {
 
 // indexStream returns a stream of an index variable's selected values.
 func (b *Builder) indexStream(dim int) *graph.Node {
-	idxs := b.curIdxs()
-	if idxs == nil {
+	set := b.curSet()
+	if set.dynamic {
 		// Data-dependent selection: produce the base stream at depth 0 and
 		// gate it through the layers.
-		base := b.baseIndexStream(dim)
-		return b.applySel(base, 0)
+		return b.applySel(b.indexSource(b.all, dim), 0)
 	}
-	vals := b.ivValues(idxs, dim)
-	if b.opts.LiteralControl && contiguous(vals) {
-		return literalIndexStream(b.G, vals)
-	}
-	return b.G.AddSource(fmt.Sprintf("i:%s", b.ivName(dim)), value.Ints(vals))
+	return b.indexSource(set, dim)
 }
 
-// baseIndexStream emits the full unselected value sequence of variable dim.
-func (b *Builder) baseIndexStream(dim int) *graph.Node {
-	positions := make([]int64, b.N())
-	for p := range positions {
-		positions[p] = int64(p)
-	}
-	vals := b.ivValues(positions, dim)
-	if b.opts.LiteralControl && contiguous(vals) {
-		return literalIndexStream(b.G, vals)
-	}
-	return b.G.AddSource(fmt.Sprintf("i:%s", b.ivName(dim)), value.Ints(vals))
-}
-
-func contiguous(idxs []int64) bool {
-	for i := 1; i < len(idxs); i++ {
-		if idxs[i] != idxs[i-1]+1 {
-			return false
+// indexSource emits the values index variable dim takes over a static
+// set's positions: when they are consecutive integers and literal control
+// is on, from literal instruction cells (control.IndexStream's
+// interleaved counters), else from a source cell holding them.
+func (b *Builder) indexSource(set iterSet, dim int) *graph.Node {
+	if b.opts.LiteralControl {
+		if first, last, ok := b.ivRun(set, dim); ok {
+			return control.IndexStream(b.G, "i", first, last)
 		}
 	}
-	return len(idxs) > 0
+	vals := make([]value.Value, 0, set.count())
+	for _, r := range set.spans {
+		for p := r.lo; p < r.hi; p++ {
+			vals = append(vals, value.I(b.iv(p, dim)))
+		}
+	}
+	return b.G.AddSource(fmt.Sprintf("i:%s", b.ivName(dim)), vals)
+}
+
+// ivRun reports whether index variable dim takes consecutive increasing
+// values over a static set's positions, and if so the first and the last.
+func (b *Builder) ivRun(set iterSet, dim int) (first, last int64, ok bool) {
+	for _, r := range set.spans {
+		for p := r.lo; p < r.hi; p++ {
+			v := b.iv(p, dim)
+			switch {
+			case !ok:
+				first, ok = v, true
+			case v != last+1:
+				return 0, 0, false
+			}
+			last = v
+		}
+	}
+	return first, last, ok
 }
 
 // applySel gates a stream produced at the given depth through the enclosing
@@ -510,24 +523,22 @@ func (b *Builder) compileArrayRef(x *val.Index) (Result, error) {
 		label = fmt.Sprintf("%s[%s%+d,%s%+d]", x.Array, b.indexVar, k, b.indexVar2, l)
 	}
 
-	idxs := b.curIdxs()
-	positions := idxs
-	dynamic := idxs == nil
-	if dynamic {
+	set := b.curSet()
+	positions := set
+	if set.dynamic {
 		// Dynamic enclosing selection: select the full base window first,
 		// then gate through the dynamic layers like any other stream.
-		positions = make([]int64, b.N())
-		for p := range positions {
-			positions[p] = int64(p)
-		}
+		positions = b.all
 	}
 	pattern := make([]bool, info.total())
-	for _, p := range positions {
-		sp, err := streamPos(p)
-		if err != nil {
-			return Result{}, err
+	for _, r := range positions.spans {
+		for p := r.lo; p < r.hi; p++ {
+			sp, err := streamPos(p)
+			if err != nil {
+				return Result{}, err
+			}
+			pattern[sp] = true
 		}
-		pattern[sp] = true
 	}
 	gate := b.G.Add(graph.OpTGate, label)
 	ctl := b.G.Connect(b.ctlStream(pattern, gate.Label), gate, 0)
@@ -549,7 +560,7 @@ func (b *Builder) compileArrayRef(x *val.Index) (Result, error) {
 		data.Skew = int(i0 + k - info.lo)
 	}
 	ctl.Skew = data.Skew
-	if dynamic {
+	if set.dynamic {
 		return Result{Node: b.applySel(gate, 0)}, nil
 	}
 	return Result{Node: gate}, nil
@@ -564,10 +575,11 @@ func (b *Builder) ctlStream(pattern []bool, label string) *graph.Node {
 	return literalPattern(b.G, pattern, label)
 }
 
-// packPattern compresses a boolean slice into prefix/body/suffix run form
-// where profitable (pure cosmetics for DOT output; At() behaves the same).
+// packPattern wraps a control pattern as the Prefix of a graph.Pattern,
+// without copying: the generator cell takes the slice, so callers hand
+// over a slice they no longer write.
 func packPattern(bs []bool) graph.Pattern {
-	return graph.Pattern{Prefix: append([]bool(nil), bs...)}
+	return graph.Pattern{Prefix: bs}
 }
 
 // offsetOf recognizes subscripts of the form v, v+c, v-c, c+v for the
@@ -607,27 +619,15 @@ func (b *Builder) offsetOf(e val.Expr, iv string) (int64, bool) {
 // variable and constants are evaluated at compile time into control
 // patterns.
 func (b *Builder) compileIf(x *val.If) (Result, error) {
-	idxs := b.curIdxs()
-	var (
-		ctl      *graph.Node
-		thenIdxs []int64
-		elseIdxs []int64
-	)
-	if bools, ok := b.staticBools(x.Cond, idxs); ok {
-		ctl = b.ctlStream(bools, "cond")
-		// Non-nil even when empty: an arm selected for no index at all is
-		// still statically known (its gates discard everything), which is
-		// distinct from a data-dependent selection (nil).
-		thenIdxs = []int64{}
-		elseIdxs = []int64{}
-		for j, keep := range bools {
-			if keep {
-				thenIdxs = append(thenIdxs, idxs[j])
-			} else {
-				elseIdxs = append(elseIdxs, idxs[j])
-			}
-		}
+	var ctl *graph.Node
+	// A static split's sets may be empty: an arm selected for no index at
+	// all is still statically known (its gates discard everything), which
+	// is distinct from a data-dependent selection.
+	pattern, thenSet, elseSet, static := b.staticSplit(x.Cond, b.curSet())
+	if static {
+		ctl = b.ctlStream(pattern, "cond")
 	} else {
+		thenSet, elseSet = dynamicSet, dynamicSet
 		cr, err := b.Compile(x.Cond)
 		if err != nil {
 			return Result{}, err
@@ -642,19 +642,19 @@ func (b *Builder) compileIf(x *val.If) (Result, error) {
 		ctl = cr.Node
 	}
 
-	compileArm := func(arm val.Expr, keep bool, armIdxs []int64) (Result, error) {
+	compileArm := func(arm val.Expr, keep bool, set iterSet) (Result, error) {
 		// Constant arms stay literal merge operands; only stream-producing
 		// arms need a selection layer.
-		b.sel = append(b.sel, selLayer{ctl: ctl, keep: keep, idxs: armIdxs})
+		b.sel = append(b.sel, selLayer{ctl: ctl, keep: keep, set: set})
 		defer func() { b.sel = b.sel[:len(b.sel)-1] }()
 		return b.Compile(arm)
 	}
 
-	thenR, err := compileArm(x.Then, true, thenIdxs)
+	thenR, err := compileArm(x.Then, true, thenSet)
 	if err != nil {
 		return Result{}, err
 	}
-	elseR, err := compileArm(x.Else, false, elseIdxs)
+	elseR, err := compileArm(x.Else, false, elseSet)
 	if err != nil {
 		return Result{}, err
 	}
@@ -666,22 +666,23 @@ func (b *Builder) compileIf(x *val.If) (Result, error) {
 	return Result{Node: merge}, nil
 }
 
-// staticBools evaluates a condition at compile time for each iteration
-// position in idxs. It succeeds only when the condition involves nothing
-// but the index variables, parameters, and literals.
-func (b *Builder) staticBools(e val.Expr, idxs []int64) ([]bool, bool) {
-	if idxs == nil || !b.staticExpr(e) {
-		return nil, false
+// staticSplit evaluates a condition at compile time at each position of a
+// static set, in ascending order. It returns the values as a control
+// pattern, one per position, and the positions where the condition holds
+// and where it fails as the then and else arms' sets. It succeeds only
+// when the condition involves nothing but the index variables, parameters,
+// and literals, and is boolean at every position.
+func (b *Builder) staticSplit(e val.Expr, set iterSet) (pattern []bool, then, els iterSet, ok bool) {
+	if set.dynamic || !b.staticExpr(e) {
+		return nil, iterSet{}, iterSet{}, false
 	}
-	out := make([]bool, len(idxs))
-	for k, p := range idxs {
+	return set.split(func(p int64) (bool, bool) {
 		v, err := b.evalStatic(e, p)
 		if err != nil || v.Kind() != value.Bool {
-			return nil, false
+			return false, false
 		}
-		out[k] = v.AsBool()
-	}
-	return out, true
+		return v.AsBool(), true
+	})
 }
 
 // staticExpr reports whether e references only the index variables,

@@ -16,6 +16,12 @@ type ArrayVal struct {
 	// means one-dimensional.
 	Lo2 int64
 	W   int
+
+	// tail, on arrays the interpreter's appends built, counts the elements
+	// of Elems' backing array that some value already holds; every value
+	// on that backing array shares it. An append to a value whose length
+	// equals it may write the next element in place (see appendElem).
+	tail *int
 }
 
 // Hi returns the highest index of a one-dimensional array, or the highest
@@ -96,7 +102,8 @@ func Interp(c *Checked, inputs map[string][]value.Value) (map[string]*ArrayVal, 
 		if !ok {
 			return nil, fmt.Errorf("val: output %s is not an array value", name)
 		}
-		out[name] = a
+		n := len(a.Elems)
+		out[name] = &ArrayVal{Lo: a.Lo, Elems: a.Elems[:n:n], Lo2: a.Lo2, W: a.W}
 	}
 	return out, nil
 }
@@ -219,10 +226,7 @@ func (it *interp) eval(env map[string]any, e Expr) (any, error) {
 		i := at.AsInt()
 		switch {
 		case i == arr.Hi()+1:
-			elems := make([]value.Value, len(arr.Elems)+1)
-			copy(elems, arr.Elems)
-			elems[len(arr.Elems)] = v
-			return &ArrayVal{Lo: arr.Lo, Elems: elems}, nil
+			return appendElem(arr, v), nil
 		case i >= arr.Lo && i <= arr.Hi():
 			elems := append([]value.Value(nil), arr.Elems...)
 			elems[i-arr.Lo] = v
@@ -338,6 +342,26 @@ func (it *interp) eval(env map[string]any, e Expr) (any, error) {
 	default:
 		return nil, fmt.Errorf("%s: cannot evaluate %T", e.Pos(), e)
 	}
+}
+
+// appendElem returns arr extended by v at its high end. A for-iter's
+// T[i: v] appends to the array the previous iteration built, so when arr
+// is the longest value on its backing array and room is left, v is
+// written in place and the new value shares the backing array and its
+// tail counter; arr itself still reads its own len(arr.Elems) elements.
+// Otherwise the elements move to a new backing array of twice the length,
+// so n appends copy O(n) values in all.
+func appendElem(arr *ArrayVal, v value.Value) *ArrayVal {
+	n := len(arr.Elems)
+	if arr.tail != nil && *arr.tail == n && n < cap(arr.Elems) {
+		*arr.tail = n + 1
+		return &ArrayVal{Lo: arr.Lo, Elems: append(arr.Elems, v), tail: arr.tail}
+	}
+	elems := make([]value.Value, n+1, 2*(n+1))
+	copy(elems, arr.Elems)
+	elems[n] = v
+	tail := n + 1
+	return &ArrayVal{Lo: arr.Lo, Elems: elems, tail: &tail}
 }
 
 // scalar evaluates e and requires a scalar result.

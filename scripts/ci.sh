@@ -213,6 +213,7 @@ go test -run '^$' -fuzz 'FuzzParseExpr$' -fuzztime 10s ./internal/val/
 go test -run '^$' -fuzz 'FuzzUnmarshal$' -fuzztime 10s ./internal/graph/
 go test -run '^$' -fuzz 'FuzzValue$'     -fuzztime 10s ./internal/value/
 go test -run '^$' -fuzz 'FuzzStream$'    -fuzztime 10s ./internal/serve/
+go test -run '^$' -fuzz 'FuzzSelection$' -fuzztime 10s ./internal/pe/
 go test -run '^$' -fuzz 'FuzzMinCostFlow$' -fuzztime 10s -fuzzminimizetime 0 ./internal/mincost/
 
 echo "== perf gate =="
